@@ -429,14 +429,25 @@ def _apply_config_file(parser: _Parser, argv) -> None:
     """
     if argv is None:
         argv = sys.argv[1:]
+    if any(arg.startswith("--config=") for arg in argv):
+        raise UsageError("write --config PATH, not --config=PATH")
     if "--config" not in argv:
         return
-    path = argv[argv.index("--config") + 1]
-    with open(path) as fh:
+    at = argv.index("--config")
+    if at + 1 >= len(argv):
+        raise UsageError("--config needs a file path")
+    with open(argv[at + 1]) as fh:
         overrides = json.load(fh)
+    if not isinstance(overrides, dict):
+        raise UsageError(f"config file {argv[at + 1]} must hold a JSON object")
     defaults = {k.replace("-", "_"): v for k, v in overrides.items()}
     command = argv[0] if argv and not argv[0].startswith("-") else None
     target = parser.subcommand_parsers.get(command, parser)
+    known = {action.dest for action in target._actions} - {"help", "config"}
+    unknown = sorted(set(defaults) - known)
+    if unknown:
+        raise UsageError(f"unknown key(s) in config file {argv[at + 1]}: "
+                         f"{', '.join(unknown)}")
     target.set_defaults(**defaults)
 
 

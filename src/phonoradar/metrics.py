@@ -13,7 +13,9 @@ __all__ = [
     "SPECTRAL_FLOOR",
     "SilentFrameError",
     "PowerSpectrum",
+    "normalized_power_spectra",
     "normalized_power_spectrum",
+    "log_spectral_distances",
     "log_spectral_distance",
     "LsdSeries",
     "lsd_over_windows",
@@ -44,13 +46,10 @@ class PowerSpectrum:
 
     @classmethod
     def from_bins(cls, raw: np.ndarray, bin_hz: float) -> "PowerSpectrum":
-        raw = np.asarray(raw, dtype=np.float64)
-        total = raw.sum()
-        if not (total > 0):
+        bins, powerless = _normalize_power(np.asarray(raw, dtype=np.float64)[None, :])
+        if powerless[0]:
             raise SilentFrameError("spectrum has no power")
-        b = raw / total
-        b = np.maximum(b, SPECTRAL_FLOOR)
-        return cls(bins=b / b.sum(), bin_hz=bin_hz)
+        return cls(bins=bins[0], bin_hz=bin_hz)
 
     def __len__(self) -> int:
         return len(self.bins)
@@ -63,28 +62,57 @@ def _fft_length(window_len: int) -> int:
     return n
 
 
-def normalized_power_spectrum(frame: np.ndarray, rate_hz: float) -> PowerSpectrum:
-    """Hann-windowed periodogram of a mean-removed frame, zero-padded to the
-    next power of two, normalized to unit total power and floored.
+def _normalize_power(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows scaled to unit total power and floored; also the mask of rows
+    without power (their bins are meaningless)."""
+    total = raw.sum(axis=1)
+    powerless = ~(total > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = np.maximum(raw / total[:, None], SPECTRAL_FLOOR)
+    return b / b.sum(axis=1, keepdims=True), powerless
+
+
+def normalized_power_spectra(frames: np.ndarray,
+                             rate_hz: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Hann-windowed periodogram of every mean-removed row of a (frames, n)
+    stack, zero-padded to the next power of two, normalized to unit total
+    power and floored.
 
     The frame mean is removed first so a baseline offset cannot dominate the
-    DC bin; the signals under comparison are AC quantities.
+    DC bin; the signals under comparison are AC quantities. Returns (bins,
+    silent mask, bin width in Hz); silent rows carry no usable bins.
     """
-    frame = np.asarray(frame, dtype=np.float64)
-    if np.sqrt(np.mean(frame**2)) < SILENCE_RMS:
+    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
+    n = frames.shape[1]
+    nfft = _fft_length(n)
+    work = (frames - frames.mean(axis=1, keepdims=True)) * hann_window(n)
+    bins, powerless = _normalize_power(np.abs(np.fft.rfft(work, nfft, axis=1)) ** 2)
+    silent = (np.sqrt(np.mean(frames**2, axis=1)) < SILENCE_RMS) | powerless
+    return bins, silent, rate_hz / nfft
+
+
+def normalized_power_spectrum(frame: np.ndarray, rate_hz: float) -> PowerSpectrum:
+    """One-frame view of normalized_power_spectra; raises SilentFrameError
+    for a silent frame."""
+    bins, silent, bin_hz = normalized_power_spectra(
+        np.asarray(frame, dtype=np.float64)[None, :], rate_hz)
+    if silent[0]:
         raise SilentFrameError("silent frame")
-    work = (frame - frame.mean()) * hann_window(len(frame))
-    nfft = _fft_length(len(frame))
-    power = np.abs(np.fft.rfft(work, nfft)) ** 2
-    return PowerSpectrum.from_bins(power, rate_hz / nfft)
+    return PowerSpectrum(bins=bins[0], bin_hz=bin_hz)
+
+
+def log_spectral_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """RMS difference in dB between matching rows of two stacks of
+    normalized power spectra."""
+    ratio_db = 10.0 * np.log10(p / q)
+    return np.sqrt(np.mean(ratio_db**2, axis=-1))
 
 
 def log_spectral_distance(p: PowerSpectrum, q: PowerSpectrum) -> float:
     """RMS difference in dB between two normalized power spectra."""
     if len(p) != len(q):
         raise ValueError(f"bin count mismatch: {len(p)} vs {len(q)}")
-    ratio_db = 10.0 * np.log10(p.bins / q.bins)
-    return float(np.sqrt(np.mean(ratio_db**2)))
+    return float(log_spectral_distances(p.bins, q.bins))
 
 
 @dataclass(frozen=True)
@@ -132,22 +160,16 @@ def lsd_over_windows(a: SampledSignal, b: SampledSignal, plan: FramePlan,
     voiced_mask = np.asarray(voiced_mask, dtype=bool)
     if len(voiced_mask) != n:
         raise ValueError(f"voiced mask has {len(voiced_mask)} entries for {n} windows")
-    values, times, indices = [], [], []
-    for i in range(n):
-        if not voiced_mask[i]:
-            continue
-        try:
-            pa = normalized_power_spectrum(fa[i], a.rate_hz)
-            pb = normalized_power_spectrum(fb[i], b.rate_hz)
-        except SilentFrameError:
-            continue
-        values.append(log_spectral_distance(pa, pb))
-        times.append(i * plan.hop / a.rate_hz)
-        indices.append(i)
-    if not values:
+    rows = np.flatnonzero(voiced_mask)
+    pa, silent_a, _ = normalized_power_spectra(fa[rows], a.rate_hz)
+    pb, silent_b, _ = normalized_power_spectra(fb[rows], b.rate_hz)
+    keep = ~(silent_a | silent_b)
+    if not keep.any():
         raise ValueError("no voiced windows to compare")
-    return LsdSeries(values=np.array(values), times_s=np.array(times),
-                     window_indices=np.array(indices), n_windows=n)
+    rows = rows[keep]
+    return LsdSeries(values=log_spectral_distances(pa[keep], pb[keep]),
+                     times_s=rows * plan.hop / a.rate_hz,
+                     window_indices=rows, n_windows=n)
 
 
 def _tricube(u: np.ndarray) -> np.ndarray:
@@ -156,10 +178,12 @@ def _tricube(u: np.ndarray) -> np.ndarray:
 
 
 def loess_smooth(series: LsdSeries, span: float = 0.3) -> LsdSeries:
-    """Locally weighted linear regression with tricube weights.
+    """Locally weighted linear regression with tricube weights (Cleveland 1979).
 
-    Each point is refit from its nearest span-fraction neighbors; constant and
-    exactly linear series are reproduced unchanged.
+    Each point is refit from its nearest span-fraction neighbors; a distance
+    tie goes to the lower index. Times must be sorted, so each neighborhood
+    is a contiguous window. Constant and exactly linear series are
+    reproduced unchanged.
     """
     if not (0.0 < span <= 1.0):
         raise ValueError("span must be in (0, 1]")
@@ -168,26 +192,30 @@ def loess_smooth(series: LsdSeries, span: float = 0.3) -> LsdSeries:
     n = len(x)
     if n < 5:
         raise ValueError("need at least 5 points to smooth")
+    if np.any(np.diff(x) < 0):
+        raise ValueError("times must be sorted")
     k = max(2, int(np.ceil(span * n)))
-    out = np.empty(n)
+    # the window [lo, lo + k) slides right while the point past its right end
+    # is strictly nearer than its left end; it never slides back
+    lo = np.empty(n, dtype=int)
+    left = 0
     for i in range(n):
-        dist = np.abs(x - x[i])
-        idx = np.argsort(dist, kind="stable")[:k]
-        h = dist[idx].max()
-        if h <= 0:
-            out[i] = y[idx].mean()
-            continue
-        w = _tricube(dist[idx] / h)
-        xw, yw = x[idx], y[idx]
-        sw = w.sum()
-        mx = (w * xw).sum() / sw
-        my = (w * yw).sum() / sw
-        sxx = (w * (xw - mx) ** 2).sum()
-        if sxx <= 0:
-            out[i] = my
-            continue
-        slope = (w * (xw - mx) * (yw - my)).sum() / sxx
-        out[i] = my + slope * (x[i] - mx)
+        while left + k < n and x[left + k] - x[i] < x[i] - x[left]:
+            left += 1
+        lo[i] = left
+    idx = lo[:, None] + np.arange(k)
+    xw, yw = x[idx], y[idx]
+    dist = np.abs(xw - x[:, None])
+    h = dist.max(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = _tricube(dist / h)
+        sw = w.sum(axis=1)
+        mx = (w * xw).sum(axis=1) / sw
+        my = (w * yw).sum(axis=1) / sw
+        sxx = (w * (xw - mx[:, None]) ** 2).sum(axis=1)
+        slope = (w * (xw - mx[:, None]) * (yw - my[:, None])).sum(axis=1) / sxx
+    out = np.where(sxx > 0, my + slope * (x - mx), my)
+    out = np.where(h[:, 0] > 0, out, yw.mean(axis=1))
     return LsdSeries(values=out, times_s=series.times_s,
                      window_indices=series.window_indices,
                      n_windows=series.n_windows)

@@ -6,14 +6,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "SampledSignal",
     "FramePlan",
     "frame_count",
     "frame_signal",
+    "frame_view",
     "hann_window",
+    "lagged_products",
     "cross_correlate",
     "correlation_series",
     "parabolic_peak_offset",
@@ -121,16 +123,39 @@ def frame_signal(sig: SampledSignal, plan: FramePlan) -> np.ndarray:
     Frame i covers samples [i*hop, i*hop + window_len).
     """
     x = sig.samples
-    n = plan.n_frames(len(x))
-    if n == 0:
+    if plan.n_frames(len(x)) == 0:
         raise ValueError(
             f"signal of {len(x)} samples is shorter than one window ({plan.window_len})"
         )
-    idx = plan.hop * np.arange(n)[:, None] + np.arange(plan.window_len)[None, :]
-    frames = x[idx]
+    frames = frame_view(x, plan.window_len, plan.hop)
     if plan.taper == "hann":
         frames = frames * hann_window(plan.window_len)[None, :]
     return frames
+
+
+def frame_view(x: np.ndarray, window_len: int, hop: int) -> np.ndarray:
+    """Read-only strided (frames, window_len) view of x without copying;
+    row i covers samples [i*hop, i*hop + window_len); no rows when x is
+    shorter than one window."""
+    x = np.asarray(x, dtype=np.float64)
+    if len(x) < window_len:
+        return np.empty((0, window_len))
+    return sliding_window_view(x, window_len)[::hop]
+
+
+def lagged_products(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:
+    """out[..., k] = sum_j a[..., j] * b[..., j + k] for k = 0..max_lag.
+
+    Rows of a and b have equal length n and terms past the row end count as
+    zero, so lag k sums n - k products. Works on one row or a stack of rows.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    n = a.shape[-1]
+    out = np.empty(a.shape[:-1] + (max_lag + 1,))
+    for k in range(max_lag + 1):
+        out[..., k] = np.einsum("...j,...j->...", a[..., :n - k], b[..., k:])
+    return out
 
 
 def correlation_series(a: np.ndarray, b: np.ndarray, lags: np.ndarray) -> np.ndarray:
@@ -190,6 +215,7 @@ def dc_block(sig: SampledSignal, pole: float) -> SampledSignal:
     """First-order high pass y[n] = x[n] - x[n-1] + pole*y[n-1]."""
     if not (0.0 < pole < 1.0):
         raise ValueError("pole must be in (0, 1)")
+    from scipy.signal import lfilter
     y = lfilter([1.0, -1.0], [1.0, -pole], sig.samples)
     return sig.with_samples(y)
 

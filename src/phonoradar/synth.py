@@ -9,7 +9,6 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import io as pio
 from .signals import SampledSignal, differentiate, resample_decimate
@@ -202,6 +201,7 @@ def synthesize_speech(e: SampledSignal, tract: VocalTractModel,
                       noise_snr_db: float | None = None,
                       rng: np.random.Generator | None = None) -> SampledSignal:
     """Excitation through the all-pole tract, optional additive white noise."""
+    from scipy.signal import lfilter
     s = lfilter([tract.gain], tract.error_filter(), e.samples)
     if noise_snr_db is not None:
         if rng is None:

@@ -8,11 +8,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
-from .lpc import lpc_analyze
-from .signals import (FramePlan, SampledSignal, correlation_series, hann_window,
-                      integrate_spectral)
+from .lpc import lpc_analyze_frames
+from .signals import (FramePlan, SampledSignal, frame_view, hann_window,
+                      integrate_spectral, lagged_products)
 from .synth import VocalTractModel
 
 __all__ = [
@@ -20,7 +19,10 @@ __all__ = [
     "FrameRecord",
     "TransformOutput",
     "NoVoicedFramesError",
+    "frame_voicing",
     "detect_voicing",
+    "voicing_mask",
+    "frame_delays",
     "estimate_delay",
     "integrate_excitation",
     "transform_speech",
@@ -28,6 +30,8 @@ __all__ = [
 
 VOICING_F0_LOW_HZ = 90.0
 VOICING_F0_HIGH_HZ = 1000.0
+SUBHARMONIC_RATIO = 0.85
+RELATIVE_ENERGY_FLOOR = 1e-2   # frames 40 dB below the whole-signal RMS are silence
 
 
 class NoVoicedFramesError(RuntimeError):
@@ -99,72 +103,121 @@ class TransformOutput:
         return np.array([r.voiced for r in self.per_frame], dtype=bool)
 
 
-def detect_voicing(frame: np.ndarray, rate_hz: float, threshold: float,
-                   energy_floor_rms: float = 1e-8) -> tuple[bool, float | None]:
-    """Voiced iff the normalized autocorrelation peak in the pitch-lag band
-    exceeds the threshold and the frame RMS clears the energy floor.
+def frame_voicing(frames: np.ndarray, rate_hz: float, threshold: float,
+                  energy_floor_rms: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Voicing decision and pitch of every row of a (frames, n) stack.
 
-    Lags span rate/1000 to rate/90 samples (pitch 90-1000 Hz). Correlations
-    are normalized by the energies of the overlapping segments, so a
-    perfectly periodic frame scores ~1 regardless of lag. Among lags within
-    85% of the best score the smallest is taken, which suppresses subharmonic
-    (octave-down) picks; f0 = rate / lag.
+    A frame is voiced iff its RMS clears the energy floor and its normalized
+    autocorrelation peak in the pitch-lag band exceeds the threshold. Lags
+    span rate/1000 to rate/90 samples (pitch 90-1000 Hz). Correlations are
+    normalized by the energies of the overlapping segments, so a perfectly
+    periodic frame scores ~1 regardless of lag. Among lags within 85% of the
+    best score the smallest is taken, which suppresses subharmonic
+    (octave-down) picks; f0 = rate / lag. Returns (voiced mask, f0 in Hz
+    with NaN for unvoiced rows).
     """
-    frame = np.asarray(frame, dtype=np.float64)
-    n = len(frame)
+    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
+    rows, n = frames.shape
     lag_min = max(2, int(np.floor(rate_hz / VOICING_F0_HIGH_HZ)))
     lag_max = int(np.ceil(rate_hz / VOICING_F0_LOW_HZ))
     if n < 2 * lag_max:
         raise ValueError(
             f"frame of {n} samples too short for voicing (need {2 * lag_max})"
         )
-    rms = float(np.sqrt(np.mean(frame**2)))
-    if rms <= energy_floor_rms:
-        return False, None
-    scores = np.full(lag_max + 1, -np.inf)
-    for k in range(lag_min, lag_max + 1):
-        head, tail = frame[:n - k], frame[k:]
-        denom = np.sqrt(float(head @ head) * float(tail @ tail))
-        if denom > 0:
-            scores[k] = float(head @ tail) / denom
-    best_lag = int(np.argmax(scores))
-    best = scores[best_lag]
-    if not (best > threshold):
-        return False, None
+    squares = frames**2
+    rms = np.sqrt(np.mean(squares, axis=1))
+    head = np.cumsum(squares, axis=1)                    # energy of samples [0, j]
+    tail = np.cumsum(squares[:, ::-1], axis=1)[:, ::-1]  # energy of samples [j, n)
+    lags = np.arange(lag_min, lag_max + 1)
+    denom = np.sqrt(head[:, n - 1 - lags] * tail[:, lags])
+    scores = np.full((rows, lag_max + 1), -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores[:, lags] = np.where(denom > 0,
+                                   lagged_products(frames, frames, lag_max)[:, lags] / denom,
+                                   -np.inf)
+    best_lag = np.argmax(scores, axis=1)
+    best = scores[np.arange(rows), best_lag]
+    voiced = (rms > energy_floor_rms) & (best > threshold)
     # subharmonic guard: prefer an integer submultiple of the peak lag whose
-    # score is nearly as high (an octave-down pick scores ~equal at 2x lag)
-    for m in range(best_lag // lag_min, 1, -1):
-        candidate = int(round(best_lag / m))
-        if candidate < lag_min:
-            continue
-        lo, hi = max(lag_min, candidate - 1), min(lag_max, candidate + 1)
-        if scores[lo:hi + 1].max() >= 0.85 * best:
-            best_lag = lo + int(np.argmax(scores[lo:hi + 1]))
-            break
-    return True, rate_hz / best_lag
+    # score is nearly as high (an octave-down pick scores ~equal at 2x lag);
+    # the largest divisor m that qualifies wins
+    lag = best_lag.copy()
+    pending = voiced.copy()
+    for m in range(lag_max // lag_min, 1, -1):
+        candidate = np.rint(best_lag / m).astype(int)
+        lo = np.maximum(lag_min, candidate - 1)
+        hi = np.minimum(lag_max, candidate + 1)
+        near = lo[:, None] + np.arange(3)
+        near_scores = np.where(near <= hi[:, None],
+                               np.take_along_axis(scores, np.minimum(near, lag_max), axis=1),
+                               -np.inf)
+        take = (pending & (m <= best_lag // lag_min) & (candidate >= lag_min)
+                & (near_scores.max(axis=1) >= SUBHARMONIC_RATIO * best))
+        lag[take] = lo[take] + np.argmax(near_scores[take], axis=1)
+        pending &= ~take
+    f0 = np.full(rows, np.nan)
+    f0[voiced] = rate_hz / lag[voiced]
+    return voiced, f0
+
+
+def detect_voicing(frame: np.ndarray, rate_hz: float, threshold: float,
+                   energy_floor_rms: float = 1e-8) -> tuple[bool, float | None]:
+    """One-frame view of frame_voicing: (voiced, f0 in Hz or None)."""
+    voiced, f0 = frame_voicing(np.asarray(frame, dtype=np.float64)[None, :], rate_hz,
+                               threshold, energy_floor_rms)
+    return (True, float(f0[0])) if voiced[0] else (False, None)
+
+
+def _energy_floor(samples: np.ndarray, absolute: float) -> float:
+    """40 dB below the whole-signal RMS, with an absolute fallback, so that
+    leakage-level content in silent stretches never counts as voiced while
+    the decision stays invariant under rescaling."""
+    return max(absolute, RELATIVE_ENERGY_FLOOR * float(np.sqrt(np.mean(samples**2))))
+
+
+def voicing_mask(s: SampledSignal, plan: FramePlan, threshold: float,
+                 energy_floor_rms: float = 1e-8) -> np.ndarray:
+    """Voiced flag per analysis frame, as transform_speech decides it."""
+    frames = frame_view(s.samples, plan.window_len, plan.hop)
+    return frame_voicing(frames, s.rate_hz, threshold,
+                         _energy_floor(s.samples, energy_floor_rms))[0]
+
+
+def frame_delays(x_hat_frames: np.ndarray, d_frames: np.ndarray,
+                 max_lag: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Physical (non-negative) delay of each radar frame behind the matching
+    fold-displacement-estimate frame, by normalized cross-correlation.
+
+    Rows are mean-removed before correlating; the search covers
+    [0, max_lag] and ties go to the smallest lag. Returns (delay, peak
+    correlation, defined mask); a constant row leaves the delay undefined.
+    """
+    a = np.atleast_2d(np.asarray(x_hat_frames, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(d_frames, dtype=np.float64))
+    if a.shape != b.shape:
+        raise ValueError(f"frame stacks differ in shape: {a.shape} vs {b.shape}")
+    if max_lag >= a.shape[1]:
+        raise ValueError("max_lag must be smaller than the frame length")
+    a = a - a.mean(axis=1, keepdims=True)
+    b = b - b.mean(axis=1, keepdims=True)
+    energy = np.sqrt(np.einsum("ij,ij->i", a, a) * np.einsum("ij,ij->i", b, b))
+    defined = energy != 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = lagged_products(a, b, max_lag) / energy[:, None]
+    best = np.argmax(r, axis=1)   # argmax returns the first (smallest) max lag
+    peak = np.clip(r[np.arange(len(r)), best], -1.0, 1.0)
+    return best, peak, defined
 
 
 def estimate_delay(x_hat_frame: np.ndarray, d_frame: np.ndarray,
                    max_lag: int) -> tuple[int, float]:
-    """Physical (non-negative) delay of the radar frame behind the
-    fold-displacement estimate, by normalized cross-correlation.
-
-    Both frames are mean-removed before correlating; the search covers
-    [0, max_lag] and ties go to the smallest lag.
-    """
-    a = np.asarray(x_hat_frame, dtype=np.float64)
-    b = np.asarray(d_frame, dtype=np.float64)
-    if max_lag >= min(len(a), len(b)):
-        raise ValueError("max_lag must be smaller than the frame length")
-    a = a - a.mean()
-    b = b - b.mean()
-    energy = np.sqrt(float(a @ a) * float(b @ b))
-    if energy == 0.0:
+    """One-frame view of frame_delays; raises ValueError for a constant frame."""
+    tau, peak, defined = frame_delays(np.asarray(x_hat_frame, dtype=np.float64)[None, :],
+                                      np.asarray(d_frame, dtype=np.float64)[None, :],
+                                      max_lag)
+    if not defined[0]:
         raise ValueError("degenerate (constant) frame: delay undefined")
-    lags = np.arange(0, max_lag + 1)
-    r = correlation_series(a, b, lags) / energy
-    best = int(np.argmax(r))   # argmax returns the first (smallest) max lag
-    return best, float(np.clip(r[best], -1.0, 1.0))
+    return int(tau[0]), float(peak[0])
 
 
 def integrate_excitation(e_hat: SampledSignal, pole: float) -> SampledSignal:
@@ -175,34 +228,47 @@ def integrate_excitation(e_hat: SampledSignal, pole: float) -> SampledSignal:
     """
     if not (0.0 < pole < 1.0):
         raise ValueError("pole must be in (0, 1)")
+    from scipy.signal import lfilter
     y = lfilter([1.0 / e_hat.rate_hz], [1.0, -pole], e_hat.samples)
     return e_hat.with_samples(y, "fold_displacement_estimate")
 
 
-def _frame_slices(n_samples: int, plan: FramePlan):
-    n = plan.n_frames(n_samples)
-    return [(i, i * plan.hop) for i in range(n)]
+def _overlap_add(pieces: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
+    """Sum each row of pieces into a signal of the given length at its start
+    sample; overlapping rows add in row order."""
+    idx = starts[:, None] + np.arange(pieces.shape[1])
+    return np.bincount(idx.ravel(), weights=pieces.ravel(), minlength=length)
 
 
-RELATIVE_ENERGY_FLOOR = 1e-2   # frames 40 dB below the whole-signal RMS are silence
-
-
-def voicing_mask(s: SampledSignal, plan: FramePlan, threshold: float,
-                 energy_floor_rms: float = 1e-8) -> np.ndarray:
-    """Voiced flag per analysis frame.
-
-    The energy floor sits 40 dB below the whole-signal RMS (with an absolute
-    fallback) so leakage-level content in silent stretches never counts as
-    voiced, while the decision stays invariant under rescaling.
-    """
-    floor = max(energy_floor_rms,
-                RELATIVE_ENERGY_FLOOR * float(np.sqrt(np.mean(s.samples**2))))
-    flags = []
-    for _, start in _frame_slices(len(s), plan):
-        frame = s.samples[start:start + plan.window_len]
-        flag, _ = detect_voicing(frame, s.rate_hz, threshold, floor)
-        flags.append(flag)
-    return np.array(flags, dtype=bool)
+def _frame_lpc(x: np.ndarray, frames: np.ndarray, starts: np.ndarray,
+               voiced: np.ndarray, f0: np.ndarray, rate: float,
+               cfg: TransformConfig) -> tuple[np.ndarray, ...]:
+    """Per-frame LPC order, error filters (zero-padded to a common width),
+    gains and silent mask of the voiced frames, fitted in one batch per
+    order."""
+    # keep the predictor shorter than the pitch period so it models the
+    # envelope instead of predicting the pitch cycle
+    orders = np.full(len(frames), cfg.lpc_order)
+    with np.errstate(invalid="ignore"):
+        period = rate / f0
+        capped = voiced & (period < cfg.lpc_order + 1)
+    orders[capped] = np.maximum(3, np.floor(period[capped]).astype(int) - 1)
+    orders[~voiced] = 0
+    history = np.concatenate(([0.0], x))[starts]   # x[start - 1], 0 at the head
+    taps = np.zeros((len(frames), orders.max() + 1))
+    gains = np.zeros(len(frames))
+    silent = np.zeros(len(frames), dtype=bool)
+    for order in np.unique(orders[voiced]):
+        rows = np.flatnonzero(voiced & (orders == order))
+        fit = lpc_analyze_frames(
+            frames[rows], int(order), cfg.pre_emphasis, rate_hz=rate,
+            lag_window_hz=cfg.lag_window_hz, noise_floor=cfg.noise_floor,
+            max_pole_radius=cfg.max_pole_radius, history=history[rows],
+        )
+        taps[rows, :order + 1] = fit.error_filters
+        gains[rows] = fit.gains
+        silent[rows] = fit.silent
+    return orders, taps, gains, silent
 
 
 def transform_speech(s: SampledSignal, d: SampledSignal,
@@ -228,74 +294,47 @@ def transform_speech(s: SampledSignal, d: SampledSignal,
         raise ValueError(f"length mismatch: speech {len(s)} vs displacement {len(d)}")
     rate = s.rate_hz
     plan = cfg.plan_for(rate)
-    n_win = plan.window_len
+    n_win, hop = plan.window_len, plan.hop
     max_lag = int(round(cfg.max_lag_ms * 1e-3 * rate))
     if max_lag >= n_win:
         raise ValueError("max_lag_ms must stay below the frame length")
-    slices = _frame_slices(len(s), plan)
-    if not slices:
+    n_frames = plan.n_frames(len(s))
+    if n_frames == 0:
         raise ValueError("signal shorter than one analysis window")
 
-    window = hann_window(n_win)
-    e_hat = np.zeros(len(s))
-    weight = np.zeros(len(s))
-    voiced: list[bool] = []
-    f0s: list[float | None] = []
-    gains: list[float | None] = []
-    bypass = None
+    x = s.samples
+    starts = hop * np.arange(n_frames)
+    frames = frame_view(x, n_win, hop)
+    voiced, f0 = frame_voicing(frames, rate, cfg.voicing_threshold,
+                               _energy_floor(x, cfg.energy_floor_rms))
     if cfg.known_tract is not None:
-        bypass = np.concatenate(([1.0], cfg.known_tract.coefficients))
-    floor = max(cfg.energy_floor_rms,
-                RELATIVE_ENERGY_FLOOR * float(np.sqrt(np.mean(s.samples**2))))
+        orders = np.full(n_frames, len(cfg.known_tract.coefficients))
+        taps = np.tile(np.concatenate(([1.0], cfg.known_tract.coefficients)),
+                       (n_frames, 1))
+        gains = np.full(n_frames, cfg.known_tract.gain)
+    else:
+        orders, taps, gains, silent = _frame_lpc(x, frames, starts, voiced, f0, rate, cfg)
+        voiced &= ~silent
 
-    for i, start in slices:
-        frame = s.samples[start:start + n_win]
-        is_voiced, f0 = detect_voicing(frame, rate, cfg.voicing_threshold, floor)
-        taps = None
-        gain = None
-        if is_voiced:
-            if bypass is not None:
-                taps = bypass
-                gain = cfg.known_tract.gain
-            else:
-                order = cfg.lpc_order
-                if f0 is not None:
-                    # keep the predictor shorter than the pitch period so it
-                    # models the envelope instead of predicting the pitch cycle
-                    period = rate / f0
-                    if period < order + 1:
-                        order = max(3, int(np.floor(period)) - 1)
-                model = lpc_analyze(
-                    frame, order, cfg.pre_emphasis, rate_hz=rate,
-                    lag_window_hz=cfg.lag_window_hz, noise_floor=cfg.noise_floor,
-                    max_pole_radius=cfg.max_pole_radius,
-                    history=s.samples[start - 1] if start > 0 else 0.0,
-                )
-                if model is None:
-                    is_voiced = False
-                else:
-                    taps = model.error_filter()
-                    gain = model.gain
-        voiced.append(is_voiced)
-        f0s.append(f0 if is_voiced else None)
-        gains.append(gain)
-        if not is_voiced:
-            continue
-        order = len(taps) - 1
-        lo = max(0, start - order)
-        residual = lfilter(taps, [1.0], s.samples[lo:start + n_win])[start - lo:]
-        missing = order - (start - lo)
-        if missing > 0:
-            residual[:missing] = 0.0   # no history exists at the signal head
-        e_hat[start:start + n_win] += residual * window
-        weight[start:start + n_win] += window
-
-    if not any(voiced):
-        diagnostics = [FrameRecord(index=i, voiced=False) for i, _ in slices]
+    if not voiced.any():
+        diagnostics = [FrameRecord(index=i, voiced=False) for i in range(n_frames)]
         raise NoVoicedFramesError(
-            f"nothing to transform: all {len(slices)} frames unvoiced or silent",
+            f"nothing to transform: all {n_frames} frames unvoiced or silent",
             diagnostics,
         )
+
+    # residual of each voiced frame, filtered with its preceding samples as
+    # history; samples with no history at the signal head are zeroed
+    rows = np.flatnonzero(voiced)
+    width = taps.shape[1] - 1
+    padded = frame_view(np.concatenate((np.zeros(width), x)), n_win + width, hop)[rows]
+    residual = np.zeros((len(rows), n_win))
+    for j in range(width + 1):
+        residual += taps[rows, j:j + 1] * padded[:, width - j:width - j + n_win]
+    residual[starts[rows, None] + np.arange(n_win) < orders[rows, None]] = 0.0
+    window = hann_window(n_win)
+    e_hat = _overlap_add(residual * window, starts[rows], len(s))
+    weight = _overlap_add(np.broadcast_to(window, residual.shape), starts[rows], len(s))
 
     active = weight > 1e-8
     e_hat[active] /= weight[active]
@@ -310,61 +349,40 @@ def transform_speech(s: SampledSignal, d: SampledSignal,
     x_hat = x_hat.copy()
     x_hat[~active] = 0.0
 
-    taus: list[int | None] = []
-    peaks: list[float | None] = []
-    for (i, start), is_voiced in zip(slices, voiced):
-        if not is_voiced:
-            taus.append(None)
-            peaks.append(None)
-            continue
-        try:
-            tau, peak = estimate_delay(x_hat[start:start + n_win],
-                                       d.samples[start:start + n_win], max_lag)
-        except ValueError:
-            tau, peak = None, None
-        taus.append(tau)
-        peaks.append(peak)
+    tau, peak, defined = frame_delays(frame_view(x_hat, n_win, hop)[rows],
+                                      frame_view(d.samples, n_win, hop)[rows], max_lag)
+    observed = tau[defined]
+    global_tau = int(round(float(np.median(observed)))) if observed.size else 0
 
-    observed = [t for t in taus if t is not None]
-    global_tau = int(round(float(np.median(observed)))) if observed else 0
-
+    d_hat = np.zeros(len(s))
     if cfg.tau_mode == "global":
-        d_hat = np.zeros(len(s))
         if global_tau < len(s):
             d_hat[global_tau:] = x_hat[:len(s) - global_tau]
     else:
-        d_hat = np.zeros(len(s))
-        dw = np.zeros(len(s))
-        for (i, start), is_voiced, tau in zip(slices, voiced, taus):
-            if not is_voiced:
-                continue
-            shift = tau if tau is not None else global_tau
-            piece = np.zeros(n_win)
-            src_lo = start - shift
-            if src_lo >= 0:
-                piece[:] = x_hat[src_lo:src_lo + n_win]
-            else:
-                piece[-src_lo:] = x_hat[:n_win + src_lo]
-            d_hat[start:start + n_win] += piece * window
-            dw[start:start + n_win] += window
-        ok = dw > 1e-8
-        d_hat[ok] /= dw[ok]
-        d_hat[~ok] = 0.0
+        shift = np.where(defined, tau, global_tau)
+        src = starts[rows, None] - shift[:, None] + np.arange(n_win)
+        pieces = np.where(src >= 0, x_hat[np.maximum(src, 0)], 0.0)
+        d_hat = _overlap_add(pieces * window, starts[rows], len(s))
+        d_hat[active] /= weight[active]
+        d_hat[~active] = 0.0
 
     rms = float(np.sqrt(np.mean(d_hat**2)))
     if rms > 0:
         d_hat = d_hat / rms
 
-    records = tuple(
-        FrameRecord(index=i, voiced=v, f0_hz=f0, tau_d_samples=t,
-                    correlation_peak=p, lpc_gain=g)
-        for (i, _), v, f0, t, p, g in zip(slices, voiced, f0s, taus, peaks, gains)
-    )
+    per_frame = [FrameRecord(index=i, voiced=False) for i in range(n_frames)]
+    for k, i in enumerate(rows):
+        per_frame[i] = FrameRecord(
+            index=int(i), voiced=True, f0_hz=float(f0[i]),
+            tau_d_samples=int(tau[k]) if defined[k] else None,
+            correlation_peak=float(peak[k]) if defined[k] else None,
+            lpc_gain=float(gains[i]),
+        )
     return TransformOutput(
         e_hat=SampledSignal(e_hat, rate, "excitation_estimate"),
         x_hat=SampledSignal(x_hat, rate, "fold_displacement_estimate"),
         d_hat=SampledSignal(d_hat, rate, "neck_displacement_estimate"),
-        per_frame=records,
+        per_frame=tuple(per_frame),
         global_tau_samples=global_tau,
         config=cfg,
     )

@@ -192,6 +192,31 @@ def test_config_file_overrides_defaults(tmp_path):
     assert manifest2["glottal"]["f0_hz"] == 300.0
 
 
+def test_config_as_last_argument_is_usage_error(tmp_path, capsys):
+    assert run(["synth", "--out", str(tmp_path / "s"), "--config"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+def test_config_with_equals_sign_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"f0": 200.0}))
+    assert run(["synth", "--out", str(tmp_path / "s"), f"--config={cfg}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert not (tmp_path / "s").exists()
+
+
+def test_config_unknown_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"voicing_treshold": 0.4}))
+    subj = tmp_path / "s"
+    assert run(["transform", "--subject", str(subj), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert "voicing_treshold" in err
+
+
 def test_radar_with_noise_flag(tmp_path):
     subj = tmp_path / "s"
     run(["synth", "--out", str(subj), "--duration", "1.0", "--seed", "4"])

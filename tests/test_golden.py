@@ -1,0 +1,77 @@
+"""Golden regression: a seeded 6-subject, 1 s cohort (f0 drawn in 90-500 Hz)
+goes through the four CLI stages and must reproduce the recorded per-frame
+decisions exactly and every per-subject LSD to within 1e-9 dB.
+
+The fixture records the pipeline as it stood before the frame-batched
+transform and evaluate. Regenerate it only for an intended behaviour change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+from phonoradar.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden_small.json"
+SEED = 10
+SUBJECTS = 6
+DURATION_S = 1.0
+LSD_TOLERANCE_DB = 1e-9
+LSD_FIELDS = ("lsd_raw_speech", "lsd_estimated_excitation", "lsd_model_filtered")
+
+
+def run_cohort(root: Path) -> dict:
+    """Run synth -> radar -> transform -> evaluate and collect the record."""
+    cohort = root / "cohort"
+    stages = (
+        ["synth", "--out", str(cohort), "--cohort", str(SUBJECTS), "--seed", str(SEED),
+         "--duration", str(DURATION_S), "--f0-range", "90", "500"],
+        ["radar", "--cohort", str(cohort)],
+        ["transform", "--cohort", str(cohort)],
+        ["evaluate", str(cohort)],
+    )
+    for argv in stages:
+        assert main(argv) == 0, argv
+    report = json.loads((cohort / "report" / "report.json").read_text())
+    lsd = {row["id"]: row for row in report["subjects"]}
+    subjects = {}
+    for directory in sorted(cohort.glob("subject_*")):
+        meta = json.loads((directory / "transform.json").read_text())
+        manifest = json.loads((directory / "subject.json").read_text())
+        frames = meta["per_frame"]
+        subjects[directory.name] = {
+            "f0_hz_true": manifest["glottal"]["f0_hz"],
+            "global_tau_samples": meta["global_tau_samples"],
+            "voiced": [r["voiced"] for r in frames],
+            "f0_hz": [r["f0_hz"] for r in frames],
+            "tau_d_samples": [r["tau_d_samples"] for r in frames],
+            "n_voiced_windows": lsd[directory.name]["n_voiced_windows"],
+            **{name: lsd[directory.name][name] for name in LSD_FIELDS},
+        }
+    return {"seed": SEED, "duration_s": DURATION_S, "subjects": subjects}
+
+
+def test_golden_small_cohort(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    got = run_cohort(tmp_path)
+    assert sorted(got["subjects"]) == sorted(golden["subjects"])
+    for sid, want in golden["subjects"].items():
+        have = got["subjects"][sid]
+        for key in ("global_tau_samples", "voiced", "f0_hz", "tau_d_samples",
+                    "n_voiced_windows"):
+            assert have[key] == want[key], f"{sid}: {key} differs"
+        for name in LSD_FIELDS:
+            assert math.isclose(have[name], want[name], rel_tol=0.0,
+                                abs_tol=LSD_TOLERANCE_DB), f"{sid}: {name}"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        record = run_cohort(Path(tmp))
+    out = Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN
+    out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {out}")
