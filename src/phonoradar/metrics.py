@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import FramePlan, SampledSignal, frame_signal, hann_window
+from .signals import FramePlan, SampledSignal, constant_rows, frame_signal, hann_window
 
 __all__ = [
     "SPECTRAL_FLOOR",
@@ -79,15 +79,17 @@ def normalized_power_spectra(frames: np.ndarray,
     power and floored.
 
     The frame mean is removed first so a baseline offset cannot dominate the
-    DC bin; the signals under comparison are AC quantities. Returns (bins,
-    silent mask, bin width in Hz); silent rows carry no usable bins.
+    DC bin; the signals under comparison are AC quantities. A constant row
+    (signals.constant_rows) is silent. Returns (bins, silent mask, bin width
+    in Hz); silent rows carry no usable bins.
     """
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     n = frames.shape[1]
     nfft = _fft_length(n)
     work = (frames - frames.mean(axis=1, keepdims=True)) * hann_window(n)
     bins, powerless = _normalize_power(np.abs(np.fft.rfft(work, nfft, axis=1)) ** 2)
-    silent = (np.sqrt(np.mean(frames**2, axis=1)) < SILENCE_RMS) | powerless
+    silent = ((np.sqrt(np.mean(frames**2, axis=1)) < SILENCE_RMS) | powerless
+              | constant_rows(frames))
     return bins, silent, rate_hz / nfft
 
 

@@ -112,6 +112,11 @@ def simulate_beat_signal(scene: TargetScene, cfg: ChirpConfig,
 
     Each chirp yields a complex tone at f_b = 2*slope*R_m/c with starting
     phase 4*pi*R_m/lambda; optional complex white noise at the given SNR.
+
+    The phase is affine in the ADC sample index n, 4*pi*R_m/lambda +
+    step_m*n with step_m = 2*pi*f_b/f_s, so the tone is built by a phasor
+    recurrence: column 0 holds the starting phasor, and each pass doubles
+    the filled width w by one complex multiply with exp(j*step_m*w).
     """
     d = scene.displacement
     if abs(d.rate_hz - cfg.prf_hz) > 1e-6 * cfg.prf_hz:
@@ -122,26 +127,36 @@ def simulate_beat_signal(scene: TargetScene, cfg: ChirpConfig,
             f"displacement {max_excursion:.3g} m leaves the range bin "
             f"(resolution {cfg.range_resolution_m:.3g} m)"
         )
-    t_fast = np.arange(cfg.adc_samples_per_chirp) / cfg.adc_rate_hz
-    ranges = scene.nominal_range_m + d.samples[:, None]
-    beat_freq = 2.0 * cfg.slope_hz_per_s * ranges / C_LIGHT
-    phase = 4.0 * np.pi * ranges / cfg.wavelength_m
-    data = scene.reflectivity * np.exp(1j * (2.0 * np.pi * beat_freq * t_fast[None, :] + phase))
+    n = cfg.adc_samples_per_chirp
+    ranges = scene.nominal_range_m + d.samples
+    step = 2.0 * np.pi * cfg.beat_frequency_hz(ranges) / cfg.adc_rate_hz
+    data = np.empty((len(ranges), n), dtype=np.complex128)
+    data[:, 0] = scene.reflectivity * np.exp(1j * (4.0 * np.pi * ranges / cfg.wavelength_m))
+    width = 1
+    while width < n:
+        k = min(width, n - width)
+        np.multiply(data[:, :k], np.exp(1j * (step * width))[:, None],
+                    out=data[:, width:width + k])
+        width += k
     if scene.noise_snr_db is not None:
         if rng is None:
             rng = np.random.default_rng()
         sig_power = scene.reflectivity ** 2 if scene.reflectivity > 0 else 1.0
         sigma = np.sqrt(sig_power / 10.0 ** (scene.noise_snr_db / 10.0) / 2.0)
-        data = data + sigma * (rng.standard_normal(data.shape)
-                               + 1j * rng.standard_normal(data.shape))
+        data.real += sigma * rng.standard_normal(data.shape)
+        data.imag += sigma * rng.standard_normal(data.shape)
     return BeatMatrix(data=data, config=cfg)
 
 
 def range_fft(beat: BeatMatrix) -> np.ndarray:
-    """Hann-tapered fast-time FFT per chirp, keeping the positive-range bins."""
+    """Hann-tapered fast-time FFT per chirp, keeping the positive-range bins.
+
+    The tapered copy is transformed in place, so the beat matrix costs one
+    temporary of its size, not two.
+    """
     n = beat.config.adc_samples_per_chirp
-    taper = hann_window(n)
-    spectrum = np.fft.fft(beat.data * taper[None, :], axis=1)
+    spectrum = beat.data * hann_window(n)
+    np.fft.fft(spectrum, axis=1, out=spectrum)
     return spectrum[:, :n // 2]
 
 

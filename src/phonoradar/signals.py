@@ -14,6 +14,7 @@ __all__ = [
     "frame_count",
     "frame_signal",
     "frame_view",
+    "constant_rows",
     "hann_window",
     "lagged_products",
     "cross_correlate",
@@ -141,6 +142,17 @@ def frame_view(x: np.ndarray, window_len: int, hop: int) -> np.ndarray:
     if len(x) < window_len:
         return np.empty((0, window_len))
     return sliding_window_view(x, window_len)[::hop]
+
+
+def constant_rows(frames: np.ndarray) -> np.ndarray:
+    """Mask of rows whose samples are all equal.
+
+    Judged by max == min on the raw rows: removing the mean first can leave
+    a constant row a rounding residue of a few ulps, which would then pass
+    as a tiny varying signal.
+    """
+    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
+    return frames.max(axis=1) == frames.min(axis=1)
 
 
 def lagged_products(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:

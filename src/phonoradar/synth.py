@@ -144,6 +144,9 @@ def synth_vocal_fold_displacement(cfg: GlottalConfig, duration_s: float,
     quadratic fall over the last third, zero during the closed phase, peak at
     cfg.amplitude. jitter_pct perturbs each period uniformly. An optional
     silent lead-in precedes the first pulse.
+
+    A scalar loop walks the cycle onsets (one jitter draw per cycle); the
+    open-phase samples of all cycles are then evaluated in one array pass.
     """
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
@@ -154,24 +157,32 @@ def synth_vocal_fold_displacement(cfg: GlottalConfig, duration_s: float,
     if cfg.jitter_pct > 0 and rng is None:
         rng = np.random.default_rng()
     n = int(round((duration_s + lead_in_s) * rate_hz))
-    x = np.zeros(n)
+    onsets, open_times = [], []
     t0 = lead_in_s
     t_end = lead_in_s + duration_s
-    rise_frac = 2.0 / 3.0  # fixed speed quotient 2:1 within the open phase
     while t0 < t_end:
         period = 1.0 / cfg.f0_hz
         if cfg.jitter_pct > 0:
             period *= 1.0 + (cfg.jitter_pct / 100.0) * rng.uniform(-1.0, 1.0)
-        t_open = cfg.open_quotient * period
-        i0 = int(np.ceil(t0 * rate_hz))
-        i1 = min(int(np.ceil((t0 + t_open) * rate_hz)), n)
-        if i1 > i0:
-            phase = (np.arange(i0, i1) / rate_hz - t0) / t_open
-            u = phase / rise_frac
-            v = (phase - rise_frac) / (1.0 - rise_frac)
-            pulse = np.where(phase < rise_frac, 3.0 * u**2 - 2.0 * u**3, 1.0 - v**2)
-            x[i0:i1] = cfg.amplitude * np.clip(pulse, 0.0, None)
+        onsets.append(t0)
+        open_times.append(cfg.open_quotient * period)
         t0 += period
+    t0 = np.array(onsets)
+    t_open = np.array(open_times)
+    # open phase of cycle c: samples [i0[c], i1[c]); phases never overlap
+    i0 = np.ceil(t0 * rate_hz).astype(np.int64)
+    i1 = np.minimum(np.ceil((t0 + t_open) * rate_hz).astype(np.int64), n)
+    counts = np.maximum(i1 - i0, 0)
+    cycle = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts   # position of each cycle's first sample in idx
+    idx = i0[cycle] + np.arange(len(cycle)) - first[cycle]
+    phase = (idx / rate_hz - t0[cycle]) / t_open[cycle]
+    rise_frac = 2.0 / 3.0  # fixed speed quotient 2:1 within the open phase
+    u = phase / rise_frac
+    v = (phase - rise_frac) / (1.0 - rise_frac)
+    pulse = np.where(phase < rise_frac, 3.0 * u**2 - 2.0 * u**3, 1.0 - v**2)
+    x = np.zeros(n)
+    x[idx] = cfg.amplitude * np.clip(pulse, 0.0, None)
     return SampledSignal(x, rate_hz, "vocal_fold_displacement")
 
 

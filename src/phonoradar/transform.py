@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lpc import lpc_analyze_frames
-from .signals import (FramePlan, SampledSignal, frame_view, hann_window,
+from .signals import (FramePlan, SampledSignal, constant_rows, frame_view, hann_window,
                       integrate_spectral, lagged_products)
 from .synth import VocalTractModel
 
@@ -190,7 +190,8 @@ def frame_delays(x_hat_frames: np.ndarray, d_frames: np.ndarray,
 
     Rows are mean-removed before correlating; the search covers
     [0, max_lag] and ties go to the smallest lag. Returns (delay, peak
-    correlation, defined mask); a constant row leaves the delay undefined.
+    correlation, defined mask); a constant row (signals.constant_rows) leaves
+    the delay undefined.
     """
     a = np.atleast_2d(np.asarray(x_hat_frames, dtype=np.float64))
     b = np.atleast_2d(np.asarray(d_frames, dtype=np.float64))
@@ -198,10 +199,11 @@ def frame_delays(x_hat_frames: np.ndarray, d_frames: np.ndarray,
         raise ValueError(f"frame stacks differ in shape: {a.shape} vs {b.shape}")
     if max_lag >= a.shape[1]:
         raise ValueError("max_lag must be smaller than the frame length")
+    varying = ~(constant_rows(a) | constant_rows(b))
     a = a - a.mean(axis=1, keepdims=True)
     b = b - b.mean(axis=1, keepdims=True)
     energy = np.sqrt(np.einsum("ij,ij->i", a, a) * np.einsum("ij,ij->i", b, b))
-    defined = energy != 0.0
+    defined = varying & (energy != 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = lagged_products(a, b, max_lag) / energy[:, None]
     best = np.argmax(r, axis=1)   # argmax returns the first (smallest) max lag

@@ -6,9 +6,9 @@ import pytest
 
 from phonoradar.lpc import LevinsonError, clamp_pole_stack, levinson_stack
 from phonoradar.metrics import (SILENCE_RMS, SPECTRAL_FLOOR, LsdSeries, loess_smooth,
-                                lsd_over_windows)
+                                lsd_over_windows, normalized_power_spectra)
 from phonoradar.signals import FramePlan, SampledSignal, hann_window
-from phonoradar.transform import frame_delays, frame_voicing
+from phonoradar.transform import estimate_delay, frame_delays, frame_voicing
 
 RATE = 2000.0
 
@@ -263,6 +263,19 @@ def test_lsd_over_windows_matches_per_window(rng):
     assert np.array_equal(series.times_s, indices * plan.hop / RATE)
 
 
+def constant_row():
+    # 50 copies of 0.1 average to a value that is not 0.1, so mean removal
+    # leaves the row a rounding residue instead of zeros
+    row = np.full((1, 50), 0.1)
+    assert np.any(row - row.mean(axis=1, keepdims=True) != 0.0)
+    return row
+
+
+def test_constant_row_is_silent_in_spectra():
+    _, silent, _ = normalized_power_spectra(constant_row(), RATE)
+    assert silent.tolist() == [True]
+
+
 # --- loess ----------------------------------------------------------------
 
 @pytest.mark.parametrize("span", [0.1, 0.3, 0.55, 1.0])
@@ -302,3 +315,11 @@ def test_frame_delays_match_per_frame(rng):
         assert defined[row] == (want is not None)
         if want is not None:
             assert tau[row] == want
+
+
+def test_constant_row_delay_undefined(rng):
+    varying = rng.standard_normal((1, 50))
+    for a, b in ((varying, constant_row()), (constant_row(), varying)):
+        assert frame_delays(a, b, 10)[2].tolist() == [False]
+        with pytest.raises(ValueError):
+            estimate_delay(a[0], b[0], 10)

@@ -1,0 +1,119 @@
+"""Equivalence of the array-pass forward simulation with the reference
+implementations kept here: the 2-D complex exp the beat recurrence replaced,
+and the per-cycle glottal loop the one-pass pulse train replaced."""
+
+import numpy as np
+import pytest
+
+from phonoradar.radar import C_LIGHT, ChirpConfig, TargetScene, simulate_beat_signal
+from phonoradar.signals import SampledSignal
+from phonoradar.synth import GlottalConfig, synth_vocal_fold_displacement
+
+PRF = 2000.0
+
+
+# --- references -----------------------------------------------------------
+
+def ref_beat(scene, cfg, rng=None):
+    d = scene.displacement
+    t_fast = np.arange(cfg.adc_samples_per_chirp) / cfg.adc_rate_hz
+    ranges = scene.nominal_range_m + d.samples[:, None]
+    beat_freq = 2.0 * cfg.slope_hz_per_s * ranges / C_LIGHT
+    phase = 4.0 * np.pi * ranges / cfg.wavelength_m
+    data = scene.reflectivity * np.exp(1j * (2.0 * np.pi * beat_freq * t_fast[None, :] + phase))
+    if scene.noise_snr_db is not None:
+        sig_power = scene.reflectivity ** 2 if scene.reflectivity > 0 else 1.0
+        sigma = np.sqrt(sig_power / 10.0 ** (scene.noise_snr_db / 10.0) / 2.0)
+        data = data + sigma * (rng.standard_normal(data.shape)
+                               + 1j * rng.standard_normal(data.shape))
+    return data
+
+
+def ref_glottal(cfg, duration_s, rate_hz, rng=None, lead_in_s=0.0):
+    n = int(round((duration_s + lead_in_s) * rate_hz))
+    x = np.zeros(n)
+    t0 = lead_in_s
+    t_end = lead_in_s + duration_s
+    rise_frac = 2.0 / 3.0
+    while t0 < t_end:
+        period = 1.0 / cfg.f0_hz
+        if cfg.jitter_pct > 0:
+            period *= 1.0 + (cfg.jitter_pct / 100.0) * rng.uniform(-1.0, 1.0)
+        t_open = cfg.open_quotient * period
+        i0 = int(np.ceil(t0 * rate_hz))
+        i1 = min(int(np.ceil((t0 + t_open) * rate_hz)), n)
+        if i1 > i0:
+            phase = (np.arange(i0, i1) / rate_hz - t0) / t_open
+            u = phase / rise_frac
+            v = (phase - rise_frac) / (1.0 - rise_frac)
+            pulse = np.where(phase < rise_frac, 3.0 * u**2 - 2.0 * u**3, 1.0 - v**2)
+            x[i0:i1] = cfg.amplitude * np.clip(pulse, 0.0, None)
+        t0 += period
+    return x
+
+
+def chirp_config(n):
+    # the default 256 samples fill the 60 us chirp; keep that ADC rate
+    # below it and raise it above, so every capture fits the chirp
+    return ChirpConfig(adc_samples_per_chirp=n,
+                       adc_rate_hz=max(n, 256) / 60e-6)
+
+
+def vibrating(rng, n_chirps=300):
+    return SampledSignal(rng.uniform(-1e-4, 1e-4, n_chirps), PRF, "displacement")
+
+
+# --- beat recurrence ------------------------------------------------------
+
+@pytest.mark.parametrize("reflectivity", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("range_m", [0.25, 0.5])
+@pytest.mark.parametrize("n", [1, 2, 3, 200, 256, 1000])
+def test_beat_matches_exp_formula(rng, n, range_m, reflectivity):
+    cfg = chirp_config(n)
+    scene = TargetScene(displacement=vibrating(rng), nominal_range_m=range_m,
+                        reflectivity=reflectivity)
+    beat = simulate_beat_signal(scene, cfg).data
+    want = ref_beat(scene, cfg)
+    assert beat.shape == want.shape
+    assert np.max(np.abs(beat - want)) <= 1e-12 * reflectivity
+
+
+def test_noisy_beat_matches_reference(rng):
+    cfg = ChirpConfig()
+    scene = TargetScene(displacement=vibrating(rng, 1000), reflectivity=0.5,
+                        noise_snr_db=15.0)
+    got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+    beat = simulate_beat_signal(scene, cfg, got_rng).data
+    want = ref_beat(scene, cfg, want_rng)
+    assert np.max(np.abs(beat - want)) <= 1e-12 * scene.reflectivity
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_beat_matrix_is_frozen(rng):
+    beat = simulate_beat_signal(TargetScene(displacement=vibrating(rng, 8)), ChirpConfig())
+    assert not beat.data.flags.writeable
+
+
+# --- glottal pulse train --------------------------------------------------
+
+@pytest.mark.parametrize("jitter_pct", [0.0, 1.0])
+@pytest.mark.parametrize("lead_in_s", [0.0, 0.05])
+@pytest.mark.parametrize("f0_hz", [90.0, 500.0, 1000.0])
+def test_glottal_train_matches_per_cycle_loop(f0_hz, lead_in_s, jitter_pct):
+    cfg = GlottalConfig(f0_hz=f0_hz, jitter_pct=jitter_pct)
+    for duration_s, rate_hz in ((1.0, 16000.0), (0.2137, 8000.0)):
+        got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+        got = synth_vocal_fold_displacement(cfg, duration_s, rate_hz, got_rng, lead_in_s)
+        want = ref_glottal(cfg, duration_s, rate_hz, want_rng, lead_in_s)
+        assert np.array_equal(got.samples, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_glottal_train_cuts_last_open_phase_at_end():
+    # 0.015 s at 100 Hz: the second cycle opens at 10 ms and would stay
+    # open until 16 ms, past the last sample
+    cfg = GlottalConfig(f0_hz=100.0)
+    got = synth_vocal_fold_displacement(cfg, 0.015, 16000.0).samples
+    want = ref_glottal(cfg, 0.015, 16000.0)
+    assert len(got) == 240 and got[-1] > 0.0
+    assert np.array_equal(got, want)

@@ -2,8 +2,10 @@
 goes through the four CLI stages and must reproduce the recorded per-frame
 decisions exactly and every per-subject LSD to within 1e-9 dB.
 
-The fixture records the pipeline as it stood before the frame-batched
-transform and evaluate. Regenerate it only for an intended behaviour change:
+The fixture records the frame-batched pipeline with constant-row detection
+(a row whose max equals its min is silent in the spectra and has no delay),
+before the forward simulation became array passes; that change keeps every
+compared field. Regenerate it only for an intended behaviour change:
 
     PYTHONPATH=src python tests/test_golden.py
 """

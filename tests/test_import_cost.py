@@ -1,0 +1,32 @@
+"""Set-up cost guard: `scipy.signal` takes over a second to import, and only
+synthesis (and the non-default leaky integration) needs it, so it must not
+load on `import phonoradar.cli` nor in the radar, default transform and
+evaluate stages."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import phonoradar
+from phonoradar.cli import main
+
+SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+import phonoradar.cli
+assert "scipy.signal" not in sys.modules, "loaded on import phonoradar.cli"
+for argv in (["radar", "--cohort", {cohort!r}], ["transform", "--cohort", {cohort!r}],
+             ["evaluate", {cohort!r}]):
+    assert phonoradar.cli.main(argv) == 0, argv
+    assert "scipy.signal" not in sys.modules, "loaded by " + argv[0]
+"""
+
+
+def test_stages_after_synth_do_not_load_scipy_signal(tmp_path):
+    cohort = tmp_path / "cohort"
+    assert main(["synth", "--out", str(cohort), "--cohort", "3", "--seed", "5",
+                 "--duration", "1.0"]) == 0
+    src = str(Path(phonoradar.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", SCRIPT.format(src=src, cohort=str(cohort))],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
