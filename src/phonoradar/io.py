@@ -4,10 +4,10 @@ JSON sidecar for displacement traces."""
 from __future__ import annotations
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .signals import SampledSignal
 
@@ -17,41 +17,194 @@ __all__ = [
     "read_f32_signal", "write_f32_signal",
 ]
 
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+# Shared tail of the WAVE_FORMAT_EXTENSIBLE subformat GUIDs
+# {XXXXXXXX-0000-0010-8000-00AA00389B71}; the first 4 bytes hold the format tag.
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+_U32_MAX = 0xFFFFFFFF
+
 
 def write_wav(path: str | Path, sig: SampledSignal, encoding: str = "float32") -> None:
+    """Mono RIFF/WAVE file, byte for byte as scipy.io.wavfile.write lays it
+    out: float32 gets an 18-byte fmt chunk (cbSize 0) and a fact chunk,
+    pcm16 a 16-byte fmt chunk and none."""
     rate = int(round(sig.rate_hz))
     if abs(rate - sig.rate_hz) > 1e-6:
         raise ValueError("WAV requires an integer sample rate; use CSV instead")
     if encoding == "float32":
-        wavfile.write(str(path), rate, sig.samples.astype(np.float32))
+        data, tag, width = sig.samples.astype("<f4"), _IEEE_FLOAT, 4
     elif encoding == "pcm16":
         clipped = np.clip(sig.samples, -1.0, 1.0)
-        wavfile.write(str(path), rate, np.round(clipped * 32767.0).astype(np.int16))
+        data, tag, width = np.round(clipped * 32767.0).astype("<i2"), _PCM, 2
     else:
         raise ValueError(f"unknown encoding {encoding!r}")
+    # The RIFF size counts from 'WAVE': 4 + fmt chunk 24 (26 with cbSize)
+    # + fact chunk 12 (float only) + data header 8 + the samples.
+    riff_size = (50 if tag == _IEEE_FLOAT else 36) + data.nbytes
+    if riff_size > _U32_MAX or rate * width > _U32_MAX:
+        raise ValueError("signal too large for a RIFF WAV file")
+    fmt = struct.pack("<HHIIHH", tag, 1, rate, rate * width, width, 8 * width)
+    if tag == _IEEE_FLOAT:
+        chunks = (b"fmt " + struct.pack("<I", 18) + fmt + b"\x00\x00"
+                  + b"fact" + struct.pack("<II", 4, len(data)))
+    else:
+        chunks = b"fmt " + struct.pack("<I", 16) + fmt
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", riff_size) + b"WAVE" + chunks
+                 + b"data" + struct.pack("<I", data.nbytes))
+        fh.write(data.tobytes())
 
 
 def read_wav(path: str | Path, label: str = "") -> SampledSignal:
-    rate, data = wavfile.read(str(path))
-    if data.ndim > 1:
-        data = data[:, 0]
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        samples = data.astype(np.float64) / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    else:
-        raise ValueError(f"unsupported WAV sample format {data.dtype}")
+    """First channel of a PCM 16/24/32-bit or IEEE float 32/64-bit WAV file
+    (plain, WAVE_FORMAT_EXTENSIBLE or RF64), as float64; PCM is scaled by
+    1/32768 (16-bit) or 1/2**31 (24- and 32-bit, left-justified).
+
+    The chunk walk follows scipy.io.wavfile.read: other chunks are skipped,
+    and a data chunk cut short by the end of the file yields the whole
+    samples it holds. Any other file raises ValueError.
+    """
+    with open(path, "rb") as fh:
+        rate, samples = _parse_wav(fh.read())
     return SampledSignal(samples, float(rate), label)
 
 
+class _Cursor:
+    """A byte string read like a file: short at the end, empty past it; pos
+    may be moved past the end, as a seek may."""
+
+    def __init__(self, buf: bytes):
+        self.buf, self.pos = buf, 0
+
+    def read(self, n: int) -> bytes:
+        raw = self.buf[self.pos:self.pos + n]
+        self.pos += len(raw)
+        return raw
+
+    def unpack(self, layout: str) -> tuple:
+        size = struct.calcsize(layout)
+        raw = self.read(size)
+        if len(raw) < size:
+            raise ValueError("WAV file ends inside a header field")
+        return struct.unpack(layout, raw)
+
+
+def _parse_wav(buf: bytes) -> tuple[int, np.ndarray]:
+    cur = _Cursor(buf)
+    kind = cur.read(4)
+    if kind == b"RIFF":
+        end = cur.unpack("<I")[0] + 8
+        rf64_data_size = None
+        form = cur.read(4)
+    elif kind == b"RF64":
+        cur.read(4)
+        form = cur.read(4)
+        if cur.read(4) != b"ds64":
+            raise ValueError("RF64 file without a ds64 chunk")
+        ds64_size, riff_size, rf64_data_size = cur.unpack("<IQQ")
+        end = riff_size + 8
+        cur.pos += ds64_size - 16
+    else:
+        raise ValueError(f"not a little-endian RIFF or RF64 file (signature {kind!r})")
+    if form != b"WAVE":
+        raise ValueError(f"not a WAVE file (form type {form!r})")
+
+    fmt = samples = None
+    while cur.pos < end:
+        chunk_id = cur.read(4)
+        if not chunk_id:
+            if samples is None:
+                raise ValueError("WAV file ends before its data chunk")
+            break
+        if len(chunk_id) < 4 and samples is None:
+            raise ValueError(f"incomplete WAV chunk id {chunk_id!r}")
+        if chunk_id == b"fmt ":
+            fmt = _fmt_chunk(cur)
+        elif chunk_id == b"data":
+            if fmt is None:
+                raise ValueError("WAV data chunk before the fmt chunk")
+            if rf64_data_size is None:
+                size = cur.unpack("<I")[0]
+            else:
+                cur.read(4)   # 0xFFFFFFFF: the size is in the ds64 chunk
+                size = rf64_data_size
+            samples = _decode_samples(cur, size, *fmt[1:])
+            cur.pos += size % 2
+        else:   # fact, LIST, JUNK or any other chunk
+            raw = cur.read(4)
+            if raw:
+                if len(raw) < 4:
+                    raise ValueError("WAV file ends inside a chunk size")
+                size = int.from_bytes(raw, "little")
+                cur.pos += size + size % 2
+    if samples is None:
+        raise ValueError("WAV file has no data chunk")
+    return fmt[0], samples
+
+
+def _fmt_chunk(cur: _Cursor) -> tuple[int, int, int, int, int]:
+    """(rate, format tag, channels, block align, bits per sample) of the fmt
+    chunk after its id, with EXTENSIBLE resolved to its subformat; reads
+    to the end of the chunk and its pad byte."""
+    size = cur.unpack("<I")[0]
+    if size < 16:
+        raise ValueError("WAV fmt chunk shorter than 16 bytes")
+    tag, channels, rate, byte_rate, block_align, bits = cur.unpack("<HHIIHH")
+    consumed = 16
+    if tag == _EXTENSIBLE and size >= 18:
+        if cur.unpack("<H")[0] < 22:
+            raise ValueError("WAV extensible fmt chunk shorter than 40 bytes")
+        guid = cur.read(22)[6:22]
+        consumed += 24
+        if guid.endswith(_GUID_TAIL):
+            tag = int.from_bytes(guid[:4], "little")
+    if tag not in (_PCM, _IEEE_FLOAT):
+        raise ValueError(f"unsupported WAV format tag {tag:#06x}: "
+                         "only PCM and IEEE float are read")
+    cur.read(max(size - consumed, 0) + size % 2)
+    if tag == _PCM and byte_rate != rate * block_align:
+        raise ValueError("WAV header is invalid: byte rate is not rate * block align")
+    return rate, tag, channels, block_align, bits
+
+
+def _decode_samples(cur: _Cursor, size: int, tag: int, channels: int, block_align: int,
+                    bits: int) -> np.ndarray:
+    """First channel of a data chunk of `size` bytes, as float64. As in
+    scipy.io.wavfile.read the container width is block_align // channels
+    and only whole containers are read; 24-bit data must be whole."""
+    if channels == 0:
+        raise ValueError("WAV fmt chunk declares zero channels")
+    width = block_align // channels
+    if tag == _PCM and 1 <= bits <= 8:
+        raise ValueError("unsupported WAV sample format: unsigned 8-bit PCM")
+    if tag == _PCM and width == 3:
+        raw = cur.read(size)
+        if len(raw) % 3:
+            raise ValueError("24-bit WAV data is not a whole number of samples")
+        packed = np.zeros((len(raw) // 3, 4), dtype=np.uint8)
+        packed[:, 1:] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3)
+        data, full_scale = packed.view("<i4")[:, 0], 2147483648.0
+    elif (tag == _PCM and width in (2, 4) and bits <= 64
+          or tag == _IEEE_FLOAT and width in (4, 8) and bits in (32, 64)):
+        raw = cur.read(size // width * width)
+        kind = "i" if tag == _PCM else "f"
+        data = np.frombuffer(raw, dtype=f"<{kind}{width}", count=len(raw) // width)
+        full_scale = 2.0 ** (8 * width - 1) if tag == _PCM else 1.0
+    else:
+        kind = "PCM" if tag == _PCM else "float"
+        raise ValueError(f"unsupported WAV sample format: {bits}-bit {kind} "
+                         f"in {width}-byte containers")
+    if len(data) % channels:
+        raise ValueError("WAV data is not a whole number of frames")
+    return data[::channels].astype(np.float64) / full_scale
+
+
 def write_csv_signal(path: str | Path, sig: SampledSignal) -> None:
-    """One float per line after a 'rate_hz,<value>' header line."""
+    """One float per line (shortest round-trip repr) after a
+    'rate_hz,<value>' header line, written in one pass."""
+    lines = [f"rate_hz,{float(sig.rate_hz)!r}", *map(repr, sig.samples.tolist()), ""]
     with open(path, "w") as fh:
-        fh.write(f"rate_hz,{float(sig.rate_hz)!r}\n")
-        for v in sig.samples:
-            fh.write(f"{float(v)!r}\n")
+        fh.write("\n".join(lines))
 
 
 def read_csv_signal(path: str | Path, label: str = "") -> SampledSignal:
@@ -61,7 +214,7 @@ def read_csv_signal(path: str | Path, label: str = "") -> SampledSignal:
         if key.strip() != "rate_hz":
             raise ValueError(f"{path}: expected 'rate_hz,<value>' header, got {header!r}")
         rate = float(value)
-        samples = np.array([float(line) for line in fh if line.strip()])
+        samples = np.array(fh.read().split(), dtype=np.float64)
     return SampledSignal(samples, rate, label)
 
 

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .signals import hann_window, lagged_products
+from .signals import hann_window, iir_filter, lagged_products
 
 __all__ = [
     "LpcModel",
@@ -256,7 +256,6 @@ def inverse_filter(frame: np.ndarray, model: LpcModel | np.ndarray) -> np.ndarra
 
 def synthesis_impulse_response(model: LpcModel, n: int) -> np.ndarray:
     """First n samples of the all-pole synthesis filter gain/A(z)."""
-    from scipy.signal import lfilter
     impulse = np.zeros(n)
     impulse[0] = 1.0
-    return lfilter([model.gain], model.error_filter(), impulse)
+    return iir_filter([model.gain], model.error_filter(), impulse)

@@ -21,6 +21,7 @@ __all__ = [
     "correlation_series",
     "parabolic_peak_offset",
     "dc_block",
+    "iir_filter",
     "design_lowpass",
     "resample_decimate",
     "differentiate",
@@ -227,9 +228,41 @@ def dc_block(sig: SampledSignal, pole: float) -> SampledSignal:
     """First-order high pass y[n] = x[n] - x[n-1] + pole*y[n-1]."""
     if not (0.0 < pole < 1.0):
         raise ValueError("pole must be in (0, 1)")
-    from scipy.signal import lfilter
-    y = lfilter([1.0, -1.0], [1.0, -pole], sig.samples)
-    return sig.with_samples(y)
+    return sig.with_samples(iir_filter([1.0, -1.0], [1.0, -pole], sig.samples))
+
+
+def iir_filter(b, a, x: np.ndarray) -> np.ndarray:
+    """Zero-state IIR filter b(z)/a(z) of a real 1-D signal, a[0] == 1.
+
+    Transposed direct form II, in the operation order of
+    scipy.signal.lfilter(b, a, x), so its output is bit-identical for
+    len(a) > 1. For len(a) == 1 lfilter convolves instead; there the output
+    agrees to rounding, and for len(a) == len(b) == 1 this returns x * b[0],
+    which keeps the sign of a zero that lfilter's convolution drops.
+    A per-sample Python loop: slower than lfilter's C loop, but the run time
+    no longer imports scipy.signal for it.
+    """
+    n = max(len(b), len(a))
+    b = [float(v) for v in b] + [0.0] * (n - len(b))
+    a = [float(v) for v in a] + [0.0] * (n - len(a))
+    if a[0] != 1.0:
+        raise ValueError("a[0] must be 1")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("x must be one-dimensional")
+    if n == 1:
+        return x * b[0]
+    b0, b_last, a_last = b[0], b[-1], a[-1]
+    middle = list(zip(range(n - 2), b[1:-1], a[1:-1]))
+    z = [0.0] * (n - 1)
+    y = []
+    for xk in x.tolist():
+        yk = z[0] + b0 * xk
+        for i, bi, ai in middle:
+            z[i] = z[i + 1] + xk * bi - yk * ai
+        z[-1] = xk * b_last - yk * a_last
+        y.append(yk)
+    return np.array(y, dtype=np.float64)
 
 
 def design_lowpass(cutoff_frac: float, taps: int) -> np.ndarray:

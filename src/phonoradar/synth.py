@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as pio
-from .signals import SampledSignal, differentiate, resample_decimate
+from .signals import SampledSignal, differentiate, iir_filter, resample_decimate
 
 __all__ = [
     "GlottalConfig",
@@ -212,8 +212,7 @@ def synthesize_speech(e: SampledSignal, tract: VocalTractModel,
                       noise_snr_db: float | None = None,
                       rng: np.random.Generator | None = None) -> SampledSignal:
     """Excitation through the all-pole tract, optional additive white noise."""
-    from scipy.signal import lfilter
-    s = lfilter([tract.gain], tract.error_filter(), e.samples)
+    s = iir_filter([tract.gain], tract.error_filter(), e.samples)
     if noise_snr_db is not None:
         if rng is None:
             rng = np.random.default_rng()

@@ -11,7 +11,7 @@ import numpy as np
 
 from .lpc import lpc_analyze_frames
 from .signals import (FramePlan, SampledSignal, constant_rows, frame_view, hann_window,
-                      integrate_spectral, lagged_products)
+                      iir_filter, integrate_spectral, lagged_products)
 from .synth import VocalTractModel
 
 __all__ = [
@@ -230,8 +230,7 @@ def integrate_excitation(e_hat: SampledSignal, pole: float) -> SampledSignal:
     """
     if not (0.0 < pole < 1.0):
         raise ValueError("pole must be in (0, 1)")
-    from scipy.signal import lfilter
-    y = lfilter([1.0 / e_hat.rate_hz], [1.0, -pole], e_hat.samples)
+    y = iir_filter([1.0 / e_hat.rate_hz], [1.0, -pole], e_hat.samples)
     return e_hat.with_samples(y, "fold_displacement_estimate")
 
 

@@ -4,8 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from phonoradar.cli import main
+from phonoradar.io import write_csv_signal, write_wav
+from phonoradar.signals import SampledSignal
 
 
 def tree_digest(root: Path) -> dict:
@@ -235,3 +238,27 @@ def test_parallel_jobs_match_serial(tmp_path):
         run(["transform", "--cohort", str(out), "--jobs", jobs])
         run(["evaluate", str(out), "--jobs", jobs])
     assert tree_digest(serial) == tree_digest(parallel)
+
+
+def _truncated_in_fmt(path):
+    write_wav(path, SampledSignal(np.zeros(100), 2000.0))
+    path.write_bytes(path.read_bytes()[:24])   # RIFF header, fmt id and size, 4 of 18 bytes
+
+
+def _scipy_wav(dtype):
+    def write(path):
+        wavfile.write(path, 2000, np.zeros(100, dtype=dtype))
+    return write
+
+
+@pytest.mark.parametrize("make_bad_wav", [_truncated_in_fmt, _scipy_wav(np.uint8),
+                                          _scipy_wav(np.int64)],
+                         ids=["truncated-fmt", "pcm8", "pcm64"])
+def test_bad_wav_is_data_error(tmp_path, capsys, make_bad_wav):
+    speech, disp = tmp_path / "s.wav", tmp_path / "d.csv"
+    make_bad_wav(speech)
+    write_csv_signal(disp, SampledSignal(np.zeros(100), 2000.0))
+    assert run(["transform", "--speech", str(speech), "--displacement", str(disp),
+                "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
