@@ -213,7 +213,7 @@ def _radar_one(task: dict) -> str:
     denom = float(np.linalg.norm(truth) * np.linalg.norm(measured.samples))
     corr = float(truth @ measured.samples / denom) if denom > 0 else 0.0
     meta = {
-        "selected_bin": cfg.bin_of_range(task["range_m"]),
+        "selected_bin": measured.bin_index,
         "range_m": task["range_m"],
         "snr_db": task["snr"],
         "correlation_vs_truth": corr,

@@ -3,9 +3,7 @@ vibrating point reflector, range FFT, and slow-time phase vibrometry."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,15 +15,15 @@ __all__ = [
     "TargetScene",
     "BeatMatrix",
     "NoCoherentTargetError",
+    "RadarDisplacement",
     "simulate_beat_signal",
     "range_fft",
     "extract_displacement",
     "measure_displacement",
-    "save_beat_matrix",
-    "load_beat_matrix",
 ]
 
 C_LIGHT = 299792458.0
+_BLOCK_BYTES = 1 << 19
 
 
 class NoCoherentTargetError(RuntimeError):
@@ -87,6 +85,14 @@ class TargetScene:
 
 
 @dataclass(frozen=True)
+class RadarDisplacement(SampledSignal):
+    """Displacement read from the slow-time phase of one range bin;
+    bin_index is the bin it was read from."""
+
+    bin_index: int = field(kw_only=True)
+
+
+@dataclass(frozen=True)
 class BeatMatrix:
     """Per-chirp complex beat signal, chirps x adc samples."""
 
@@ -106,18 +112,9 @@ class BeatMatrix:
         return self.data.shape[0]
 
 
-def simulate_beat_signal(scene: TargetScene, cfg: ChirpConfig,
-                         rng: np.random.Generator | None = None) -> BeatMatrix:
-    """Beat signal for chirp m against a target at R_m = R0 + d[m].
-
-    Each chirp yields a complex tone at f_b = 2*slope*R_m/c with starting
-    phase 4*pi*R_m/lambda; optional complex white noise at the given SNR.
-
-    The phase is affine in the ADC sample index n, 4*pi*R_m/lambda +
-    step_m*n with step_m = 2*pi*f_b/f_s, so the tone is built by a phasor
-    recurrence: column 0 holds the starting phasor, and each pass doubles
-    the filled width w by one complex multiply with exp(j*step_m*w).
-    """
+def _scene_ranges(scene: TargetScene, cfg: ChirpConfig) -> np.ndarray:
+    """Per-chirp target range R_m = R0 + d[m], after checking that the
+    displacement is sampled at the PRF and stays inside the range bin."""
     d = scene.displacement
     if abs(d.rate_hz - cfg.prf_hz) > 1e-6 * cfg.prf_hz:
         raise ValueError("displacement must be sampled at the PRF")
@@ -127,47 +124,93 @@ def simulate_beat_signal(scene: TargetScene, cfg: ChirpConfig,
             f"displacement {max_excursion:.3g} m leaves the range bin "
             f"(resolution {cfg.range_resolution_m:.3g} m)"
         )
-    n = cfg.adc_samples_per_chirp
-    ranges = scene.nominal_range_m + d.samples
+    return scene.nominal_range_m + d.samples
+
+
+def _noise_sigma(scene: TargetScene) -> float:
+    """Per-component standard deviation of the complex noise at the scene's SNR."""
+    sig_power = scene.reflectivity ** 2 if scene.reflectivity > 0 else 1.0
+    return np.sqrt(sig_power / 10.0 ** (scene.noise_snr_db / 10.0) / 2.0)
+
+
+def _beat_rows(out: np.ndarray, ranges: np.ndarray, reflectivity: float,
+               cfg: ChirpConfig) -> None:
+    """Fill out (one row per chirp) with the noiseless beat tones.
+
+    The phase is affine in the ADC sample index n, 4*pi*R_m/lambda +
+    step_m*n with step_m = 2*pi*f_b/f_s, so the tone is built by a phasor
+    recurrence: column 0 holds the starting phasor, and each pass doubles
+    the filled width w by one complex multiply with exp(j*step_m*w).
+    """
+    n = out.shape[1]
     step = 2.0 * np.pi * cfg.beat_frequency_hz(ranges) / cfg.adc_rate_hz
-    data = np.empty((len(ranges), n), dtype=np.complex128)
-    data[:, 0] = scene.reflectivity * np.exp(1j * (4.0 * np.pi * ranges / cfg.wavelength_m))
+    out[:, 0] = reflectivity * np.exp(1j * (4.0 * np.pi * ranges / cfg.wavelength_m))
     width = 1
     while width < n:
         k = min(width, n - width)
-        np.multiply(data[:, :k], np.exp(1j * (step * width))[:, None],
-                    out=data[:, width:width + k])
+        np.multiply(out[:, :k], np.exp(1j * (step * width))[:, None],
+                    out=out[:, width:width + k])
         width += k
+
+
+def _add_noise(rows: np.ndarray, real_draws: np.ndarray,
+               rng: np.random.Generator, sigma: float) -> None:
+    """Add sigma-scaled white noise to rows in place: the real parts from
+    draws already made (scaled in place), the imaginary parts drawn now."""
+    real_draws *= sigma
+    rows.real += real_draws
+    imag = rng.standard_normal(rows.shape)
+    imag *= sigma
+    rows.imag += imag
+
+
+def _range_rows(rows: np.ndarray, window: np.ndarray, out: np.ndarray) -> None:
+    """Hann-taper each row of rows into out and FFT out in place; out may be rows."""
+    np.multiply(rows, window, out=out)
+    np.fft.fft(out, axis=1, out=out)
+
+
+def _block_rows(adc_samples: int) -> int:
+    """Chirps per streamed block: about 512 KiB of complex beat samples."""
+    return max(1, _BLOCK_BYTES // (16 * adc_samples))
+
+
+def simulate_beat_signal(scene: TargetScene, cfg: ChirpConfig,
+                         rng: np.random.Generator | None = None) -> BeatMatrix:
+    """Beat signal for chirp m against a target at R_m = R0 + d[m].
+
+    Each chirp yields a complex tone at f_b = 2*slope*R_m/c with starting
+    phase 4*pi*R_m/lambda, built by a phasor recurrence over the ADC
+    samples; optional complex white noise at the given SNR, the real parts
+    of every sample drawn before the imaginary parts.
+    """
+    ranges = _scene_ranges(scene, cfg)
+    data = np.empty((len(ranges), cfg.adc_samples_per_chirp), dtype=np.complex128)
+    _beat_rows(data, ranges, scene.reflectivity, cfg)
     if scene.noise_snr_db is not None:
         if rng is None:
             rng = np.random.default_rng()
-        sig_power = scene.reflectivity ** 2 if scene.reflectivity > 0 else 1.0
-        sigma = np.sqrt(sig_power / 10.0 ** (scene.noise_snr_db / 10.0) / 2.0)
-        data.real += sigma * rng.standard_normal(data.shape)
-        data.imag += sigma * rng.standard_normal(data.shape)
+        _add_noise(data, rng.standard_normal(data.shape), rng, _noise_sigma(scene))
     return BeatMatrix(data=data, config=cfg)
 
 
 def range_fft(beat: BeatMatrix) -> np.ndarray:
-    """Hann-tapered fast-time FFT per chirp, keeping the positive-range bins.
-
-    The tapered copy is transformed in place, so the beat matrix costs one
-    temporary of its size, not two.
-    """
+    """Hann-tapered fast-time FFT per chirp, keeping the positive-range bins."""
     n = beat.config.adc_samples_per_chirp
-    spectrum = beat.data * hann_window(n)
-    np.fft.fft(spectrum, axis=1, out=spectrum)
+    spectrum = np.empty_like(beat.data)
+    _range_rows(beat.data, hann_window(n), spectrum)
     return spectrum[:, :n // 2]
 
 
 def extract_displacement(rangefft: np.ndarray, cfg: ChirpConfig,
-                         bin_index: int | None = None) -> SampledSignal:
+                         bin_index: int | None = None) -> RadarDisplacement:
     """Slow-time phase vibrometry at one range bin.
 
     Auto-selects the max mean-magnitude bin when bin_index is None, unwraps
     the slow-time phase, converts d[m] = lambda * phi_m / (4*pi), compensates
     the deterministic fast-time group-delay gain of the windowed FFT, and
-    removes the mean. Output is sampled at the PRF.
+    removes the mean. Output is sampled at the PRF and carries the bin it
+    was read from.
     """
     mags = np.abs(rangefft).mean(axis=0)
     if bin_index is None:
@@ -187,53 +230,45 @@ def extract_displacement(rangefft: np.ndarray, cfg: ChirpConfig,
     gain = 1.0 + cfg.slope_hz_per_s * cfg.wavelength_m * group_delay_s / C_LIGHT
     disp = disp / gain
     disp = disp - disp.mean()
-    return SampledSignal(disp, cfg.prf_hz, "displacement_radar")
+    return RadarDisplacement(disp, cfg.prf_hz, "displacement_radar", bin_index=bin_index)
 
 
 def measure_displacement(scene: TargetScene, cfg: ChirpConfig,
                          rng: np.random.Generator | None = None,
-                         bin_index: int | None = None) -> SampledSignal:
-    """Full chain: beat simulation, range FFT, phase extraction."""
-    beat = simulate_beat_signal(scene, cfg, rng)
-    return extract_displacement(range_fft(beat), cfg, bin_index)
+                         bin_index: int | None = None) -> RadarDisplacement:
+    """Full chain: beat simulation, range FFT, phase extraction.
 
-
-def save_beat_matrix(path: str | Path, beat: BeatMatrix) -> None:
-    """Raw interleaved little-endian complex float32 plus a JSON sidecar."""
-    path = Path(path)
-    flat = np.empty(beat.data.size * 2, dtype="<f4")
-    flat[0::2] = beat.data.real.ravel()
-    flat[1::2] = beat.data.imag.ravel()
-    flat.tofile(path)
-    cfg = beat.config
-    sidecar = {
-        "format": "beat-iq-f32-v1",
-        "n_chirps": beat.n_chirps,
-        "adc_samples_per_chirp": cfg.adc_samples_per_chirp,
-        "start_freq_hz": cfg.start_freq_hz,
-        "bandwidth_hz": cfg.bandwidth_hz,
-        "chirp_duration_s": cfg.chirp_duration_s,
-        "prf_hz": cfg.prf_hz,
-        "adc_rate_hz": cfg.adc_rate_hz,
-    }
-    with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_beat_matrix(path: str | Path) -> BeatMatrix:
-    path = Path(path)
-    with open(path.with_suffix(path.suffix + ".json")) as fh:
-        sidecar = json.load(fh)
-    cfg = ChirpConfig(
-        start_freq_hz=sidecar["start_freq_hz"],
-        bandwidth_hz=sidecar["bandwidth_hz"],
-        chirp_duration_s=sidecar["chirp_duration_s"],
-        prf_hz=sidecar["prf_hz"],
-        adc_samples_per_chirp=sidecar["adc_samples_per_chirp"],
-        adc_rate_hz=sidecar["adc_rate_hz"],
-    )
-    flat = np.fromfile(path, dtype="<f4").astype(np.float64)
-    data = (flat[0::2] + 1j * flat[1::2]).reshape(
-        sidecar["n_chirps"], cfg.adc_samples_per_chirp)
-    return BeatMatrix(data=data, config=cfg)
+    The same numbers as extract_displacement(range_fft(simulate_beat_signal(
+    scene, cfg, rng)), cfg, bin_index), with the same draws from rng, but
+    streamed over blocks of _block_rows chirps: each block is simulated,
+    tapered and transformed in one reused buffer, and only its positive-range
+    half is kept, so the full beat matrix is never held.
+    """
+    ranges = _scene_ranges(scene, cfg)
+    n = cfg.adc_samples_per_chirp
+    chirps, half = len(ranges), n // 2
+    # One buffer holds first the real noise draws (chirps x n floats), then
+    # the spectrum (chirps x half complex, at most as many floats): a block's
+    # spectrum rows end at or before the end of its own noise rows, and are
+    # written only after those are read, so no unread draw is overwritten.
+    store = np.empty(chirps * n)
+    spectrum = store[:chirps * 2 * half].view(np.complex128).reshape(chirps, half)
+    noisy = scene.noise_snr_db is not None
+    if noisy:
+        if rng is None:
+            rng = np.random.default_rng()
+        sigma = _noise_sigma(scene)
+        real_draws = store.reshape(chirps, n)
+        rng.standard_normal(out=real_draws)
+    window = hann_window(n)
+    rows = _block_rows(n)
+    buf = np.empty((min(rows, chirps), n), dtype=np.complex128)
+    for start in range(0, chirps, rows):
+        stop = min(start + rows, chirps)
+        block = buf[:stop - start]
+        _beat_rows(block, ranges[start:stop], scene.reflectivity, cfg)
+        if noisy:
+            _add_noise(block, real_draws[start:stop], rng, sigma)
+        _range_rows(block, window, block)
+        spectrum[start:stop] = block[:, :half]
+    return extract_displacement(spectrum, cfg, bin_index)

@@ -75,6 +75,20 @@ class TestRadar:
     def test_missing_subject_is_data_error(self, tmp_path):
         assert run(["radar", "--subject", str(tmp_path / "nope")]) == 2
 
+    def test_selected_bin_is_the_range_profile_peak(self, tmp_path):
+        from phonoradar.io import read_csv_signal
+        from phonoradar.radar import ChirpConfig, TargetScene, range_fft, simulate_beat_signal
+        subj = tmp_path / "s"
+        run(["synth", "--out", str(subj), "--duration", "0.5", "--seed", "2"])
+        assert run(["radar", "--subject", str(subj), "--range", "0.4", "--snr", "10"]) == 0
+        meta = json.loads((subj / "radar.json").read_text())
+        d_true = read_csv_signal(subj / "neck_true.csv")
+        scene = TargetScene(displacement=d_true, nominal_range_m=0.4, noise_snr_db=10.0)
+        beat = simulate_beat_signal(scene, ChirpConfig(prf_hz=d_true.rate_hz),
+                                    np.random.default_rng(0))
+        profile = np.abs(range_fft(beat)).mean(axis=0)
+        assert meta["selected_bin"] == int(np.argmax(profile))
+
 
 class TestTransform:
     def test_subject_mode(self, tmp_path):

@@ -1,11 +1,16 @@
 """Equivalence of the array-pass forward simulation with the reference
 implementations kept here: the 2-D complex exp the beat recurrence replaced,
-and the per-cycle glottal loop the one-pass pulse train replaced."""
+and the per-cycle glottal loop the one-pass pulse train replaced; and of the
+streamed radar chain with the explicit one built from the public steps."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from phonoradar.radar import C_LIGHT, ChirpConfig, TargetScene, simulate_beat_signal
+from phonoradar.radar import (C_LIGHT, ChirpConfig, NoCoherentTargetError, TargetScene,
+                              _block_rows, extract_displacement, measure_displacement,
+                              range_fft, simulate_beat_signal)
 from phonoradar.signals import SampledSignal
 from phonoradar.synth import GlottalConfig, synth_vocal_fold_displacement
 
@@ -92,6 +97,68 @@ def test_noisy_beat_matches_reference(rng):
 def test_beat_matrix_is_frozen(rng):
     beat = simulate_beat_signal(TargetScene(displacement=vibrating(rng, 8)), ChirpConfig())
     assert not beat.data.flags.writeable
+
+
+# --- streamed radar chain -------------------------------------------------
+
+def explicit_chain(scene, cfg, rng=None, bin_index=None):
+    return extract_displacement(range_fft(simulate_beat_signal(scene, cfg, rng)),
+                                cfg, bin_index)
+
+
+@pytest.mark.parametrize("fixed_bin", [False, True])
+@pytest.mark.parametrize("snr_db", [None, 15.0])
+# an odd ADC count leaves the spectrum shorter than the real draws it reuses
+@pytest.mark.parametrize("n", [63, 64, 256])
+@pytest.mark.parametrize("chirps", ["1", "B-1", "B", "B+1", "4100"])
+def test_streamed_chain_matches_explicit(rng, chirps, n, snr_db, fixed_bin):
+    cfg = chirp_config(n)
+    block = _block_rows(n)
+    count = {"1": 1, "B-1": block - 1, "B": block, "B+1": block + 1, "4100": 4100}[chirps]
+    scene = TargetScene(displacement=vibrating(rng, count), noise_snr_db=snr_db)
+    # the bin next to the target's still clears the noise floor
+    bin_index = cfg.bin_of_range(scene.nominal_range_m) + 1 if fixed_bin else None
+    got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+    got = measure_displacement(scene, cfg, got_rng, bin_index)
+    want = explicit_chain(scene, cfg, want_rng, bin_index)
+    assert np.array_equal(got.samples, want.samples)
+    assert got.bin_index == want.bin_index
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("scene, error", [
+    (TargetScene(displacement=SampledSignal(np.zeros(300), 1000.0)), ValueError),
+    (TargetScene(displacement=SampledSignal(np.full(300, 0.03), PRF)), ValueError),
+    (TargetScene(displacement=SampledSignal(np.zeros(300), PRF), reflectivity=0.0,
+                 noise_snr_db=0.0), NoCoherentTargetError),
+], ids=["prf-mismatch", "excursion-out-of-bin", "no-reflection"])
+def test_streamed_chain_raises_as_explicit(scene, error):
+    cfg = ChirpConfig()
+    got = raised(lambda: measure_displacement(scene, cfg, np.random.default_rng(7)))
+    want = raised(lambda: explicit_chain(scene, cfg, np.random.default_rng(7)))
+    assert got == want and got[0] is error
+
+
+@pytest.mark.parametrize("snr_db, bound", [(None, 1.0), (20.0, 1.5)])
+def test_streamed_chain_peak_memory(snr_db, bound):
+    # the explicit chain peaks at about 2.3 beat matrices
+    cfg = ChirpConfig()
+    scene = TargetScene(displacement=vibrating(np.random.default_rng(3), 4100),
+                        noise_snr_db=snr_db)
+    rng = np.random.default_rng(7)
+    tracemalloc.start()
+    try:
+        measure_displacement(scene, cfg, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 4100 * cfg.adc_samples_per_chirp * 16
 
 
 # --- glottal pulse train --------------------------------------------------

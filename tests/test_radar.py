@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from phonoradar.radar import (BeatMatrix, C_LIGHT, ChirpConfig, NoCoherentTargetError,
-                              TargetScene, extract_displacement, load_beat_matrix,
-                              measure_displacement, range_fft, save_beat_matrix,
-                              simulate_beat_signal)
+                              TargetScene, extract_displacement, measure_displacement,
+                              range_fft, simulate_beat_signal)
 from phonoradar.signals import SampledSignal
 
 
@@ -141,14 +140,3 @@ class TestExtractDisplacement:
             simulate_beat_signal(
                 TargetScene(displacement=displacement(np.zeros(8), rate=1000.0)), cfg)
 
-
-def test_beat_matrix_io_roundtrip(tmp_path, cfg):
-    t = np.arange(16) / 2000.0
-    d = displacement(20e-6 * np.sin(2 * np.pi * 200 * t))
-    beat = simulate_beat_signal(TargetScene(displacement=d), cfg)
-    path = tmp_path / "beat.iq"
-    save_beat_matrix(path, beat)
-    back = load_beat_matrix(path)
-    assert back.n_chirps == beat.n_chirps
-    assert back.config.start_freq_hz == cfg.start_freq_hz
-    assert np.allclose(back.data, beat.data, atol=1e-6 * np.abs(beat.data).max())
