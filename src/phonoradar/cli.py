@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -254,11 +253,8 @@ def cmd_radar(args) -> int:
     return 0
 
 
-def _write_transform(directory: Path, out) -> None:
-    pio.write_csv_signal(directory / TRANSFORM_FILES["e_hat"], out.e_hat)
-    pio.write_csv_signal(directory / TRANSFORM_FILES["x_hat"], out.x_hat)
-    pio.write_csv_signal(directory / TRANSFORM_FILES["d_hat"], out.d_hat)
-    meta = {
+def _transform_meta(out) -> dict:
+    return {
         "global_tau_samples": out.global_tau_samples,
         "n_frames": len(out.per_frame),
         "n_voiced": int(sum(r.voiced for r in out.per_frame)),
@@ -282,9 +278,16 @@ def _write_transform(directory: Path, out) -> None:
             for r in out.per_frame
         ],
     }
+
+
+def _write_transform(directory: Path, out) -> None:
+    pio.write_csv_signal(directory / TRANSFORM_FILES["e_hat"], out.e_hat)
+    pio.write_csv_signal(directory / TRANSFORM_FILES["x_hat"], out.x_hat)
+    pio.write_csv_signal(directory / TRANSFORM_FILES["d_hat"], out.d_hat)
+    # One compact dumps call: json.dump, and any indent, run the pure-Python
+    # encoder, several times slower on the per-frame records.
     with open(directory / TRANSFORM_META, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(_transform_meta(out), sort_keys=True) + "\n")
 
 
 def _load_speech_displacement(args, directory: Path | None):
@@ -417,6 +420,9 @@ def cmd_evaluate(args) -> int:
 def _run_jobs(fn, tasks, jobs: int):
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # Imported here: the pool machinery (multiprocessing, logging, socket)
+    # costs every serial stage process about 25 ms of start-up.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, tasks))
 

@@ -1,10 +1,12 @@
-"""File formats: WAV (PCM16 / float32) for speech, CSV and raw float32 with a
-JSON sidecar for displacement traces."""
+"""File formats: WAV (PCM16 / float32) for speech, CSV for displacement
+traces, and .npy float64 for traces whose rate is kept in a JSON record
+beside them."""
 
 from __future__ import annotations
 
-import json
+import pickle
 import struct
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from .signals import SampledSignal
 __all__ = [
     "read_wav", "write_wav",
     "read_csv_signal", "write_csv_signal",
-    "read_f32_signal", "write_f32_signal",
+    "read_npy_signal", "write_npy_signal",
 ]
 
 _PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
@@ -218,19 +220,23 @@ def read_csv_signal(path: str | Path, label: str = "") -> SampledSignal:
     return SampledSignal(samples, rate, label)
 
 
-def write_f32_signal(path: str | Path, sig: SampledSignal) -> None:
-    """Raw little-endian float32 samples plus '<path>.json' sidecar."""
-    path = Path(path)
-    sig.samples.astype("<f4").tofile(path)
-    sidecar = {"rate_hz": sig.rate_hz, "label": sig.label, "n_samples": len(sig)}
-    with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True)
-        fh.write("\n")
+def write_npy_signal(path: str | Path, sig: SampledSignal) -> None:
+    """The samples as a 1-D float64 .npy array at exactly this path; the
+    rate is not stored."""
+    with open(path, "wb") as fh:
+        np.save(fh, sig.samples, allow_pickle=False)
 
 
-def read_f32_signal(path: str | Path) -> SampledSignal:
-    path = Path(path)
-    with open(path.with_suffix(path.suffix + ".json")) as fh:
-        sidecar = json.load(fh)
-    samples = np.fromfile(path, dtype="<f4").astype(np.float64)
-    return SampledSignal(samples, float(sidecar["rate_hz"]), sidecar.get("label", ""))
+def read_npy_signal(path: str | Path, rate_hz: float, label: str = "") -> SampledSignal:
+    """A trace written by write_npy_signal, at the given rate. Anything but
+    a 1-D float64 .npy array raises ValueError naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            samples = np.load(fh, allow_pickle=False)
+    except (OSError, EOFError, ValueError, pickle.UnpicklingError,
+            zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: not a readable .npy trace ({exc})") from exc
+    if not (isinstance(samples, np.ndarray) and samples.dtype == np.float64
+            and samples.ndim == 1):
+        raise ValueError(f"{path}: expected a 1-D float64 .npy trace")
+    return SampledSignal(samples, float(rate_hz), label)

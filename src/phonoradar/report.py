@@ -163,23 +163,21 @@ def write_window_csv(path: str | Path, series: dict, span: float = 0.3) -> None:
             smoothed[name] = loess_smooth(ser, span)
         except ValueError:
             smoothed[name] = ser
+    # Each comparison's cells, keyed by window index: its raw and smoothed LSD,
+    # or two empty cells where it has no such window.
+    cells = {name: dict(zip(ser.window_indices.tolist(),
+                            map("{!r},{!r}".format, ser.values.tolist(),
+                                smoothed[name].values.tolist())))
+             for name, ser in series.items()}
+    header = ["window_index", "time_s"]
+    for name in COMPARISONS:
+        header += [f"lsd_{name}", f"lsd_{name}_loess"]
+    lines = [",".join(header)]
     base = series["model_filtered"]
-    index_of = {name: {int(i): k for k, i in enumerate(ser.window_indices)}
-                for name, ser in series.items()}
+    for widx, t in zip(base.window_indices.tolist(), base.times_s.tolist()):
+        lines.append(",".join([str(widx), repr(t),
+                               *(cells[name].get(widx, ",") for name in COMPARISONS)]))
+    lines.append("")
+    # The csv module's dialect: CRLF line ends, and no cell needs quoting.
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["window_index", "time_s"]
-        for name in COMPARISONS:
-            header += [f"lsd_{name}", f"lsd_{name}_loess"]
-        writer.writerow(header)
-        for k, widx in enumerate(base.window_indices):
-            row = [int(widx), repr(float(base.times_s[k]))]
-            for name in COMPARISONS:
-                ser = series[name]
-                sm = smoothed[name]
-                j = index_of[name].get(int(widx))
-                if j is None:
-                    row += ["", ""]
-                else:
-                    row += [repr(float(ser.values[j])), repr(float(sm.values[j]))]
-            writer.writerow(row)
+        fh.write("\r\n".join(lines))

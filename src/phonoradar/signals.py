@@ -11,7 +11,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 __all__ = [
     "SampledSignal",
     "FramePlan",
-    "frame_count",
     "frame_signal",
     "frame_view",
     "constant_rows",
@@ -111,12 +110,6 @@ class FramePlan:
 def hann_window(n: int) -> np.ndarray:
     """Periodic hann window; sums to a constant when overlap-added at hop n/2."""
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
-
-
-def frame_count(signal_len: int, window_len: int, hop: int) -> int:
-    if signal_len < window_len:
-        return 0
-    return (signal_len - window_len) // hop + 1
 
 
 def frame_signal(sig: SampledSignal, plan: FramePlan) -> np.ndarray:

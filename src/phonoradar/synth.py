@@ -282,10 +282,12 @@ def make_subject(glottal: GlottalConfig, neck: NeckChannel, tract: VocalTractMod
                             tract=tract, noise_snr_db=noise_snr_db, seed=seed)
 
 
+# The ground truth no stage reads (fold displacement, excitation) is binary;
+# its rate is subject.json's rate_hz.
 _SUBJECT_FILES = {
     "speech": "speech.wav",
-    "vocal_fold": "vocal_fold.csv",
-    "excitation": "excitation.csv",
+    "vocal_fold": "vocal_fold.npy",
+    "excitation": "excitation.npy",
     "neck_true": "neck_true.csv",
 }
 
@@ -295,11 +297,11 @@ def save_subject(subject: SyntheticSubject, directory: str | Path) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     pio.write_wav(directory / _SUBJECT_FILES["speech"], subject.s)
-    pio.write_csv_signal(directory / _SUBJECT_FILES["vocal_fold"], subject.x)
-    pio.write_csv_signal(directory / _SUBJECT_FILES["excitation"], subject.e)
+    pio.write_npy_signal(directory / _SUBJECT_FILES["vocal_fold"], subject.x)
+    pio.write_npy_signal(directory / _SUBJECT_FILES["excitation"], subject.e)
     pio.write_csv_signal(directory / _SUBJECT_FILES["neck_true"], subject.d)
     manifest = {
-        "format": "subject-v1",
+        "format": "subject-v2",
         "seed": subject.seed,
         "rate_hz": subject.rate_hz,
         "n_samples": len(subject.x),
@@ -323,9 +325,9 @@ def load_subject(directory: str | Path) -> SyntheticSubject:
     directory = Path(directory)
     with open(directory / SUBJECT_MANIFEST) as fh:
         manifest = json.load(fh)
-    files = manifest["files"]
-    x = pio.read_csv_signal(directory / files["vocal_fold"], "vocal_fold_displacement")
-    e = pio.read_csv_signal(directory / files["excitation"], "excitation")
+    files, rate = manifest["files"], manifest["rate_hz"]
+    x = pio.read_npy_signal(directory / files["vocal_fold"], rate, "vocal_fold_displacement")
+    e = pio.read_npy_signal(directory / files["excitation"], rate, "excitation")
     s = pio.read_wav(directory / files["speech"], "speech")
     d = pio.read_csv_signal(directory / files["neck_true"], "neck_displacement")
     return SyntheticSubject(

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from phonoradar.cli import main
+from phonoradar.cli import _transform_meta, _write_transform, main
 from phonoradar.io import write_csv_signal, write_wav
 from phonoradar.signals import SampledSignal
+from phonoradar.transform import TransformConfig, transform_speech
 
 
 def tree_digest(root: Path) -> dict:
@@ -38,9 +39,12 @@ class TestSynth:
         out = tmp_path / "one"
         assert run(["synth", "--out", str(out), "--f0", "140", "--duration", "0.5",
                     "--seed", "3"]) == 0
-        for name in ("subject.json", "speech.wav", "vocal_fold.csv",
-                     "excitation.csv", "neck_true.csv"):
+        for name in ("subject.json", "speech.wav", "vocal_fold.npy",
+                     "excitation.npy", "neck_true.csv"):
             assert (out / name).exists()
+        manifest = json.loads((out / "subject.json").read_text())
+        assert manifest["format"] == "subject-v2"
+        assert manifest["files"]["vocal_fold"] == "vocal_fold.npy"
 
     def test_seeded_cohorts_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -101,6 +105,19 @@ class TestTransform:
         meta = json.loads((subj / "transform.json").read_text())
         assert meta["n_voiced"] >= 1
         assert meta["global_tau_samples"] == 2  # 1 ms default at 2 kHz
+
+    def test_transform_json_parses_like_the_indented_encoding(self, tmp_path, subject):
+        out = transform_speech(subject.s, subject.d, TransformConfig())
+        _write_transform(tmp_path, out)
+        text = (tmp_path / "transform.json").read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        # json.loads reads NaN as a fresh float, which is not equal to
+        # itself; dumping both parses again compares them value for value.
+        indented = json.dumps(_transform_meta(out), indent=2, sort_keys=True)
+        assert (json.dumps(json.loads(text), sort_keys=True)
+                == json.dumps(json.loads(indented), sort_keys=True))
+        assert json.loads(text)["per_frame"][0].keys() == {
+            "index", "voiced", "f0_hz", "tau_d_samples", "correlation_peak", "lpc_gain"}
 
     def test_explicit_files_and_tau_mode(self, tmp_path):
         subj = tmp_path / "s"

@@ -30,3 +30,13 @@ def test_stages_after_synth_do_not_load_scipy_signal(tmp_path):
     proc = subprocess.run([sys.executable, "-c", SCRIPT.format(src=src, cohort=str(cohort))],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # concurrent.futures (with multiprocessing, logging and socket) is only
+    # needed once a --jobs > 1 pool starts.
+    src = str(Path(phonoradar.__file__).resolve().parents[1])
+    script = (f"import sys; sys.path.insert(0, {src!r}); import phonoradar.cli; "
+              "assert 'concurrent.futures' not in sys.modules, sorted(sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

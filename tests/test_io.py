@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from phonoradar.io import (read_csv_signal, read_f32_signal, read_wav,
-                           write_csv_signal, write_f32_signal, write_wav)
+from phonoradar.io import read_csv_signal, read_wav, write_csv_signal, write_wav
 from phonoradar.signals import SampledSignal
 
 
@@ -46,12 +45,3 @@ def test_csv_bad_header(tmp_path):
     with pytest.raises(ValueError):
         read_csv_signal(path)
 
-
-def test_f32_roundtrip(tmp_path, tone):
-    path = tmp_path / "a.f32"
-    write_f32_signal(path, tone)
-    back = read_f32_signal(path)
-    assert back.rate_hz == tone.rate_hz
-    assert back.label == tone.label
-    assert np.allclose(back.samples, tone.samples, atol=1e-7)
-    assert (tmp_path / "a.f32.json").exists()

@@ -1,7 +1,11 @@
-"""Round-trip properties of the signal file formats, and the WAV codec
-against scipy.io.wavfile, its reference: the same bytes written, the same
-samples read, and ValueError wherever the scipy-based reader failed."""
+"""Round-trip properties of the signal file formats, the .npy trace reader's
+refusals, and the WAV codec against scipy.io.wavfile, its reference: the
+same bytes written, the same samples read, and ValueError wherever the
+scipy-based reader failed."""
 
+import io
+import pickle
+import re
 import struct
 import warnings
 from pathlib import Path
@@ -14,7 +18,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.io import wavfile
 
-from phonoradar.io import read_csv_signal, read_wav, write_csv_signal, write_wav
+from phonoradar.io import (read_csv_signal, read_npy_signal, read_wav, write_csv_signal,
+                           write_npy_signal, write_wav)
 from phonoradar.signals import SampledSignal
 
 SCIPY_WAVS = sorted((Path(scipy.io.__file__).parent / "tests" / "data").glob("*.wav"))
@@ -83,6 +88,78 @@ def test_csv_rejects_non_numeric_line(tmp_path):
     path.write_text("rate_hz,2000.0\n0.5\nabc\n")
     with pytest.raises(ValueError):
         read_csv_signal(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(samples=signals, rate=finite.filter(lambda r: r > 0))
+def test_npy_round_trips_exactly(tmp_path_factory, samples, rate):
+    path = tmp_path_factory.mktemp("npy") / "s.npy"
+    write_npy_signal(path, SampledSignal(samples, rate))
+    back = read_npy_signal(path, rate, "trace")
+    assert back.rate_hz == rate and back.label == "trace"
+    assert np.array_equal(bits(back.samples), bits(samples))
+
+
+def test_npy_round_trips_edge_values(tmp_path):
+    samples = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                        1e308, -1e308, np.finfo(np.float64).max, 0.1, 1 / 3])
+    for x in (samples, np.array([])):
+        # No .npy suffix: the file is written at exactly the given path.
+        write_npy_signal(tmp_path / "s", SampledSignal(x, 2000.0))
+        assert np.array_equal(bits(read_npy_signal(tmp_path / "s", 2000.0).samples), bits(x))
+
+
+def saved(save, *args, **kwargs):
+    buf = io.BytesIO()
+    save(buf, *args, **kwargs)
+    return buf.getvalue()
+
+
+GOOD_NPY = saved(np.save, np.linspace(-1.0, 1.0, 8))
+# Each is refused by np.load (EOFError, ValueError, BadZipFile) or is not a
+# 1-D float64 array.
+BAD_NPY = {
+    "empty": b"",
+    "cut-in-magic": GOOD_NPY[:4],
+    "cut-in-header": GOOD_NPY[:40],
+    "cut-in-data": GOOD_NPY[:-3],
+    "garbled": b"rate_hz,2000.0\n0.5\n",
+    "garbled-header": GOOD_NPY[:10] + b"x" * (len(GOOD_NPY) - 10),
+    "object-dtype": saved(np.save, np.array([1.0, None], dtype=object), allow_pickle=True),
+    "zip-prefix": b"PK\x03\x04" + GOOD_NPY,
+    "npz-archive": saved(np.savez, samples=np.zeros(4)),
+    "int64": saved(np.save, np.arange(4)),
+    "two-dimensional": saved(np.save, np.zeros((2, 2))),
+}
+
+
+@pytest.mark.parametrize("name", BAD_NPY)
+def test_bad_npy_is_value_error_naming_the_path(tmp_path, name):
+    path = tmp_path / f"{name}.npy"
+    path.write_bytes(BAD_NPY[name])
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_npy_signal(path, 2000.0)
+
+
+def test_unreadable_npy_path_is_value_error(tmp_path):
+    path = tmp_path / "dir.npy"
+    path.mkdir()   # open() raises IsADirectoryError, an OSError
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_npy_signal(path, 2000.0)
+
+
+def test_unpickling_error_is_value_error(tmp_path, monkeypatch):
+    # np.load documents UnpicklingError, but raises it only with
+    # allow_pickle=True, so no file provokes it here.
+    path = tmp_path / "s.npy"
+    path.write_bytes(GOOD_NPY)
+
+    def failing_load(*args, **kwargs):
+        raise pickle.UnpicklingError("boom")
+
+    monkeypatch.setattr(np, "load", failing_load)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_npy_signal(path, 2000.0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -204,7 +204,9 @@ class TestMakeSubject:
         assert back.glottal == subject.glottal
         assert back.neck == subject.neck
         assert np.allclose(back.tract.coefficients, subject.tract.coefficients)
-        assert np.array_equal(back.x.samples, subject.x.samples)
+        for got, want in ((back.x, subject.x), (back.e, subject.e), (back.d, subject.d)):
+            assert got.rate_hz == want.rate_hz
+            assert np.array_equal(got.samples, want.samples)
         assert np.allclose(back.s.samples, subject.s.samples, atol=1e-7)
 
     def test_small_cohort_invariants(self):
