@@ -9,21 +9,19 @@ alignment) and the evaluation machinery compares candidates against the
 radar displacement with log-spectral distance and paired t-tests.
 """
 
-from .signals import (FramePlan, SampledSignal, cross_correlate, dc_block,
-                      frame_signal, resample_decimate)
+from .signals import FramePlan, SampledSignal, frame_signal, resample_decimate
 from .synth import (GlottalConfig, NeckChannel, SyntheticSubject, VocalTractModel,
                     excitation_from_displacement, make_subject, neck_displacement,
                     random_vocal_tract, synth_vocal_fold_displacement,
                     synthesize_speech)
-from .lpc import LpcModel, autocorrelation, inverse_filter, levinson_durbin, lpc_analyze
+from .lpc import LpcModel, autocorrelation, levinson_durbin
 from .transform import (FrameRecord, NoVoicedFramesError, TransformConfig,
-                        TransformOutput, detect_voicing, estimate_delay,
-                        integrate_excitation, transform_speech)
+                        TransformOutput, integrate_excitation, transform_speech)
 from .radar import (BeatMatrix, ChirpConfig, NoCoherentTargetError, TargetScene,
                     extract_displacement, measure_displacement, range_fft,
                     simulate_beat_signal)
 from .metrics import (LsdSeries, PowerSpectrum, SilentFrameError, log_spectral_distance,
-                      loess_smooth, lsd_over_windows, normalized_power_spectrum)
+                      loess_smooth, lsd_over_windows)
 from .stats import (DescriptiveStats, PairedTTestResult, descriptive_stats,
                     paired_t_test, student_t_cdf, student_t_two_sided_p)
 

@@ -1,25 +1,30 @@
 """Command line front end: cohort synthesis, radar measurement, model
 transform, and cohort evaluation.
 
+Each stage builds its configuration once from the flags and runs one worker
+per subject, in process or on a pool of --jobs processes.
+
 Exit codes: 0 success, 1 usage error, 2 data/precondition error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import io as pio
 from .radar import ChirpConfig, NoCoherentTargetError, TargetScene, measure_displacement
-from .report import build_cohort_report, evaluate_signals, write_report_csv, \
-    write_report_json, write_window_csv
+from .report import (SubjectEvaluation, build_cohort_report, evaluate_signals,
+                     write_report_csv, write_report_json, write_window_csv)
 from .signals import SampledSignal, resample_decimate
-from .synth import (GlottalConfig, NeckChannel, SUBJECT_MANIFEST,
-                    make_subject, random_vocal_tract, save_subject)
+from .synth import (GlottalConfig, NeckChannel, SUBJECT_MANIFEST, make_subject,
+                    random_vocal_tract, save_subject)
 from .transform import NoVoicedFramesError, TransformConfig, transform_speech
 
 TAU_CHOICES_SAMPLES = (0, 1, 2, 4)
@@ -122,90 +127,89 @@ def _subject_dirs(cohort: Path) -> list[Path]:
     return dirs
 
 
-def _draw_cohort_params(args, index: int, seed: int) -> dict:
+def _from_flags(config, **values):
+    """config(**values) for values taken from flags: a value the config
+    rejects is a usage error."""
+    try:
+        return config(**values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _displacement_path(directory: Path) -> Path:
+    """The radar measurement once the radar stage has run, else the true
+    neck displacement."""
+    radar_path = directory / RADAR_FILE
+    return radar_path if radar_path.exists() else directory / "neck_true.csv"
+
+
+def _common_length(*signals: SampledSignal) -> list[SampledSignal]:
+    n = min(len(sig) for sig in signals)
+    return [SampledSignal(sig.samples[:n], sig.rate_hz, sig.label) for sig in signals]
+
+
+def _draw_cohort_params(args, index: int, seed: int) -> tuple:
+    """(f0 in Hz, open quotient, neck channel, tract seed, subject seed) of
+    cohort subject `index`."""
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(index + 1)[-1])
     lo, hi = args.f0_range
-    return {
-        "f0_hz": float(rng.uniform(lo, hi)),
-        "open_quotient": float(rng.uniform(0.5, 0.8)),
-        "k_d": float(rng.uniform(0.5, 1.2)),
-        "tau_samples": int(TAU_CHOICES_SAMPLES[int(rng.integers(len(TAU_CHOICES_SAMPLES)))]),
-        "tract_rng_seed": int(rng.integers(2**31 - 1)),
-        "subject_seed": int(rng.integers(2**31 - 1)),
-    }
+    f0_hz = float(rng.uniform(lo, hi))
+    open_quotient = float(rng.uniform(0.5, 0.8))
+    k_d = float(rng.uniform(0.5, 1.2))
+    tau_samples = int(TAU_CHOICES_SAMPLES[int(rng.integers(len(TAU_CHOICES_SAMPLES)))])
+    return (f0_hz, open_quotient, NeckChannel(k_d=k_d, tau_d_s=tau_samples / args.rate),
+            int(rng.integers(2**31 - 1)), int(rng.integers(2**31 - 1)))
 
 
-def _synth_one(task: dict) -> str:
-    """Worker: build and save one subject from a parameter dict."""
-    glottal = GlottalConfig(f0_hz=task["f0_hz"], open_quotient=task["open_quotient"],
-                            amplitude=task["amplitude"], flow_gain_k=1.0,
-                            jitter_pct=task["jitter_pct"])
-    neck = NeckChannel(k_d=task["k_d"], tau_d_s=task["tau_samples"] / task["rate_hz"])
-    tract_rng = np.random.default_rng(task["tract_rng_seed"])
-    tract = random_vocal_tract(tract_rng, task["rate_hz"])
-    subject = make_subject(glottal, neck, tract, task["duration_s"], task["rate_hz"],
-                           noise_snr_db=task["noise_snr_db"], seed=task["subject_seed"],
-                           lead_in_s=task["lead_in_s"])
-    save_subject(subject, task["directory"])
-    return task["directory"]
+def _synth_one(glottal: GlottalConfig, duration_s: float, rate_hz: float,
+               noise_snr_db: float | None, lead_in_s: float, task: tuple) -> None:
+    """Worker: build and save one subject. task is (directory, f0 in Hz, open
+    quotient, neck channel, tract seed, subject seed)."""
+    directory, f0_hz, open_quotient, neck, tract_seed, seed = task
+    subject = make_subject(replace(glottal, f0_hz=f0_hz, open_quotient=open_quotient), neck,
+                           random_vocal_tract(np.random.default_rng(tract_seed), rate_hz),
+                           duration_s, rate_hz, noise_snr_db=noise_snr_db, seed=seed,
+                           lead_in_s=lead_in_s)
+    save_subject(subject, directory)
 
 
 def cmd_synth(args) -> int:
-    if not (90.0 <= args.f0 <= 1000.0):
-        raise UsageError("--f0 must lie in the physiological range [90, 1000] Hz")
+    glottal = _from_flags(GlottalConfig, f0_hz=args.f0, open_quotient=args.open_quotient,
+                          amplitude=args.amplitude, jitter_pct=args.jitter)
     if args.cohort:
         lo, hi = args.f0_range
         if not (90.0 <= lo <= hi <= 1000.0):
             raise UsageError("--f0-range must lie within [90, 1000] Hz")
-    if not (0.0 < args.open_quotient < 1.0):
-        raise UsageError("--open-quotient must be in (0, 1)")
-    if args.duration <= 0:
+    if not args.duration > 0:
         raise UsageError("--duration must be positive")
+    if not args.rate > 0:
+        raise UsageError("--rate must be positive")
+    if not args.lead_in >= 0:
+        raise UsageError("--lead-in must be non-negative")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    common = {
-        "rate_hz": args.rate,
-        "duration_s": args.duration,
-        "amplitude": args.amplitude,
-        "jitter_pct": args.jitter,
-        "noise_snr_db": args.noise_snr,
-        "lead_in_s": args.lead_in,
-    }
     if args.cohort <= 0:
-        task = dict(common)
-        task.update({
-            "f0_hz": args.f0,
-            "open_quotient": args.open_quotient,
-            "k_d": args.k_d,
-            "tau_samples": int(round(args.tau_ms * 1e-3 * args.rate)),
-            "tract_rng_seed": args.seed,
-            "subject_seed": args.seed,
-            "directory": str(out),
-        })
-        _synth_one(task)
-        print(f"wrote subject to {out}")
-        return 0
-    tasks = []
-    for i in range(args.cohort):
-        drawn = _draw_cohort_params(args, i, args.seed)
-        task = dict(common)
-        task.update(drawn)
-        task["directory"] = str(out / f"subject_{i:03d}")
-        tasks.append(task)
-    _run_jobs(_synth_one, tasks, args.jobs)
-    print(f"wrote {len(tasks)} subjects to {out}")
+        tau_samples = int(round(args.tau_ms * 1e-3 * args.rate))
+        neck = _from_flags(NeckChannel, k_d=args.k_d, tau_d_s=tau_samples / args.rate)
+        tasks = [(out, args.f0, args.open_quotient, neck, args.seed, args.seed)]
+    else:
+        tasks = [(out / f"subject_{i:03d}", *_draw_cohort_params(args, i, args.seed))
+                 for i in range(args.cohort)]
+    out.mkdir(parents=True, exist_ok=True)
+    _run_jobs(functools.partial(_synth_one, glottal, args.duration, args.rate,
+                                args.noise_snr, args.lead_in), tasks, args.jobs)
+    print(f"wrote subject to {out}" if args.cohort <= 0
+          else f"wrote {len(tasks)} subjects to {out}")
     return 0
 
 
-def _radar_one(task: dict) -> str:
-    directory = Path(task["directory"])
+def _radar_one(chirp: ChirpConfig, scene: TargetScene, task: tuple) -> str:
+    """Worker: measure one subject's neck displacement at the subject's rate
+    as PRF. task is (directory, noise seed)."""
+    directory, seed = task
     d_true = pio.read_csv_signal(directory / "neck_true.csv", "neck_displacement")
-    cfg = ChirpConfig(start_freq_hz=task["start_freq"], bandwidth_hz=task["bandwidth"],
-                      chirp_duration_s=task["chirp_duration"], prf_hz=d_true.rate_hz,
-                      adc_samples_per_chirp=task["adc_samples"])
-    scene = TargetScene(displacement=d_true, nominal_range_m=task["range_m"],
-                        noise_snr_db=task["snr"])
-    rng = np.random.default_rng(task["seed"]) if task["snr"] is not None else None
+    cfg = replace(chirp, prf_hz=d_true.rate_hz)
+    scene = replace(scene, displacement=d_true)
+    rng = np.random.default_rng(seed) if scene.noise_snr_db is not None else None
     measured = measure_displacement(scene, cfg, rng)
     pio.write_csv_signal(directory / RADAR_FILE, measured)
     truth = d_true.samples - d_true.samples.mean()
@@ -213,16 +217,10 @@ def _radar_one(task: dict) -> str:
     corr = float(truth @ measured.samples / denom) if denom > 0 else 0.0
     meta = {
         "selected_bin": measured.bin_index,
-        "range_m": task["range_m"],
-        "snr_db": task["snr"],
+        "range_m": scene.nominal_range_m,
+        "snr_db": scene.noise_snr_db,
         "correlation_vs_truth": corr,
-        "chirp": {
-            "start_freq_hz": cfg.start_freq_hz,
-            "bandwidth_hz": cfg.bandwidth_hz,
-            "chirp_duration_s": cfg.chirp_duration_s,
-            "prf_hz": cfg.prf_hz,
-            "adc_samples_per_chirp": cfg.adc_samples_per_chirp,
-        },
+        "chirp": asdict(cfg),
     }
     with open(directory / RADAR_META, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -233,150 +231,97 @@ def _radar_one(task: dict) -> str:
 def cmd_radar(args) -> int:
     if bool(args.subject) == bool(args.cohort):
         raise UsageError("provide exactly one of --subject or --cohort")
+    if args.adc_samples < 2:
+        raise UsageError("--adc-samples must be at least 2: the range FFT keeps "
+                         "the positive half of the bins")
+    # The PRF is each subject's rate; the scene's displacement is the
+    # subject's neck_true.csv. Both are filled in by the worker.
+    chirp = _from_flags(ChirpConfig, start_freq_hz=args.start_freq,
+                        bandwidth_hz=args.bandwidth, chirp_duration_s=args.chirp_duration,
+                        adc_samples_per_chirp=args.adc_samples)
+    scene = _from_flags(TargetScene, displacement=None, nominal_range_m=args.range_m,
+                        noise_snr_db=args.snr)
     dirs = [Path(args.subject)] if args.subject else _subject_dirs(Path(args.cohort))
-    tasks = []
-    for i, d in enumerate(dirs):
+    for d in dirs:
         if not (d / SUBJECT_MANIFEST).exists():
             raise FileNotFoundError(f"missing {d / SUBJECT_MANIFEST}")
-        tasks.append({
-            "directory": str(d),
-            "start_freq": args.start_freq,
-            "bandwidth": args.bandwidth,
-            "chirp_duration": args.chirp_duration,
-            "adc_samples": args.adc_samples,
-            "range_m": args.range_m,
-            "snr": args.snr,
-            "seed": args.seed + i,
-        })
-    for line in _run_jobs(_radar_one, tasks, args.jobs):
+    tasks = [(d, args.seed + i) for i, d in enumerate(dirs)]
+    for line in _run_jobs(functools.partial(_radar_one, chirp, scene), tasks, args.jobs):
         print(line)
     return 0
 
 
-def _transform_meta(out) -> dict:
-    return {
-        "global_tau_samples": out.global_tau_samples,
-        "n_frames": len(out.per_frame),
-        "n_voiced": int(sum(r.voiced for r in out.per_frame)),
-        "config": {
-            "lpc_order": out.config.lpc_order,
-            "pre_emphasis": out.config.pre_emphasis,
-            "voicing_threshold": out.config.voicing_threshold,
-            "max_lag_ms": out.config.max_lag_ms,
-            "tau_mode": out.config.tau_mode,
-            "integration": out.config.integration,
-        },
-        "per_frame": [
-            {
-                "index": r.index,
-                "voiced": r.voiced,
-                "f0_hz": r.f0_hz,
-                "tau_d_samples": r.tau_d_samples,
-                "correlation_peak": r.correlation_peak,
-                "lpc_gain": r.lpc_gain,
-            }
-            for r in out.per_frame
-        ],
-    }
-
-
-def _write_transform(directory: Path, out) -> None:
-    pio.write_csv_signal(directory / TRANSFORM_FILES["e_hat"], out.e_hat)
-    pio.write_csv_signal(directory / TRANSFORM_FILES["x_hat"], out.x_hat)
-    pio.write_csv_signal(directory / TRANSFORM_FILES["d_hat"], out.d_hat)
-    # One compact dumps call: json.dump, and any indent, run the pure-Python
-    # encoder, several times slower on the per-frame records.
-    with open(directory / TRANSFORM_META, "w") as fh:
-        fh.write(json.dumps(_transform_meta(out), sort_keys=True) + "\n")
-
-
-def _load_speech_displacement(args, directory: Path | None):
-    if directory is not None:
-        speech = pio.read_wav(directory / "speech.wav", "speech")
-        radar_path = directory / RADAR_FILE
-        disp_path = radar_path if radar_path.exists() else directory / "neck_true.csv"
-        displacement = pio.read_csv_signal(disp_path, "neck_displacement")
-    else:
-        speech = pio.read_wav(args.speech, "speech")
-        displacement = pio.read_csv_signal(args.displacement, "neck_displacement")
+def _transform_one(cfg: TransformConfig, resample: bool, task: tuple) -> str:
+    """Worker: transform one speech/displacement pair and write the three
+    estimates and transform.json. task is (speech WAV, displacement CSV,
+    output directory)."""
+    speech_path, displacement_path, out_dir = map(Path, task)
+    speech = pio.read_wav(speech_path, "speech")
+    displacement = pio.read_csv_signal(displacement_path, "neck_displacement")
     if abs(speech.rate_hz - displacement.rate_hz) > 1e-9:
-        if not args.resample:
+        if not resample:
             raise ValueError(
                 f"rate mismatch ({speech.rate_hz} vs {displacement.rate_hz} Hz); "
                 "pass --resample to decimate the speech"
             )
         speech = resample_decimate(speech, displacement.rate_hz)
-    n = min(len(speech), len(displacement))
-    speech = SampledSignal(speech.samples[:n], speech.rate_hz, speech.label)
-    displacement = SampledSignal(displacement.samples[:n], displacement.rate_hz,
-                                 displacement.label)
-    return speech, displacement
-
-
-def _transform_config(args) -> TransformConfig:
-    return TransformConfig(lpc_order=args.lpc_order, pre_emphasis=args.pre_emphasis,
-                           voicing_threshold=args.voicing_threshold,
-                           max_lag_ms=args.max_lag_ms, tau_mode=args.tau_mode,
-                           integration=args.integration)
-
-
-def _transform_one(task: dict) -> str:
-    args = argparse.Namespace(**task["args"])
-    directory = Path(task["directory"])
-    speech, displacement = _load_speech_displacement(args, directory)
-    out = transform_speech(speech, displacement, _transform_config(args))
-    _write_transform(directory, out)
+    out = transform_speech(*_common_length(speech, displacement), cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for key, name in TRANSFORM_FILES.items():
+        pio.write_csv_signal(out_dir / name, getattr(out, key))
     voiced = sum(r.voiced for r in out.per_frame)
-    return f"{directory}: {voiced}/{len(out.per_frame)} voiced frames, tau={out.global_tau_samples}"
+    meta = {
+        "global_tau_samples": out.global_tau_samples,
+        "n_frames": len(out.per_frame),
+        "n_voiced": voiced,
+        "config": asdict(out.config),
+        "per_frame": [asdict(r) for r in out.per_frame],
+    }
+    # One compact dumps call: json.dump, and any indent, run the pure-Python
+    # encoder, several times slower on the per-frame records.
+    with open(out_dir / TRANSFORM_META, "w") as fh:
+        fh.write(json.dumps(meta, sort_keys=True) + "\n")
+    return f"{out_dir}: {voiced}/{len(out.per_frame)} voiced frames, tau={out.global_tau_samples}"
 
 
 def cmd_transform(args) -> int:
     modes = sum(bool(v) for v in (args.subject, args.cohort, args.speech))
     if modes != 1:
         raise UsageError("provide exactly one of --subject, --cohort, or --speech/--displacement")
-    arg_dict = {
-        "lpc_order": args.lpc_order, "pre_emphasis": args.pre_emphasis,
-        "voicing_threshold": args.voicing_threshold, "max_lag_ms": args.max_lag_ms,
-        "tau_mode": args.tau_mode, "integration": args.integration,
-        "resample": args.resample, "speech": args.speech,
-        "displacement": args.displacement,
-    }
+    # Every TransformConfig field but known_tract is a flag of the same name.
+    cfg = _from_flags(TransformConfig, **{f.name: getattr(args, f.name)
+                                          for f in fields(TransformConfig)
+                                          if f.name != "known_tract"})
     if args.speech:
         if not args.displacement or not args.out:
             raise UsageError("explicit mode needs --speech, --displacement, and --out")
-        speech, displacement = _load_speech_displacement(args, None)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        out = transform_speech(speech, displacement, _transform_config(args))
-        _write_transform(out_dir, out)
-        print(f"{out_dir}: {sum(r.voiced for r in out.per_frame)}/"
-              f"{len(out.per_frame)} voiced frames, tau={out.global_tau_samples}")
-        return 0
-    dirs = [Path(args.subject)] if args.subject else _subject_dirs(Path(args.cohort))
-    tasks = [{"directory": str(d), "args": arg_dict} for d in dirs]
-    for line in _run_jobs(_transform_one, tasks, args.jobs):
+        tasks = [(args.speech, args.displacement, args.out)]
+    else:
+        dirs = [Path(args.subject)] if args.subject else _subject_dirs(Path(args.cohort))
+        tasks = [(d / "speech.wav", _displacement_path(d), d) for d in dirs]
+    for line in _run_jobs(functools.partial(_transform_one, cfg, args.resample), tasks,
+                          args.jobs):
         print(line)
     return 0
 
 
-def _evaluate_one(task: dict) -> dict:
-    directory = Path(task["directory"])
+def _evaluate_one(voicing_threshold: float, directory: Path) -> SubjectEvaluation:
+    """Worker: the LSD evaluation of one transformed subject."""
     s = pio.read_wav(directory / "speech.wav", "speech")
-    radar_path = directory / RADAR_FILE
-    d_path = radar_path if radar_path.exists() else directory / "neck_true.csv"
+    d_path = _displacement_path(directory)
     d = pio.read_csv_signal(d_path, "neck_displacement")
-    if d_path.name == "neck_true.csv":
+    if d_path.name != RADAR_FILE:
         d = d.with_samples(d.samples - d.samples.mean())
     e_hat = pio.read_csv_signal(directory / TRANSFORM_FILES["e_hat"], "excitation_estimate")
     d_hat = pio.read_csv_signal(directory / TRANSFORM_FILES["d_hat"], "displacement_estimate")
-    n = min(len(s), len(d), len(e_hat), len(d_hat))
-    clip = lambda sig: SampledSignal(sig.samples[:n], sig.rate_hz, sig.label)
-    ev = evaluate_signals(directory.name, clip(s), clip(e_hat), clip(d_hat), clip(d),
-                          voicing_threshold=task["voicing_threshold"])
-    return {"evaluation": ev, "directory": str(directory)}
+    s, e_hat, d_hat, d = _common_length(s, e_hat, d_hat, d)
+    return evaluate_signals(directory.name, s, e_hat, d_hat, d,
+                            voicing_threshold=voicing_threshold)
 
 
 def cmd_evaluate(args) -> int:
+    if not 0.0 < args.loess_span <= 1.0:
+        raise UsageError("--loess-span must be in (0, 1]")
     cohort = Path(args.cohort)
     if not cohort.is_dir():
         raise FileNotFoundError(f"cohort directory {cohort} does not exist")
@@ -384,7 +329,7 @@ def cmd_evaluate(args) -> int:
     out_dir = Path(args.out) if args.out else cohort / "report"
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "windows").mkdir(exist_ok=True)
-    tasks = []
+    complete = []
     skipped = []
     for d in dirs:
         required = ["speech.wav", TRANSFORM_FILES["e_hat"], TRANSFORM_FILES["d_hat"]]
@@ -394,14 +339,12 @@ def cmd_evaluate(args) -> int:
             print(f"warning: skipping {d.name} (missing {', '.join(missing)})",
                   file=sys.stderr)
             continue
-        tasks.append({"directory": str(d), "voicing_threshold": args.voicing_threshold})
-    if not tasks:
+        complete.append(d)
+    if not complete:
         raise ValueError("no complete subjects to evaluate")
-    results = _run_jobs(_evaluate_one, tasks, args.jobs)
-    evaluations = []
-    for res in sorted(results, key=lambda r: r["directory"]):
-        ev = res["evaluation"]
-        evaluations.append(ev)
+    evaluations = _run_jobs(functools.partial(_evaluate_one, args.voicing_threshold),
+                            complete, args.jobs)
+    for ev in evaluations:
         write_window_csv(out_dir / "windows" / f"{ev.subject_id}.csv", ev.series,
                          span=args.loess_span)
     report = build_cohort_report(evaluations, skipped)

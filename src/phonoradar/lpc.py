@@ -1,5 +1,6 @@
-"""Frame-based linear prediction: autocorrelation method, Levinson-Durbin
-recursion, and FIR inverse filtering of the all-pole vocal tract model."""
+"""Frame-based linear prediction of the all-pole vocal tract model:
+autocorrelation method, Levinson-Durbin recursion and pole-radius clamp,
+batched over a stack of frames."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .signals import hann_window, iir_filter, lagged_products
+from .signals import hann_window, lagged_products
 
 __all__ = [
     "LpcModel",
@@ -18,12 +19,8 @@ __all__ = [
     "levinson_durbin",
     "lag_window",
     "clamp_pole_stack",
-    "clamp_pole_radius",
     "LpcFrames",
     "lpc_analyze_frames",
-    "lpc_analyze",
-    "inverse_filter",
-    "synthesis_impulse_response",
 ]
 
 SILENT_FLOOR = 1e-12  # r0 below SILENT_FLOOR * frame length flags silence
@@ -38,7 +35,6 @@ class LpcModel:
     """All-pole model of one frame: prediction-error filter A(z) = 1 + sum a_i z^-i.
 
     The residual is e[n] = x[n] + sum a_i x[n-i]; synthesis runs gain/A(z).
-    gain is the per-sample residual RMS when the model comes from lpc_analyze.
     """
 
     order: int
@@ -55,20 +51,6 @@ class LpcModel:
         object.__setattr__(self, "reflection", k)
         if len(a) != self.order:
             raise ValueError("coefficient count must equal order")
-
-    def error_filter(self) -> np.ndarray:
-        """FIR taps [1, a_1, ..., a_p]."""
-        return np.concatenate(([1.0], self.coefficients))
-
-    def pole_radii(self) -> np.ndarray:
-        if self.order == 0:
-            return np.array([])
-        return np.abs(np.roots(self.error_filter()))
-
-    def is_stable(self, margin: float = 0.0) -> bool:
-        if self.order == 0:
-            return True
-        return bool(np.all(self.pole_radii() < 1.0 - margin))
 
 
 def autocorrelation(frame: np.ndarray, max_lag: int) -> np.ndarray:
@@ -165,14 +147,6 @@ def clamp_pole_stack(error_filters: np.ndarray,
     return filters, fired
 
 
-def clamp_pole_radius(error_filter: np.ndarray, max_radius: float) -> np.ndarray:
-    """One-filter view of clamp_pole_stack; returns the input itself when no
-    pole lies over the radius."""
-    error_filter = np.asarray(error_filter, dtype=np.float64)
-    clamped, fired = clamp_pole_stack(error_filter[None, :], max_radius)
-    return clamped[0] if fired.any() else error_filter
-
-
 class LpcFrames(NamedTuple):
     """All-pole models of a stack of frames: error filters [1, a_1..a_p] per
     row, per-sample residual RMS gain, reflection coefficients, and the
@@ -226,36 +200,3 @@ def lpc_analyze_frames(frames: np.ndarray, order: int, pre_emphasis: float = 0.0
     out.gains[~silent] = np.sqrt(err)
     out.reflection[~silent] = k
     return out
-
-
-def lpc_analyze(frame: np.ndarray, order: int, pre_emphasis: float = 0.0, *,
-                rate_hz: float | None = None, lag_window_hz: float = 0.0,
-                noise_floor: float = 0.0, max_pole_radius: float | None = None,
-                history: float = 0.0) -> LpcModel | None:
-    """One-frame view of lpc_analyze_frames; returns None for a silent frame."""
-    fit = lpc_analyze_frames(np.asarray(frame, dtype=np.float64)[None, :], order,
-                             pre_emphasis, rate_hz=rate_hz, lag_window_hz=lag_window_hz,
-                             noise_floor=noise_floor, max_pole_radius=max_pole_radius,
-                             history=history)
-    if fit.silent[0]:
-        return None
-    return LpcModel(order=order, coefficients=fit.error_filters[0, 1:],
-                    gain=float(fit.gains[0]), reflection=fit.reflection[0])
-
-
-def inverse_filter(frame: np.ndarray, model: LpcModel | np.ndarray) -> np.ndarray:
-    """Apply the FIR prediction-error filter: e[n] = x[n] + sum a_i x[n-i].
-
-    The first `order` output samples are warm-up (zero initial state); callers
-    with access to preceding signal should filter an extended slice instead.
-    """
-    taps = model.error_filter() if isinstance(model, LpcModel) else np.asarray(model)
-    frame = np.asarray(frame, dtype=np.float64)
-    return np.convolve(taps, frame)[:len(frame)]
-
-
-def synthesis_impulse_response(model: LpcModel, n: int) -> np.ndarray:
-    """First n samples of the all-pole synthesis filter gain/A(z)."""
-    impulse = np.zeros(n)
-    impulse[0] = 1.0
-    return iir_filter([model.gain], model.error_filter(), impulse)

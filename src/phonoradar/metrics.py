@@ -11,20 +11,20 @@ from .signals import FramePlan, SampledSignal, constant_rows, frame_signal, hann
 
 __all__ = [
     "SPECTRAL_FLOOR",
+    "LOESS_MIN_POINTS",
     "SilentFrameError",
     "PowerSpectrum",
     "normalized_power_spectra",
-    "normalized_power_spectrum",
     "log_spectral_distances",
     "log_spectral_distance",
     "LsdSeries",
     "lsd_over_windows",
     "loess_smooth",
-    "spectral_flatness",
 ]
 
 SPECTRAL_FLOOR = 1e-8   # fraction of total power, applied before the log ratio
 SILENCE_RMS = 1e-12
+LOESS_MIN_POINTS = 5
 
 
 class SilentFrameError(ValueError):
@@ -93,16 +93,6 @@ def normalized_power_spectra(frames: np.ndarray,
     return bins, silent, rate_hz / nfft
 
 
-def normalized_power_spectrum(frame: np.ndarray, rate_hz: float) -> PowerSpectrum:
-    """One-frame view of normalized_power_spectra; raises SilentFrameError
-    for a silent frame."""
-    bins, silent, bin_hz = normalized_power_spectra(
-        np.asarray(frame, dtype=np.float64)[None, :], rate_hz)
-    if silent[0]:
-        raise SilentFrameError("silent frame")
-    return PowerSpectrum(bins=bins[0], bin_hz=bin_hz)
-
-
 def log_spectral_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """RMS difference in dB between matching rows of two stacks of
     normalized power spectra."""
@@ -146,16 +136,15 @@ def lsd_over_windows(a: SampledSignal, b: SampledSignal, plan: FramePlan,
                      voiced_mask=None) -> LsdSeries:
     """Log-spectral distance per voiced window between two aligned signals.
 
-    Frames are extracted rectangularly; the spectral estimator applies its own
-    hann taper. Windows flagged unvoiced (or silent in either signal) are
+    Frames are sliced untapered; the spectral estimator applies its own hann
+    taper. Windows flagged unvoiced (or silent in either signal) are
     omitted.
     """
     a.require_same_rate(b)
     if len(a) != len(b):
         raise ValueError("signals must have equal length")
-    rect = FramePlan(plan.window_len, plan.hop, "rectangular")
-    fa = frame_signal(a, rect)
-    fb = frame_signal(b, rect)
+    fa = frame_signal(a, plan)
+    fb = frame_signal(b, plan)
     n = len(fa)
     if voiced_mask is None:
         voiced_mask = np.ones(n, dtype=bool)
@@ -192,8 +181,8 @@ def loess_smooth(series: LsdSeries, span: float = 0.3) -> LsdSeries:
     x = series.times_s.astype(np.float64)
     y = series.values.astype(np.float64)
     n = len(x)
-    if n < 5:
-        raise ValueError("need at least 5 points to smooth")
+    if n < LOESS_MIN_POINTS:
+        raise ValueError(f"need at least {LOESS_MIN_POINTS} points to smooth")
     if np.any(np.diff(x) < 0):
         raise ValueError("times must be sorted")
     k = max(2, int(np.ceil(span * n)))
@@ -221,9 +210,3 @@ def loess_smooth(series: LsdSeries, span: float = 0.3) -> LsdSeries:
     return LsdSeries(values=out, times_s=series.times_s,
                      window_indices=series.window_indices,
                      n_windows=series.n_windows)
-
-
-def spectral_flatness(spectrum: PowerSpectrum) -> float:
-    """Geometric over arithmetic mean of the bins; 1 for a flat spectrum."""
-    b = spectrum.bins
-    return float(np.exp(np.mean(np.log(b))) / np.mean(b))

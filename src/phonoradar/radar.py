@@ -42,9 +42,13 @@ class ChirpConfig:
     adc_rate_hz: float | None = None
 
     def __post_init__(self):
-        if self.adc_rate_hz is None:
+        if self.adc_rate_hz is None and self.chirp_duration_s > 0:
             object.__setattr__(self, "adc_rate_hz",
                                self.adc_samples_per_chirp / self.chirp_duration_s)
+        for name in ("start_freq_hz", "bandwidth_hz", "chirp_duration_s", "prf_hz",
+                     "adc_samples_per_chirp", "adc_rate_hz"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if self.adc_samples_per_chirp / self.adc_rate_hz > self.chirp_duration_s * (1 + 1e-9):
             raise ValueError("ADC capture must fit within one chirp")
         if self.prf_hz > 1.0 / self.chirp_duration_s * (1 + 1e-9):
@@ -82,6 +86,10 @@ class TargetScene:
     nominal_range_m: float = 0.25
     reflectivity: float = 1.0
     noise_snr_db: float | None = None
+
+    def __post_init__(self):
+        if not self.nominal_range_m > 0:
+            raise ValueError("nominal_range_m must be positive")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import LsdSeries, loess_smooth, lsd_over_windows
+from .metrics import LOESS_MIN_POINTS, loess_smooth, lsd_over_windows
 from .signals import FramePlan, SampledSignal
 from .stats import DescriptiveStats, PairedTTestResult, descriptive_stats, paired_t_test
 from .transform import voicing_mask
@@ -41,16 +41,11 @@ class SubjectEvaluation:
 
 def evaluate_signals(subject_id: str, s: SampledSignal, e_hat: SampledSignal,
                      d_hat: SampledSignal, d: SampledSignal,
-                     plan: FramePlan | None = None,
-                     voiced_mask: np.ndarray | None = None,
                      voicing_threshold: float = 0.5) -> SubjectEvaluation:
     """Mean LSD of each candidate signal against the radar displacement over
-    voiced windows. The voiced mask comes from the speech signal unless one
-    is supplied (e.g. from transform diagnostics)."""
-    if plan is None:
-        plan = FramePlan.for_rate(s.rate_hz)
-    if voiced_mask is None:
-        voiced_mask = voicing_mask(s, plan, voicing_threshold)
+    the windows the speech signal voices, on the transform's frame grid."""
+    plan = FramePlan.for_rate(s.rate_hz)
+    voiced_mask = voicing_mask(s, plan, voicing_threshold)
     series = {
         "raw_speech": lsd_over_windows(s, d, plan, voiced_mask),
         "estimated_excitation": lsd_over_windows(e_hat, d, plan, voiced_mask),
@@ -157,12 +152,9 @@ def write_report_csv(path: str | Path, report: CohortReport) -> None:
 
 def write_window_csv(path: str | Path, series: dict, span: float = 0.3) -> None:
     """Per-window LSD curves (raw plus loess-smoothed) for plotting."""
-    smoothed: dict[str, LsdSeries] = {}
-    for name, ser in series.items():
-        try:
-            smoothed[name] = loess_smooth(ser, span)
-        except ValueError:
-            smoothed[name] = ser
+    # A series too short to smooth is written unsmoothed.
+    smoothed = {name: loess_smooth(ser, span) if len(ser) >= LOESS_MIN_POINTS else ser
+                for name, ser in series.items()}
     # Each comparison's cells, keyed by window index: its raw and smoothed LSD,
     # or two empty cells where it has no such window.
     cells = {name: dict(zip(ser.window_indices.tolist(),

@@ -16,10 +16,6 @@ __all__ = [
     "constant_rows",
     "hann_window",
     "lagged_products",
-    "cross_correlate",
-    "correlation_series",
-    "parabolic_peak_offset",
-    "dc_block",
     "iir_filter",
     "design_lowpass",
     "resample_decimate",
@@ -55,13 +51,6 @@ class SampledSignal:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.rate_hz
-
-    def times(self) -> np.ndarray:
-        return np.arange(len(self.samples)) / self.rate_hz
-
     def with_samples(self, samples: np.ndarray, label: str | None = None) -> "SampledSignal":
         return SampledSignal(samples, self.rate_hz, self.label if label is None else label)
 
@@ -74,37 +63,26 @@ class SampledSignal:
 
 @dataclass(frozen=True)
 class FramePlan:
-    """Short-time analysis grid: window length N, hop, and taper."""
+    """Short-time analysis grid: window length N and hop."""
 
     window_len: int
     hop: int
-    taper: str = "rectangular"
 
     def __post_init__(self):
         if self.window_len <= 0:
             raise ValueError("window_len must be positive")
         if not (0 < self.hop <= self.window_len):
             raise ValueError("hop must satisfy 0 < hop <= window_len")
-        if self.taper not in ("rectangular", "hann"):
-            raise ValueError(f"unknown taper {self.taper!r}")
 
     @classmethod
     def for_rate(cls, rate_hz: float, window_s: float = 0.025,
-                 hop_s: float = 0.0125, taper: str = "rectangular") -> "FramePlan":
-        return cls(int(round(window_s * rate_hz)), int(round(hop_s * rate_hz)), taper)
+                 hop_s: float = 0.0125) -> "FramePlan":
+        return cls(int(round(window_s * rate_hz)), int(round(hop_s * rate_hz)))
 
     def n_frames(self, signal_len: int) -> int:
         if signal_len < self.window_len:
             return 0
         return (signal_len - self.window_len) // self.hop + 1
-
-    def window(self) -> np.ndarray:
-        if self.taper == "hann":
-            return hann_window(self.window_len)
-        return np.ones(self.window_len)
-
-    def frame_start(self, index: int) -> int:
-        return index * self.hop
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -113,7 +91,7 @@ def hann_window(n: int) -> np.ndarray:
 
 
 def frame_signal(sig: SampledSignal, plan: FramePlan) -> np.ndarray:
-    """Slice a signal into overlapping frames (rows), taper applied.
+    """Slice a signal into overlapping frames (rows).
 
     Frame i covers samples [i*hop, i*hop + window_len).
     """
@@ -122,10 +100,7 @@ def frame_signal(sig: SampledSignal, plan: FramePlan) -> np.ndarray:
         raise ValueError(
             f"signal of {len(x)} samples is shorter than one window ({plan.window_len})"
         )
-    frames = frame_view(x, plan.window_len, plan.hop)
-    if plan.taper == "hann":
-        frames = frames * hann_window(plan.window_len)[None, :]
-    return frames
+    return frame_view(x, plan.window_len, plan.hop)
 
 
 def frame_view(x: np.ndarray, window_len: int, hop: int) -> np.ndarray:
@@ -162,66 +137,6 @@ def lagged_products(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:
     for k in range(max_lag + 1):
         out[..., k] = np.einsum("...j,...j->...", a[..., :n - k], b[..., k:])
     return out
-
-
-def correlation_series(a: np.ndarray, b: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    """Raw correlation sum(a[n] * b[n+k]) for each lag k, zero-padded ends."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    out = np.empty(len(lags))
-    la, lb = len(a), len(b)
-    for i, k in enumerate(lags):
-        k = int(k)
-        if k >= 0:
-            m = min(la, lb - k)
-            out[i] = float(a[:m] @ b[k:k + m]) if m > 0 else 0.0
-        else:
-            m = min(la + k, lb)
-            out[i] = float(a[-k:-k + m] @ b[:m]) if m > 0 else 0.0
-    return out
-
-
-def cross_correlate(a: SampledSignal, b: SampledSignal,
-                    max_lag: int) -> tuple[int, float]:
-    """Lag of b relative to a maximizing normalized cross-correlation.
-
-    Positive lag means b is a delayed copy of a. Normalization uses the full
-    signal energies, so the peak is exactly 1 only for b == a. Ties are broken
-    toward the smallest |lag|.
-    """
-    a.require_same_rate(b)
-    if max_lag >= min(len(a), len(b)):
-        raise ValueError("max_lag must be smaller than both signal lengths")
-    ea = float(a.samples @ a.samples)
-    eb = float(b.samples @ b.samples)
-    if ea == 0.0 or eb == 0.0:
-        raise ValueError("cross-correlation undefined for all-zero input")
-    lags = np.arange(-max_lag, max_lag + 1)
-    r = correlation_series(a.samples, b.samples, lags) / np.sqrt(ea * eb)
-    best = r.max()
-    ties = np.flatnonzero(r == best)
-    pick = ties[np.lexsort((lags[ties], np.abs(lags[ties])))[0]]
-    return int(lags[pick]), float(np.clip(r[pick], -1.0, 1.0))
-
-
-def parabolic_peak_offset(y_prev: float, y_peak: float, y_next: float) -> float:
-    """Sub-sample offset of a parabola through three points; in (-0.5, 0.5).
-
-    Optional refinement on top of an integer correlation peak; returns 0 when
-    the points are not locally concave.
-    """
-    denom = y_prev - 2.0 * y_peak + y_next
-    if denom >= 0:
-        return 0.0
-    off = 0.5 * (y_prev - y_next) / denom
-    return float(np.clip(off, -0.5, 0.5))
-
-
-def dc_block(sig: SampledSignal, pole: float) -> SampledSignal:
-    """First-order high pass y[n] = x[n] - x[n-1] + pole*y[n-1]."""
-    if not (0.0 < pole < 1.0):
-        raise ValueError("pole must be in (0, 1)")
-    return sig.with_samples(iir_filter([1.0, -1.0], [1.0, -pole], sig.samples))
 
 
 def iir_filter(b, a, x: np.ndarray) -> np.ndarray:

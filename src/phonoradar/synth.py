@@ -33,6 +33,8 @@ SUBJECT_MANIFEST = "subject.json"
 
 F0_MIN_HZ = 90.0
 F0_MAX_HZ = 1000.0
+OVERSAMPLE = 8       # fold displacement is generated at this multiple of the rate
+FADE_OUT_S = 0.02
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,8 @@ class GlottalConfig:
             raise ValueError("amplitude must be non-negative")
         if not (self.flow_gain_k > 0):
             raise ValueError("flow_gain_k must be positive")
-        if self.jitter_pct < 0:
-            raise ValueError("jitter_pct must be non-negative")
+        if not (0.0 <= self.jitter_pct < 100.0):
+            raise ValueError("jitter_pct must be in [0, 100): a period cannot shrink to zero")
 
 
 @dataclass(frozen=True)
@@ -150,6 +152,8 @@ def synth_vocal_fold_displacement(cfg: GlottalConfig, duration_s: float,
     """
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
+    if lead_in_s < 0:
+        raise ValueError("lead_in_s must be non-negative")
     if rate_hz < 4.0 * cfg.f0_hz:
         raise ValueError(
             f"rate {rate_hz} Hz too low for f0 {cfg.f0_hz} Hz (need >= 4*f0)"
@@ -254,27 +258,21 @@ def _fade_out(samples: np.ndarray, n_fade: int) -> np.ndarray:
 def make_subject(glottal: GlottalConfig, neck: NeckChannel, tract: VocalTractModel,
                  duration_s: float, rate_hz: float,
                  noise_snr_db: float | None = None,
-                 seed: int | None = None, oversample: int = 8,
-                 lead_in_s: float = 0.0, fade_out_s: float = 0.02) -> SyntheticSubject:
+                 seed: int | None = None, lead_in_s: float = 0.0) -> SyntheticSubject:
     """Build an internally consistent subject.
 
-    The fold displacement is generated at oversample * rate_hz and decimated
+    The fold displacement is generated at OVERSAMPLE * rate_hz and decimated
     through the anti-alias chain so x is band-limited below the working
-    Nyquist; e, s, d then follow from the model equations at rate_hz. A short
-    fade ends the phonation so the spectral derivative sees no wrap-around
-    step.
+    Nyquist; e, s, d then follow from the model equations at rate_hz. A
+    FADE_OUT_S fade ends the phonation so the spectral derivative sees no
+    wrap-around step.
     """
     rng = np.random.default_rng(seed)
-    if oversample > 1:
-        hi = synth_vocal_fold_displacement(glottal, duration_s, rate_hz * oversample,
-                                           rng, lead_in_s)
-        hi = hi.with_samples(_fade_out(np.array(hi.samples),
-                                       int(fade_out_s * hi.rate_hz)))
-        x = resample_decimate(hi, rate_hz)
-        x = SampledSignal(x.samples, rate_hz, "vocal_fold_displacement")
-    else:
-        x = synth_vocal_fold_displacement(glottal, duration_s, rate_hz, rng, lead_in_s)
-        x = x.with_samples(_fade_out(np.array(x.samples), int(fade_out_s * rate_hz)))
+    hi = synth_vocal_fold_displacement(glottal, duration_s, rate_hz * OVERSAMPLE,
+                                       rng, lead_in_s)
+    hi = hi.with_samples(_fade_out(np.array(hi.samples), int(FADE_OUT_S * hi.rate_hz)))
+    x = resample_decimate(hi, rate_hz)
+    x = SampledSignal(x.samples, rate_hz, "vocal_fold_displacement")
     e = excitation_from_displacement(x, glottal.flow_gain_k)
     s = synthesize_speech(e, tract, noise_snr_db, rng)
     d = neck_displacement(x, neck)

@@ -20,10 +20,8 @@ __all__ = [
     "TransformOutput",
     "NoVoicedFramesError",
     "frame_voicing",
-    "detect_voicing",
     "voicing_mask",
     "frame_delays",
-    "estimate_delay",
     "integrate_excitation",
     "transform_speech",
 ]
@@ -32,6 +30,14 @@ VOICING_F0_LOW_HZ = 90.0
 VOICING_F0_HIGH_HZ = 1000.0
 SUBHARMONIC_RATIO = 0.85
 RELATIVE_ENERGY_FLOOR = 1e-2   # frames 40 dB below the whole-signal RMS are silence
+ENERGY_FLOOR_RMS = 1e-8        # absolute fallback of the energy floor
+INTEGRATOR_POLE = 0.998        # leak of the 'leaky' integration
+# LPC regularizers: the lag window, noise floor and pole-radius cap keep the
+# per-frame whitener from locking onto individual pitch harmonics at high
+# fundamental frequencies.
+LAG_WINDOW_HZ = 20.0
+NOISE_FLOOR = 1e-3
+MAX_POLE_RADIUS = 0.90
 
 
 class NoVoicedFramesError(RuntimeError):
@@ -44,40 +50,32 @@ class NoVoicedFramesError(RuntimeError):
 
 @dataclass(frozen=True)
 class TransformConfig:
-    """Knobs for the model transform.
+    """Knobs for the model transform, one per transform flag, plus a known
+    tract that bypasses the LPC fit.
 
-    frame defaults to 25 ms windows with 50% overlap at the signal rate.
+    Frames are 25 ms windows with 50% overlap at the signal rate.
     integration 'spectral' uses the zero-phase band-limited antiderivative
     (exact inverse of the synthesis derivative); 'leaky' uses the recursive
-    leaky accumulator with integrator_pole. The LPC regularizers (lag window,
-    noise floor, pole-radius cap) keep the per-frame whitener from locking
-    onto individual pitch harmonics at high fundamental frequencies.
+    leaky accumulator with INTEGRATOR_POLE.
     """
 
-    frame: FramePlan | None = None
     lpc_order: int = 6
     pre_emphasis: float = 0.9
     voicing_threshold: float = 0.5
     max_lag_ms: float = 5.0
     tau_mode: str = "global"          # 'global' or 'per-frame'
     integration: str = "spectral"     # 'spectral' or 'leaky'
-    integrator_pole: float = 0.998
-    lag_window_hz: float = 20.0
-    noise_floor: float = 1e-3
-    max_pole_radius: float | None = 0.90
-    energy_floor_rms: float = 1e-8
     known_tract: VocalTractModel | None = None
 
     def __post_init__(self):
+        if self.lpc_order < 0:
+            raise ValueError("lpc_order must be non-negative")
+        if self.max_lag_ms < 0:
+            raise ValueError("max_lag_ms must be non-negative")
         if self.tau_mode not in ("global", "per-frame"):
             raise ValueError("tau_mode must be 'global' or 'per-frame'")
         if self.integration not in ("spectral", "leaky"):
             raise ValueError("integration must be 'spectral' or 'leaky'")
-        if not (0.0 < self.integrator_pole < 1.0):
-            raise ValueError("integrator_pole must be in (0, 1)")
-
-    def plan_for(self, rate_hz: float) -> FramePlan:
-        return self.frame if self.frame is not None else FramePlan.for_rate(rate_hz)
 
 
 @dataclass(frozen=True)
@@ -160,27 +158,18 @@ def frame_voicing(frames: np.ndarray, rate_hz: float, threshold: float,
     return voiced, f0
 
 
-def detect_voicing(frame: np.ndarray, rate_hz: float, threshold: float,
-                   energy_floor_rms: float = 1e-8) -> tuple[bool, float | None]:
-    """One-frame view of frame_voicing: (voiced, f0 in Hz or None)."""
-    voiced, f0 = frame_voicing(np.asarray(frame, dtype=np.float64)[None, :], rate_hz,
-                               threshold, energy_floor_rms)
-    return (True, float(f0[0])) if voiced[0] else (False, None)
-
-
-def _energy_floor(samples: np.ndarray, absolute: float) -> float:
+def _energy_floor(samples: np.ndarray) -> float:
     """40 dB below the whole-signal RMS, with an absolute fallback, so that
     leakage-level content in silent stretches never counts as voiced while
     the decision stays invariant under rescaling."""
-    return max(absolute, RELATIVE_ENERGY_FLOOR * float(np.sqrt(np.mean(samples**2))))
+    return max(ENERGY_FLOOR_RMS, RELATIVE_ENERGY_FLOOR * float(np.sqrt(np.mean(samples**2))))
 
 
-def voicing_mask(s: SampledSignal, plan: FramePlan, threshold: float,
-                 energy_floor_rms: float = 1e-8) -> np.ndarray:
+def voicing_mask(s: SampledSignal, plan: FramePlan, threshold: float) -> np.ndarray:
     """Voiced flag per analysis frame, as transform_speech decides it."""
     frames = frame_view(s.samples, plan.window_len, plan.hop)
     return frame_voicing(frames, s.rate_hz, threshold,
-                         _energy_floor(s.samples, energy_floor_rms))[0]
+                         _energy_floor(s.samples))[0]
 
 
 def frame_delays(x_hat_frames: np.ndarray, d_frames: np.ndarray,
@@ -209,17 +198,6 @@ def frame_delays(x_hat_frames: np.ndarray, d_frames: np.ndarray,
     best = np.argmax(r, axis=1)   # argmax returns the first (smallest) max lag
     peak = np.clip(r[np.arange(len(r)), best], -1.0, 1.0)
     return best, peak, defined
-
-
-def estimate_delay(x_hat_frame: np.ndarray, d_frame: np.ndarray,
-                   max_lag: int) -> tuple[int, float]:
-    """One-frame view of frame_delays; raises ValueError for a constant frame."""
-    tau, peak, defined = frame_delays(np.asarray(x_hat_frame, dtype=np.float64)[None, :],
-                                      np.asarray(d_frame, dtype=np.float64)[None, :],
-                                      max_lag)
-    if not defined[0]:
-        raise ValueError("degenerate (constant) frame: delay undefined")
-    return int(tau[0]), float(peak[0])
 
 
 def integrate_excitation(e_hat: SampledSignal, pole: float) -> SampledSignal:
@@ -263,8 +241,8 @@ def _frame_lpc(x: np.ndarray, frames: np.ndarray, starts: np.ndarray,
         rows = np.flatnonzero(voiced & (orders == order))
         fit = lpc_analyze_frames(
             frames[rows], int(order), cfg.pre_emphasis, rate_hz=rate,
-            lag_window_hz=cfg.lag_window_hz, noise_floor=cfg.noise_floor,
-            max_pole_radius=cfg.max_pole_radius, history=history[rows],
+            lag_window_hz=LAG_WINDOW_HZ, noise_floor=NOISE_FLOOR,
+            max_pole_radius=MAX_POLE_RADIUS, history=history[rows],
         )
         taps[rows, :order + 1] = fit.error_filters
         gains[rows] = fit.gains
@@ -294,7 +272,7 @@ def transform_speech(s: SampledSignal, d: SampledSignal,
     if len(s) != len(d):
         raise ValueError(f"length mismatch: speech {len(s)} vs displacement {len(d)}")
     rate = s.rate_hz
-    plan = cfg.plan_for(rate)
+    plan = FramePlan.for_rate(rate)
     n_win, hop = plan.window_len, plan.hop
     max_lag = int(round(cfg.max_lag_ms * 1e-3 * rate))
     if max_lag >= n_win:
@@ -307,7 +285,7 @@ def transform_speech(s: SampledSignal, d: SampledSignal,
     starts = hop * np.arange(n_frames)
     frames = frame_view(x, n_win, hop)
     voiced, f0 = frame_voicing(frames, rate, cfg.voicing_threshold,
-                               _energy_floor(x, cfg.energy_floor_rms))
+                               _energy_floor(x))
     if cfg.known_tract is not None:
         orders = np.full(n_frames, len(cfg.known_tract.coefficients))
         taps = np.tile(np.concatenate(([1.0], cfg.known_tract.coefficients)),
@@ -345,7 +323,7 @@ def transform_speech(s: SampledSignal, d: SampledSignal,
         x_hat = integrate_spectral(e_hat, rate)
     else:
         x_hat = integrate_excitation(
-            SampledSignal(e_hat, rate), cfg.integrator_pole).samples
+            SampledSignal(e_hat, rate), INTEGRATOR_POLE).samples
         x_hat = x_hat - x_hat[active].mean() if active.any() else x_hat
     x_hat = x_hat.copy()
     x_hat[~active] = 0.0

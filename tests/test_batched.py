@@ -8,7 +8,7 @@ from phonoradar.lpc import LevinsonError, clamp_pole_stack, levinson_stack
 from phonoradar.metrics import (SILENCE_RMS, SPECTRAL_FLOOR, LsdSeries, loess_smooth,
                                 lsd_over_windows, normalized_power_spectra)
 from phonoradar.signals import FramePlan, SampledSignal, hann_window
-from phonoradar.transform import estimate_delay, frame_delays, frame_voicing
+from phonoradar.transform import frame_delays, frame_voicing
 
 RATE = 2000.0
 
@@ -321,5 +321,3 @@ def test_constant_row_delay_undefined(rng):
     varying = rng.standard_normal((1, 50))
     for a, b in ((varying, constant_row()), (constant_row(), varying)):
         assert frame_delays(a, b, 10)[2].tolist() == [False]
-        with pytest.raises(ValueError):
-            estimate_delay(a[0], b[0], 10)

@@ -1,13 +1,15 @@
 import hashlib
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from phonoradar.cli import _transform_meta, _write_transform, main
-from phonoradar.io import write_csv_signal, write_wav
+from phonoradar.cli import main
+from phonoradar.io import read_csv_signal, read_wav, write_csv_signal, write_wav
+from phonoradar.radar import ChirpConfig
 from phonoradar.signals import SampledSignal
 from phonoradar.transform import TransformConfig, transform_speech
 
@@ -76,6 +78,15 @@ class TestRadar:
         meta = json.loads((subj / "radar.json").read_text())
         assert meta["correlation_vs_truth"] > 0.999
 
+    def test_chirp_echo_is_the_config_used(self, tmp_path):
+        subj = tmp_path / "s"
+        run(["synth", "--out", str(subj), "--duration", "0.5", "--seed", "2"])
+        assert run(["radar", "--subject", str(subj), "--bandwidth", "3e9",
+                    "--chirp-duration", "50e-6", "--adc-samples", "128"]) == 0
+        meta = json.loads((subj / "radar.json").read_text())
+        assert meta["chirp"] == asdict(ChirpConfig(bandwidth_hz=3e9, chirp_duration_s=50e-6,
+                                                   prf_hz=2000.0, adc_samples_per_chirp=128))
+
     def test_missing_subject_is_data_error(self, tmp_path):
         assert run(["radar", "--subject", str(tmp_path / "nope")]) == 2
 
@@ -107,17 +118,53 @@ class TestTransform:
         assert meta["global_tau_samples"] == 2  # 1 ms default at 2 kHz
 
     def test_transform_json_parses_like_the_indented_encoding(self, tmp_path, subject):
-        out = transform_speech(subject.s, subject.d, TransformConfig())
-        _write_transform(tmp_path, out)
-        text = (tmp_path / "transform.json").read_text()
+        write_wav(tmp_path / "s.wav", subject.s)
+        write_csv_signal(tmp_path / "d.csv", subject.d)
+        assert run(["transform", "--speech", str(tmp_path / "s.wav"),
+                    "--displacement", str(tmp_path / "d.csv"),
+                    "--out", str(tmp_path / "o")]) == 0
+        text = (tmp_path / "o" / "transform.json").read_text()
         assert text.count("\n") == 1 and text.endswith("\n")
+        out = transform_speech(read_wav(tmp_path / "s.wav"), read_csv_signal(tmp_path / "d.csv"),
+                               TransformConfig())
+        meta = {"global_tau_samples": out.global_tau_samples,
+                "n_frames": len(out.per_frame),
+                "n_voiced": sum(r.voiced for r in out.per_frame),
+                "config": asdict(out.config),
+                "per_frame": [asdict(r) for r in out.per_frame]}
         # json.loads reads NaN as a fresh float, which is not equal to
         # itself; dumping both parses again compares them value for value.
-        indented = json.dumps(_transform_meta(out), indent=2, sort_keys=True)
+        indented = json.dumps(meta, indent=2, sort_keys=True)
         assert (json.dumps(json.loads(text), sort_keys=True)
                 == json.dumps(json.loads(indented), sort_keys=True))
         assert json.loads(text)["per_frame"][0].keys() == {
             "index", "voiced", "f0_hz", "tau_d_samples", "correlation_peak", "lpc_gain"}
+
+    def test_transform_json_echoes_every_config_field(self, tmp_path):
+        subj = tmp_path / "s"
+        run(["synth", "--out", str(subj), "--duration", "0.5", "--seed", "2"])
+        assert run(["transform", "--subject", str(subj)]) == 0
+        config = json.loads((subj / "transform.json").read_text())["config"]
+        assert config.keys() == {f.name for f in fields(TransformConfig)}
+        assert config["known_tract"] is None
+
+    def test_config_echo_replays_byte_identically(self, tmp_path):
+        subj = tmp_path / "s"
+        run(["synth", "--out", str(subj), "--duration", "0.5", "--seed", "2"])
+        run(["radar", "--subject", str(subj)])
+        assert run(["transform", "--subject", str(subj), "--lpc-order", "8",
+                    "--pre-emphasis", "0.8", "--voicing-threshold", "0.45",
+                    "--max-lag-ms", "4", "--tau-mode", "per-frame",
+                    "--integration", "leaky"]) == 0
+        config = json.loads((subj / "transform.json").read_text())["config"]
+        del config["known_tract"]
+        (tmp_path / "replay.json").write_text(json.dumps(config))
+        out = tmp_path / "replay"
+        assert run(["transform", "--speech", str(subj / "speech.wav"),
+                    "--displacement", str(subj / "neck_radar.csv"), "--out", str(out),
+                    "--config", str(tmp_path / "replay.json")]) == 0
+        for name in ("e_hat.csv", "d_hat.csv"):
+            assert (out / name).read_bytes() == (subj / name).read_bytes()
 
     def test_explicit_files_and_tau_mode(self, tmp_path):
         subj = tmp_path / "s"
@@ -249,6 +296,28 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and err.count("\n") == 1
     assert "voicing_treshold" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--out", "{tmp}/x", "--rate", "0"],
+    ["synth", "--out", "{tmp}/x", "--lead-in", "-1"],
+    ["synth", "--out", "{tmp}/x", "--k-d", "0"],
+    ["synth", "--out", "{tmp}/x", "--tau-ms", "10"],
+    ["synth", "--out", "{tmp}/x", "--jitter", "100"],
+    ["radar", "--subject", "{tmp}", "--adc-samples", "0"],
+    ["radar", "--subject", "{tmp}", "--adc-samples", "1"],
+    ["radar", "--subject", "{tmp}", "--chirp-duration", "0"],
+    ["radar", "--subject", "{tmp}", "--bandwidth", "0"],
+    ["radar", "--subject", "{tmp}", "--range", "-1"],
+    ["transform", "--subject", "{tmp}", "--lpc-order", "-1"],
+    ["transform", "--subject", "{tmp}", "--max-lag-ms", "-1"],
+    ["evaluate", "{tmp}", "--loess-span", "2"],
+], ids=lambda argv: " ".join([argv[0], *argv[-2:]]))
+def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv):
+    assert run([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
 
 
 def test_radar_with_noise_flag(tmp_path):

@@ -2,20 +2,33 @@ import numpy as np
 import pytest
 
 from phonoradar.metrics import (LsdSeries, PowerSpectrum, SPECTRAL_FLOOR,
-                                SilentFrameError, log_spectral_distance, loess_smooth,
-                                lsd_over_windows, normalized_power_spectrum,
-                                spectral_flatness)
+                                log_spectral_distance, loess_smooth,
+                                lsd_over_windows, normalized_power_spectra)
 from phonoradar.signals import FramePlan, SampledSignal, hann_window
 
 
+def spectrum(frame, rate=2000.0):
+    """PowerSpectrum of one non-silent frame, from a one-row stack."""
+    bins, silent, bin_hz = normalized_power_spectra(np.asarray(frame)[None, :], rate)
+    assert not silent[0]
+    return PowerSpectrum(bins=bins[0], bin_hz=bin_hz)
+
+
+def spectral_flatness(spec):
+    """Geometric over arithmetic mean of the bins; 1 for a flat spectrum."""
+    return float(np.exp(np.mean(np.log(spec.bins))) / np.mean(spec.bins))
+
+
 class TestNormalizedPowerSpectrum:
+    """normalized_power_spectra on one-row stacks."""
+
     def test_tone_dominant_bin(self):
         # 250 Hz at 2 kHz, 25 ms window zero-padded to 64: the tone lands on
         # bin 8 exactly; a hann taper leaves ~52% there (direct-DFT oracle)
         # and nearly everything within one bin.
         t = np.arange(50) / 2000.0
         frame = np.sin(2 * np.pi * 250.0 * t)
-        spec = normalized_power_spectrum(frame, 2000.0)
+        spec = spectrum(frame)
         k = int(np.argmax(spec.bins))
         assert k * spec.bin_hz == pytest.approx(250.0)
         work = (frame - frame.mean()) * hann_window(50)
@@ -27,24 +40,24 @@ class TestNormalizedPowerSpectrum:
         assert spec.bins[k - 1:k + 2].sum() > 0.8
 
     def test_unit_total_power(self, rng):
-        spec = normalized_power_spectrum(rng.standard_normal(50), 2000.0)
+        spec = spectrum(rng.standard_normal(50))
         assert spec.bins.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(spec.bins >= SPECTRAL_FLOOR * 0.99)
 
     def test_scale_invariance(self, rng):
         frame = rng.standard_normal(50)
-        one = normalized_power_spectrum(frame, 2000.0)
-        scaled = normalized_power_spectrum(17.3 * frame, 2000.0)
+        one = spectrum(frame)
+        scaled = spectrum(17.3 * frame)
         assert np.allclose(one.bins, scaled.bins)
 
     def test_silent_frame_raises(self):
-        with pytest.raises(SilentFrameError):
-            normalized_power_spectrum(np.zeros(50), 2000.0)
+        _, silent, _ = normalized_power_spectra(np.zeros((1, 50)), 2000.0)
+        assert silent[0]
 
     def test_white_noise_average_is_flat(self, rng):
         acc = np.zeros(33)
         for _ in range(100):
-            spec = normalized_power_spectrum(rng.standard_normal(50), 2000.0)
+            spec = spectrum(rng.standard_normal(50))
             acc += spec.bins
         avg = PowerSpectrum.from_bins(acc, 2000.0 / 64)
         assert spectral_flatness(avg) > 0.8
@@ -52,12 +65,12 @@ class TestNormalizedPowerSpectrum:
 
 class TestLogSpectralDistance:
     def test_identity(self, rng):
-        spec = normalized_power_spectrum(rng.standard_normal(50), 2000.0)
+        spec = spectrum(rng.standard_normal(50))
         assert log_spectral_distance(spec, spec) == 0.0
 
     def test_symmetry(self, rng):
-        p = normalized_power_spectrum(rng.standard_normal(50), 2000.0)
-        q = normalized_power_spectrum(rng.standard_normal(50), 2000.0)
+        p = spectrum(rng.standard_normal(50))
+        q = spectrum(rng.standard_normal(50))
         assert log_spectral_distance(p, q) == pytest.approx(
             log_spectral_distance(q, p))
 

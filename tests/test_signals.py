@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from phonoradar.signals import (FramePlan, SampledSignal, cross_correlate, dc_block,
-                                differentiate, frame_signal, integrate_spectral,
-                                parabolic_peak_offset, resample_decimate)
+from phonoradar.signals import (FramePlan, SampledSignal, differentiate, frame_signal,
+                                iir_filter, integrate_spectral, resample_decimate)
+from phonoradar.transform import frame_delays
 
 
 def sig(samples, rate=2000.0):
@@ -60,25 +60,28 @@ class TestFraming:
             for i in range(expected):
                 assert np.array_equal(frames[i], x[i * hop:i * hop + n])
 
-    def test_hann_taper_applied(self):
-        plan = FramePlan(8, 4, taper="hann")
-        frames = frame_signal(sig(np.ones(16)), plan)
-        assert frames[0, 0] == pytest.approx(0.0)
-        assert frames[0, 4] == pytest.approx(1.0)
+
+def delay(a, b, max_lag):
+    """(delay, peak, defined) of b behind a from frame_delays on one-row stacks."""
+    tau, peak, defined = frame_delays(np.asarray(a)[None, :], np.asarray(b)[None, :],
+                                      max_lag)
+    return int(tau[0]), float(peak[0]), bool(defined[0])
 
 
 class TestCrossCorrelate:
+    """The delay search by normalized cross-correlation over lagged_products."""
+
     def test_shift_identity(self, rng):
         x = rng.standard_normal(400)
         shifted = np.zeros_like(x)
         shifted[7:] = x[:-7]
-        lag, peak = cross_correlate(sig(x), sig(shifted), 20)
+        lag, peak, _ = delay(x, shifted, 20)
         assert lag == 7
         assert peak == pytest.approx(1.0, abs=0.05)
 
     def test_self_correlation(self, rng):
         x = rng.standard_normal(300)
-        lag, peak = cross_correlate(sig(x), sig(x), 20)
+        lag, peak, _ = delay(x, x, 20)
         assert lag == 0
         assert peak == pytest.approx(1.0)
 
@@ -89,63 +92,59 @@ class TestCrossCorrelate:
         a = np.sin(2 * np.pi * 100.0 * t)
         b = np.sin(2 * np.pi * 100.0 * (t - 2.5e-3))
         best, best_lag = -2.0, None
-        for k in range(-20, 21):
-            if k >= 0:
-                num = float(a[:1000 - k] @ b[k:])
-            else:
-                num = float(a[-k:] @ b[:1000 + k])
-            val = num / np.sqrt(float(a @ a) * float(b @ b))
+        for k in range(0, 21):
+            val = float(a[:1000 - k] @ b[k:]) / np.sqrt(float(a @ a) * float(b @ b))
             if val > best:
                 best, best_lag = val, k
         assert best_lag == 5
-        lag, _ = cross_correlate(sig(a), sig(b), 20)
+        lag, _, _ = delay(a, b, 20)
         assert lag == best_lag
 
     def test_recovers_every_shift(self, rng):
         x = rng.standard_normal(500)
         m = 12
-        for k in range(-m, m + 1):
-            shifted = np.roll(x, k)
-            lag, _ = cross_correlate(sig(x), sig(shifted), m)
+        for k in range(m + 1):
+            lag, _, _ = delay(x, np.roll(x, k), m)
             assert lag == k
 
     def test_all_zero_errors(self):
-        with pytest.raises(ValueError):
-            cross_correlate(sig(np.zeros(50)), sig(np.ones(50)), 5)
+        assert not delay(np.zeros(50), np.ones(50), 5)[2]
 
     def test_tie_breaks_toward_zero_lag(self):
         # a constant-like periodic signal ties at many lags
         x = np.tile([1.0, -1.0], 100)
-        lag, _ = cross_correlate(sig(x), sig(x), 10)
+        lag, _, _ = delay(x, x, 10)
         assert lag == 0
-
-    def test_parabolic_offset_bounds(self):
-        assert parabolic_peak_offset(0.5, 1.0, 0.5) == pytest.approx(0.0)
-        assert 0 < parabolic_peak_offset(0.4, 1.0, 0.6) < 0.5
-        assert parabolic_peak_offset(1.0, 1.0, 1.0) == 0.0
 
 
 class TestDcBlock:
+    """iir_filter running the first-order DC-blocking high pass
+    y[n] = x[n] - x[n-1] + pole*y[n-1]: a zero on the unit circle at DC."""
+
+    @staticmethod
+    def dc_block(x, pole):
+        return iir_filter([1.0, -1.0], [1.0, -pole], np.asarray(x, dtype=float))
+
     def test_constant_input_decays(self):
-        out = dc_block(sig(np.ones(20_000)), 0.995)
+        out = self.dc_block(np.ones(20_000), 0.995)
         # mean after the first 1e4 samples have flushed the transient
-        assert abs(np.mean(out.samples[10_000:])) < 1e-3
-        assert abs(out.samples[-1]) < 1e-6
+        assert abs(np.mean(out[10_000:])) < 1e-3
+        assert abs(out[-1]) < 1e-6
 
     def test_stationary_input_mean_vanishes(self, rng):
         x = rng.standard_normal(200_000) + 5.0
-        out = dc_block(sig(x), 0.995)
-        assert abs(np.mean(out.samples[10_000:])) < 1e-3 * np.std(x)
+        out = self.dc_block(x, 0.995)
+        assert abs(np.mean(out[10_000:])) < 1e-3 * np.std(x)
 
     def test_zero_input(self):
-        out = dc_block(sig(np.zeros(100)), 0.9)
-        assert np.all(out.samples == 0)
+        out = self.dc_block(np.zeros(100), 0.9)
+        assert np.all(out == 0)
 
     def test_impulse_response_matches_recursion(self):
         pole = 0.97
         impulse = np.zeros(40)
         impulse[0] = 1.0
-        got = dc_block(sig(impulse), pole).samples
+        got = self.dc_block(impulse, pole)
         # direct recursion oracle: y[n] = x[n] - x[n-1] + pole*y[n-1]
         expect = np.zeros(40)
         for n in range(40):
@@ -156,10 +155,6 @@ class TestDcBlock:
         assert np.allclose(got, expect, atol=1e-14)
         assert expect[0] == 1.0 and expect[1] == pytest.approx(pole - 1.0)
         assert expect[2] == pytest.approx(pole * (pole - 1.0))
-
-    def test_pole_domain(self):
-        with pytest.raises(ValueError):
-            dc_block(sig(np.ones(10)), 1.0)
 
 
 class TestResample:

@@ -3,9 +3,8 @@ import pytest
 
 import phonoradar as pr
 from phonoradar.signals import FramePlan, SampledSignal
-from phonoradar.transform import (NoVoicedFramesError, TransformConfig,
-                                  detect_voicing, estimate_delay,
-                                  integrate_excitation, transform_speech,
+from phonoradar.transform import (NoVoicedFramesError, TransformConfig, frame_delays,
+                                  frame_voicing, integrate_excitation, transform_speech,
                                   voicing_mask)
 
 from conftest import make_test_subject
@@ -42,48 +41,54 @@ class TestIntegrateExcitation:
 
 
 class TestDetectVoicing:
+    """frame_voicing on one-row stacks."""
+
     def test_pure_tone(self):
         t = np.arange(100) / 2000.0
-        voiced, f0 = detect_voicing(np.sin(2 * np.pi * 100 * t), 2000.0, 0.5)
-        assert voiced
-        assert f0 == pytest.approx(100.0, abs=2.0)
+        voiced, f0 = frame_voicing(np.sin(2 * np.pi * 100 * t)[None, :], 2000.0, 0.5)
+        assert voiced[0]
+        assert f0[0] == pytest.approx(100.0, abs=2.0)
 
     def test_white_noise_mostly_unvoiced(self, rng):
-        flagged = sum(detect_voicing(rng.standard_normal(50), 2000.0, 0.5)[0]
+        flagged = sum(frame_voicing(rng.standard_normal((1, 50)), 2000.0, 0.5)[0][0]
                       for _ in range(300))
         assert flagged < 0.1 * 300
 
     def test_silence(self):
-        voiced, f0 = detect_voicing(np.zeros(50), 2000.0, 0.5)
-        assert not voiced and f0 is None
+        voiced, f0 = frame_voicing(np.zeros((1, 50)), 2000.0, 0.5)
+        assert not voiced[0] and np.isnan(f0[0])
 
     def test_short_frame_rejected(self):
         with pytest.raises(ValueError):
-            detect_voicing(np.ones(20), 2000.0, 0.5)
+            frame_voicing(np.ones((1, 20)), 2000.0, 0.5)
 
     def test_speech_frames_voiced(self, subject):
         frame = subject.s.samples[1000:1050]
-        voiced, f0 = detect_voicing(frame, 2000.0, 0.5)
-        assert voiced
-        assert f0 == pytest.approx(150.0, abs=10.0)
+        voiced, f0 = frame_voicing(frame[None, :], 2000.0, 0.5)
+        assert voiced[0]
+        assert f0[0] == pytest.approx(150.0, abs=10.0)
 
 
 class TestEstimateDelay:
+    """frame_delays on one-row stacks."""
+
     def test_shift_identity(self, rng):
         x = rng.standard_normal(50)
         d = np.zeros(50)
         d[3:] = x[:-3]
-        tau, peak = estimate_delay(x, d, 10)
-        assert tau == 3 and peak > 0.9
+        tau, peak, defined = frame_delays(x[None, :], d[None, :], 10)
+        assert defined[0]
+        assert tau[0] == 3 and peak[0] > 0.9
 
     def test_zero_delay(self, rng):
         x = rng.standard_normal(50)
-        tau, peak = estimate_delay(x, x, 10)
-        assert tau == 0 and peak == pytest.approx(1.0)
+        tau, peak, defined = frame_delays(x[None, :], x[None, :], 10)
+        assert defined[0]
+        assert tau[0] == 0 and peak[0] == pytest.approx(1.0)
 
     def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_delay(np.ones(50), np.zeros(50), 5)
+        _, _, defined = frame_delays(np.ones((1, 50)), np.zeros((1, 50)), 5)
+        assert not defined[0]
 
 
 class TestTransform:

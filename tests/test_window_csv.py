@@ -4,6 +4,7 @@ the csv.writer row loop it replaced, kept here as the reference."""
 import csv
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,3 +88,11 @@ def test_any_window_pattern_matches_reference(tmp_path_factory, data, n, span):
                                     max_size=len(rows)))
         series[name] = series_over(rows, values)
     assert_same_bytes(tmp_path_factory.mktemp("windows"), series, span=span)
+
+
+def test_out_of_range_span_is_rejected(tmp_path):
+    series = {name: series_over(np.arange(3, 15), np.linspace(2.0, 3.0, 12))
+              for name in COMPARISONS}
+    for span in (0.0, 2.0):
+        with pytest.raises(ValueError, match="span"):
+            write_window_csv(tmp_path / "w.csv", series, span=span)
