@@ -18,8 +18,8 @@ from .lpc import LpcModel, autocorrelation, levinson_durbin
 from .transform import (FrameRecord, NoVoicedFramesError, TransformConfig,
                         TransformOutput, integrate_excitation, transform_speech)
 from .radar import (BeatMatrix, ChirpConfig, NoCoherentTargetError, TargetScene,
-                    extract_displacement, measure_displacement, range_fft,
-                    simulate_beat_signal)
+                    add_range_noise, extract_displacement, measure_displacement,
+                    range_fft, simulate_beat_signal)
 from .metrics import (LsdSeries, PowerSpectrum, SilentFrameError, log_spectral_distance,
                       loess_smooth, lsd_over_windows)
 from .stats import (DescriptiveStats, PairedTTestResult, descriptive_stats,

@@ -25,7 +25,8 @@ from .report import (SubjectEvaluation, build_cohort_report, evaluate_signals,
 from .signals import SampledSignal, resample_decimate
 from .synth import (GlottalConfig, NeckChannel, SUBJECT_MANIFEST, make_subject,
                     random_vocal_tract, save_subject)
-from .transform import NoVoicedFramesError, TransformConfig, transform_speech
+from .transform import (NoVoicedFramesError, TransformConfig, check_voicing_threshold,
+                        transform_speech)
 
 TAU_CHOICES_SAMPLES = (0, 1, 2, 4)
 
@@ -81,7 +82,8 @@ def _build_parser() -> _Parser:
     add_config_flag(p)
     p.add_argument("--subject", help="subject directory")
     p.add_argument("--cohort", help="cohort directory (all subjects)")
-    p.add_argument("--snr", type=float, default=None, help="radar SNR in dB")
+    p.add_argument("--snr", type=float, default=None,
+                   help="radar SNR per ADC sample in dB (omit for noiseless)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--start-freq", type=float, default=77e9)
     p.add_argument("--bandwidth", type=float, default=3.6e9)
@@ -322,6 +324,7 @@ def _evaluate_one(voicing_threshold: float, directory: Path) -> SubjectEvaluatio
 def cmd_evaluate(args) -> int:
     if not 0.0 < args.loess_span <= 1.0:
         raise UsageError("--loess-span must be in (0, 1]")
+    _from_flags(check_voicing_threshold, threshold=args.voicing_threshold)
     cohort = Path(args.cohort)
     if not cohort.is_dir():
         raise FileNotFoundError(f"cohort directory {cohort} does not exist")

@@ -18,6 +18,7 @@ __all__ = [
     "RadarDisplacement",
     "simulate_beat_signal",
     "range_fft",
+    "add_range_noise",
     "extract_displacement",
     "measure_displacement",
 ]
@@ -115,10 +116,6 @@ class BeatMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
-    @property
-    def n_chirps(self) -> int:
-        return self.data.shape[0]
-
 
 def _scene_ranges(scene: TargetScene, cfg: ChirpConfig) -> np.ndarray:
     """Per-chirp target range R_m = R0 + d[m], after checking that the
@@ -161,17 +158,6 @@ def _beat_rows(out: np.ndarray, ranges: np.ndarray, reflectivity: float,
         width += k
 
 
-def _add_noise(rows: np.ndarray, real_draws: np.ndarray,
-               rng: np.random.Generator, sigma: float) -> None:
-    """Add sigma-scaled white noise to rows in place: the real parts from
-    draws already made (scaled in place), the imaginary parts drawn now."""
-    real_draws *= sigma
-    rows.real += real_draws
-    imag = rng.standard_normal(rows.shape)
-    imag *= sigma
-    rows.imag += imag
-
-
 def _range_rows(rows: np.ndarray, window: np.ndarray, out: np.ndarray) -> None:
     """Hann-taper each row of rows into out and FFT out in place; out may be rows."""
     np.multiply(rows, window, out=out)
@@ -183,22 +169,16 @@ def _block_rows(adc_samples: int) -> int:
     return max(1, _BLOCK_BYTES // (16 * adc_samples))
 
 
-def simulate_beat_signal(scene: TargetScene, cfg: ChirpConfig,
-                         rng: np.random.Generator | None = None) -> BeatMatrix:
-    """Beat signal for chirp m against a target at R_m = R0 + d[m].
+def simulate_beat_signal(scene: TargetScene, cfg: ChirpConfig) -> BeatMatrix:
+    """Noiseless beat signal for chirp m against a target at R_m = R0 + d[m].
 
     Each chirp yields a complex tone at f_b = 2*slope*R_m/c with starting
     phase 4*pi*R_m/lambda, built by a phasor recurrence over the ADC
-    samples; optional complex white noise at the given SNR, the real parts
-    of every sample drawn before the imaginary parts.
+    samples. Receiver noise is added after the range FFT (add_range_noise).
     """
     ranges = _scene_ranges(scene, cfg)
     data = np.empty((len(ranges), cfg.adc_samples_per_chirp), dtype=np.complex128)
     _beat_rows(data, ranges, scene.reflectivity, cfg)
-    if scene.noise_snr_db is not None:
-        if rng is None:
-            rng = np.random.default_rng()
-        _add_noise(data, rng.standard_normal(data.shape), rng, _noise_sigma(scene))
     return BeatMatrix(data=data, config=cfg)
 
 
@@ -208,6 +188,44 @@ def range_fft(beat: BeatMatrix) -> np.ndarray:
     spectrum = np.empty_like(beat.data)
     _range_rows(beat.data, hann_window(n), spectrum)
     return spectrum[:, :n // 2]
+
+
+def add_range_noise(spectrum: np.ndarray, scene: TargetScene, cfg: ChirpConfig,
+                    rng: np.random.Generator | None = None,
+                    scratch: np.ndarray | None = None) -> None:
+    """Add the scene's receiver noise, in place, to a positive-range spectrum
+    (chirps x n//2, as range_fft returns it); a noiseless scene adds nothing.
+
+    The noise is white complex Gaussian in the beat, sigma per component at
+    the scene's SNR per ADC sample, seen through the Hann-tapered FFT. Its
+    DFT N is white with per-component variance n*sigma^2, and the periodic
+    Hann window has three DFT taps, so bin k receives exactly
+    N_k/2 - N_{k-1}/4 - N_{k+1}/4. Only N over bins -1 .. n/2 (modulo n) is
+    drawn: real/imaginary pairs, bin by bin, chirp by chirp, so the stream
+    does not depend on how the chirps are split into calls. scratch, a
+    float64 buffer of at least 2 * chirps * min(n//2 + 2, n) elements, holds
+    the draws; without it they are allocated.
+    """
+    if scene.noise_snr_db is None:
+        return
+    if rng is None:
+        rng = np.random.default_rng()
+    n = cfg.adc_samples_per_chirp
+    rows, half = spectrum.shape
+    width = min(half + 2, n)
+    size = 2 * rows * width
+    raw = np.empty(size) if scratch is None else scratch[:size]
+    raw = rng.standard_normal(out=raw.reshape(rows, width, 2))
+    raw *= 0.25 * np.sqrt(n) * _noise_sigma(scene)
+    quarter = raw.view(np.complex128)[..., 0]   # N_{k-1} / 4 in column k
+    if width < half + 2:   # n <= 2: bins -1 .. n/2 repeat modulo n
+        quarter = quarter[:, np.arange(half + 2) % n]
+    # (2 N_k - N_{k-1} - N_{k+1}) / 4 in four in-place passes, no temporary
+    centre = quarter[:, 1:half + 1]
+    spectrum += centre
+    spectrum += centre
+    spectrum -= quarter[:, :half]
+    spectrum -= quarter[:, 2:]
 
 
 def extract_displacement(rangefft: np.ndarray, cfg: ChirpConfig,
@@ -244,39 +262,34 @@ def extract_displacement(rangefft: np.ndarray, cfg: ChirpConfig,
 def measure_displacement(scene: TargetScene, cfg: ChirpConfig,
                          rng: np.random.Generator | None = None,
                          bin_index: int | None = None) -> RadarDisplacement:
-    """Full chain: beat simulation, range FFT, phase extraction.
+    """Full chain: beat simulation, range FFT, receiver noise, phase extraction.
 
-    The same numbers as extract_displacement(range_fft(simulate_beat_signal(
-    scene, cfg, rng)), cfg, bin_index), with the same draws from rng, but
-    streamed over blocks of _block_rows chirps: each block is simulated,
-    tapered and transformed in one reused buffer, and only its positive-range
-    half is kept, so the full beat matrix is never held.
+    The same numbers as the public steps
+
+        spectrum = range_fft(simulate_beat_signal(scene, cfg))
+        add_range_noise(spectrum, scene, cfg, rng)
+        extract_displacement(spectrum, cfg, bin_index)
+
+    with the same draws from rng, but streamed over blocks of _block_rows
+    chirps: each block is simulated, tapered and transformed in one reused
+    buffer, its positive-range half is copied out, and the buffer then holds
+    the block's noise draws. The full beat matrix is never held.
     """
     ranges = _scene_ranges(scene, cfg)
     n = cfg.adc_samples_per_chirp
     chirps, half = len(ranges), n // 2
-    # One buffer holds first the real noise draws (chirps x n floats), then
-    # the spectrum (chirps x half complex, at most as many floats): a block's
-    # spectrum rows end at or before the end of its own noise rows, and are
-    # written only after those are read, so no unread draw is overwritten.
-    store = np.empty(chirps * n)
-    spectrum = store[:chirps * 2 * half].view(np.complex128).reshape(chirps, half)
-    noisy = scene.noise_snr_db is not None
-    if noisy:
-        if rng is None:
-            rng = np.random.default_rng()
-        sigma = _noise_sigma(scene)
-        real_draws = store.reshape(chirps, n)
-        rng.standard_normal(out=real_draws)
+    spectrum = np.empty((chirps, half), dtype=np.complex128)
+    if rng is None and scene.noise_snr_db is not None:
+        rng = np.random.default_rng()
     window = hann_window(n)
     rows = _block_rows(n)
     buf = np.empty((min(rows, chirps), n), dtype=np.complex128)
+    scratch = buf.view(np.float64).reshape(-1)
     for start in range(0, chirps, rows):
         stop = min(start + rows, chirps)
         block = buf[:stop - start]
         _beat_rows(block, ranges[start:stop], scene.reflectivity, cfg)
-        if noisy:
-            _add_noise(block, real_draws[start:stop], rng, sigma)
         _range_rows(block, window, block)
         spectrum[start:stop] = block[:, :half]
+        add_range_noise(spectrum[start:stop], scene, cfg, rng, scratch)
     return extract_displacement(spectrum, cfg, bin_index)

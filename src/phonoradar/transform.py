@@ -19,6 +19,7 @@ __all__ = [
     "FrameRecord",
     "TransformOutput",
     "NoVoicedFramesError",
+    "check_voicing_threshold",
     "frame_voicing",
     "voicing_mask",
     "frame_delays",
@@ -38,6 +39,15 @@ INTEGRATOR_POLE = 0.998        # leak of the 'leaky' integration
 LAG_WINDOW_HZ = 20.0
 NOISE_FLOOR = 1e-3
 MAX_POLE_RADIUS = 0.90
+
+
+def check_voicing_threshold(threshold: float) -> None:
+    """Raise ValueError unless threshold is in [0, 1]. frame_voicing's score
+    is a normalized correlation, at most 1 up to rounding, so a larger
+    threshold voices no frame; a perfectly periodic frame scores 1 + eps,
+    so a threshold of 1 still voices it."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError("voicing_threshold must be in [0, 1]")
 
 
 class NoVoicedFramesError(RuntimeError):
@@ -72,6 +82,7 @@ class TransformConfig:
             raise ValueError("lpc_order must be non-negative")
         if self.max_lag_ms < 0:
             raise ValueError("max_lag_ms must be non-negative")
+        check_voicing_threshold(self.voicing_threshold)
         if self.tau_mode not in ("global", "per-frame"):
             raise ValueError("tau_mode must be 'global' or 'per-frame'")
         if self.integration not in ("spectral", "leaky"):

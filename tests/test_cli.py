@@ -92,16 +92,18 @@ class TestRadar:
 
     def test_selected_bin_is_the_range_profile_peak(self, tmp_path):
         from phonoradar.io import read_csv_signal
-        from phonoradar.radar import ChirpConfig, TargetScene, range_fft, simulate_beat_signal
+        from phonoradar.radar import (ChirpConfig, TargetScene, add_range_noise, range_fft,
+                                      simulate_beat_signal)
         subj = tmp_path / "s"
         run(["synth", "--out", str(subj), "--duration", "0.5", "--seed", "2"])
         assert run(["radar", "--subject", str(subj), "--range", "0.4", "--snr", "10"]) == 0
         meta = json.loads((subj / "radar.json").read_text())
         d_true = read_csv_signal(subj / "neck_true.csv")
         scene = TargetScene(displacement=d_true, nominal_range_m=0.4, noise_snr_db=10.0)
-        beat = simulate_beat_signal(scene, ChirpConfig(prf_hz=d_true.rate_hz),
-                                    np.random.default_rng(0))
-        profile = np.abs(range_fft(beat)).mean(axis=0)
+        cfg = ChirpConfig(prf_hz=d_true.rate_hz)
+        spectrum = range_fft(simulate_beat_signal(scene, cfg))
+        add_range_noise(spectrum, scene, cfg, np.random.default_rng(0))
+        profile = np.abs(spectrum).mean(axis=0)
         assert meta["selected_bin"] == int(np.argmax(profile))
 
 
@@ -312,12 +314,25 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     ["transform", "--subject", "{tmp}", "--lpc-order", "-1"],
     ["transform", "--subject", "{tmp}", "--max-lag-ms", "-1"],
     ["evaluate", "{tmp}", "--loess-span", "2"],
+    *([stage, *where, "--voicing-threshold", value]
+      for stage, where in (("transform", ("--subject", "{tmp}")), ("evaluate", ("{tmp}",)))
+      for value in ("2", "-0.5", "nan")),
 ], ids=lambda argv: " ".join([argv[0], *argv[-2:]]))
 def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv):
     assert run([arg.format(tmp=tmp_path) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and err.count("\n") == 1
     assert not (tmp_path / "x").exists()
+
+
+def test_voicing_threshold_one_voices_periodic_frames(small_cohort):
+    # at its period a periodic frame scores 1 + eps, which clears 1
+    pattern = np.random.default_rng(1).standard_normal(8)
+    for subject in sorted(small_cohort.glob("subject_*")):
+        speech = read_wav(subject / "speech.wav")
+        write_wav(subject / "speech.wav", speech.with_samples(np.resize(pattern, len(speech))))
+    assert run(["transform", "--cohort", str(small_cohort), "--voicing-threshold", "1.0"]) == 0
+    assert run(["evaluate", str(small_cohort), "--voicing-threshold", "1.0"]) == 0
 
 
 def test_radar_with_noise_flag(tmp_path):

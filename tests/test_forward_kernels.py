@@ -1,7 +1,9 @@
 """Equivalence of the array-pass forward simulation with the reference
 implementations kept here: the 2-D complex exp the beat recurrence replaced,
-and the per-cycle glottal loop the one-pass pulse train replaced; and of the
-streamed radar chain with the explicit one built from the public steps."""
+the time-domain receiver noise the range-domain noise replaced (equal in
+distribution), and the per-cycle glottal loop the one-pass pulse train
+replaced; and of the streamed radar chain with the explicit one built from
+the public steps."""
 
 import tracemalloc
 
@@ -9,9 +11,9 @@ import numpy as np
 import pytest
 
 from phonoradar.radar import (C_LIGHT, ChirpConfig, NoCoherentTargetError, TargetScene,
-                              _block_rows, extract_displacement, measure_displacement,
-                              range_fft, simulate_beat_signal)
-from phonoradar.signals import SampledSignal
+                              _block_rows, add_range_noise, extract_displacement,
+                              measure_displacement, range_fft, simulate_beat_signal)
+from phonoradar.signals import SampledSignal, hann_window
 from phonoradar.synth import GlottalConfig, synth_vocal_fold_displacement
 
 PRF = 2000.0
@@ -83,41 +85,80 @@ def test_beat_matches_exp_formula(rng, n, range_m, reflectivity):
     assert np.max(np.abs(beat - want)) <= 1e-12 * reflectivity
 
 
-def test_noisy_beat_matches_reference(rng):
-    cfg = ChirpConfig()
-    scene = TargetScene(displacement=vibrating(rng, 1000), reflectivity=0.5,
-                        noise_snr_db=15.0)
-    got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
-    beat = simulate_beat_signal(scene, cfg, got_rng).data
-    want = ref_beat(scene, cfg, want_rng)
-    assert np.max(np.abs(beat - want)) <= 1e-12 * scene.reflectivity
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
-
-
 def test_beat_matrix_is_frozen(rng):
     beat = simulate_beat_signal(TargetScene(displacement=vibrating(rng, 8)), ChirpConfig())
     assert not beat.data.flags.writeable
 
 
+# --- range-domain noise ---------------------------------------------------
+
+def hann_noise_covariance(n):
+    """Covariance of the positive-range bins of FFT(hann * noise) over
+    2*n*sigma^2, from the window's three DFT taps (1/2 at bin k, -1/4 at
+    k -+ 1, bin indices modulo n) and the whiteness of the noise's DFT."""
+    half = n // 2
+    taps = np.zeros((half, n))
+    for k in range(half):
+        for offset, tap in ((-1, -0.25), (0, 0.5), (1, -0.25)):
+            taps[k, (k + offset) % n] += tap
+    return taps @ taps.T
+
+
+def noise_moments(noise, n, sigma):
+    """Covariance and pseudo-covariance of the bins over 2*n*sigma^2."""
+    scale = 2.0 * n * sigma ** 2 * len(noise)
+    return noise.T @ noise.conj() / scale, noise.T @ noise / scale
+
+
+@pytest.mark.parametrize("n", [2, 63, 64, 256])
+def test_range_noise_matches_time_domain_noise_in_distribution(n):
+    chirps = 8000
+    cfg = chirp_config(n)
+    still = SampledSignal(np.zeros(chirps), PRF, "displacement")
+    snr_db = 3.0
+    scene = TargetScene(displacement=still, reflectivity=0.0, noise_snr_db=snr_db)
+    sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)   # unit signal power at zero reflectivity
+    added = np.zeros((chirps, n // 2), dtype=np.complex128)
+    add_range_noise(added, scene, cfg, np.random.default_rng(5))
+    oracle = np.fft.fft(hann_window(n) * ref_beat(scene, cfg, np.random.default_rng(6)),
+                        axis=1)[:, :n // 2]
+    want = hann_noise_covariance(n)
+    if n == 2:   # bins -1 and 1 coincide
+        assert want.tolist() == [[0.5]]
+    else:
+        lags = [want[k, k + lag] for lag in range(3) for k in range(n // 2 - lag)]
+        assert set(lags) == {3 / 8, -1 / 4, 1 / 16}
+        far = np.abs(np.subtract.outer(range(n // 2), range(n // 2))) >= 3
+        assert not want[far].any()
+    # each moment has a standard error of at most 3/8 / sqrt(chirps), about 0.004
+    for noise in (added, oracle):
+        cov, pseudo = noise_moments(noise, n, sigma)
+        assert np.max(np.abs(cov - want)) < 0.025
+        assert np.max(np.abs(pseudo)) < 0.025
+
+
 # --- streamed radar chain -------------------------------------------------
 
 def explicit_chain(scene, cfg, rng=None, bin_index=None):
-    return extract_displacement(range_fft(simulate_beat_signal(scene, cfg, rng)),
-                                cfg, bin_index)
+    spectrum = range_fft(simulate_beat_signal(scene, cfg))
+    add_range_noise(spectrum, scene, cfg, rng)
+    return extract_displacement(spectrum, cfg, bin_index)
 
 
 @pytest.mark.parametrize("fixed_bin", [False, True])
 @pytest.mark.parametrize("snr_db", [None, 15.0])
-# an odd ADC count leaves the spectrum shorter than the real draws it reuses
-@pytest.mark.parametrize("n", [63, 64, 256])
+# at two ADC samples the noise's bin -1 is bin 1; an odd count has no Nyquist bin
+@pytest.mark.parametrize("n", [2, 3, 63, 64, 256])
 @pytest.mark.parametrize("chirps", ["1", "B-1", "B", "B+1", "4100"])
 def test_streamed_chain_matches_explicit(rng, chirps, n, snr_db, fixed_bin):
     cfg = chirp_config(n)
     block = _block_rows(n)
     count = {"1": 1, "B-1": block - 1, "B": block, "B+1": block + 1, "4100": 4100}[chirps]
     scene = TargetScene(displacement=vibrating(rng, count), noise_snr_db=snr_db)
-    # the bin next to the target's still clears the noise floor
-    bin_index = cfg.bin_of_range(scene.nominal_range_m) + 1 if fixed_bin else None
+    # the bin next to the target's still clears the noise floor; with one
+    # positive-range bin, that bin is the target's
+    bin_index = (min(cfg.bin_of_range(scene.nominal_range_m) + 1, n // 2 - 1)
+                 if fixed_bin else None)
     got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
     got = measure_displacement(scene, cfg, got_rng, bin_index)
     want = explicit_chain(scene, cfg, want_rng, bin_index)
@@ -145,9 +186,9 @@ def test_streamed_chain_raises_as_explicit(scene, error):
     assert got == want and got[0] is error
 
 
-@pytest.mark.parametrize("snr_db, bound", [(None, 1.0), (20.0, 1.5)])
+@pytest.mark.parametrize("snr_db, bound", [(None, 1.0), (20.0, 1.0)])
 def test_streamed_chain_peak_memory(snr_db, bound):
-    # the explicit chain peaks at about 2.3 beat matrices
+    # the streamed chain peaks at about 0.8 beat matrices, the explicit one at 2
     cfg = ChirpConfig()
     scene = TargetScene(displacement=vibrating(np.random.default_rng(3), 4100),
                         noise_snr_db=snr_db)

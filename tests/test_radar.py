@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from phonoradar.radar import (BeatMatrix, C_LIGHT, ChirpConfig, NoCoherentTargetError,
-                              TargetScene, extract_displacement, measure_displacement,
-                              range_fft, simulate_beat_signal)
+                              TargetScene, add_range_noise, extract_displacement,
+                              measure_displacement, range_fft, simulate_beat_signal)
 from phonoradar.signals import SampledSignal
 
 
@@ -131,9 +131,10 @@ class TestExtractDisplacement:
     def test_no_coherent_target(self, cfg):
         scene = TargetScene(displacement=displacement(np.zeros(32)),
                             reflectivity=0.0, noise_snr_db=0.0)
-        beat = simulate_beat_signal(scene, cfg, np.random.default_rng(1))
+        spectrum = range_fft(simulate_beat_signal(scene, cfg))
+        add_range_noise(spectrum, scene, cfg, np.random.default_rng(1))
         with pytest.raises(NoCoherentTargetError):
-            extract_displacement(range_fft(beat), cfg)
+            extract_displacement(spectrum, cfg)
 
     def test_prf_mismatch_rejected(self, cfg):
         with pytest.raises(ValueError):
