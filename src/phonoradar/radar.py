@@ -25,6 +25,10 @@ __all__ = [
 
 C_LIGHT = 299792458.0
 _BLOCK_BYTES = 1 << 19
+# Range bins kept either side of the nominal range's bin when the streamed
+# chain selects the bin itself: _scene_ranges keeps the excursion under half
+# a range resolution, so the peak sits within one bin of it.
+_BAND_BINS = 2
 
 
 class NoCoherentTargetError(RuntimeError):
@@ -95,10 +99,18 @@ class TargetScene:
 
 @dataclass(frozen=True)
 class RadarDisplacement(SampledSignal):
-    """Displacement read from the slow-time phase of one range bin;
-    bin_index is the bin it was read from."""
+    """Displacement read from the slow-time phase of one range bin.
+
+    bin_index is the bin it was read from, bin_magnitude that bin's mean
+    magnitude over the chirps, noise_floor the median of the other bins'
+    mean magnitudes it was checked against, and passes the number of passes
+    over the chirps the measurement took.
+    """
 
     bin_index: int = field(kw_only=True)
+    bin_magnitude: float = field(kw_only=True)
+    noise_floor: float = field(kw_only=True)
+    passes: int = field(kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -228,6 +240,40 @@ def add_range_noise(spectrum: np.ndarray, scene: TargetScene, cfg: ChirpConfig,
     spectrum -= quarter[:, 2:]
 
 
+def _select_bin(mags: np.ndarray, bin_index: int | None) -> tuple[int, float, float]:
+    """(bin, its mean magnitude, median of the other bins' means) for the bin
+    extraction reads: bin_index, or the max mean-magnitude bin when it is
+    None. Raises NoCoherentTargetError unless the bin clears five times that
+    median floor."""
+    if bin_index is None:
+        bin_index = int(np.argmax(mags))
+    peak = mags[bin_index]
+    others = np.delete(mags, bin_index)
+    floor = np.median(others) if len(others) else 0.0
+    if peak <= 0 or peak < 5.0 * floor:
+        raise NoCoherentTargetError(
+            f"bin {bin_index} magnitude {peak:.3g} is below the noise floor"
+        )
+    return bin_index, float(peak), float(floor)
+
+
+def _phase_displacement(column: np.ndarray, cfg: ChirpConfig, choice: tuple,
+                        passes: int) -> RadarDisplacement:
+    """Displacement from the slow-time phase of one range bin's column;
+    choice is _select_bin's (bin, magnitude, floor) for that bin."""
+    bin_index, magnitude, floor = choice
+    phase = np.unwrap(np.angle(column))
+    disp = cfg.wavelength_m * phase / (4.0 * np.pi)
+    # The beat tone's frequency also moves with displacement; through the
+    # window group delay (N-1)/(2*fs) that adds a deterministic gain term.
+    group_delay_s = (cfg.adc_samples_per_chirp - 1) / (2.0 * cfg.adc_rate_hz)
+    gain = 1.0 + cfg.slope_hz_per_s * cfg.wavelength_m * group_delay_s / C_LIGHT
+    disp = disp / gain
+    disp = disp - disp.mean()
+    return RadarDisplacement(disp, cfg.prf_hz, "displacement_radar", bin_index=bin_index,
+                             bin_magnitude=magnitude, noise_floor=floor, passes=passes)
+
+
 def extract_displacement(rangefft: np.ndarray, cfg: ChirpConfig,
                          bin_index: int | None = None) -> RadarDisplacement:
     """Slow-time phase vibrometry at one range bin.
@@ -238,25 +284,56 @@ def extract_displacement(rangefft: np.ndarray, cfg: ChirpConfig,
     removes the mean. Output is sampled at the PRF and carries the bin it
     was read from.
     """
-    mags = np.abs(rangefft).mean(axis=0)
-    if bin_index is None:
-        bin_index = int(np.argmax(mags))
-    peak = mags[bin_index]
-    others = np.delete(mags, bin_index)
-    floor = np.median(others) if len(others) else 0.0
-    if peak <= 0 or peak < 5.0 * floor:
-        raise NoCoherentTargetError(
-            f"bin {bin_index} magnitude {peak:.3g} is below the noise floor"
-        )
-    phase = np.unwrap(np.angle(rangefft[:, bin_index]))
-    disp = cfg.wavelength_m * phase / (4.0 * np.pi)
-    # The beat tone's frequency also moves with displacement; through the
-    # window group delay (N-1)/(2*fs) that adds a deterministic gain term.
-    group_delay_s = (cfg.adc_samples_per_chirp - 1) / (2.0 * cfg.adc_rate_hz)
-    gain = 1.0 + cfg.slope_hz_per_s * cfg.wavelength_m * group_delay_s / C_LIGHT
-    disp = disp / gain
-    disp = disp - disp.mean()
-    return RadarDisplacement(disp, cfg.prf_hz, "displacement_radar", bin_index=bin_index)
+    choice = _select_bin(np.abs(rangefft).mean(axis=0), bin_index)
+    return _phase_displacement(rangefft[:, choice[0]], cfg, choice, passes=1)
+
+
+def _stream_bins(ranges: np.ndarray, scene: TargetScene, cfg: ChirpConfig,
+                 rng: np.random.Generator | None, lo: int, hi: int) -> tuple:
+    """One pass of the chain over blocks of _block_rows chirps: the per-bin
+    mean magnitudes of the noisy positive-range spectrum, and its columns
+    lo .. hi-1.
+
+    Each block is simulated, tapered and transformed in one reused buffer,
+    and its positive half gets the block's noise in place. Its magnitudes
+    are summed into the running per-bin sums in row order, one
+    np.add.reduce over [sums; block rows], as np.abs(spectrum).mean(axis=0)
+    sums them, so the means are the same bits.
+
+    A lone last row joins the block before it: _beat_rows' first doubling
+    pass multiplies a one-row block's single element on numpy's contiguous
+    path, which rounds differently from the strided one every row of a
+    larger matrix takes.
+    """
+    n = cfg.adc_samples_per_chirp
+    chirps, half = len(ranges), n // 2
+    window = hann_window(n)
+    rows = _block_rows(n)
+    size = min(rows + 1, chirps)
+    buf = np.empty((size, n), dtype=np.complex128)
+    mags = np.zeros((size + 1, half))   # row 0 holds the running sums
+    scratch = None if scene.noise_snr_db is None else np.empty(2 * size * min(half + 2, n))
+    kept = np.empty((chirps, hi - lo), dtype=np.complex128)
+    start = 0
+    while start < chirps:
+        stop = min(start + rows, chirps)
+        if stop == chirps - 1:
+            stop = chirps
+        block = buf[:stop - start]
+        _beat_rows(block, ranges[start:stop], scene.reflectivity, cfg)
+        _range_rows(block, window, block)
+        positive = block[:, :half]
+        add_range_noise(positive, scene, cfg, rng, scratch)
+        np.abs(positive, out=mags[1:stop - start + 1])
+        mags[0] = np.add.reduce(mags[:stop - start + 1], axis=0)
+        kept[start:stop] = positive[:, lo:hi]
+        start = stop
+    if hi - lo == half:
+        # Every bin is kept, so average them as extraction does. A lone bin
+        # must take this path: numpy sums a single column pairwise, not in
+        # row order, and measure_displacement always keeps it.
+        return np.abs(kept).mean(axis=0), kept
+    return mags[0] / chirps, kept
 
 
 def measure_displacement(scene: TargetScene, cfg: ChirpConfig,
@@ -270,26 +347,30 @@ def measure_displacement(scene: TargetScene, cfg: ChirpConfig,
         add_range_noise(spectrum, scene, cfg, rng)
         extract_displacement(spectrum, cfg, bin_index)
 
-    with the same draws from rng, but streamed over blocks of _block_rows
-    chirps: each block is simulated, tapered and transformed in one reused
-    buffer, its positive-range half is copied out, and the buffer then holds
-    the block's noise draws. The full beat matrix is never held.
+    with the same draws from rng, but streamed over blocks of chirps
+    (_stream_bins) in working memory that does not grow with chirps x bins:
+    only the per-bin magnitude sums and the columns extraction may read are
+    kept, bin_index or the nominal range's bin +- _BAND_BINS. If the
+    selected bin lies outside that band, rng is rewound and the pass runs
+    again keeping that bin alone (passes == 2).
     """
     ranges = _scene_ranges(scene, cfg)
-    n = cfg.adc_samples_per_chirp
-    chirps, half = len(ranges), n // 2
-    spectrum = np.empty((chirps, half), dtype=np.complex128)
+    half = cfg.adc_samples_per_chirp // 2
     if rng is None and scene.noise_snr_db is not None:
         rng = np.random.default_rng()
-    window = hann_window(n)
-    rows = _block_rows(n)
-    buf = np.empty((min(rows, chirps), n), dtype=np.complex128)
-    scratch = buf.view(np.float64).reshape(-1)
-    for start in range(0, chirps, rows):
-        stop = min(start + rows, chirps)
-        block = buf[:stop - start]
-        _beat_rows(block, ranges[start:stop], scene.reflectivity, cfg)
-        _range_rows(block, window, block)
-        spectrum[start:stop] = block[:, :half]
-        add_range_noise(spectrum[start:stop], scene, cfg, rng, scratch)
-    return extract_displacement(spectrum, cfg, bin_index)
+    if bin_index is None:
+        centre = min(cfg.bin_of_range(scene.nominal_range_m), half - 1)
+        lo, hi = max(centre - _BAND_BINS, 0), min(centre + _BAND_BINS + 1, half)
+    else:
+        lo = int(np.arange(half)[bin_index])   # numpy's IndexError when out of range
+        hi = lo + 1
+    state = None if rng is None else rng.bit_generator.state
+    mags, kept = _stream_bins(ranges, scene, cfg, rng, lo, hi)
+    choice = _select_bin(mags, bin_index)
+    column = choice[0] % half
+    if lo <= column < hi:
+        return _phase_displacement(kept[:, column - lo], cfg, choice, passes=1)
+    if rng is not None:
+        rng.bit_generator.state = state
+    _, kept = _stream_bins(ranges, scene, cfg, rng, column, column + 1)
+    return _phase_displacement(kept[:, 0], cfg, choice, passes=2)

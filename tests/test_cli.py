@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+import phonoradar
 from phonoradar.cli import main
 from phonoradar.io import read_csv_signal, read_wav, write_csv_signal, write_wav
 from phonoradar.radar import ChirpConfig
@@ -342,6 +346,43 @@ def test_radar_with_noise_flag(tmp_path):
     meta = json.loads((subj / "radar.json").read_text())
     assert meta["snr_db"] == 20.0
     assert meta["correlation_vs_truth"] > 0.99
+
+
+# Waits for the command in argv and prints its exit code and ru_maxrss. A
+# child's ru_maxrss starts from the high-water mark of the process that
+# spawned it, so the stage is spawned from this small process, not from the
+# larger test process.
+LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def radar_stage_peak_rss_mb(cohort: Path) -> float:
+    """Peak RSS of a `phonoradar radar --cohort cohort --snr 20` process."""
+    src = str(Path(phonoradar.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", LAUNCHER, sys.executable, "-m",
+                           "phonoradar.cli", "radar", "--cohort", str(cohort), "--snr", "20"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, check=True)
+    code, maxrss_kb = proc.stdout.split()
+    assert code == "0"
+    return int(maxrss_kb) / 1024.0
+
+
+def test_radar_stage_memory_does_not_grow_with_duration(tmp_path):
+    # holding the range spectrum, 40100 chirps x 128 bins of complex128 at
+    # 20 s, grew the stage by about 120 MB; the streamed chain keeps a few
+    # range bins per chirp
+    peak = {}
+    for duration in ("2", "20"):
+        cohort = tmp_path / duration
+        assert run(["synth", "--out", str(cohort), "--cohort", "1", "--seed", "3",
+                    "--duration", duration]) == 0
+        peak[duration] = radar_stage_peak_rss_mb(cohort)
+    assert peak["20"] - peak["2"] < 15.0, peak
 
 
 def test_parallel_jobs_match_serial(tmp_path):

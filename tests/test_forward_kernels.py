@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from phonoradar.radar import (C_LIGHT, ChirpConfig, NoCoherentTargetError, TargetScene,
-                              _block_rows, add_range_noise, extract_displacement,
+                              _block_rows, _stream_bins, add_range_noise, extract_displacement,
                               measure_displacement, range_fft, simulate_beat_signal)
 from phonoradar.signals import SampledSignal, hann_window
 from phonoradar.synth import GlottalConfig, synth_vocal_fold_displacement
@@ -145,16 +145,31 @@ def explicit_chain(scene, cfg, rng=None, bin_index=None):
     return extract_displacement(spectrum, cfg, bin_index)
 
 
-@pytest.mark.parametrize("fixed_bin", [False, True])
-@pytest.mark.parametrize("snr_db", [None, 15.0])
-# at two ADC samples the noise's bin -1 is bin 1; an odd count has no Nyquist bin
-@pytest.mark.parametrize("n", [2, 3, 63, 64, 256])
-@pytest.mark.parametrize("chirps", ["1", "B-1", "B", "B+1", "4100"])
-def test_streamed_chain_matches_explicit(rng, chirps, n, snr_db, fixed_bin):
-    cfg = chirp_config(n)
+STREAM_GRID = [
+    pytest.mark.parametrize("snr_db", [None, 15.0]),
+    # at two ADC samples the noise's bin -1 is bin 1; an odd count has no Nyquist bin
+    pytest.mark.parametrize("n", [2, 3, 63, 64, 256]),
+    pytest.mark.parametrize("chirps", ["1", "B-1", "B", "B+1", "4100"]),
+]
+
+
+def stream_grid(test):
+    for mark in reversed(STREAM_GRID):
+        test = mark(test)
+    return test
+
+
+def grid_scene(rng, chirps, n, snr_db):
     block = _block_rows(n)
     count = {"1": 1, "B-1": block - 1, "B": block, "B+1": block + 1, "4100": 4100}[chirps]
-    scene = TargetScene(displacement=vibrating(rng, count), noise_snr_db=snr_db)
+    return TargetScene(displacement=vibrating(rng, count), noise_snr_db=snr_db)
+
+
+@pytest.mark.parametrize("fixed_bin", [False, True])
+@stream_grid
+def test_streamed_chain_matches_explicit(rng, chirps, n, snr_db, fixed_bin):
+    cfg = chirp_config(n)
+    scene = grid_scene(rng, chirps, n, snr_db)
     # the bin next to the target's still clears the noise floor; with one
     # positive-range bin, that bin is the target's
     bin_index = (min(cfg.bin_of_range(scene.nominal_range_m) + 1, n // 2 - 1)
@@ -164,6 +179,44 @@ def test_streamed_chain_matches_explicit(rng, chirps, n, snr_db, fixed_bin):
     want = explicit_chain(scene, cfg, want_rng, bin_index)
     assert np.array_equal(got.samples, want.samples)
     assert got.bin_index == want.bin_index
+    assert (got.bin_magnitude, got.noise_floor) == (want.bin_magnitude, want.noise_floor)
+    assert got.passes == want.passes == 1   # the kept band holds the peak
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@stream_grid
+def test_streamed_bin_means_match_explicit(rng, chirps, n, snr_db):
+    cfg = chirp_config(n)
+    scene = grid_scene(rng, chirps, n, snr_db)
+    spectrum = range_fft(simulate_beat_signal(scene, cfg))
+    add_range_noise(spectrum, scene, cfg, np.random.default_rng(7))
+    half = n // 2
+    # bands of one bin and more, as measure_displacement keeps them: a lone
+    # positive-range bin is always kept whole
+    for lo, hi in ((0, half), (max(half - 5, 0), half), (half // 2, half // 2 + 1)):
+        means, kept = _stream_bins(scene.displacement.samples + scene.nominal_range_m,
+                                   scene, cfg, np.random.default_rng(7), lo, hi)
+        assert np.array_equal(means, np.abs(spectrum).mean(axis=0))
+        assert np.array_equal(kept, spectrum[:, lo:hi])
+
+
+@pytest.mark.parametrize("snr_db", [None, 15.0])
+@pytest.mark.parametrize("fixed_bin", [False, True])
+def test_streamed_chain_second_pass_matches_explicit(monkeypatch, rng, snr_db, fixed_bin):
+    cfg = ChirpConfig()
+    scene = TargetScene(displacement=vibrating(rng, 1000), noise_snr_db=snr_db)
+    centre = cfg.bin_of_range(scene.nominal_range_m)
+    want_rng = np.random.default_rng(7)
+    want = explicit_chain(scene, cfg, want_rng, centre if fixed_bin else None)
+    assert want.bin_index == centre
+    # move the kept band ten bins off the peak
+    monkeypatch.setattr(ChirpConfig, "bin_of_range", lambda self, range_m: centre + 10)
+    got_rng = np.random.default_rng(7)
+    got = measure_displacement(scene, cfg, got_rng, centre if fixed_bin else None)
+    assert got.passes == (1 if fixed_bin else 2)
+    assert np.array_equal(got.samples, want.samples)
+    assert (got.bin_index, got.bin_magnitude, got.noise_floor) == (
+        want.bin_index, want.bin_magnitude, want.noise_floor)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
@@ -186,11 +239,15 @@ def test_streamed_chain_raises_as_explicit(scene, error):
     assert got == want and got[0] is error
 
 
-@pytest.mark.parametrize("snr_db, bound", [(None, 1.0), (20.0, 1.0)])
-def test_streamed_chain_peak_memory(snr_db, bound):
-    # the streamed chain peaks at about 0.8 beat matrices, the explicit one at 2
+@pytest.mark.parametrize("chirps, snr_db, bound", [
+    (4100, None, 0.25), (4100, 20.0, 0.25), (16400, 20.0, 0.1),
+], ids=["4100-noiseless", "4100-noisy", "16400-noisy"])
+def test_streamed_chain_peak_memory(chirps, snr_db, bound):
+    # the streamed chain holds one block, its magnitudes and noise draws, the
+    # kept band and the output, about 1.8 MB at 4100 chirps and 2.6 MB at
+    # 16400; the explicit chain holds about 2 beat matrices
     cfg = ChirpConfig()
-    scene = TargetScene(displacement=vibrating(np.random.default_rng(3), 4100),
+    scene = TargetScene(displacement=vibrating(np.random.default_rng(3), chirps),
                         noise_snr_db=snr_db)
     rng = np.random.default_rng(7)
     tracemalloc.start()
@@ -199,7 +256,7 @@ def test_streamed_chain_peak_memory(snr_db, bound):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= bound * 4100 * cfg.adc_samples_per_chirp * 16
+    assert peak <= bound * chirps * cfg.adc_samples_per_chirp * 16
 
 
 # --- glottal pulse train --------------------------------------------------
