@@ -219,6 +219,9 @@ def _radar_one(chirp: ChirpConfig, scene: TargetScene, task: tuple) -> str:
     corr = float(truth @ measured.samples / denom) if denom > 0 else 0.0
     meta = {
         "selected_bin": measured.bin_index,
+        "bin_magnitude": measured.bin_magnitude,
+        "noise_floor": measured.noise_floor,
+        "passes": measured.passes,
         "range_m": scene.nominal_range_m,
         "snr_db": scene.noise_snr_db,
         "correlation_vs_truth": corr,
@@ -277,7 +280,8 @@ def _transform_one(cfg: TransformConfig, resample: bool, task: tuple) -> str:
         "n_frames": len(out.per_frame),
         "n_voiced": voiced,
         "config": asdict(out.config),
-        "per_frame": [asdict(r) for r in out.per_frame],
+        # the records' own field dicts: asdict deep-copies each of them
+        "per_frame": [vars(r) for r in out.per_frame],
     }
     # One compact dumps call: json.dump, and any indent, run the pure-Python
     # encoder, several times slower on the per-frame records.

@@ -108,7 +108,13 @@ class TestRadar:
         spectrum = range_fft(simulate_beat_signal(scene, cfg))
         add_range_noise(spectrum, scene, cfg, np.random.default_rng(0))
         profile = np.abs(spectrum).mean(axis=0)
-        assert meta["selected_bin"] == int(np.argmax(profile))
+        peak = int(np.argmax(profile))
+        assert meta["selected_bin"] == peak
+        # the bin decision: its mean magnitude, the median of the other
+        # bins' it was checked against, and one pass over the chirps
+        assert meta["bin_magnitude"] == profile[peak]
+        assert meta["noise_floor"] == np.median(np.delete(profile, peak))
+        assert meta["passes"] == 1
 
 
 class TestTransform:
