@@ -29,6 +29,9 @@ from .transform import (NoVoicedFramesError, TransformConfig, check_voicing_thre
                         transform_speech)
 
 TAU_CHOICES_SAMPLES = (0, 1, 2, 4)
+# Spawn key of the radar noise streams' parent: synth's per-subject streams
+# are SeedSequence(seed)'s children, spawn keys (i,); radar's are (key, i).
+RADAR_NOISE_KEY = int.from_bytes(b"radar", "big")
 
 RADAR_FILE = "neck_radar.csv"
 RADAR_META = "radar.json"
@@ -204,9 +207,16 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def radar_noise_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
+    """The radar noise seeds of `count` subjects in a run at `seed`: one
+    stream per subject, apart from every other subject's, from the streams
+    of other seeds and from synth's."""
+    return np.random.SeedSequence(seed, spawn_key=(RADAR_NOISE_KEY,)).spawn(count)
+
+
 def _radar_one(chirp: ChirpConfig, scene: TargetScene, task: tuple) -> str:
     """Worker: measure one subject's neck displacement at the subject's rate
-    as PRF. task is (directory, noise seed)."""
+    as PRF. task is (directory, noise seed sequence)."""
     directory, seed = task
     d_true = pio.read_csv_signal(directory / "neck_true.csv", "neck_displacement")
     cfg = replace(chirp, prf_hz=d_true.rate_hz)
@@ -250,7 +260,7 @@ def cmd_radar(args) -> int:
     for d in dirs:
         if not (d / SUBJECT_MANIFEST).exists():
             raise FileNotFoundError(f"missing {d / SUBJECT_MANIFEST}")
-    tasks = [(d, args.seed + i) for i, d in enumerate(dirs)]
+    tasks = list(zip(dirs, radar_noise_seeds(args.seed, len(dirs))))
     for line in _run_jobs(functools.partial(_radar_one, chirp, scene), tasks, args.jobs):
         print(line)
     return 0

@@ -11,9 +11,9 @@ import pytest
 from scipy.io import wavfile
 
 import phonoradar
-from phonoradar.cli import main
+from phonoradar.cli import main, radar_noise_seeds
 from phonoradar.io import read_csv_signal, read_wav, write_csv_signal, write_wav
-from phonoradar.radar import ChirpConfig
+from phonoradar.radar import ChirpConfig, TargetScene, measure_displacement
 from phonoradar.signals import SampledSignal
 from phonoradar.transform import TransformConfig, transform_speech
 
@@ -106,7 +106,7 @@ class TestRadar:
         scene = TargetScene(displacement=d_true, nominal_range_m=0.4, noise_snr_db=10.0)
         cfg = ChirpConfig(prf_hz=d_true.rate_hz)
         spectrum = range_fft(simulate_beat_signal(scene, cfg))
-        add_range_noise(spectrum, scene, cfg, np.random.default_rng(0))
+        add_range_noise(spectrum, scene, cfg, np.random.default_rng(radar_noise_seeds(0, 1)[0]))
         profile = np.abs(spectrum).mean(axis=0)
         peak = int(np.argmax(profile))
         assert meta["selected_bin"] == peak
@@ -364,6 +364,33 @@ proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
 _, status, usage = os.wait4(proc.pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
+
+
+def test_radar_noise_streams_are_distinct():
+    # subjects 0-39 at seeds 1-20: no two radar streams alike, and none
+    # alike synth's per-subject streams at those seeds
+    starts = set()
+    for seed in range(1, 21):
+        streams = (radar_noise_seeds(seed, 40)
+                   + np.random.SeedSequence(seed).spawn(40))
+        starts.update(tuple(np.random.default_rng(s).integers(2**63, size=2))
+                      for s in streams)
+    assert len(starts) == 20 * 40 * 2
+
+
+def test_cohort_radar_noise_uses_each_subjects_stream(tmp_path):
+    cohort = tmp_path / "c"
+    assert run(["synth", "--out", str(cohort), "--cohort", "2", "--seed", "4",
+                "--duration", "0.3"]) == 0
+    assert run(["radar", "--cohort", str(cohort), "--snr", "15", "--seed", "6"]) == 0
+    for i, seeds in enumerate(radar_noise_seeds(6, 2)):
+        directory = cohort / f"subject_{i:03d}"
+        d_true = read_csv_signal(directory / "neck_true.csv")
+        want = measure_displacement(TargetScene(displacement=d_true, noise_snr_db=15.0),
+                                    ChirpConfig(prf_hz=d_true.rate_hz),
+                                    np.random.default_rng(seeds))
+        got = read_csv_signal(directory / "neck_radar.csv")
+        assert np.array_equal(got.samples, want.samples)
 
 
 def radar_stage_peak_rss_mb(cohort: Path) -> float:
