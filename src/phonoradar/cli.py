@@ -207,21 +207,24 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def radar_noise_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
-    """The radar noise seeds of `count` subjects in a run at `seed`: one
-    stream per subject, apart from every other subject's, from the streams
-    of other seeds and from synth's."""
-    return np.random.SeedSequence(seed, spawn_key=(RADAR_NOISE_KEY,)).spawn(count)
+def radar_noise_seed(seed: int, index: int) -> np.random.SeedSequence:
+    """The radar noise seed of subject `index` in a run at `seed`, child
+    `index` of SeedSequence(seed, spawn_key=(RADAR_NOISE_KEY,)): one stream
+    per subject, apart from every other subject's, from the streams of
+    other seeds and from synth's."""
+    return np.random.SeedSequence(seed, spawn_key=(RADAR_NOISE_KEY, index))
 
 
-def _radar_one(chirp: ChirpConfig, scene: TargetScene, task: tuple) -> str:
+def _radar_one(chirp: ChirpConfig, scene: TargetScene, seed: int, task: tuple) -> str:
     """Worker: measure one subject's neck displacement at the subject's rate
-    as PRF. task is (directory, noise seed sequence)."""
-    directory, seed = task
+    as PRF. task is (subject index, directory)."""
+    index, directory = task
     d_true = pio.read_csv_signal(directory / "neck_true.csv", "neck_displacement")
     cfg = replace(chirp, prf_hz=d_true.rate_hz)
     scene = replace(scene, displacement=d_true)
-    rng = np.random.default_rng(seed) if scene.noise_snr_db is not None else None
+    # A noiseless run never imports numpy.random: about 5 MB of RSS.
+    rng = (np.random.default_rng(radar_noise_seed(seed, index))
+           if scene.noise_snr_db is not None else None)
     measured = measure_displacement(scene, cfg, rng)
     pio.write_csv_signal(directory / RADAR_FILE, measured)
     truth = d_true.samples - d_true.samples.mean()
@@ -260,8 +263,9 @@ def cmd_radar(args) -> int:
     for d in dirs:
         if not (d / SUBJECT_MANIFEST).exists():
             raise FileNotFoundError(f"missing {d / SUBJECT_MANIFEST}")
-    tasks = list(zip(dirs, radar_noise_seeds(args.seed, len(dirs))))
-    for line in _run_jobs(functools.partial(_radar_one, chirp, scene), tasks, args.jobs):
+    tasks = list(enumerate(dirs))
+    for line in _run_jobs(functools.partial(_radar_one, chirp, scene, args.seed), tasks,
+                          args.jobs):
         print(line)
     return 0
 

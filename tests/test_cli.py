@@ -11,7 +11,7 @@ import pytest
 from scipy.io import wavfile
 
 import phonoradar
-from phonoradar.cli import main, radar_noise_seeds
+from phonoradar.cli import RADAR_NOISE_KEY, main, radar_noise_seed
 from phonoradar.io import read_csv_signal, read_wav, write_csv_signal, write_wav
 from phonoradar.radar import ChirpConfig, TargetScene, measure_displacement
 from phonoradar.signals import SampledSignal
@@ -106,7 +106,7 @@ class TestRadar:
         scene = TargetScene(displacement=d_true, nominal_range_m=0.4, noise_snr_db=10.0)
         cfg = ChirpConfig(prf_hz=d_true.rate_hz)
         spectrum = range_fft(simulate_beat_signal(scene, cfg))
-        add_range_noise(spectrum, scene, cfg, np.random.default_rng(radar_noise_seeds(0, 1)[0]))
+        add_range_noise(spectrum, scene, cfg, np.random.default_rng(radar_noise_seed(0, 0)))
         profile = np.abs(spectrum).mean(axis=0)
         peak = int(np.argmax(profile))
         assert meta["selected_bin"] == peak
@@ -371,8 +371,11 @@ def test_radar_noise_streams_are_distinct():
     # alike synth's per-subject streams at those seeds
     starts = set()
     for seed in range(1, 21):
-        streams = (radar_noise_seeds(seed, 40)
-                   + np.random.SeedSequence(seed).spawn(40))
+        radar = [radar_noise_seed(seed, i) for i in range(40)]
+        # the children a spawning parent would hand out
+        parent = np.random.SeedSequence(seed, spawn_key=(RADAR_NOISE_KEY,))
+        assert [s.spawn_key for s in radar] == [s.spawn_key for s in parent.spawn(40)]
+        streams = radar + np.random.SeedSequence(seed).spawn(40)
         starts.update(tuple(np.random.default_rng(s).integers(2**63, size=2))
                       for s in streams)
     assert len(starts) == 20 * 40 * 2
@@ -383,12 +386,12 @@ def test_cohort_radar_noise_uses_each_subjects_stream(tmp_path):
     assert run(["synth", "--out", str(cohort), "--cohort", "2", "--seed", "4",
                 "--duration", "0.3"]) == 0
     assert run(["radar", "--cohort", str(cohort), "--snr", "15", "--seed", "6"]) == 0
-    for i, seeds in enumerate(radar_noise_seeds(6, 2)):
+    for i in range(2):
         directory = cohort / f"subject_{i:03d}"
         d_true = read_csv_signal(directory / "neck_true.csv")
         want = measure_displacement(TargetScene(displacement=d_true, noise_snr_db=15.0),
                                     ChirpConfig(prf_hz=d_true.rate_hz),
-                                    np.random.default_rng(seeds))
+                                    np.random.default_rng(radar_noise_seed(6, i)))
         got = read_csv_signal(directory / "neck_radar.csv")
         assert np.array_equal(got.samples, want.samples)
 

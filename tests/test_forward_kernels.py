@@ -244,7 +244,7 @@ def test_streamed_chain_raises_as_explicit(scene, error):
 ], ids=["4100-noiseless", "4100-noisy", "16400-noisy"])
 def test_streamed_chain_peak_memory(chirps, snr_db, bound):
     # the streamed chain holds one block, its magnitudes and noise draws, the
-    # kept band and the output, about 1.8 MB at 4100 chirps and 2.6 MB at
+    # kept band and the output, about 1.8 MB at 4100 chirps and 2.8 MB at
     # 16400; the explicit chain holds about 2 beat matrices
     cfg = ChirpConfig()
     scene = TargetScene(displacement=vibrating(np.random.default_rng(3), chirps),

@@ -40,3 +40,17 @@ def test_import_leaves_the_process_pool_unloaded():
               "assert 'concurrent.futures' not in sys.modules, sorted(sys.modules)")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_noiseless_radar_does_not_load_numpy_random(tmp_path):
+    # importing numpy.random adds about 5 MB to a stage's peak RSS, and a
+    # noiseless radar run draws nothing
+    cohort = tmp_path / "cohort"
+    assert main(["synth", "--out", str(cohort), "--cohort", "2", "--seed", "5",
+                 "--duration", "0.3"]) == 0
+    src = str(Path(phonoradar.__file__).resolve().parents[1])
+    script = (f"import sys; sys.path.insert(0, {src!r}); import phonoradar.cli; "
+              f"assert phonoradar.cli.main(['radar', '--cohort', {str(cohort)!r}]) == 0; "
+              "assert 'numpy.random' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
