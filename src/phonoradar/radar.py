@@ -370,7 +370,7 @@ def measure_displacement(scene: TargetScene, cfg: ChirpConfig,
     state = None if rng is None else rng.bit_generator.state
     mags, kept = _stream_bins(ranges, scene, cfg, rng, lo, hi)
     choice = _select_bin(mags, bin_index)
-    column = choice[0] % half
+    column = choice[0] % half   # a negative bin_index counts from the last bin
     if lo <= column < hi:
         return _phase_displacement(kept[:, column - lo], cfg, choice, passes=1)
     if rng is not None:

@@ -354,18 +354,6 @@ def test_radar_with_noise_flag(tmp_path):
     assert meta["correlation_vs_truth"] > 0.99
 
 
-# Waits for the command in argv and prints its exit code and ru_maxrss. A
-# child's ru_maxrss starts from the high-water mark of the process that
-# spawned it, so the stage is spawned from this small process, not from the
-# larger test process.
-LAUNCHER = """
-import os, subprocess, sys
-proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
-_, status, usage = os.wait4(proc.pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
-"""
-
-
 def test_radar_noise_streams_are_distinct():
     # subjects 0-39 at seeds 1-20: no two radar streams alike, and none
     # alike synth's per-subject streams at those seeds
@@ -394,6 +382,18 @@ def test_cohort_radar_noise_uses_each_subjects_stream(tmp_path):
                                     np.random.default_rng(radar_noise_seed(6, i)))
         got = read_csv_signal(directory / "neck_radar.csv")
         assert np.array_equal(got.samples, want.samples)
+
+
+# Waits for the command in argv and prints its exit code and ru_maxrss. A
+# child's ru_maxrss starts from the high-water mark of the process that
+# spawned it, so the stage is spawned from this small process, not from the
+# larger test process.
+LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
 
 
 def radar_stage_peak_rss_mb(cohort: Path) -> float:
