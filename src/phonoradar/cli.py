@@ -148,9 +148,14 @@ def _displacement_path(directory: Path) -> Path:
     return radar_path if radar_path.exists() else directory / "neck_true.csv"
 
 
-def _common_length(*signals: SampledSignal) -> list[SampledSignal]:
-    n = min(len(sig) for sig in signals)
-    return [SampledSignal(sig.samples[:n], sig.rate_hz, sig.label) for sig in signals]
+def _check_lengths(*traces: tuple[Path, SampledSignal]) -> None:
+    """A data error, naming both files, unless every (path, signal) pair has
+    the first one's length: the stages pair the traces sample by sample."""
+    (first, reference), *others = traces
+    for path, sig in others:
+        if len(sig) != len(reference):
+            raise ValueError(f"length mismatch: {first} has {len(reference)} samples, "
+                             f"{path} has {len(sig)}")
 
 
 def _draw_cohort_params(args, index: int, seed: int) -> tuple:
@@ -284,7 +289,8 @@ def _transform_one(cfg: TransformConfig, resample: bool, task: tuple) -> str:
                 "pass --resample to decimate the speech"
             )
         speech = resample_decimate(speech, displacement.rate_hz)
-    out = transform_speech(*_common_length(speech, displacement), cfg)
+    _check_lengths((speech_path, speech), (displacement_path, displacement))
+    out = transform_speech(speech, displacement, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     for key, name in TRANSFORM_FILES.items():
         pio.write_csv_signal(out_dir / name, getattr(out, key))
@@ -327,14 +333,15 @@ def cmd_transform(args) -> int:
 
 def _evaluate_one(voicing_threshold: float, directory: Path) -> SubjectEvaluation:
     """Worker: the LSD evaluation of one transformed subject."""
-    s = pio.read_wav(directory / "speech.wav", "speech")
-    d_path = _displacement_path(directory)
+    s_path, d_path = directory / "speech.wav", _displacement_path(directory)
+    e_path, d_hat_path = (directory / TRANSFORM_FILES[key] for key in ("e_hat", "d_hat"))
+    s = pio.read_wav(s_path, "speech")
     d = pio.read_csv_signal(d_path, "neck_displacement")
     if d_path.name != RADAR_FILE:
         d = d.with_samples(d.samples - d.samples.mean())
-    e_hat = pio.read_csv_signal(directory / TRANSFORM_FILES["e_hat"], "excitation_estimate")
-    d_hat = pio.read_csv_signal(directory / TRANSFORM_FILES["d_hat"], "displacement_estimate")
-    s, e_hat, d_hat, d = _common_length(s, e_hat, d_hat, d)
+    e_hat = pio.read_csv_signal(e_path, "excitation_estimate")
+    d_hat = pio.read_csv_signal(d_hat_path, "displacement_estimate")
+    _check_lengths((s_path, s), (e_path, e_hat), (d_hat_path, d_hat), (d_path, d))
     return evaluate_signals(directory.name, s, e_hat, d_hat, d,
                             voicing_threshold=voicing_threshold)
 

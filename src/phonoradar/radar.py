@@ -1,5 +1,6 @@
-"""FMCW radar chain: chirp configuration, beat-signal synthesis for a
-vibrating point reflector, range FFT, and slow-time phase vibrometry."""
+"""FMCW radar chain: chirp configuration, the closed-form range spectrum of a
+vibrating point reflector, receiver noise, and slow-time phase vibrometry;
+beat-signal synthesis and the range FFT are kept as its reference."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signals import SampledSignal, hann_window
+from .signals import SampledSignal, hann_window, median
 
 __all__ = [
     "C_LIGHT",
@@ -150,56 +151,35 @@ def _noise_sigma(scene: TargetScene) -> float:
     return np.sqrt(sig_power / 10.0 ** (scene.noise_snr_db / 10.0) / 2.0)
 
 
-def _beat_rows(out: np.ndarray, ranges: np.ndarray, reflectivity: float,
-               cfg: ChirpConfig) -> None:
-    """Fill out (one row per chirp) with the noiseless beat tones.
-
-    The phase is affine in the ADC sample index n, 4*pi*R_m/lambda +
-    step_m*n with step_m = 2*pi*f_b/f_s, so the tone is built by a phasor
-    recurrence: column 0 holds the starting phasor, and each pass doubles
-    the filled width w by one complex multiply with exp(j*step_m*w).
-    """
-    n = out.shape[1]
-    step = 2.0 * np.pi * cfg.beat_frequency_hz(ranges) / cfg.adc_rate_hz
-    out[:, 0] = reflectivity * np.exp(1j * (4.0 * np.pi * ranges / cfg.wavelength_m))
-    width = 1
-    while width < n:
-        k = min(width, n - width)
-        np.multiply(out[:, :k], np.exp(1j * (step * width))[:, None],
-                    out=out[:, width:width + k])
-        width += k
-
-
-def _range_rows(rows: np.ndarray, window: np.ndarray, out: np.ndarray) -> None:
-    """Hann-taper each row of rows into out and FFT out in place; out may be rows."""
-    np.multiply(rows, window, out=out)
-    np.fft.fft(out, axis=1, out=out)
-
-
-def _block_rows(adc_samples: int) -> int:
-    """Chirps per streamed block: about 512 KiB of complex beat samples."""
-    return max(1, _BLOCK_BYTES // (16 * adc_samples))
-
-
 def simulate_beat_signal(scene: TargetScene, cfg: ChirpConfig) -> BeatMatrix:
     """Noiseless beat signal for chirp m against a target at R_m = R0 + d[m].
 
     Each chirp yields a complex tone at f_b = 2*slope*R_m/c with starting
-    phase 4*pi*R_m/lambda, built by a phasor recurrence over the ADC
-    samples. Receiver noise is added after the range FFT (add_range_noise).
+    phase 4*pi*R_m/lambda. The phase is affine in the ADC sample index n,
+    4*pi*R_m/lambda + step_m*n with step_m = 2*pi*f_b/f_s, so the tone is
+    built by a phasor recurrence: column 0 holds the starting phasor, and
+    each pass doubles the filled width w by one complex multiply with
+    exp(j*step_m*w). Receiver noise is added after the range FFT
+    (add_range_noise).
     """
     ranges = _scene_ranges(scene, cfg)
-    data = np.empty((len(ranges), cfg.adc_samples_per_chirp), dtype=np.complex128)
-    _beat_rows(data, ranges, scene.reflectivity, cfg)
+    n = cfg.adc_samples_per_chirp
+    data = np.empty((len(ranges), n), dtype=np.complex128)
+    step = 2.0 * np.pi * cfg.beat_frequency_hz(ranges) / cfg.adc_rate_hz
+    data[:, 0] = scene.reflectivity * np.exp(1j * (4.0 * np.pi * ranges / cfg.wavelength_m))
+    width = 1
+    while width < n:
+        k = min(width, n - width)
+        np.multiply(data[:, :k], np.exp(1j * (step * width))[:, None],
+                    out=data[:, width:width + k])
+        width += k
     return BeatMatrix(data=data, config=cfg)
 
 
 def range_fft(beat: BeatMatrix) -> np.ndarray:
     """Hann-tapered fast-time FFT per chirp, keeping the positive-range bins."""
     n = beat.config.adc_samples_per_chirp
-    spectrum = np.empty_like(beat.data)
-    _range_rows(beat.data, hann_window(n), spectrum)
-    return spectrum[:, :n // 2]
+    return np.fft.fft(beat.data * hann_window(n), axis=1)[:, :n // 2]
 
 
 def add_range_noise(spectrum: np.ndarray, scene: TargetScene, cfg: ChirpConfig,
@@ -249,7 +229,7 @@ def _select_bin(mags: np.ndarray, bin_index: int | None) -> tuple[int, float, fl
         bin_index = int(np.argmax(mags))
     peak = mags[bin_index]
     others = np.delete(mags, bin_index)
-    floor = np.median(others) if len(others) else 0.0
+    floor = median(others) if len(others) else 0.0
     if peak <= 0 or peak < 5.0 * floor:
         raise NoCoherentTargetError(
             f"bin {bin_index} magnitude {peak:.3g} is below the noise floor"
@@ -288,76 +268,152 @@ def extract_displacement(rangefft: np.ndarray, cfg: ChirpConfig,
     return _phase_displacement(rangefft[:, choice[0]], cfg, choice, passes=1)
 
 
-def _stream_bins(ranges: np.ndarray, scene: TargetScene, cfg: ChirpConfig,
-                 rng: np.random.Generator | None, lo: int, hi: int) -> tuple:
-    """One pass of the chain over blocks of _block_rows chirps: the per-bin
+def _block_chirps(adc_samples: int) -> int:
+    """Chirps per streamed block: about 512 KiB of complex positive-range bins."""
+    return max(1, _BLOCK_BYTES // (16 * (adc_samples // 2 + 2)))
+
+
+def _dirichlet_rows(offset: np.ndarray, j0: int, n: int, out: np.ndarray) -> None:
+    """Fill out[m, c] with sin(pi*b_m) / sin(pi*(b_m - j)/n), the Dirichlet
+    kernel of a tone at bin b_m = j0 + offset_m seen from bin j = c - 1.
+
+    j0, in -1 .. n-2, is a bin near the tone and offset_m lies in (-1, 1).
+    The denominators are one real outer product over chirps and bins,
+    sin(pi*(j0 - j)/n) cos(pi*offset/n) + cos(pi*(j0 - j)/n) sin(pi*offset/n),
+    so no sine is taken per element. Its rounding is small against every
+    denominator but the one nearest the tone, which the sum forms by
+    cancellation; that column is set apart. With the tone's nearest bin
+    k_m = j0 + s_m and t_m = offset_m - s_m in [-1/2, 1/2], every column
+    shares the numerator sin(pi*b_m) = (-1)^k_m sin(pi*t_m), and column
+    k_m + 1, taken modulo n, is (-1)^k_m * n * sinc(t_m) / sinc(t_m/n) times
+    (-1)^w for a wrap of w times n: the same ratio without the cancellation,
+    with the limit n at t_m = 0.
+    """
+    rows, cols = out.shape
+    angle = np.pi / n * (j0 - np.arange(-1, cols - 1))
+    tau = np.pi / n * offset
+    np.multiply.outer(np.cos(tau), np.sin(angle), out=out)
+    out += np.multiply.outer(np.sin(tau), np.cos(angle))
+    whole = np.rint(offset)
+    t = offset - whole
+    k = j0 + whole
+    near = (k + 1.0) % n - 1.0   # the nearest bin's column, less one
+    sign = 1.0 - 2.0 * (k % 2)
+    index = np.arange(rows), near.astype(np.intp) + 1
+    inside = index[1] < cols
+    if not inside.all():
+        index = index[0][inside], index[1][inside]
+    out[index] = 1.0
+    np.divide((sign * np.sin(np.pi * t))[:, None], out, out=out)
+    wrap = 1.0 - 2.0 * ((k - near) / n % 2)
+    out[index] = (sign * wrap * n * np.sinc(t) / np.sinc(t / n))[inside]
+
+
+def _hann_taps(q: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """Twice the Hann-windowed tone's positive-range spectrum over its phase
+    factor: out[m, k] = u + j*v with
+
+        u = q_k - cos(pi/n)/2 * (q_{k-1} + q_{k+1}),
+        v = sin(pi/n)/2 * (q_{k-1} - q_{k+1}),
+
+    q[:, c] the Dirichlet kernel at bin c - 1 (_dirichlet_rows); the three
+    terms are the periodic Hann window's DFT taps 1/2, -1/4, -1/4 with the
+    bins' relative phases exp(-+j*pi/n). out is a complex (rows, n//2) view
+    of the float (rows, n//2, 2) buffer that u and v are written into.
+    """
+    half = out.shape[-1]
+    left, centre, right = q[:, :half], q[:, 1:half + 1], q[:, 2:half + 2]
+    pairs = out.view(np.float64).reshape(*out.shape, 2)
+    u, v = pairs[..., 0], pairs[..., 1]
+    np.add(left, right, out=u)
+    u *= -0.5 * np.cos(np.pi / n)
+    u += centre
+    np.subtract(left, right, out=v)
+    v *= 0.5 * np.sin(np.pi / n)
+    return out
+
+
+def _stream_bins(scene: TargetScene, cfg: ChirpConfig, rng: np.random.Generator | None,
+                 lo: int, hi: int) -> tuple:
+    """One pass of the chain over blocks of _block_chirps chirps: the per-bin
     mean magnitudes of the noisy positive-range spectrum, and its columns
     lo .. hi-1.
 
-    Each block is simulated, tapered and transformed in one reused buffer,
-    and its positive half is copied to a contiguous one, where it gets the
-    block's noise in place (the same four passes over the half-rows of the
-    block buffer, 4 KiB apart at 256 ADC samples, took twice as long). Its
-    magnitudes are summed into the running per-bin sums in row order, one
-    np.add.reduce over [sums; block rows], as np.abs(spectrum).mean(axis=0)
-    sums them, so the means are the same bits.
+    The spectrum is the closed form of the Hann-tapered DFT of the beat tone
+    a*exp(j*(phi_m + 2*pi*b_m*i/n)), i = 0 .. n-1, at bin b_m = R_m / bin
+    spacing:
 
-    A lone last row joins the block before it: _beat_rows' first doubling
-    pass multiplies a one-row block's single element on numpy's contiguous
-    path, which rounds differently from the strided one every row of a
-    larger matrix takes.
+        X_mk = a/2 * exp(j*(phi_m + pi*b_m*(n-1)/n + pi*k/n)) * (u + j*v)_mk
+
+    with phi_m = 4*pi*R_m/lambda and u + j*v from _hann_taps. b_m is taken
+    from the bin nearest the nominal range, J, as b_m = J + offset_m with
+    offset_m = ((R0 - J*spacing) + d_m) / spacing, so the offset carries no
+    rounding of the whole range; J is reduced modulo n to j0 in -1 .. n-2,
+    which changes no X. Noiseless magnitudes need only a/2 * |u + j*v|; a
+    noisy block is formed in full and takes its noise in place
+    (add_range_noise).
     """
     n = cfg.adc_samples_per_chirp
-    chirps, half = len(ranges), n // 2
-    window = hann_window(n)
-    rows = _block_rows(n)
-    size = min(rows + 1, chirps)
-    buf = np.empty((size, n), dtype=np.complex128)
-    positive = np.empty((size, half), dtype=np.complex128)
-    mags = np.zeros((size + 1, half))   # row 0 holds the running sums
-    scratch = None if scene.noise_snr_db is None else np.empty(2 * size * min(half + 2, n))
+    half = n // 2
+    d = scene.displacement.samples
+    chirps = len(d)
+    size = min(_block_chirps(n), chirps)
+    spacing = cfg.range_bin_spacing_m()
+    nearest = round(scene.nominal_range_m / spacing)
+    base = scene.nominal_range_m - nearest * spacing
+    j0 = (nearest + 1) % n - 1
+    width = min(half + 2, n)   # bins -1 .. n/2, distinct modulo n when n >= 3
+    q = np.empty((size, width))
+    taps = np.empty((size, half), dtype=np.complex128)
+    noisy = scene.noise_snr_db is not None
+    scratch = np.empty(2 * size * width) if noisy else None
+    bin_phase = 0.5 * scene.reflectivity * np.exp(1j * np.pi / n * np.arange(half))
+    sums = np.zeros(half)
     kept = np.empty((chirps, hi - lo), dtype=np.complex128)
-    start = 0
-    while start < chirps:
-        stop = min(start + rows, chirps)
-        if stop == chirps - 1:
-            stop = chirps
-        block, part = buf[:stop - start], positive[:stop - start]
-        _beat_rows(block, ranges[start:stop], scene.reflectivity, cfg)
-        _range_rows(block, window, block)
-        part[...] = block[:, :half]
-        add_range_noise(part, scene, cfg, rng, scratch)
-        np.abs(part, out=mags[1:stop - start + 1])
-        mags[0] = np.add.reduce(mags[:stop - start + 1], axis=0)
-        kept[start:stop] = part[:, lo:hi]
-        start = stop
-    if hi - lo == half:
-        # Every bin is kept, so average them as extraction does. A lone bin
-        # must take this path: numpy sums a single column pairwise, not in
-        # row order, and measure_displacement always keeps it.
-        return np.abs(kept).mean(axis=0), kept
-    return mags[0] / chirps, kept
+    for start in range(0, chirps, size):
+        stop = min(start + size, chirps)
+        offset = (base + d[start:stop]) / spacing
+        block_q = q[:stop - start]
+        _dirichlet_rows(offset, j0, n, block_q)
+        if width < half + 2:   # n == 2: bin 1 is bin -1 with its sign flipped
+            block_q = block_q[:, [0, 1, 0]] * [1.0, 1.0, -1.0]
+        x = _hann_taps(block_q, n, taps[:stop - start])
+        phase = np.exp(1j * (4.0 * np.pi * (scene.nominal_range_m + d[start:stop])
+                             / cfg.wavelength_m + np.pi * (n - 1) / n * (j0 + offset)))
+        if noisy:
+            x *= bin_phase
+            x *= phase[:, None]
+            add_range_noise(x, scene, cfg, rng, scratch)
+            kept[start:stop] = x[:, lo:hi]
+        else:
+            kept[start:stop] = x[:, lo:hi] * bin_phase[lo:hi] * phase[:, None]
+        sums += np.abs(x).sum(axis=0)
+    if not noisy:
+        sums *= 0.5 * abs(scene.reflectivity)
+    return sums / chirps, kept
 
 
 def measure_displacement(scene: TargetScene, cfg: ChirpConfig,
                          rng: np.random.Generator | None = None,
                          bin_index: int | None = None) -> RadarDisplacement:
-    """Full chain: beat simulation, range FFT, receiver noise, phase extraction.
+    """Full chain: range spectrum, receiver noise, phase extraction.
 
-    The same numbers as the public steps
+    The numbers of the public steps
 
         spectrum = range_fft(simulate_beat_signal(scene, cfg))
         add_range_noise(spectrum, scene, cfg, rng)
         extract_displacement(spectrum, cfg, bin_index)
 
-    with the same draws from rng, but streamed over blocks of chirps
-    (_stream_bins) in working memory that does not grow with chirps x bins:
-    only the per-bin magnitude sums and the columns extraction may read are
-    kept, bin_index or the nominal range's bin +- _BAND_BINS. If the
-    selected bin lies outside that band, rng is rewound and the pass runs
-    again keeping that bin alone (passes == 2).
+    to rounding, with the same draws from rng, the same bin and the same
+    generator state, but with the spectrum in closed form (_stream_bins):
+    no beat samples and no FFT. It streams over blocks of chirps in working
+    memory that does not grow with chirps x bins: only the per-bin
+    magnitude sums and the columns extraction may read are kept, bin_index
+    or the nominal range's bin +- _BAND_BINS. If the selected bin lies
+    outside that band, rng is rewound and the pass runs again keeping that
+    bin alone (passes == 2).
     """
-    ranges = _scene_ranges(scene, cfg)
+    _scene_ranges(scene, cfg)   # checks the PRF and the excursion
     half = cfg.adc_samples_per_chirp // 2
     if rng is None and scene.noise_snr_db is not None:
         rng = np.random.default_rng()
@@ -368,12 +424,12 @@ def measure_displacement(scene: TargetScene, cfg: ChirpConfig,
         lo = int(np.arange(half)[bin_index])   # numpy's IndexError when out of range
         hi = lo + 1
     state = None if rng is None else rng.bit_generator.state
-    mags, kept = _stream_bins(ranges, scene, cfg, rng, lo, hi)
+    mags, kept = _stream_bins(scene, cfg, rng, lo, hi)
     choice = _select_bin(mags, bin_index)
     column = choice[0] % half   # a negative bin_index counts from the last bin
     if lo <= column < hi:
         return _phase_displacement(kept[:, column - lo], cfg, choice, passes=1)
     if rng is not None:
         rng.bit_generator.state = state
-    _, kept = _stream_bins(ranges, scene, cfg, rng, column, column + 1)
+    _, kept = _stream_bins(scene, cfg, rng, column, column + 1)
     return _phase_displacement(kept[:, 0], cfg, choice, passes=2)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .lpc import lpc_analyze_frames
 from .signals import (FramePlan, SampledSignal, constant_rows, frame_view, hann_window,
-                      iir_filter, integrate_spectral, lagged_products)
+                      iir_filter, integrate_spectral, lagged_products, median)
 from .synth import VocalTractModel
 
 __all__ = [
@@ -248,10 +248,11 @@ def _frame_lpc(x: np.ndarray, frames: np.ndarray, starts: np.ndarray,
     taps = np.zeros((len(frames), orders.max() + 1))
     gains = np.zeros(len(frames))
     silent = np.zeros(len(frames), dtype=bool)
-    for order in np.unique(orders[voiced]):
+    # sorted(set()) rather than np.unique, which imports numpy.ma
+    for order in sorted(set(orders[voiced].tolist())):
         rows = np.flatnonzero(voiced & (orders == order))
         fit = lpc_analyze_frames(
-            frames[rows], int(order), cfg.pre_emphasis, rate_hz=rate,
+            frames[rows], order, cfg.pre_emphasis, rate_hz=rate,
             lag_window_hz=LAG_WINDOW_HZ, noise_floor=NOISE_FLOOR,
             max_pole_radius=MAX_POLE_RADIUS, history=history[rows],
         )
@@ -342,7 +343,7 @@ def transform_speech(s: SampledSignal, d: SampledSignal,
     tau, peak, defined = frame_delays(frame_view(x_hat, n_win, hop)[rows],
                                       frame_view(d.samples, n_win, hop)[rows], max_lag)
     observed = tau[defined]
-    global_tau = int(round(float(np.median(observed)))) if observed.size else 0
+    global_tau = int(round(float(median(observed)))) if observed.size else 0
 
     d_hat = np.zeros(len(s))
     if cfg.tau_mode == "global":

@@ -54,3 +54,19 @@ def test_noiseless_radar_does_not_load_numpy_random(tmp_path):
               "assert 'numpy.random' not in sys.modules")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_radar_transform_and_evaluate_do_not_load_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on its first call, about 12 ms of a stage
+    # process's start-up; signals.median takes the same median without it
+    cohort = tmp_path / "cohort"
+    assert main(["synth", "--out", str(cohort), "--cohort", "2", "--seed", "5",
+                 "--duration", "0.3"]) == 0
+    src = str(Path(phonoradar.__file__).resolve().parents[1])
+    for argv in (["radar", "--cohort", str(cohort), "--snr", "20"],
+                 ["transform", "--cohort", str(cohort)], ["evaluate", str(cohort)]):
+        script = (f"import sys; sys.path.insert(0, {src!r}); import phonoradar.cli; "
+                  f"assert phonoradar.cli.main({argv!r}) == 0; "
+                  "assert 'numpy.ma' not in sys.modules, 'loaded'")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, (argv[0], proc.stderr)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phonoradar.signals import (FramePlan, SampledSignal, differentiate, frame_signal,
-                                iir_filter, integrate_spectral, resample_decimate)
+                                iir_filter, integrate_spectral, median, resample_decimate)
 from phonoradar.transform import frame_delays
 
 
@@ -210,3 +210,17 @@ class TestSpectralCalculus:
 
     def test_constant_derivative_zero(self):
         assert np.allclose(differentiate(np.full(256, 3.7), 2000.0), 0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("values", [
+    [3.0], [2.0, -1.0], [5.0, 1.0, 4.0, 1.0, 2.0], [0.1, 0.7, 0.2, 0.9],
+    np.random.default_rng(1).standard_normal(127), np.random.default_rng(2).standard_normal(128),
+    [1.5, np.nan, 2.0], [np.nan, 1.0], [-0.0, 0.0, -0.0], [1e300, 3e300],
+    np.array([7, -3, 4, 10], dtype=np.int64), np.array([9, 2, 5], dtype=np.int32),
+    np.array([2**62, 2**62 + 1], dtype=np.int64),
+    np.random.default_rng(3).standard_normal(10).astype(np.float32),
+], ids=lambda v: f"{np.asarray(v).dtype}-{len(v)}")
+def test_median_is_numpys_median_bit_for_bit(values):
+    got, want = median(values), np.median(values)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
