@@ -278,10 +278,11 @@ def _dirichlet_rows(offset: np.ndarray, j0: int, n: int, out: np.ndarray) -> Non
     kernel of a tone at bin b_m = j0 + offset_m seen from bin j = c - 1.
 
     j0, in -1 .. n-2, is a bin near the tone and offset_m lies in (-1, 1).
-    The denominators are one real outer product over chirps and bins,
-    sin(pi*(j0 - j)/n) cos(pi*offset/n) + cos(pi*(j0 - j)/n) sin(pi*offset/n),
-    so no sine is taken per element. Its rounding is small against every
-    denominator but the one nearest the tone, which the sum forms by
+    With C_j = pi*(j0 - j)/n and tau_m = pi*offset_m/n, the denominator is
+    cos(tau_m) * (sin(C_j) + cos(C_j) tan(tau_m)): one real outer product
+    over chirps and bins, so no sine is taken per element, and cos(tau_m)
+    joins the numerator. The sum's rounding is small against every
+    denominator but the one nearest the tone, which it forms by
     cancellation; that column is set apart. With the tone's nearest bin
     k_m = j0 + s_m and t_m = offset_m - s_m in [-1/2, 1/2], every column
     shares the numerator sin(pi*b_m) = (-1)^k_m sin(pi*t_m), and column
@@ -292,8 +293,8 @@ def _dirichlet_rows(offset: np.ndarray, j0: int, n: int, out: np.ndarray) -> Non
     rows, cols = out.shape
     angle = np.pi / n * (j0 - np.arange(-1, cols - 1))
     tau = np.pi / n * offset
-    np.multiply.outer(np.cos(tau), np.sin(angle), out=out)
-    out += np.multiply.outer(np.sin(tau), np.cos(angle))
+    np.multiply.outer(np.tan(tau), np.cos(angle), out=out)
+    out += np.sin(angle)
     whole = np.rint(offset)
     t = offset - whole
     k = j0 + whole
@@ -304,33 +305,29 @@ def _dirichlet_rows(offset: np.ndarray, j0: int, n: int, out: np.ndarray) -> Non
     if not inside.all():
         index = index[0][inside], index[1][inside]
     out[index] = 1.0
-    np.divide((sign * np.sin(np.pi * t))[:, None], out, out=out)
+    np.divide((sign * np.sin(np.pi * t) / np.cos(tau))[:, None], out, out=out)
     wrap = 1.0 - 2.0 * ((k - near) / n % 2)
     out[index] = (sign * wrap * n * np.sinc(t) / np.sinc(t / n))[inside]
 
 
-def _hann_taps(q: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+def _hann_taps(q: np.ndarray, n: int, u: np.ndarray, v: np.ndarray) -> None:
     """Twice the Hann-windowed tone's positive-range spectrum over its phase
-    factor: out[m, k] = u + j*v with
+    factor, u + j*v, written into u and v (rows x n//2):
 
         u = q_k - cos(pi/n)/2 * (q_{k-1} + q_{k+1}),
         v = sin(pi/n)/2 * (q_{k-1} - q_{k+1}),
 
     q[:, c] the Dirichlet kernel at bin c - 1 (_dirichlet_rows); the three
     terms are the periodic Hann window's DFT taps 1/2, -1/4, -1/4 with the
-    bins' relative phases exp(-+j*pi/n). out is a complex (rows, n//2) view
-    of the float (rows, n//2, 2) buffer that u and v are written into.
+    bins' relative phases exp(-+j*pi/n).
     """
-    half = out.shape[-1]
+    half = u.shape[-1]
     left, centre, right = q[:, :half], q[:, 1:half + 1], q[:, 2:half + 2]
-    pairs = out.view(np.float64).reshape(*out.shape, 2)
-    u, v = pairs[..., 0], pairs[..., 1]
     np.add(left, right, out=u)
     u *= -0.5 * np.cos(np.pi / n)
     u += centre
     np.subtract(left, right, out=v)
     v *= 0.5 * np.sin(np.pi / n)
-    return out
 
 
 def _stream_bins(scene: TargetScene, cfg: ChirpConfig, rng: np.random.Generator | None,
@@ -357,37 +354,50 @@ def _stream_bins(scene: TargetScene, cfg: ChirpConfig, rng: np.random.Generator 
     half = n // 2
     d = scene.displacement.samples
     chirps = len(d)
-    size = min(_block_chirps(n), chirps)
+    size = max(min(_block_chirps(n), chirps), 1)
     spacing = cfg.range_bin_spacing_m()
     nearest = round(scene.nominal_range_m / spacing)
     base = scene.nominal_range_m - nearest * spacing
     j0 = (nearest + 1) % n - 1
     width = min(half + 2, n)   # bins -1 .. n/2, distinct modulo n when n >= 3
     q = np.empty((size, width))
-    taps = np.empty((size, half), dtype=np.complex128)
     noisy = scene.noise_snr_db is not None
-    scratch = np.empty(2 * size * width) if noisy else None
+    if noisy:   # u and v interleaved, the spectrum's real and imaginary parts
+        spectrum = np.empty((size, half), dtype=np.complex128)
+        parts = spectrum.view(np.float64).reshape(size, half, 2)
+        u, v = parts[..., 0], parts[..., 1]
+        scratch = np.empty(2 * size * width)
+    else:       # contiguous, for the magnitudes sqrt(u^2 + v^2)
+        u, v = np.empty((size, half)), np.empty((size, half))
     bin_phase = 0.5 * scene.reflectivity * np.exp(1j * np.pi / n * np.arange(half))
     sums = np.zeros(half)
     kept = np.empty((chirps, hi - lo), dtype=np.complex128)
     for start in range(0, chirps, size):
         stop = min(start + size, chirps)
+        rows = stop - start
         offset = (base + d[start:stop]) / spacing
-        block_q = q[:stop - start]
+        block_q = q[:rows]
         _dirichlet_rows(offset, j0, n, block_q)
         if width < half + 2:   # n == 2: bin 1 is bin -1 with its sign flipped
             block_q = block_q[:, [0, 1, 0]] * [1.0, 1.0, -1.0]
-        x = _hann_taps(block_q, n, taps[:stop - start])
+        block_u, block_v = u[:rows], v[:rows]
+        _hann_taps(block_q, n, block_u, block_v)
         phase = np.exp(1j * (4.0 * np.pi * (scene.nominal_range_m + d[start:stop])
                              / cfg.wavelength_m + np.pi * (n - 1) / n * (j0 + offset)))
         if noisy:
+            x = spectrum[:rows]
             x *= bin_phase
             x *= phase[:, None]
             add_range_noise(x, scene, cfg, rng, scratch)
             kept[start:stop] = x[:, lo:hi]
+            sums += np.abs(x).sum(axis=0)
         else:
-            kept[start:stop] = x[:, lo:hi] * bin_phase[lo:hi] * phase[:, None]
-        sums += np.abs(x).sum(axis=0)
+            kept[start:stop] = ((block_u[:, lo:hi] + 1j * block_v[:, lo:hi])
+                                * bin_phase[lo:hi] * phase[:, None])
+            block_u *= block_u
+            block_v *= block_v
+            block_u += block_v
+            sums += np.sqrt(block_u, out=block_u).sum(axis=0)
     if not noisy:
         sums *= 0.5 * abs(scene.reflectivity)
     return sums / chirps, kept

@@ -152,10 +152,10 @@ def stream_grid(test):
     return test
 
 
-def grid_scene(rng, chirps, n, snr_db, **scene):
+def grid_scene(rng, chirps, n, snr_db):
     block = _block_chirps(n)
     count = {"1": 1, "B-1": block - 1, "B": block, "B+1": block + 1, "4100": 4100}[chirps]
-    return TargetScene(displacement=vibrating(rng, count), noise_snr_db=snr_db, **scene)
+    return TargetScene(displacement=vibrating(rng, count), noise_snr_db=snr_db)
 
 
 def assert_matches_oracle(scene, cfg, bin_index=None):
