@@ -280,10 +280,10 @@ def test_streamed_chain_raises_as_explicit(scene, error):
     (4100, None, 0.25), (4100, 20.0, 0.25), (16400, 20.0, 0.1),
 ], ids=["4100-noiseless", "4100-noisy", "16400-noisy"])
 def test_streamed_chain_peak_memory(chirps, snr_db, bound):
-    # the streamed chain holds one block and a copy of its positive half, their
-    # magnitudes and noise draws, the kept band and the output, about 2 MB at
-    # 4100 chirps and 3 MB at 16400; the explicit chain holds about 2 beat
-    # matrices
+    # the streamed chain holds one block of the kernel, its spectrum and noise
+    # draws, the kept band and the output, about 1.3 MB at 4100 chirps
+    # noiseless, 1.9 MB noisy and 2.9 MB at 16400; the explicit chain holds
+    # about 2 beat matrices
     cfg = ChirpConfig()
     scene = TargetScene(displacement=vibrating(np.random.default_rng(3), chirps),
                         noise_snr_db=snr_db)
