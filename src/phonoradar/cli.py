@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -22,11 +23,10 @@ from . import io as pio
 from .radar import ChirpConfig, NoCoherentTargetError, TargetScene, measure_displacement
 from .report import (SubjectEvaluation, build_cohort_report, evaluate_signals,
                      write_report_csv, write_report_json, write_window_csv)
-from .signals import SampledSignal, resample_decimate
-from .synth import (GlottalConfig, NeckChannel, SUBJECT_MANIFEST, make_subject,
-                    random_vocal_tract, save_subject)
-from .transform import (NoVoicedFramesError, TransformConfig, check_voicing_threshold,
-                        transform_speech)
+from .signals import FramePlan, SampledSignal, resample_decimate
+from .synth import (GlottalConfig, NeckChannel, SUBJECT_FILES, SUBJECT_MANIFEST,
+                    make_subject, random_vocal_tract, save_subject)
+from .transform import NoVoicedFramesError, TransformConfig, transform_speech
 
 TAU_CHOICES_SAMPLES = (0, 1, 2, 4)
 # Spawn key of the radar noise streams' parent: synth's per-subject streams
@@ -116,7 +116,6 @@ def _build_parser() -> _Parser:
     add_config_flag(p)
     p.add_argument("cohort", help="cohort directory")
     p.add_argument("--out", help="report directory (default <cohort>/report)")
-    p.add_argument("--voicing-threshold", type=float, default=0.5)
     p.add_argument("--loess-span", type=float, default=0.3)
     p.add_argument("--jobs", type=int, default=1)
 
@@ -145,7 +144,7 @@ def _displacement_path(directory: Path) -> Path:
     """The radar measurement once the radar stage has run, else the true
     neck displacement."""
     radar_path = directory / RADAR_FILE
-    return radar_path if radar_path.exists() else directory / "neck_true.csv"
+    return radar_path if radar_path.exists() else directory / SUBJECT_FILES["neck_true"]
 
 
 def _check_lengths(*traces: tuple[Path, SampledSignal]) -> None:
@@ -161,7 +160,7 @@ def _check_lengths(*traces: tuple[Path, SampledSignal]) -> None:
 def _draw_cohort_params(args, index: int, seed: int) -> tuple:
     """(f0 in Hz, open quotient, neck channel, tract seed, subject seed) of
     cohort subject `index`."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(index + 1)[-1])
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
     lo, hi = args.f0_range
     f0_hz = float(rng.uniform(lo, hi))
     open_quotient = float(rng.uniform(0.5, 0.8))
@@ -190,12 +189,16 @@ def cmd_synth(args) -> int:
         lo, hi = args.f0_range
         if not (90.0 <= lo <= hi <= 1000.0):
             raise UsageError("--f0-range must lie within [90, 1000] Hz")
-    if not args.duration > 0:
-        raise UsageError("--duration must be positive")
-    if not args.rate > 0:
-        raise UsageError("--rate must be positive")
-    if not args.lead_in >= 0:
-        raise UsageError("--lead-in must be non-negative")
+    if not 0.0 < args.duration < math.inf:
+        raise UsageError("--duration must be finite and positive")
+    if not 0.0 < args.rate < math.inf:
+        raise UsageError("--rate must be finite and positive")
+    if not 0.0 <= args.lead_in < math.inf:
+        raise UsageError("--lead-in must be finite and non-negative")
+    if not math.isfinite(args.tau_ms):
+        raise UsageError("--tau-ms must be finite")
+    if args.noise_snr is not None and not math.isfinite(args.noise_snr):
+        raise UsageError("--noise-snr must be finite (omit it for noiseless speech)")
     out = Path(args.out)
     if args.cohort <= 0:
         tau_samples = int(round(args.tau_ms * 1e-3 * args.rate))
@@ -224,7 +227,7 @@ def _radar_one(chirp: ChirpConfig, scene: TargetScene, seed: int, task: tuple) -
     """Worker: measure one subject's neck displacement at the subject's rate
     as PRF. task is (subject index, directory)."""
     index, directory = task
-    d_true = pio.read_csv_signal(directory / "neck_true.csv", "neck_displacement")
+    d_true = pio.read_csv_signal(directory / SUBJECT_FILES["neck_true"], "neck_displacement")
     cfg = replace(chirp, prf_hz=d_true.rate_hz)
     scene = replace(scene, displacement=d_true)
     # A noiseless run never imports numpy.random: about 5 MB of RSS.
@@ -324,16 +327,31 @@ def cmd_transform(args) -> int:
         tasks = [(args.speech, args.displacement, args.out)]
     else:
         dirs = [Path(args.subject)] if args.subject else _subject_dirs(Path(args.cohort))
-        tasks = [(d / "speech.wav", _displacement_path(d), d) for d in dirs]
+        tasks = [(d / SUBJECT_FILES["speech"], _displacement_path(d), d) for d in dirs]
     for line in _run_jobs(functools.partial(_transform_one, cfg, args.resample), tasks,
                           args.jobs):
         print(line)
     return 0
 
 
-def _evaluate_one(voicing_threshold: float, directory: Path) -> SubjectEvaluation:
-    """Worker: the LSD evaluation of one transformed subject."""
-    s_path, d_path = directory / "speech.wav", _displacement_path(directory)
+def _transform_voicing(path: Path, n_frames: int) -> np.ndarray:
+    """The voiced flag of each of n_frames analysis frames, as the transform
+    decided it: the per_frame[].voiced records of its transform.json."""
+    try:
+        with open(path) as fh:
+            voiced = np.array([record["voiced"] for record in json.load(fh)["per_frame"]])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: no per-frame voicing records ({exc!r})") from None
+    if voiced.dtype != bool or voiced.shape != (n_frames,):
+        raise ValueError(f"{path}: per-frame voiced flags of shape {voiced.shape} and type "
+                         f"{voiced.dtype}, want {n_frames} booleans")
+    return voiced
+
+
+def _evaluate_one(directory: Path) -> SubjectEvaluation:
+    """Worker: the LSD evaluation of one transformed subject over the frames
+    its transform voiced."""
+    s_path, d_path = directory / SUBJECT_FILES["speech"], _displacement_path(directory)
     e_path, d_hat_path = (directory / TRANSFORM_FILES[key] for key in ("e_hat", "d_hat"))
     s = pio.read_wav(s_path, "speech")
     d = pio.read_csv_signal(d_path, "neck_displacement")
@@ -342,14 +360,14 @@ def _evaluate_one(voicing_threshold: float, directory: Path) -> SubjectEvaluatio
     e_hat = pio.read_csv_signal(e_path, "excitation_estimate")
     d_hat = pio.read_csv_signal(d_hat_path, "displacement_estimate")
     _check_lengths((s_path, s), (e_path, e_hat), (d_hat_path, d_hat), (d_path, d))
-    return evaluate_signals(directory.name, s, e_hat, d_hat, d,
-                            voicing_threshold=voicing_threshold)
+    voiced = _transform_voicing(directory / TRANSFORM_META,
+                                FramePlan.for_rate(s.rate_hz).n_frames(len(s)))
+    return evaluate_signals(directory.name, s, e_hat, d_hat, d, voiced)
 
 
 def cmd_evaluate(args) -> int:
     if not 0.0 < args.loess_span <= 1.0:
         raise UsageError("--loess-span must be in (0, 1]")
-    _from_flags(check_voicing_threshold, threshold=args.voicing_threshold)
     cohort = Path(args.cohort)
     if not cohort.is_dir():
         raise FileNotFoundError(f"cohort directory {cohort} does not exist")
@@ -357,10 +375,10 @@ def cmd_evaluate(args) -> int:
     out_dir = Path(args.out) if args.out else cohort / "report"
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "windows").mkdir(exist_ok=True)
-    complete = []
-    skipped = []
+    required = [SUBJECT_FILES["speech"], TRANSFORM_FILES["e_hat"], TRANSFORM_FILES["d_hat"],
+                TRANSFORM_META]
+    complete, skipped = [], []
     for d in dirs:
-        required = ["speech.wav", TRANSFORM_FILES["e_hat"], TRANSFORM_FILES["d_hat"]]
         missing = [f for f in required if not (d / f).exists()]
         if missing:
             skipped.append(d.name)
@@ -370,8 +388,7 @@ def cmd_evaluate(args) -> int:
         complete.append(d)
     if not complete:
         raise ValueError("no complete subjects to evaluate")
-    evaluations = _run_jobs(functools.partial(_evaluate_one, args.voicing_threshold),
-                            complete, args.jobs)
+    evaluations = _run_jobs(_evaluate_one, complete, args.jobs)
     for ev in evaluations:
         write_window_csv(out_dir / "windows" / f"{ev.subject_id}.csv", ev.series,
                          span=args.loess_span)

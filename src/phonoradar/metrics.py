@@ -168,6 +168,16 @@ def _tricube(u: np.ndarray) -> np.ndarray:
     return w**3
 
 
+def _window_starts(x: np.ndarray, k: int) -> np.ndarray:
+    """First index of each point's k nearest neighbours in sorted x, a tie
+    going to the lower index: the count of lefts in [0, n - k) whose right
+    neighbour x[left + k] is strictly nearer the point than x[left]. Both
+    sides of that comparison are monotone in left, so the lefts that pass
+    form a prefix."""
+    left = np.arange(len(x) - k)
+    return np.count_nonzero(x[left + k] - x[:, None] < x[:, None] - x[left], axis=1)
+
+
 def loess_smooth(series: LsdSeries, span: float = 0.3) -> LsdSeries:
     """Locally weighted linear regression with tricube weights (Cleveland 1979).
 
@@ -186,15 +196,7 @@ def loess_smooth(series: LsdSeries, span: float = 0.3) -> LsdSeries:
     if np.any(np.diff(x) < 0):
         raise ValueError("times must be sorted")
     k = max(2, int(np.ceil(span * n)))
-    # the window [lo, lo + k) slides right while the point past its right end
-    # is strictly nearer than its left end; it never slides back
-    lo = np.empty(n, dtype=int)
-    left = 0
-    for i in range(n):
-        while left + k < n and x[left + k] - x[i] < x[i] - x[left]:
-            left += 1
-        lo[i] = left
-    idx = lo[:, None] + np.arange(k)
+    idx = _window_starts(x, k)[:, None] + np.arange(k)
     xw, yw = x[idx], y[idx]
     dist = np.abs(xw - x[:, None])
     h = dist.max(axis=1, keepdims=True)

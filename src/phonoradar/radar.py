@@ -4,6 +4,7 @@ beat-signal synthesis and the range FFT are kept as its reference."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,8 +54,8 @@ class ChirpConfig:
                                self.adc_samples_per_chirp / self.chirp_duration_s)
         for name in ("start_freq_hz", "bandwidth_hz", "chirp_duration_s", "prf_hz",
                      "adc_samples_per_chirp", "adc_rate_hz"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.adc_samples_per_chirp / self.adc_rate_hz > self.chirp_duration_s * (1 + 1e-9):
             raise ValueError("ADC capture must fit within one chirp")
         if self.prf_hz > 1.0 / self.chirp_duration_s * (1 + 1e-9):
@@ -94,8 +95,10 @@ class TargetScene:
     noise_snr_db: float | None = None
 
     def __post_init__(self):
-        if not self.nominal_range_m > 0:
-            raise ValueError("nominal_range_m must be positive")
+        if not 0.0 < self.nominal_range_m < math.inf:
+            raise ValueError("nominal_range_m must be finite and positive")
+        if self.noise_snr_db is not None and not math.isfinite(self.noise_snr_db):
+            raise ValueError("noise_snr_db must be finite (omit it for a noiseless scene)")
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .metrics import LOESS_MIN_POINTS, loess_smooth, lsd_over_windows
 from .signals import FramePlan, SampledSignal
-from .stats import DescriptiveStats, PairedTTestResult, descriptive_stats, paired_t_test
-from .transform import voicing_mask
+from .stats import PairedTTestResult, descriptive_stats, paired_t_test
 
 __all__ = [
     "SubjectEvaluation",
@@ -41,16 +40,13 @@ class SubjectEvaluation:
 
 def evaluate_signals(subject_id: str, s: SampledSignal, e_hat: SampledSignal,
                      d_hat: SampledSignal, d: SampledSignal,
-                     voicing_threshold: float = 0.5) -> SubjectEvaluation:
+                     voiced: np.ndarray) -> SubjectEvaluation:
     """Mean LSD of each candidate signal against the radar displacement over
-    the windows the speech signal voices, on the transform's frame grid."""
+    the windows flagged in `voiced`, on the transform's frame grid: the
+    frames the transform voiced (TransformOutput.voiced_mask)."""
     plan = FramePlan.for_rate(s.rate_hz)
-    voiced_mask = voicing_mask(s, plan, voicing_threshold)
-    series = {
-        "raw_speech": lsd_over_windows(s, d, plan, voiced_mask),
-        "estimated_excitation": lsd_over_windows(e_hat, d, plan, voiced_mask),
-        "model_filtered": lsd_over_windows(d_hat, d, plan, voiced_mask),
-    }
+    series = {name: lsd_over_windows(signal, d, plan, voiced)
+              for name, signal in zip(COMPARISONS, (s, e_hat, d_hat))}
     return SubjectEvaluation(
         subject_id=subject_id,
         lsd_raw_speech=series["raw_speech"].mean,
@@ -81,26 +77,17 @@ def build_cohort_report(evaluations: list[SubjectEvaluation],
     raw = np.array([ev.lsd_raw_speech for ev in evaluations])
     exc = np.array([ev.lsd_estimated_excitation for ev in evaluations])
     mod = np.array([ev.lsd_model_filtered for ev in evaluations])
-    descriptive = {}
+    descriptive, t_tests = {}, {}
     if len(evaluations) >= 2:
-        descriptive = {
-            "raw_speech": descriptive_stats(raw),
-            "estimated_excitation": descriptive_stats(exc),
-            "model_filtered": descriptive_stats(mod),
-        }
-    t_tests = {}
-    if len(evaluations) >= 2:
+        descriptive = {name: descriptive_stats(lsd)
+                       for name, lsd in zip(COMPARISONS, (raw, exc, mod))}
         try:
-            t_tests["raw_speech_vs_model_filtered"] = paired_t_test(mod, raw)
-            t_tests["estimated_excitation_vs_model_filtered"] = paired_t_test(mod, exc)
+            t_tests = {"raw_speech_vs_model_filtered": paired_t_test(mod, raw),
+                       "estimated_excitation_vs_model_filtered": paired_t_test(mod, exc)}
         except ValueError:
-            t_tests = {}
+            pass
     return CohortReport(subjects=tuple(evaluations), descriptive=descriptive,
                         t_tests=t_tests, skipped=tuple(skipped or []))
-
-
-def _stats_dict(st: DescriptiveStats) -> dict:
-    return {"mean": st.mean, "n": st.n, "std": st.std, "sem": st.sem}
 
 
 def _ttest_dict(tt: PairedTTestResult) -> dict:
@@ -120,7 +107,7 @@ def report_as_dict(report: CohortReport) -> dict:
             }
             for ev in report.subjects
         ],
-        "descriptive": {k: _stats_dict(v) for k, v in report.descriptive.items()},
+        "descriptive": {k: asdict(v) for k, v in report.descriptive.items()},
         "t_tests": {k: _ttest_dict(v) for k, v in report.t_tests.items()},
         "skipped": list(report.skipped),
     }
@@ -138,10 +125,7 @@ def write_report_csv(path: str | Path, report: CohortReport) -> None:
         writer = csv.writer(fh)
         writer.writerow(["table", "comparison", "mean", "n", "std", "sem",
                          "t_stat", "p_value"])
-        for name in COMPARISONS:
-            st = report.descriptive.get(name)
-            if st is None:
-                continue
+        for name, st in report.descriptive.items():
             writer.writerow(["descriptive", name, repr(st.mean), st.n,
                              repr(st.std), repr(st.sem), "", ""])
         for name, tt in report.t_tests.items():

@@ -5,6 +5,7 @@ with every hidden parameter retained as ground truth."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -27,6 +28,7 @@ __all__ = [
     "save_subject",
     "load_subject",
     "SUBJECT_MANIFEST",
+    "SUBJECT_FILES",
 ]
 
 SUBJECT_MANIFEST = "subject.json"
@@ -53,8 +55,8 @@ class GlottalConfig:
             raise ValueError(f"f0_hz must be in [{F0_MIN_HZ:g}, {F0_MAX_HZ:g}] Hz")
         if not (0.0 < self.open_quotient < 1.0):
             raise ValueError("open_quotient must be in (0, 1)")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be non-negative")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValueError("amplitude must be finite and non-negative")
         if not (self.flow_gain_k > 0):
             raise ValueError("flow_gain_k must be positive")
         if not (0.0 <= self.jitter_pct < 100.0):
@@ -69,8 +71,8 @@ class NeckChannel:
     tau_d_s: float = 0.0
 
     def __post_init__(self):
-        if not (self.k_d > 0):
-            raise ValueError("k_d must be positive")
+        if not 0.0 < self.k_d < math.inf:
+            raise ValueError("k_d must be finite and positive")
         if not (0.0 <= self.tau_d_s < 5e-3):
             raise ValueError("tau_d_s must be in [0, 5 ms)")
 
@@ -282,7 +284,7 @@ def make_subject(glottal: GlottalConfig, neck: NeckChannel, tract: VocalTractMod
 
 # The ground truth no stage reads (fold displacement, excitation) is binary;
 # its rate is subject.json's rate_hz.
-_SUBJECT_FILES = {
+SUBJECT_FILES = {
     "speech": "speech.wav",
     "vocal_fold": "vocal_fold.npy",
     "excitation": "excitation.npy",
@@ -294,10 +296,10 @@ def save_subject(subject: SyntheticSubject, directory: str | Path) -> Path:
     """Write subject.json plus the four signal files into a directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    pio.write_wav(directory / _SUBJECT_FILES["speech"], subject.s)
-    pio.write_npy_signal(directory / _SUBJECT_FILES["vocal_fold"], subject.x)
-    pio.write_npy_signal(directory / _SUBJECT_FILES["excitation"], subject.e)
-    pio.write_csv_signal(directory / _SUBJECT_FILES["neck_true"], subject.d)
+    pio.write_wav(directory / SUBJECT_FILES["speech"], subject.s)
+    pio.write_npy_signal(directory / SUBJECT_FILES["vocal_fold"], subject.x)
+    pio.write_npy_signal(directory / SUBJECT_FILES["excitation"], subject.e)
+    pio.write_csv_signal(directory / SUBJECT_FILES["neck_true"], subject.d)
     manifest = {
         "format": "subject-v2",
         "seed": subject.seed,
@@ -310,7 +312,7 @@ def save_subject(subject: SyntheticSubject, directory: str | Path) -> Path:
             "gain": subject.tract.gain,
         },
         "noise_snr_db": subject.noise_snr_db,
-        "files": dict(_SUBJECT_FILES),
+        "files": dict(SUBJECT_FILES),
     }
     path = directory / SUBJECT_MANIFEST
     with open(path, "w") as fh:

@@ -5,6 +5,7 @@ model-filtered displacement estimate."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +20,7 @@ __all__ = [
     "FrameRecord",
     "TransformOutput",
     "NoVoicedFramesError",
-    "check_voicing_threshold",
     "frame_voicing",
-    "voicing_mask",
     "frame_delays",
     "integrate_excitation",
     "transform_speech",
@@ -39,15 +38,6 @@ INTEGRATOR_POLE = 0.998        # leak of the 'leaky' integration
 LAG_WINDOW_HZ = 20.0
 NOISE_FLOOR = 1e-3
 MAX_POLE_RADIUS = 0.90
-
-
-def check_voicing_threshold(threshold: float) -> None:
-    """Raise ValueError unless threshold is in [0, 1]. frame_voicing's score
-    is a normalized correlation, at most 1 up to rounding, so a larger
-    threshold voices no frame; a perfectly periodic frame scores 1 + eps,
-    so a threshold of 1 still voices it."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("voicing_threshold must be in [0, 1]")
 
 
 class NoVoicedFramesError(RuntimeError):
@@ -80,9 +70,15 @@ class TransformConfig:
     def __post_init__(self):
         if self.lpc_order < 0:
             raise ValueError("lpc_order must be non-negative")
-        if self.max_lag_ms < 0:
-            raise ValueError("max_lag_ms must be non-negative")
-        check_voicing_threshold(self.voicing_threshold)
+        if not math.isfinite(self.pre_emphasis):
+            raise ValueError("pre_emphasis must be finite")
+        if not 0.0 <= self.max_lag_ms < math.inf:
+            raise ValueError("max_lag_ms must be finite and non-negative")
+        # frame_voicing's score is a normalized correlation, at most 1 up to
+        # rounding, so a larger threshold voices no frame; a perfectly
+        # periodic frame scores 1 + eps, so a threshold of 1 still voices it.
+        if not 0.0 <= self.voicing_threshold <= 1.0:
+            raise ValueError("voicing_threshold must be in [0, 1]")
         if self.tau_mode not in ("global", "per-frame"):
             raise ValueError("tau_mode must be 'global' or 'per-frame'")
         if self.integration not in ("spectral", "leaky"):
@@ -174,13 +170,6 @@ def _energy_floor(samples: np.ndarray) -> float:
     leakage-level content in silent stretches never counts as voiced while
     the decision stays invariant under rescaling."""
     return max(ENERGY_FLOOR_RMS, RELATIVE_ENERGY_FLOOR * float(np.sqrt(np.mean(samples**2))))
-
-
-def voicing_mask(s: SampledSignal, plan: FramePlan, threshold: float) -> np.ndarray:
-    """Voiced flag per analysis frame, as transform_speech decides it."""
-    frames = frame_view(s.samples, plan.window_len, plan.hop)
-    return frame_voicing(frames, s.rate_hz, threshold,
-                         _energy_floor(s.samples))[0]
 
 
 def frame_delays(x_hat_frames: np.ndarray, d_frames: np.ndarray,

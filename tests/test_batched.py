@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from phonoradar.lpc import LevinsonError, clamp_pole_stack, levinson_stack
-from phonoradar.metrics import (SILENCE_RMS, SPECTRAL_FLOOR, LsdSeries, loess_smooth,
-                                lsd_over_windows, normalized_power_spectra)
+from phonoradar.metrics import (SILENCE_RMS, SPECTRAL_FLOOR, LsdSeries, _window_starts,
+                                loess_smooth, lsd_over_windows, normalized_power_spectra)
 from phonoradar.signals import FramePlan, SampledSignal, hann_window
 from phonoradar.transform import frame_delays, frame_voicing
 
@@ -295,6 +295,31 @@ def test_loess_integer_grid_exact_ties(rng):
     out = loess_smooth(LsdSeries(values=y, times_s=idx.astype(float),
                                  window_indices=idx, n_windows=21), 0.3)
     assert np.allclose(out.values, ref_loess(idx.astype(float), y, 0.3), atol=1e-12)
+
+
+def loop_window_starts(x, k):
+    """The two-pointer search loess_smooth ran before: the window [lo, lo + k)
+    slides right while the point past its right end is strictly nearer than
+    its left end, and never slides back."""
+    n = len(x)
+    lo = np.empty(n, dtype=int)
+    left = 0
+    for i in range(n):
+        while left + k < n and x[left + k] - x[i] < x[i] - x[left]:
+            left += 1
+        lo[i] = left
+    return lo
+
+
+@pytest.mark.parametrize("times", ["equally-spaced", "random-sorted", "repeated"])
+@pytest.mark.parametrize("span", [0.1, 0.3, 0.55, 1.0])
+def test_loess_window_starts_match_the_loop(rng, times, span):
+    n = 203
+    x = {"equally-spaced": np.arange(n) * 0.0125,
+         "random-sorted": np.sort(rng.uniform(0.0, 3.0, n)),
+         "repeated": np.repeat(np.sort(rng.uniform(0.0, 3.0, 41)), 5)[:n]}[times]
+    k = max(2, int(np.ceil(span * n)))
+    assert np.array_equal(_window_starts(x, k), loop_window_starts(x, k))
 
 
 def test_loess_rejects_unsorted_times():

@@ -15,7 +15,7 @@ from phonoradar.cli import RADAR_NOISE_KEY, main, radar_noise_seed
 from phonoradar.io import read_csv_signal, read_wav, write_csv_signal, write_wav
 from phonoradar.radar import ChirpConfig, TargetScene, measure_displacement
 from phonoradar.signals import SampledSignal
-from phonoradar.transform import TransformConfig, transform_speech
+from phonoradar.transform import TransformConfig, frame_voicing, transform_speech
 
 
 def tree_digest(root: Path) -> dict:
@@ -252,6 +252,78 @@ class TestEvaluate:
         assert report["skipped"] == ["subject_001"]
         assert len(report["subjects"]) == 2
 
+    def test_scores_the_frames_transform_voiced(self, small_cohort):
+        # 0.9 voices fewer frames of every subject than the default 0.5, and
+        # evaluate, which has no threshold of its own, follows it
+        subjects = sorted(small_cohort.glob("subject_*"))
+        default = {s: json.loads((s / "transform.json").read_text())["n_voiced"]
+                   for s in subjects}
+        assert run(["transform", "--cohort", str(small_cohort),
+                    "--voicing-threshold", "0.9"]) == 0
+        assert run(["evaluate", str(small_cohort)]) == 0
+        for subject in subjects:
+            per_frame = json.loads((subject / "transform.json").read_text())["per_frame"]
+            voiced = [r["index"] for r in per_frame if r["voiced"]]
+            assert len(voiced) < default[subject]
+            window_csv = small_cohort / "report" / "windows" / f"{subject.name}.csv"
+            scored = [int(line.split(",")[0])
+                      for line in window_csv.read_text().splitlines()[1:]]
+            assert scored == voiced
+
+    def test_does_not_run_voicing(self, small_cohort, monkeypatch):
+        import phonoradar.transform
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return frame_voicing(*args, **kwargs)
+
+        monkeypatch.setattr(phonoradar.transform, "frame_voicing", spy)
+        assert run(["evaluate", str(small_cohort)]) == 0
+        assert calls == []
+        # the spy sees the transform's voicing pass
+        assert run(["transform", "--subject", str(small_cohort / "subject_000")]) == 0
+        assert len(calls) == 1
+
+    def test_missing_transform_json_skipped(self, small_cohort, capsys):
+        (small_cohort / "subject_002" / "transform.json").unlink()
+        capsys.readouterr()
+        assert run(["evaluate", str(small_cohort)]) == 0
+        err = capsys.readouterr().err
+        assert err == "warning: skipping subject_002 (missing transform.json)\n"
+        report = json.loads((small_cohort / "report" / "report.json").read_text())
+        assert report["skipped"] == ["subject_002"]
+        assert len(report["subjects"]) == 2
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda meta: "{not json",
+        lambda meta: "[]",
+        lambda meta: json.dumps({k: v for k, v in meta.items() if k != "per_frame"}),
+        lambda meta: json.dumps({**meta, "per_frame": 3}),
+        lambda meta: json.dumps({**meta, "per_frame": ["voiced"]}),
+        lambda meta: json.dumps({**meta, "per_frame": [{} for _ in meta["per_frame"]]}),
+        lambda meta: json.dumps({**meta, "per_frame": [{**r, "voiced": int(r["voiced"])}
+                                                       for r in meta["per_frame"]]}),
+        lambda meta: json.dumps({**meta, "per_frame": [{**r, "voiced": [r["voiced"]]}
+                                                       for r in meta["per_frame"]]}),
+        lambda meta: json.dumps({**meta, "per_frame": meta["per_frame"][:-1]}),
+    ], ids=["not-json", "list", "no-per-frame", "per-frame-number", "per-frame-strings",
+            "no-voiced", "int-voiced", "list-voiced", "one-frame-short"])
+    def test_bad_transform_json_is_data_error(self, small_cohort, capsys, corrupt):
+        path = small_cohort / "subject_001" / "transform.json"
+        path.write_text(corrupt(json.loads(path.read_text())))
+        capsys.readouterr()
+        assert run(["evaluate", str(small_cohort)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}") and err.count("\n") == 1
+
+    def test_voicing_threshold_config_key_is_usage_error(self, small_cohort, capsys):
+        cfg = small_cohort / "cfg.json"
+        cfg.write_text(json.dumps({"voicing_threshold": 0.5}))
+        assert run(["evaluate", str(small_cohort), "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "voicing_threshold" in err
+
     def test_pipeline_rerun_reproduces_report(self, tmp_path):
         digests = []
         for name in ("p1", "p2"):
@@ -327,6 +399,20 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     *([stage, *where, "--voicing-threshold", value]
       for stage, where in (("transform", ("--subject", "{tmp}")), ("evaluate", ("{tmp}",)))
       for value in ("2", "-0.5", "nan")),
+    # evaluate scores the frames transform voiced: it has no voicing flag
+    ["evaluate", "{tmp}", "--voicing-threshold", "0.5"],
+    # non-finite values
+    *(["synth", "--out", "{tmp}/x", flag, value]
+      for flag, value in (("--duration", "inf"), ("--lead-in", "inf"), ("--amplitude", "inf"),
+                          ("--amplitude", "nan"), ("--k-d", "inf"), ("--tau-ms", "inf"),
+                          ("--tau-ms", "nan"), ("--noise-snr", "inf"), ("--noise-snr", "nan"),
+                          ("--rate", "inf"))),
+    *(["radar", "--subject", "{tmp}", flag, value]
+      for flag, value in (("--range", "inf"), ("--snr", "inf"), ("--snr", "nan"),
+                          ("--start-freq", "inf"), ("--bandwidth", "inf"))),
+    *(["transform", "--subject", "{tmp}", flag, value]
+      for flag, value in (("--max-lag-ms", "inf"), ("--max-lag-ms", "nan"),
+                          ("--pre-emphasis", "inf"), ("--pre-emphasis", "nan"))),
 ], ids=lambda argv: " ".join([argv[0], *argv[-2:]]))
 def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv):
     assert run([arg.format(tmp=tmp_path) for arg in argv]) == 1
@@ -342,7 +428,7 @@ def test_voicing_threshold_one_voices_periodic_frames(small_cohort):
         speech = read_wav(subject / "speech.wav")
         write_wav(subject / "speech.wav", speech.with_samples(np.resize(pattern, len(speech))))
     assert run(["transform", "--cohort", str(small_cohort), "--voicing-threshold", "1.0"]) == 0
-    assert run(["evaluate", str(small_cohort), "--voicing-threshold", "1.0"]) == 0
+    assert run(["evaluate", str(small_cohort)]) == 0
 
 
 def test_radar_with_noise_flag(tmp_path):

@@ -4,8 +4,7 @@ import pytest
 import phonoradar as pr
 from phonoradar.signals import FramePlan, SampledSignal
 from phonoradar.transform import (NoVoicedFramesError, TransformConfig, frame_delays,
-                                  frame_voicing, integrate_excitation, transform_speech,
-                                  voicing_mask)
+                                  frame_voicing, integrate_excitation, transform_speech)
 
 from conftest import make_test_subject
 
@@ -181,9 +180,3 @@ class TestTransform:
             out = transform_speech(subj.s, subj.d)
             errors.append(abs(out.global_tau_samples - tau))
         assert np.median(errors) <= 1
-
-    def test_voicing_mask_helper_matches_transform(self, subject):
-        plan = FramePlan.for_rate(2000.0)
-        mask = voicing_mask(subject.s, plan, 0.5)
-        out = transform_speech(subject.s, subject.d)
-        assert np.array_equal(mask, out.voiced_mask())
