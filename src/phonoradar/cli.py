@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -24,8 +25,8 @@ from .radar import ChirpConfig, NoCoherentTargetError, TargetScene, measure_disp
 from .report import (SubjectEvaluation, build_cohort_report, evaluate_signals,
                      write_report_csv, write_report_json, write_window_csv)
 from .signals import FramePlan, SampledSignal, resample_decimate
-from .synth import (GlottalConfig, NeckChannel, SUBJECT_FILES, SUBJECT_MANIFEST,
-                    make_subject, random_vocal_tract, save_subject)
+from .synth import (F0_MAX_HZ, F0_MIN_HZ, GlottalConfig, NeckChannel, SUBJECT_FILES,
+                    SUBJECT_MANIFEST, make_subject, random_vocal_tract, save_subject)
 from .transform import NoVoicedFramesError, TransformConfig, transform_speech
 
 TAU_CHOICES_SAMPLES = (0, 1, 2, 4)
@@ -44,6 +45,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A negative number is a value, -inf and -1e9 too, which argparse's test misses.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -53,12 +59,13 @@ def _build_parser() -> _Parser:
                      description="Synthetic radar/speech co-simulation pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_flag(p):
+    def add_common_flags(p):
         p.add_argument("--config", help="JSON file of parameter overrides "
                                         "(keys match the long flag names)")
+        p.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1")
 
     p = sub.add_parser("synth", help="synthesize one subject or a cohort")
-    add_config_flag(p)
+    add_common_flags(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--cohort", type=int, default=0,
                    help="number of subjects (0 = single subject)")
@@ -79,10 +86,9 @@ def _build_parser() -> _Parser:
                    help="speech SNR in dB (omit for noiseless)")
     p.add_argument("--lead-in", type=float, default=0.05,
                    help="silent lead-in before phonation, seconds")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("radar", help="simulate the radar measurement of a subject")
-    add_config_flag(p)
+    add_common_flags(p)
     p.add_argument("--subject", help="subject directory")
     p.add_argument("--cohort", help="cohort directory (all subjects)")
     p.add_argument("--snr", type=float, default=None,
@@ -93,10 +99,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--chirp-duration", type=float, default=60e-6)
     p.add_argument("--adc-samples", type=int, default=256)
     p.add_argument("--range", type=float, default=0.25, dest="range_m")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("transform", help="run the model transform")
-    add_config_flag(p)
+    add_common_flags(p)
     p.add_argument("--subject", help="subject directory (uses manifest files)")
     p.add_argument("--cohort", help="cohort directory (all subjects)")
     p.add_argument("--speech", help="speech WAV path")
@@ -110,14 +115,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--integration", choices=("spectral", "leaky"), default="spectral")
     p.add_argument("--resample", action="store_true",
                    help="decimate speech to the displacement rate if needed")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("evaluate", help="evaluate a transformed cohort")
-    add_config_flag(p)
+    add_common_flags(p)
     p.add_argument("cohort", help="cohort directory")
     p.add_argument("--out", help="report directory (default <cohort>/report)")
     p.add_argument("--loess-span", type=float, default=0.3)
-    p.add_argument("--jobs", type=int, default=1)
 
     parser.subcommand_parsers = {name: sp for name, sp in sub.choices.items()}
     return parser
@@ -185,10 +188,12 @@ def _synth_one(glottal: GlottalConfig, duration_s: float, rate_hz: float,
 def cmd_synth(args) -> int:
     glottal = _from_flags(GlottalConfig, f0_hz=args.f0, open_quotient=args.open_quotient,
                           amplitude=args.amplitude, jitter_pct=args.jitter)
+    if args.cohort < 0:
+        raise UsageError("--cohort must be non-negative (0 = single subject)")
     if args.cohort:
         lo, hi = args.f0_range
-        if not (90.0 <= lo <= hi <= 1000.0):
-            raise UsageError("--f0-range must lie within [90, 1000] Hz")
+        if not (F0_MIN_HZ <= lo <= hi <= F0_MAX_HZ):
+            raise UsageError(f"--f0-range must lie within [{F0_MIN_HZ:g}, {F0_MAX_HZ:g}] Hz")
     if not 0.0 < args.duration < math.inf:
         raise UsageError("--duration must be finite and positive")
     if not 0.0 < args.rate < math.inf:
@@ -227,7 +232,7 @@ def _radar_one(chirp: ChirpConfig, scene: TargetScene, seed: int, task: tuple) -
     """Worker: measure one subject's neck displacement at the subject's rate
     as PRF. task is (subject index, directory)."""
     index, directory = task
-    d_true = pio.read_csv_signal(directory / SUBJECT_FILES["neck_true"], "neck_displacement")
+    d_true = pio.read_csv_signal(directory / SUBJECT_FILES["neck_true"])
     cfg = replace(chirp, prf_hz=d_true.rate_hz)
     scene = replace(scene, displacement=d_true)
     # A noiseless run never imports numpy.random: about 5 MB of RSS.
@@ -283,8 +288,8 @@ def _transform_one(cfg: TransformConfig, resample: bool, task: tuple) -> str:
     estimates and transform.json. task is (speech WAV, displacement CSV,
     output directory)."""
     speech_path, displacement_path, out_dir = map(Path, task)
-    speech = pio.read_wav(speech_path, "speech")
-    displacement = pio.read_csv_signal(displacement_path, "neck_displacement")
+    speech = pio.read_wav(speech_path)
+    displacement = pio.read_csv_signal(displacement_path)
     if abs(speech.rate_hz - displacement.rate_hz) > 1e-9:
         if not resample:
             raise ValueError(
@@ -353,12 +358,12 @@ def _evaluate_one(directory: Path) -> SubjectEvaluation:
     its transform voiced."""
     s_path, d_path = directory / SUBJECT_FILES["speech"], _displacement_path(directory)
     e_path, d_hat_path = (directory / TRANSFORM_FILES[key] for key in ("e_hat", "d_hat"))
-    s = pio.read_wav(s_path, "speech")
-    d = pio.read_csv_signal(d_path, "neck_displacement")
+    s = pio.read_wav(s_path)
+    d = pio.read_csv_signal(d_path)
     if d_path.name != RADAR_FILE:
         d = d.with_samples(d.samples - d.samples.mean())
-    e_hat = pio.read_csv_signal(e_path, "excitation_estimate")
-    d_hat = pio.read_csv_signal(d_hat_path, "displacement_estimate")
+    e_hat = pio.read_csv_signal(e_path)
+    d_hat = pio.read_csv_signal(d_hat_path)
     _check_lengths((s_path, s), (e_path, e_hat), (d_hat_path, d_hat), (d_path, d))
     voiced = _transform_voicing(directory / TRANSFORM_META,
                                 FramePlan.for_rate(s.rate_hz).n_frames(len(s)))
@@ -411,8 +416,26 @@ def _run_jobs(fn, tasks, jobs: int):
     # Imported here: the pool machinery (multiprocessing, logging, socket)
     # costs every serial stage process about 25 ms of start-up.
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # No more workers than tasks: the pool forks all of them at its first submit.
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
+
+
+def _config_value(action: argparse.Action, value):
+    """A --config value read as its flag reads its text, each of a list for a
+    flag of several values; a bool for a switch; null for a null default."""
+    if (isinstance(value, bool) and action.nargs == 0
+            or value is None and action.default is None):
+        return value
+    items = value if action.nargs and isinstance(value, list) else [value]
+    try:
+        if action.nargs == 0 or len(items) != (action.nargs or 1) or any(
+                type(v) not in (int, float, str) for v in items):
+            raise ValueError
+        values = [(action.type or str)(str(v)) for v in items]
+    except ValueError:
+        raise UsageError(f"config key {action.dest} cannot be {json.dumps(value)}") from None
+    return values if action.nargs else values[0]
 
 
 def _apply_config_file(parser: _Parser, argv) -> None:
@@ -430,19 +453,20 @@ def _apply_config_file(parser: _Parser, argv) -> None:
     at = argv.index("--config")
     if at + 1 >= len(argv):
         raise UsageError("--config needs a file path")
-    with open(argv[at + 1]) as fh:
+    path = argv[at + 1]
+    with open(path) as fh:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
-        raise UsageError(f"config file {argv[at + 1]} must hold a JSON object")
+        raise UsageError(f"config file {path} must hold a JSON object")
     defaults = {k.replace("-", "_"): v for k, v in overrides.items()}
     command = argv[0] if argv and not argv[0].startswith("-") else None
     target = parser.subcommand_parsers.get(command, parser)
-    known = {action.dest for action in target._actions} - {"help", "config"}
-    unknown = sorted(set(defaults) - known)
+    actions = {action.dest: action for action in target._actions}
+    unknown = sorted(set(defaults) - (set(actions) - {"help", "config"}))
     if unknown:
-        raise UsageError(f"unknown key(s) in config file {argv[at + 1]}: "
-                         f"{', '.join(unknown)}")
-    target.set_defaults(**defaults)
+        raise UsageError(f"unknown key(s) in config file {path}: {', '.join(unknown)}")
+    target.set_defaults(**{dest: _config_value(actions[dest], value)
+                           for dest, value in defaults.items()})
 
 
 def main(argv=None) -> int:
@@ -453,7 +477,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # a --config file that is not readable JSON
         print(f"error: {exc}", file=sys.stderr)
         return 2
     handlers = {
@@ -463,6 +487,9 @@ def main(argv=None) -> int:
         "evaluate": cmd_evaluate,
     }
     try:
+        for flag, low in (("jobs", 1), ("seed", 0)):   # seed: synth and radar only
+            if getattr(args, flag, low) < low:
+                raise UsageError(f"--{flag} must be at least {low}")
         return handlers[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

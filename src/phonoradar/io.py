@@ -57,7 +57,7 @@ def write_wav(path: str | Path, sig: SampledSignal, encoding: str = "float32") -
         fh.write(data.tobytes())
 
 
-def read_wav(path: str | Path, label: str = "") -> SampledSignal:
+def read_wav(path: str | Path) -> SampledSignal:
     """First channel of a PCM 16/24/32-bit or IEEE float 32/64-bit WAV file
     (plain, WAVE_FORMAT_EXTENSIBLE or RF64), as float64; PCM is scaled by
     1/32768 (16-bit) or 1/2**31 (24- and 32-bit, left-justified).
@@ -68,7 +68,7 @@ def read_wav(path: str | Path, label: str = "") -> SampledSignal:
     """
     with open(path, "rb") as fh:
         rate, samples = _parse_wav(fh.read())
-    return SampledSignal(samples, float(rate), label)
+    return SampledSignal(samples, float(rate))
 
 
 class _Cursor:
@@ -209,7 +209,7 @@ def write_csv_signal(path: str | Path, sig: SampledSignal) -> None:
         fh.write("\n".join(lines))
 
 
-def read_csv_signal(path: str | Path, label: str = "") -> SampledSignal:
+def read_csv_signal(path: str | Path) -> SampledSignal:
     with open(path) as fh:
         header = fh.readline().strip()
         key, _, value = header.partition(",")
@@ -217,7 +217,7 @@ def read_csv_signal(path: str | Path, label: str = "") -> SampledSignal:
             raise ValueError(f"{path}: expected 'rate_hz,<value>' header, got {header!r}")
         rate = float(value)
         samples = np.array(fh.read().split(), dtype=np.float64)
-    return SampledSignal(samples, rate, label)
+    return SampledSignal(samples, rate)
 
 
 def write_npy_signal(path: str | Path, sig: SampledSignal) -> None:
@@ -227,7 +227,7 @@ def write_npy_signal(path: str | Path, sig: SampledSignal) -> None:
         np.save(fh, sig.samples, allow_pickle=False)
 
 
-def read_npy_signal(path: str | Path, rate_hz: float, label: str = "") -> SampledSignal:
+def read_npy_signal(path: str | Path, rate_hz: float) -> SampledSignal:
     """A trace written by write_npy_signal, at the given rate. Anything but
     a 1-D float64 .npy array raises ValueError naming the path."""
     try:
@@ -239,4 +239,4 @@ def read_npy_signal(path: str | Path, rate_hz: float, label: str = "") -> Sample
     if not (isinstance(samples, np.ndarray) and samples.dtype == np.float64
             and samples.ndim == 1):
         raise ValueError(f"{path}: expected a 1-D float64 .npy trace")
-    return SampledSignal(samples, float(rate_hz), label)
+    return SampledSignal(samples, float(rate_hz))

@@ -149,12 +149,11 @@ def clamp_pole_stack(error_filters: np.ndarray,
 
 class LpcFrames(NamedTuple):
     """All-pole models of a stack of frames: error filters [1, a_1..a_p] per
-    row, per-sample residual RMS gain, reflection coefficients, and the
-    mask of silent rows (their filters, gains and reflections are zero)."""
+    row, per-sample residual RMS gain, and the mask of silent rows (their
+    filters and gains are zero)."""
 
     error_filters: np.ndarray
     gains: np.ndarray
-    reflection: np.ndarray
     silent: np.ndarray
 
 
@@ -190,13 +189,11 @@ def lpc_analyze_frames(frames: np.ndarray, order: int, pre_emphasis: float = 0.0
     if noise_floor > 0.0:
         r = r.copy()
         r[:, 0] *= (1.0 + noise_floor)
-    a, k, err = levinson_stack(r / n, order)
+    a, _, err = levinson_stack(r / n, order)
     filters = np.concatenate((np.ones((len(a), 1)), a), axis=1)
     if max_pole_radius is not None:
         filters, _ = clamp_pole_stack(filters, max_pole_radius)
-    out = LpcFrames(np.zeros((rows, order + 1)), np.zeros(rows),
-                    np.zeros((rows, order)), silent)
+    out = LpcFrames(np.zeros((rows, order + 1)), np.zeros(rows), silent)
     out.error_filters[~silent] = filters
     out.gains[~silent] = np.sqrt(err)
-    out.reflection[~silent] = k
     return out

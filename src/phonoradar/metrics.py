@@ -72,16 +72,15 @@ def _normalize_power(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return b / b.sum(axis=1, keepdims=True), powerless
 
 
-def normalized_power_spectra(frames: np.ndarray,
-                             rate_hz: float) -> tuple[np.ndarray, np.ndarray, float]:
+def normalized_power_spectra(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hann-windowed periodogram of every mean-removed row of a (frames, n)
     stack, zero-padded to the next power of two, normalized to unit total
     power and floored.
 
     The frame mean is removed first so a baseline offset cannot dominate the
     DC bin; the signals under comparison are AC quantities. A constant row
-    (signals.constant_rows) is silent. Returns (bins, silent mask, bin width
-    in Hz); silent rows carry no usable bins.
+    (signals.constant_rows) is silent. Returns (bins, silent mask); silent
+    rows carry no usable bins.
     """
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     n = frames.shape[1]
@@ -90,7 +89,7 @@ def normalized_power_spectra(frames: np.ndarray,
     bins, powerless = _normalize_power(np.abs(np.fft.rfft(work, nfft, axis=1)) ** 2)
     silent = ((np.sqrt(np.mean(frames**2, axis=1)) < SILENCE_RMS) | powerless
               | constant_rows(frames))
-    return bins, silent, rate_hz / nfft
+    return bins, silent
 
 
 def log_spectral_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -115,7 +114,6 @@ class LsdSeries:
     values: np.ndarray
     times_s: np.ndarray
     window_indices: np.ndarray
-    n_windows: int
 
     def __post_init__(self):
         for name in ("values", "times_s", "window_indices"):
@@ -152,15 +150,15 @@ def lsd_over_windows(a: SampledSignal, b: SampledSignal, plan: FramePlan,
     if len(voiced_mask) != n:
         raise ValueError(f"voiced mask has {len(voiced_mask)} entries for {n} windows")
     rows = np.flatnonzero(voiced_mask)
-    pa, silent_a, _ = normalized_power_spectra(fa[rows], a.rate_hz)
-    pb, silent_b, _ = normalized_power_spectra(fb[rows], b.rate_hz)
+    pa, silent_a = normalized_power_spectra(fa[rows])
+    pb, silent_b = normalized_power_spectra(fb[rows])
     keep = ~(silent_a | silent_b)
     if not keep.any():
         raise ValueError("no voiced windows to compare")
     rows = rows[keep]
     return LsdSeries(values=log_spectral_distances(pa[keep], pb[keep]),
                      times_s=rows * plan.hop / a.rate_hz,
-                     window_indices=rows, n_windows=n)
+                     window_indices=rows)
 
 
 def _tricube(u: np.ndarray) -> np.ndarray:
@@ -210,5 +208,4 @@ def loess_smooth(series: LsdSeries, span: float = 0.3) -> LsdSeries:
     out = np.where(sxx > 0, my + slope * (x - mx), my)
     out = np.where(h[:, 0] > 0, out, yw.mean(axis=1))
     return LsdSeries(values=out, times_s=series.times_s,
-                     window_indices=series.window_indices,
-                     n_windows=series.n_windows)
+                     window_indices=series.window_indices)

@@ -27,9 +27,9 @@ __all__ = [
 
 C_LIGHT = 299792458.0
 _BLOCK_BYTES = 1 << 19
-# Range bins kept either side of the nominal range's bin when the streamed
-# chain selects the bin itself: _scene_ranges keeps the excursion under half
-# a range resolution, so the peak sits within one bin of it.
+# Range bins the streamed chain keeps either side of the nominal range's
+# bin: _scene_ranges keeps the excursion under half a range resolution, so
+# the peak sits within one bin of it.
 _BAND_BINS = 2
 
 
@@ -253,8 +253,8 @@ def _phase_displacement(column: np.ndarray, cfg: ChirpConfig, choice: tuple,
     gain = 1.0 + cfg.slope_hz_per_s * cfg.wavelength_m * group_delay_s / C_LIGHT
     disp = disp / gain
     disp = disp - disp.mean()
-    return RadarDisplacement(disp, cfg.prf_hz, "displacement_radar", bin_index=bin_index,
-                             bin_magnitude=magnitude, noise_floor=floor, passes=passes)
+    return RadarDisplacement(disp, cfg.prf_hz, bin_index=bin_index, bin_magnitude=magnitude,
+                             noise_floor=floor, passes=passes)
 
 
 def extract_displacement(rangefft: np.ndarray, cfg: ChirpConfig,
@@ -407,39 +407,34 @@ def _stream_bins(scene: TargetScene, cfg: ChirpConfig, rng: np.random.Generator 
 
 
 def measure_displacement(scene: TargetScene, cfg: ChirpConfig,
-                         rng: np.random.Generator | None = None,
-                         bin_index: int | None = None) -> RadarDisplacement:
+                         rng: np.random.Generator | None = None) -> RadarDisplacement:
     """Full chain: range spectrum, receiver noise, phase extraction.
 
     The numbers of the public steps
 
         spectrum = range_fft(simulate_beat_signal(scene, cfg))
         add_range_noise(spectrum, scene, cfg, rng)
-        extract_displacement(spectrum, cfg, bin_index)
+        extract_displacement(spectrum, cfg)
 
     to rounding, with the same draws from rng, the same bin and the same
     generator state, but with the spectrum in closed form (_stream_bins):
     no beat samples and no FFT. It streams over blocks of chirps in working
     memory that does not grow with chirps x bins: only the per-bin
-    magnitude sums and the columns extraction may read are kept, bin_index
-    or the nominal range's bin +- _BAND_BINS. If the selected bin lies
-    outside that band, rng is rewound and the pass runs again keeping that
-    bin alone (passes == 2).
+    magnitude sums and the columns extraction may read are kept, the
+    nominal range's bin +- _BAND_BINS. If the selected bin lies outside that
+    band (a range beyond the positive bins can put it there), rng is rewound
+    and the pass runs again keeping that bin alone (passes == 2).
     """
     _scene_ranges(scene, cfg)   # checks the PRF and the excursion
     half = cfg.adc_samples_per_chirp // 2
     if rng is None and scene.noise_snr_db is not None:
         rng = np.random.default_rng()
-    if bin_index is None:
-        centre = min(cfg.bin_of_range(scene.nominal_range_m), half - 1)
-        lo, hi = max(centre - _BAND_BINS, 0), min(centre + _BAND_BINS + 1, half)
-    else:
-        lo = int(np.arange(half)[bin_index])   # numpy's IndexError when out of range
-        hi = lo + 1
+    centre = min(cfg.bin_of_range(scene.nominal_range_m), half - 1)
+    lo, hi = max(centre - _BAND_BINS, 0), min(centre + _BAND_BINS + 1, half)
     state = None if rng is None else rng.bit_generator.state
     mags, kept = _stream_bins(scene, cfg, rng, lo, hi)
-    choice = _select_bin(mags, bin_index)
-    column = choice[0] % half   # a negative bin_index counts from the last bin
+    choice = _select_bin(mags, None)
+    column = choice[0]
     if lo <= column < hi:
         return _phase_displacement(kept[:, column - lo], cfg, choice, passes=1)
     if rng is not None:

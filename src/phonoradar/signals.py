@@ -35,7 +35,6 @@ class SampledSignal:
 
     samples: np.ndarray
     rate_hz: float
-    label: str = ""
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=np.float64)
@@ -52,8 +51,8 @@ class SampledSignal:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def with_samples(self, samples: np.ndarray, label: str | None = None) -> "SampledSignal":
-        return SampledSignal(samples, self.rate_hz, self.label if label is None else label)
+    def with_samples(self, samples: np.ndarray) -> "SampledSignal":
+        return SampledSignal(samples, self.rate_hz)
 
     def require_same_rate(self, other: "SampledSignal") -> None:
         if abs(self.rate_hz - other.rate_hz) > 1e-9 * max(self.rate_hz, other.rate_hz):
@@ -76,9 +75,8 @@ class FramePlan:
             raise ValueError("hop must satisfy 0 < hop <= window_len")
 
     @classmethod
-    def for_rate(cls, rate_hz: float, window_s: float = 0.025,
-                 hop_s: float = 0.0125) -> "FramePlan":
-        return cls(int(round(window_s * rate_hz)), int(round(hop_s * rate_hz)))
+    def for_rate(cls, rate_hz: float) -> "FramePlan":
+        return cls(int(round(0.025 * rate_hz)), int(round(0.0125 * rate_hz)))
 
     def n_frames(self, signal_len: int) -> int:
         if signal_len < self.window_len:
@@ -231,10 +229,10 @@ def resample_decimate(sig: SampledSignal, target_rate_hz: float) -> SampledSigna
             f"rate {sig.rate_hz} is not an integer multiple of {target_rate_hz}"
         )
     if k == 1:
-        return SampledSignal(sig.samples, target_rate_hz, sig.label)
+        return SampledSignal(sig.samples, target_rate_hz)
     h = design_lowpass(0.45 / k, 16 * k + 1)
     y = np.convolve(sig.samples, h, mode="same")
-    return SampledSignal(y[::k], target_rate_hz, sig.label)
+    return SampledSignal(y[::k], target_rate_hz)
 
 
 def differentiate(x: np.ndarray, rate_hz: float) -> np.ndarray:
@@ -254,11 +252,10 @@ def differentiate(x: np.ndarray, rate_hz: float) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(x) * (2j * np.pi * f), n)
 
 
-def integrate_spectral(x: np.ndarray, rate_hz: float, *, low_stop_hz: float = 15.0,
-                       low_pass_hz: float = 25.0) -> np.ndarray:
+def integrate_spectral(x: np.ndarray, rate_hz: float) -> np.ndarray:
     """Zero-phase antiderivative, the band-limited inverse of differentiate().
 
-    The response is 1/(j*2*pi*f) above low_pass_hz and ramps to zero below
+    The response is 1/(j*2*pi*f) above 25 Hz and ramps to zero at 15 Hz
     (drift and baseline control replacing an explicit leak), so content in
     the phonation band passes through the derivative/integral pair untouched.
     """
@@ -270,5 +267,5 @@ def integrate_spectral(x: np.ndarray, rate_hz: float, *, low_stop_hz: float = 15
     g = np.zeros(len(f), dtype=np.complex128)
     nz = f > 0
     g[nz] = 1.0 / (2j * np.pi * f[nz])
-    ramp = np.clip((f - low_stop_hz) / max(low_pass_hz - low_stop_hz, 1e-9), 0.0, 1.0)
+    ramp = np.clip((f - 15.0) / (25.0 - 15.0), 0.0, 1.0)
     return np.fft.irfft(np.fft.rfft(x) * g * ramp, n)

@@ -133,9 +133,6 @@ class SyntheticSubject:
     def rate_hz(self) -> float:
         return self.x.rate_hz
 
-    def tau_d_samples(self) -> int:
-        return int(round(self.neck.tau_d_s * self.rate_hz))
-
 
 def synth_vocal_fold_displacement(cfg: GlottalConfig, duration_s: float,
                                   rate_hz: float,
@@ -189,7 +186,7 @@ def synth_vocal_fold_displacement(cfg: GlottalConfig, duration_s: float,
     pulse = np.where(phase < rise_frac, 3.0 * u**2 - 2.0 * u**3, 1.0 - v**2)
     x = np.zeros(n)
     x[idx] = cfg.amplitude * np.clip(pulse, 0.0, None)
-    return SampledSignal(x, rate_hz, "vocal_fold_displacement")
+    return SampledSignal(x, rate_hz)
 
 
 def neck_displacement(x: SampledSignal, ch: NeckChannel) -> SampledSignal:
@@ -198,7 +195,7 @@ def neck_displacement(x: SampledSignal, ch: NeckChannel) -> SampledSignal:
     out = np.zeros(len(x))
     if shift < len(x):
         out[shift:] = ch.k_d * x.samples[:len(x) - shift]
-    return SampledSignal(out, x.rate_hz, "neck_displacement")
+    return SampledSignal(out, x.rate_hz)
 
 
 def excitation_from_displacement(x: SampledSignal, k: float) -> SampledSignal:
@@ -210,8 +207,7 @@ def excitation_from_displacement(x: SampledSignal, k: float) -> SampledSignal:
     """
     if len(x) < 2:
         raise ValueError("need at least two samples")
-    return SampledSignal(k * differentiate(x.samples, x.rate_hz),
-                         x.rate_hz, "excitation")
+    return x.with_samples(k * differentiate(x.samples, x.rate_hz))
 
 
 def synthesize_speech(e: SampledSignal, tract: VocalTractModel,
@@ -225,7 +221,7 @@ def synthesize_speech(e: SampledSignal, tract: VocalTractModel,
         power = float(np.mean(s**2))
         sigma = np.sqrt(power / 10.0 ** (noise_snr_db / 10.0))
         s = s + sigma * rng.standard_normal(len(s))
-    return SampledSignal(s, e.rate_hz, "speech")
+    return e.with_samples(s)
 
 
 def random_vocal_tract(rng: np.random.Generator, rate_hz: float = 2000.0) -> VocalTractModel:
@@ -274,7 +270,6 @@ def make_subject(glottal: GlottalConfig, neck: NeckChannel, tract: VocalTractMod
                                        rng, lead_in_s)
     hi = hi.with_samples(_fade_out(np.array(hi.samples), int(FADE_OUT_S * hi.rate_hz)))
     x = resample_decimate(hi, rate_hz)
-    x = SampledSignal(x.samples, rate_hz, "vocal_fold_displacement")
     e = excitation_from_displacement(x, glottal.flow_gain_k)
     s = synthesize_speech(e, tract, noise_snr_db, rng)
     d = neck_displacement(x, neck)
@@ -326,10 +321,10 @@ def load_subject(directory: str | Path) -> SyntheticSubject:
     with open(directory / SUBJECT_MANIFEST) as fh:
         manifest = json.load(fh)
     files, rate = manifest["files"], manifest["rate_hz"]
-    x = pio.read_npy_signal(directory / files["vocal_fold"], rate, "vocal_fold_displacement")
-    e = pio.read_npy_signal(directory / files["excitation"], rate, "excitation")
-    s = pio.read_wav(directory / files["speech"], "speech")
-    d = pio.read_csv_signal(directory / files["neck_true"], "neck_displacement")
+    x = pio.read_npy_signal(directory / files["vocal_fold"], rate)
+    e = pio.read_npy_signal(directory / files["excitation"], rate)
+    s = pio.read_wav(directory / files["speech"])
+    d = pio.read_csv_signal(directory / files["neck_true"])
     return SyntheticSubject(
         x=x, e=e, s=s, d=d,
         glottal=GlottalConfig(**manifest["glottal"]),

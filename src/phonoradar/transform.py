@@ -13,7 +13,7 @@ import numpy as np
 from .lpc import lpc_analyze_frames
 from .signals import (FramePlan, SampledSignal, constant_rows, frame_view, hann_window,
                       iir_filter, integrate_spectral, lagged_products, median)
-from .synth import VocalTractModel
+from .synth import F0_MAX_HZ, F0_MIN_HZ, VocalTractModel
 
 __all__ = [
     "TransformConfig",
@@ -26,8 +26,6 @@ __all__ = [
     "transform_speech",
 ]
 
-VOICING_F0_LOW_HZ = 90.0
-VOICING_F0_HIGH_HZ = 1000.0
 SUBHARMONIC_RATIO = 0.85
 RELATIVE_ENERGY_FLOOR = 1e-2   # frames 40 dB below the whole-signal RMS are silence
 ENERGY_FLOOR_RMS = 1e-8        # absolute fallback of the energy floor
@@ -42,10 +40,6 @@ MAX_POLE_RADIUS = 0.90
 
 class NoVoicedFramesError(RuntimeError):
     """Nothing to transform: every analysis frame was unvoiced or silent."""
-
-    def __init__(self, message: str, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or []
 
 
 @dataclass(frozen=True)
@@ -123,8 +117,8 @@ def frame_voicing(frames: np.ndarray, rate_hz: float, threshold: float,
     """
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     rows, n = frames.shape
-    lag_min = max(2, int(np.floor(rate_hz / VOICING_F0_HIGH_HZ)))
-    lag_max = int(np.ceil(rate_hz / VOICING_F0_LOW_HZ))
+    lag_min = max(2, int(np.floor(rate_hz / F0_MAX_HZ)))
+    lag_max = int(np.ceil(rate_hz / F0_MIN_HZ))
     if n < 2 * lag_max:
         raise ValueError(
             f"frame of {n} samples too short for voicing (need {2 * lag_max})"
@@ -209,7 +203,7 @@ def integrate_excitation(e_hat: SampledSignal, pole: float) -> SampledSignal:
     if not (0.0 < pole < 1.0):
         raise ValueError("pole must be in (0, 1)")
     y = iir_filter([1.0 / e_hat.rate_hz], [1.0, -pole], e_hat.samples)
-    return e_hat.with_samples(y, "fold_displacement_estimate")
+    return e_hat.with_samples(y)
 
 
 def _overlap_add(pieces: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
@@ -297,11 +291,8 @@ def transform_speech(s: SampledSignal, d: SampledSignal,
         voiced &= ~silent
 
     if not voiced.any():
-        diagnostics = [FrameRecord(index=i, voiced=False) for i in range(n_frames)]
         raise NoVoicedFramesError(
-            f"nothing to transform: all {n_frames} frames unvoiced or silent",
-            diagnostics,
-        )
+            f"nothing to transform: all {n_frames} frames unvoiced or silent")
 
     # residual of each voiced frame, filtered with its preceding samples as
     # history; samples with no history at the signal head are zeroed
@@ -359,9 +350,9 @@ def transform_speech(s: SampledSignal, d: SampledSignal,
             lpc_gain=float(gains[i]),
         )
     return TransformOutput(
-        e_hat=SampledSignal(e_hat, rate, "excitation_estimate"),
-        x_hat=SampledSignal(x_hat, rate, "fold_displacement_estimate"),
-        d_hat=SampledSignal(d_hat, rate, "neck_displacement_estimate"),
+        e_hat=SampledSignal(e_hat, rate),
+        x_hat=SampledSignal(x_hat, rate),
+        d_hat=SampledSignal(d_hat, rate),
         per_frame=tuple(per_frame),
         global_tau_samples=global_tau,
         config=cfg,

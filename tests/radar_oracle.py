@@ -25,8 +25,8 @@ def explicit_spectrum(scene, cfg, rng=None):
     return spectrum
 
 
-def explicit_chain(scene, cfg, rng=None, bin_index=None):
-    return extract_displacement(explicit_spectrum(scene, cfg, rng), cfg, bin_index)
+def explicit_chain(scene, cfg, rng=None):
+    return extract_displacement(explicit_spectrum(scene, cfg, rng), cfg)
 
 
 def spectrum_bound(scene, cfg, spectrum):

@@ -272,7 +272,7 @@ def constant_row():
 
 
 def test_constant_row_is_silent_in_spectra():
-    _, silent, _ = normalized_power_spectra(constant_row(), RATE)
+    _, silent = normalized_power_spectra(constant_row())
     assert silent.tolist() == [True]
 
 
@@ -284,16 +284,15 @@ def test_loess_matches_brute_force_with_ties(rng, span):
     idx = np.flatnonzero(rng.random(160) < 0.7)
     x = idx * 0.0125
     y = rng.standard_normal(len(idx))
-    out = loess_smooth(LsdSeries(values=y, times_s=x, window_indices=idx,
-                                 n_windows=160), span)
+    out = loess_smooth(LsdSeries(values=y, times_s=x, window_indices=idx), span)
     assert np.allclose(out.values, ref_loess(x, y, span), rtol=1e-10, atol=1e-10)
 
 
 def test_loess_integer_grid_exact_ties(rng):
     idx = np.array([0, 1, 2, 4, 6, 7, 8, 10, 12, 13, 16, 18, 19, 20])
     y = rng.standard_normal(len(idx))
-    out = loess_smooth(LsdSeries(values=y, times_s=idx.astype(float),
-                                 window_indices=idx, n_windows=21), 0.3)
+    out = loess_smooth(LsdSeries(values=y, times_s=idx.astype(float), window_indices=idx),
+                       0.3)
     assert np.allclose(out.values, ref_loess(idx.astype(float), y, 0.3), atol=1e-12)
 
 
@@ -325,7 +324,7 @@ def test_loess_window_starts_match_the_loop(rng, times, span):
 def test_loess_rejects_unsorted_times():
     with pytest.raises(ValueError):
         loess_smooth(LsdSeries(values=np.ones(6), times_s=np.array([0, 2, 1, 3, 4, 5.0]),
-                               window_indices=np.arange(6), n_windows=6))
+                               window_indices=np.arange(6)))
 
 
 # --- delay search ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -372,6 +373,66 @@ def test_config_with_equals_sign_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
+class SpyPool:
+    """Stands in for ProcessPoolExecutor: records each pool's max_workers
+    and runs the tasks in this process, so that no test starts a pool."""
+
+    def __init__(self, max_workers, started):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.fixture
+def pools_started(monkeypatch):
+    started = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: SpyPool(max_workers, started))
+    return started
+
+
+def test_pool_has_no_more_workers_than_tasks(tmp_path, pools_started):
+    cohort = tmp_path / "c"
+    assert run(["synth", "--out", str(cohort), "--cohort", "3", "--seed", "1",
+                "--duration", "0.3", "--jobs", "4096"]) == 0
+    assert pools_started == [3]
+    assert len(list(cohort.glob("subject_*"))) == 3
+
+
+@pytest.mark.parametrize("config, argv", [
+    ({"duration": [1]}, []),
+    ({"jobs": 1.5}, ["--cohort", "2"]),
+    ({"f0_range": 5}, ["--cohort", "2"]),
+    ({"seed": True}, []),
+], ids=["duration-list", "jobs-fraction", "f0-range-scalar", "seed-bool"])
+def test_bad_config_value_is_usage_error(tmp_path, capsys, pools_started, config, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["synth", "--out", str(tmp_path / "x"), "--config", str(cfg), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert next(iter(config)) in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("make_config", [Path.mkdir, lambda path: path.write_bytes(b"\xff{}")],
+                         ids=["directory", "not-text"])
+def test_unreadable_config_is_data_error(tmp_path, capsys, make_config):
+    cfg = tmp_path / "cfg.json"
+    make_config(cfg)
+    assert run(["synth", "--out", str(tmp_path / "x"), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
 def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"voicing_treshold": 0.4}))
@@ -413,11 +474,25 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     *(["transform", "--subject", "{tmp}", flag, value]
       for flag, value in (("--max-lag-ms", "inf"), ("--max-lag-ms", "nan"),
                           ("--pre-emphasis", "inf"), ("--pre-emphasis", "nan"))),
+    # negative values, read as values and not as options
+    ["radar", "--subject", "{tmp}", "--range", "-inf"],
+    ["synth", "--out", "{tmp}/x", "--lead-in", "-inf"],
+    ["radar", "--subject", "{tmp}", "--start-freq", "-1e9"],
+    # integer flags
+    ["synth", "--out", "{tmp}/x", "--jobs", "0"],
+    ["radar", "--subject", "{tmp}", "--jobs", "0"],
+    ["transform", "--subject", "{tmp}", "--jobs", "-1"],
+    ["evaluate", "{tmp}", "--jobs", "0"],
+    ["synth", "--out", "{tmp}/x", "--cohort", "-3"],
+    ["synth", "--out", "{tmp}/x", "--seed", "-1"],
+    ["radar", "--subject", "{tmp}", "--seed", "-1"],
 ], ids=lambda argv: " ".join([argv[0], *argv[-2:]]))
 def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv):
     assert run([arg.format(tmp=tmp_path) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and err.count("\n") == 1
+    # the value's range is reported, not a value missing
+    assert "expected one argument" not in err
     assert not (tmp_path / "x").exists()
 
 

@@ -10,9 +10,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phonoradar.radar import (C_LIGHT, ChirpConfig, NoCoherentTargetError, TargetScene,
-                              _block_chirps, _stream_bins, add_range_noise, extract_displacement,
-                              measure_displacement, simulate_beat_signal)
+from phonoradar.radar import (_BAND_BINS, C_LIGHT, ChirpConfig, NoCoherentTargetError,
+                              TargetScene, _block_chirps, _stream_bins, add_range_noise,
+                              extract_displacement, measure_displacement, simulate_beat_signal)
 from phonoradar.signals import SampledSignal, hann_window
 from phonoradar.synth import GlottalConfig, synth_vocal_fold_displacement
 from radar_oracle import (displacement_bound, explicit_chain, explicit_spectrum, means_bound,
@@ -69,7 +69,7 @@ def chirp_config(n):
 
 
 def vibrating(rng, n_chirps=300):
-    return SampledSignal(rng.uniform(-1e-4, 1e-4, n_chirps), PRF, "displacement")
+    return SampledSignal(rng.uniform(-1e-4, 1e-4, n_chirps), PRF)
 
 
 # --- beat recurrence ------------------------------------------------------
@@ -116,7 +116,7 @@ def noise_moments(noise, n, sigma):
 def test_range_noise_matches_time_domain_noise_in_distribution(n):
     chirps = 8000
     cfg = chirp_config(n)
-    still = SampledSignal(np.zeros(chirps), PRF, "displacement")
+    still = SampledSignal(np.zeros(chirps), PRF)
     snr_db = 3.0
     scene = TargetScene(displacement=still, reflectivity=0.0, noise_snr_db=snr_db)
     sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)   # unit signal power at zero reflectivity
@@ -158,16 +158,16 @@ def grid_scene(rng, chirps, n, snr_db):
     return TargetScene(displacement=vibrating(rng, count), noise_snr_db=snr_db)
 
 
-def assert_matches_oracle(scene, cfg, bin_index=None):
+def assert_matches_oracle(scene, cfg, passes=1):
     """measure_displacement against the explicit chain, within the derived
-    bounds: the same bin, pass count and generator state, and every figure
-    within its bound."""
+    bounds: the same bin and generator state, the given pass count, and
+    every figure within its bound."""
     got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
-    got = measure_displacement(scene, cfg, got_rng, bin_index)
+    got = measure_displacement(scene, cfg, got_rng)
     spectrum = explicit_spectrum(scene, cfg, want_rng)
-    want = extract_displacement(spectrum, cfg, bin_index)
+    want = extract_displacement(spectrum, cfg)
     assert got.bin_index == want.bin_index
-    assert got.passes == 1   # the kept band holds the peak
+    assert got.passes == passes
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     means = means_bound(scene, cfg, spectrum)
     assert abs(got.bin_magnitude - want.bin_magnitude) <= means
@@ -176,16 +176,21 @@ def assert_matches_oracle(scene, cfg, bin_index=None):
     assert np.max(np.abs(got.samples - want.samples)) <= bound
 
 
-@pytest.mark.parametrize("fixed_bin", [False, True])
+@pytest.mark.parametrize("band_off_peak", [False, True])
 @stream_grid
-def test_streamed_chain_matches_explicit(rng, chirps, n, snr_db, fixed_bin):
+def test_streamed_chain_matches_explicit(monkeypatch, rng, chirps, n, snr_db, band_off_peak):
     cfg = chirp_config(n)
     scene = grid_scene(rng, chirps, n, snr_db)
-    # the bin next to the target's still clears the noise floor; with one
-    # positive-range bin, that bin is the target's
-    bin_index = (min(cfg.bin_of_range(scene.nominal_range_m) + 1, n // 2 - 1)
-                 if fixed_bin else None)
-    assert_matches_oracle(scene, cfg, bin_index)
+    passes = 1   # the band kept around the nominal range's bin holds the peak
+    if band_off_peak:
+        # centre the kept band on the positive bin farthest from the peak:
+        # where there are bins enough, the chain rereads the peak in a
+        # second pass
+        peak = explicit_chain(scene, cfg, np.random.default_rng(7)).bin_index
+        far = 0 if 2 * peak >= n // 2 else n // 2 - 1
+        monkeypatch.setattr(ChirpConfig, "bin_of_range", lambda self, range_m: far)
+        passes = 1 if abs(far - peak) <= _BAND_BINS else 2
+    assert_matches_oracle(scene, cfg, passes)
 
 
 @stream_grid
@@ -215,7 +220,7 @@ def test_tone_at_and_between_bin_centres(chirps, n, offset, excursion_m):
     centre = max(1, min(6, n // 2 - 1))
     count = _block_chirps(n) + (1 if chirps == "B+1" else -1)
     d = excursion_m * np.sin(np.arange(count) * 0.7)
-    scene = TargetScene(displacement=SampledSignal(d, PRF, "displacement"),
+    scene = TargetScene(displacement=SampledSignal(d, PRF),
                         nominal_range_m=(centre + offset) * spacing)
     spectrum = explicit_spectrum(scene, cfg)
     means, kept = _stream_bins(scene, cfg, None, 0, n // 2)
@@ -234,20 +239,22 @@ def test_bin_centre_range_measures_like_the_oracle(rng):
 
 
 @pytest.mark.parametrize("snr_db", [None, 15.0])
-@pytest.mark.parametrize("fixed_bin", [False, True])
-def test_streamed_chain_second_pass_matches_explicit(monkeypatch, rng, snr_db, fixed_bin):
+@pytest.mark.parametrize("band_above", [False, True])
+def test_streamed_chain_second_pass_matches_explicit(monkeypatch, rng, snr_db, band_above):
     cfg = ChirpConfig()
     scene = TargetScene(displacement=vibrating(rng, 1000), noise_snr_db=snr_db)
     centre = cfg.bin_of_range(scene.nominal_range_m)
     want_rng = np.random.default_rng(7)
     spectrum = explicit_spectrum(scene, cfg, want_rng)
-    want = extract_displacement(spectrum, cfg, centre if fixed_bin else None)
+    want = extract_displacement(spectrum, cfg)
     assert want.bin_index == centre
-    # move the kept band ten bins off the peak
-    monkeypatch.setattr(ChirpConfig, "bin_of_range", lambda self, range_m: centre + 10)
+    # move the kept band off the peak: ten bins above it, or down to bin 0
+    band = centre + 10 if band_above else 0
+    assert abs(band - centre) > _BAND_BINS
+    monkeypatch.setattr(ChirpConfig, "bin_of_range", lambda self, range_m: band)
     got_rng = np.random.default_rng(7)
-    got = measure_displacement(scene, cfg, got_rng, centre if fixed_bin else None)
-    assert got.passes == (1 if fixed_bin else 2)
+    got = measure_displacement(scene, cfg, got_rng)
+    assert got.passes == 2
     assert got.bin_index == want.bin_index
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     means = means_bound(scene, cfg, spectrum)

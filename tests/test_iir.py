@@ -101,7 +101,7 @@ def test_zeros_subnormals_and_zero_lead_in_match_lfilter():
 
 def test_order_zero_tract_passes_through_keeping_signed_zeros():
     x = np.array([0.25, -0.0, 0.0, -3.0, 5e-324, -0.0])
-    e = SampledSignal(x, 2000.0, "excitation")
+    e = SampledSignal(x, 2000.0)
     s = synthesize_speech(e, VocalTractModel([]))
     assert np.array_equal(bits(s.samples), bits(x))
     y = iir_filter([2.0], [1.0], x)

@@ -8,7 +8,7 @@ from phonoradar.signals import SampledSignal
 @pytest.fixture
 def tone():
     t = np.arange(500) / 2000.0
-    return SampledSignal(0.3 * np.sin(2 * np.pi * 120 * t), 2000.0, "speech")
+    return SampledSignal(0.3 * np.sin(2 * np.pi * 120 * t), 2000.0)
 
 
 def test_wav_float32_roundtrip(tmp_path, tone):

@@ -95,8 +95,8 @@ def test_csv_rejects_non_numeric_line(tmp_path):
 def test_npy_round_trips_exactly(tmp_path_factory, samples, rate):
     path = tmp_path_factory.mktemp("npy") / "s.npy"
     write_npy_signal(path, SampledSignal(samples, rate))
-    back = read_npy_signal(path, rate, "trace")
-    assert back.rate_hz == rate and back.label == "trace"
+    back = read_npy_signal(path, rate)
+    assert back.rate_hz == rate
     assert np.array_equal(bits(back.samples), bits(samples))
 
 

@@ -20,7 +20,7 @@ def inverse_filter(frame, taps):
 
 def spectral_flatness(frame):
     """Geometric over arithmetic mean of the normalized power spectrum."""
-    bins = normalized_power_spectra(np.asarray(frame)[None, :], 2000.0)[0][0]
+    bins = normalized_power_spectra(np.asarray(frame)[None, :])[0][0]
     return float(np.exp(np.mean(np.log(bins))) / np.mean(bins))
 
 

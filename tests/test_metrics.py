@@ -9,9 +9,10 @@ from phonoradar.signals import FramePlan, SampledSignal, hann_window
 
 def spectrum(frame, rate=2000.0):
     """PowerSpectrum of one non-silent frame, from a one-row stack."""
-    bins, silent, bin_hz = normalized_power_spectra(np.asarray(frame)[None, :], rate)
+    bins, silent = normalized_power_spectra(np.asarray(frame)[None, :])
     assert not silent[0]
-    return PowerSpectrum(bins=bins[0], bin_hz=bin_hz)
+    # the one-sided bins of an even-length FFT: nfft / 2 + 1 of them
+    return PowerSpectrum(bins=bins[0], bin_hz=rate / (2 * (bins.shape[1] - 1)))
 
 
 def spectral_flatness(spec):
@@ -51,7 +52,7 @@ class TestNormalizedPowerSpectrum:
         assert np.allclose(one.bins, scaled.bins)
 
     def test_silent_frame_raises(self):
-        _, silent, _ = normalized_power_spectra(np.zeros((1, 50)), 2000.0)
+        _, silent = normalized_power_spectra(np.zeros((1, 50)))
         assert silent[0]
 
     def test_white_noise_average_is_flat(self, rng):
@@ -152,7 +153,7 @@ class TestLoess:
         n = len(values)
         return LsdSeries(values=np.asarray(values, float),
                          times_s=np.arange(n) * 0.0125,
-                         window_indices=np.arange(n), n_windows=n)
+                         window_indices=np.arange(n))
 
     def test_constant_unchanged(self):
         series = self.make_series(np.full(20, 3.3))

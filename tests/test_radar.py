@@ -13,7 +13,7 @@ def cfg():
 
 
 def displacement(samples, rate=2000.0):
-    return SampledSignal(np.asarray(samples, dtype=float), rate, "displacement")
+    return SampledSignal(np.asarray(samples, dtype=float), rate)
 
 
 class TestChirpConfig:

@@ -180,7 +180,8 @@ class TestSynthesizeSpeech:
 
 class TestMakeSubject:
     def test_construction_delay(self, subject):
-        assert delay_samples(subject.x, subject.d, 10) == subject.tau_d_samples()
+        tau_samples = int(round(subject.neck.tau_d_s * subject.rate_hz))
+        assert delay_samples(subject.x, subject.d, 10) == tau_samples
 
     def test_deterministic_given_seed(self):
         kwargs = dict(duration_s=0.5, rate_hz=2000.0, seed=11)

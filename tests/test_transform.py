@@ -126,9 +126,9 @@ class TestTransform:
 
     def test_all_silence_errors(self):
         silent = SampledSignal(np.zeros(2000), 2000.0)
-        with pytest.raises(NoVoicedFramesError) as info:
+        # 2000 samples in 50-sample windows at a 25-sample hop
+        with pytest.raises(NoVoicedFramesError, match="all 79 frames unvoiced or silent"):
             transform_speech(silent, silent)
-        assert len(info.value.diagnostics) > 0
 
     def test_scale_invariance(self, subject):
         d_ref = SampledSignal(subject.d.samples - subject.d.samples.mean(), 2000.0)

@@ -58,7 +58,7 @@ def test_evaluated_subject_matches_reference(tmp_path, subject):
 def series_over(windows, values, hop_s=0.016):
     windows = np.asarray(windows, dtype=np.int64)
     return LsdSeries(values=np.asarray(values, dtype=np.float64), times_s=windows * hop_s,
-                     window_indices=windows, n_windows=40)
+                     window_indices=windows)
 
 
 def test_skipped_windows_leave_empty_cells(tmp_path):
