@@ -54,24 +54,45 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _checked(kind, holds, requirement: str):
+    """An argparse type: kind(text), refused unless holds(value). The flag's
+    command-line text and its --config value both pass through it."""
+    def parse(text: str):
+        value = kind(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, not {text}")
+        return value
+    parse.__name__ = kind.__name__   # argparse's "invalid float value" names the kind
+    return parse
+
+
+def _at_least(low: int):
+    return _checked(int, lambda v: v >= low, f"at least {low}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="phonoradar",
                      description="Synthetic radar/speech co-simulation pipeline")
+    finite = _checked(float, math.isfinite, "finite")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common_flags(p):
         p.add_argument("--config", help="JSON file of parameter overrides "
-                                        "(keys match the long flag names)")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1")
+                                        "(keys are the long flag names)")
+        p.add_argument("--jobs", type=_at_least(1), default=1, help="worker processes")
 
     p = sub.add_parser("synth", help="synthesize one subject or a cohort")
     add_common_flags(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--cohort", type=int, default=0,
+    p.add_argument("--cohort", type=_at_least(0), default=0,
                    help="number of subjects (0 = single subject)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--duration", type=float, default=1.0, help="seconds of phonation")
-    p.add_argument("--rate", type=float, default=2000.0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--duration", default=1.0, help="seconds of phonation",
+                   type=_checked(float, lambda v: 0.0 < v < math.inf, "finite and positive"))
+    # Speech is written as WAV, whose header holds a whole number of Hz.
+    p.add_argument("--rate", default=2000.0, help="sample rate, Hz",
+                   type=_checked(float, lambda v: 0.0 < v < math.inf and v.is_integer(),
+                                 "a positive whole number"))
     p.add_argument("--f0", type=float, default=120.0, help="single-subject pitch, Hz")
     p.add_argument("--f0-range", type=float, nargs=2, default=(90.0, 500.0),
                    metavar=("LO", "HI"), help="cohort pitch range, Hz")
@@ -80,12 +101,12 @@ def _build_parser() -> _Parser:
                    help="peak fold displacement, meters")
     p.add_argument("--jitter", type=float, default=0.0, help="cycle jitter, percent")
     p.add_argument("--k-d", type=float, default=1.0, help="tissue transmission scale")
-    p.add_argument("--tau-ms", type=float, default=1.0,
+    p.add_argument("--tau-ms", type=finite, default=1.0,
                    help="single-subject tissue delay, milliseconds")
-    p.add_argument("--noise-snr", type=float, default=None,
+    p.add_argument("--noise-snr", type=finite, default=None,
                    help="speech SNR in dB (omit for noiseless)")
-    p.add_argument("--lead-in", type=float, default=0.05,
-                   help="silent lead-in before phonation, seconds")
+    p.add_argument("--lead-in", default=0.05, help="silent lead-in before phonation, seconds",
+                   type=_checked(float, lambda v: 0.0 <= v < math.inf, "finite and non-negative"))
 
     p = sub.add_parser("radar", help="simulate the radar measurement of a subject")
     add_common_flags(p)
@@ -93,12 +114,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--cohort", help="cohort directory (all subjects)")
     p.add_argument("--snr", type=float, default=None,
                    help="radar SNR per ADC sample in dB (omit for noiseless)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--start-freq", type=float, default=77e9)
     p.add_argument("--bandwidth", type=float, default=3.6e9)
     p.add_argument("--chirp-duration", type=float, default=60e-6)
-    p.add_argument("--adc-samples", type=int, default=256)
-    p.add_argument("--range", type=float, default=0.25, dest="range_m")
+    # The range spectrum keeps the positive half of the bins.
+    p.add_argument("--adc-samples", type=_at_least(2), default=256)
+    p.add_argument("--range", type=float, default=0.25, help="target range, meters")
 
     p = sub.add_parser("transform", help="run the model transform")
     add_common_flags(p)
@@ -113,16 +135,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-lag-ms", type=float, default=5.0)
     p.add_argument("--tau-mode", choices=("global", "per-frame"), default="global")
     p.add_argument("--integration", choices=("spectral", "leaky"), default="spectral")
-    p.add_argument("--resample", action="store_true",
-                   help="decimate speech to the displacement rate if needed")
 
     p = sub.add_parser("evaluate", help="evaluate a transformed cohort")
     add_common_flags(p)
     p.add_argument("cohort", help="cohort directory")
     p.add_argument("--out", help="report directory (default <cohort>/report)")
-    p.add_argument("--loess-span", type=float, default=0.3)
+    p.add_argument("--loess-span", default=0.3,
+                   type=_checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"))
 
-    parser.subcommand_parsers = {name: sp for name, sp in sub.choices.items()}
+    parser.subcommand_parsers = sub.choices
     return parser
 
 
@@ -188,24 +209,12 @@ def _synth_one(glottal: GlottalConfig, duration_s: float, rate_hz: float,
 def cmd_synth(args) -> int:
     glottal = _from_flags(GlottalConfig, f0_hz=args.f0, open_quotient=args.open_quotient,
                           amplitude=args.amplitude, jitter_pct=args.jitter)
-    if args.cohort < 0:
-        raise UsageError("--cohort must be non-negative (0 = single subject)")
     if args.cohort:
         lo, hi = args.f0_range
         if not (F0_MIN_HZ <= lo <= hi <= F0_MAX_HZ):
             raise UsageError(f"--f0-range must lie within [{F0_MIN_HZ:g}, {F0_MAX_HZ:g}] Hz")
-    if not 0.0 < args.duration < math.inf:
-        raise UsageError("--duration must be finite and positive")
-    if not 0.0 < args.rate < math.inf:
-        raise UsageError("--rate must be finite and positive")
-    if not 0.0 <= args.lead_in < math.inf:
-        raise UsageError("--lead-in must be finite and non-negative")
-    if not math.isfinite(args.tau_ms):
-        raise UsageError("--tau-ms must be finite")
-    if args.noise_snr is not None and not math.isfinite(args.noise_snr):
-        raise UsageError("--noise-snr must be finite (omit it for noiseless speech)")
     out = Path(args.out)
-    if args.cohort <= 0:
+    if not args.cohort:
         tau_samples = int(round(args.tau_ms * 1e-3 * args.rate))
         neck = _from_flags(NeckChannel, k_d=args.k_d, tau_d_s=tau_samples / args.rate)
         tasks = [(out, args.f0, args.open_quotient, neck, args.seed, args.seed)]
@@ -215,7 +224,7 @@ def cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _run_jobs(functools.partial(_synth_one, glottal, args.duration, args.rate,
                                 args.noise_snr, args.lead_in), tasks, args.jobs)
-    print(f"wrote subject to {out}" if args.cohort <= 0
+    print(f"wrote subject to {out}" if not args.cohort
           else f"wrote {len(tasks)} subjects to {out}")
     return 0
 
@@ -262,15 +271,12 @@ def _radar_one(chirp: ChirpConfig, scene: TargetScene, seed: int, task: tuple) -
 def cmd_radar(args) -> int:
     if bool(args.subject) == bool(args.cohort):
         raise UsageError("provide exactly one of --subject or --cohort")
-    if args.adc_samples < 2:
-        raise UsageError("--adc-samples must be at least 2: the range FFT keeps "
-                         "the positive half of the bins")
     # The PRF is each subject's rate; the scene's displacement is the
     # subject's neck_true.csv. Both are filled in by the worker.
     chirp = _from_flags(ChirpConfig, start_freq_hz=args.start_freq,
                         bandwidth_hz=args.bandwidth, chirp_duration_s=args.chirp_duration,
                         adc_samples_per_chirp=args.adc_samples)
-    scene = _from_flags(TargetScene, displacement=None, nominal_range_m=args.range_m,
+    scene = _from_flags(TargetScene, displacement=None, nominal_range_m=args.range,
                         noise_snr_db=args.snr)
     dirs = [Path(args.subject)] if args.subject else _subject_dirs(Path(args.cohort))
     for d in dirs:
@@ -283,19 +289,15 @@ def cmd_radar(args) -> int:
     return 0
 
 
-def _transform_one(cfg: TransformConfig, resample: bool, task: tuple) -> str:
+def _transform_one(cfg: TransformConfig, task: tuple) -> str:
     """Worker: transform one speech/displacement pair and write the three
     estimates and transform.json. task is (speech WAV, displacement CSV,
-    output directory)."""
+    output directory). Speech at an integer multiple of the displacement
+    rate is decimated to it; any other rate is a data error."""
     speech_path, displacement_path, out_dir = map(Path, task)
     speech = pio.read_wav(speech_path)
     displacement = pio.read_csv_signal(displacement_path)
     if abs(speech.rate_hz - displacement.rate_hz) > 1e-9:
-        if not resample:
-            raise ValueError(
-                f"rate mismatch ({speech.rate_hz} vs {displacement.rate_hz} Hz); "
-                "pass --resample to decimate the speech"
-            )
         speech = resample_decimate(speech, displacement.rate_hz)
     _check_lengths((speech_path, speech), (displacement_path, displacement))
     out = transform_speech(speech, displacement, cfg)
@@ -333,8 +335,7 @@ def cmd_transform(args) -> int:
     else:
         dirs = [Path(args.subject)] if args.subject else _subject_dirs(Path(args.cohort))
         tasks = [(d / SUBJECT_FILES["speech"], _displacement_path(d), d) for d in dirs]
-    for line in _run_jobs(functools.partial(_transform_one, cfg, args.resample), tasks,
-                          args.jobs):
+    for line in _run_jobs(functools.partial(_transform_one, cfg), tasks, args.jobs):
         print(line)
     return 0
 
@@ -371,8 +372,6 @@ def _evaluate_one(directory: Path) -> SubjectEvaluation:
 
 
 def cmd_evaluate(args) -> int:
-    if not 0.0 < args.loess_span <= 1.0:
-        raise UsageError("--loess-span must be in (0, 1]")
     cohort = Path(args.cohort)
     if not cohort.is_dir():
         raise FileNotFoundError(f"cohort directory {cohort} does not exist")
@@ -421,65 +420,48 @@ def _run_jobs(fn, tasks, jobs: int):
         return list(pool.map(fn, tasks))
 
 
-def _config_value(action: argparse.Action, value):
+def _config_value(key: str, action: argparse.Action, value):
     """A --config value read as its flag reads its text, each of a list for a
-    flag of several values; a bool for a switch; null for a null default."""
-    if (isinstance(value, bool) and action.nargs == 0
-            or value is None and action.default is None):
+    flag of several values; null for a flag whose default is null."""
+    if value is None and action.default is None:
         return value
     items = value if action.nargs and isinstance(value, list) else [value]
     try:
-        if action.nargs == 0 or len(items) != (action.nargs or 1) or any(
+        if len(items) != (action.nargs or 1) or any(
                 type(v) not in (int, float, str) for v in items):
             raise ValueError
         values = [(action.type or str)(str(v)) for v in items]
-    except ValueError:
-        raise UsageError(f"config key {action.dest} cannot be {json.dumps(value)}") from None
+    except (ValueError, argparse.ArgumentTypeError):
+        raise UsageError(f"config key {key} cannot be {json.dumps(value)}") from None
     return values if action.nargs else values[0]
 
 
-def _apply_config_file(parser: _Parser, argv) -> None:
-    """Apply a --config JSON file as subcommand defaults before parsing.
+def _apply_config_file(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make a --config JSON file's values the subcommand's defaults.
 
-    Keys use the long flag names with dashes or underscores; values given
-    explicitly on the command line still win.
+    Keys are the long flag names, with dashes or underscores; values given
+    on the command line still win.
     """
-    if argv is None:
-        argv = sys.argv[1:]
-    if any(arg.startswith("--config=") for arg in argv):
-        raise UsageError("write --config PATH, not --config=PATH")
-    if "--config" not in argv:
-        return
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        raise UsageError("--config needs a file path")
-    path = argv[at + 1]
-    with open(path) as fh:
-        overrides = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            overrides = json.load(fh)
+    except ValueError as exc:   # not UTF-8, or not JSON
+        raise ValueError(f"config file {path}: {exc}") from None
     if not isinstance(overrides, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    defaults = {k.replace("-", "_"): v for k, v in overrides.items()}
-    command = argv[0] if argv and not argv[0].startswith("-") else None
-    target = parser.subcommand_parsers.get(command, parser)
-    actions = {action.dest: action for action in target._actions}
-    unknown = sorted(set(defaults) - (set(actions) - {"help", "config"}))
+    actions = {opt[2:]: action for action in parser._actions
+               if action.dest not in ("help", "config")
+               for opt in action.option_strings if opt.startswith("--")}
+    unknown = sorted(key for key in overrides if key.replace("_", "-") not in actions)
     if unknown:
         raise UsageError(f"unknown key(s) in config file {path}: {', '.join(unknown)}")
-    target.set_defaults(**{dest: _config_value(actions[dest], value)
-                           for dest, value in defaults.items()})
+    for key, value in overrides.items():
+        action = actions[key.replace("_", "-")]
+        parser.set_defaults(**{action.dest: _config_value(key, action, value)})
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    try:
-        _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:   # a --config file that is not readable JSON
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     handlers = {
         "synth": cmd_synth,
         "radar": cmd_radar,
@@ -487,15 +469,15 @@ def main(argv=None) -> int:
         "evaluate": cmd_evaluate,
     }
     try:
-        for flag, low in (("jobs", 1), ("seed", 0)):   # seed: synth and radar only
-            if getattr(args, flag, low) < low:
-                raise UsageError(f"--{flag} must be at least {low}")
+        args = parser.parse_args(argv)
+        if args.config:
+            _apply_config_file(parser.subcommand_parsers[args.command], args.config)
+            args = parser.parse_args(argv)
         return handlers[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, ValueError, NoVoicedFramesError,
-            NoCoherentTargetError) as exc:
+    except (OSError, ValueError, NoVoicedFramesError, NoCoherentTargetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,6 @@
-"""File formats: WAV (PCM16 / float32) for speech, CSV for displacement
-traces, and .npy float64 for traces whose rate is kept in a JSON record
-beside them."""
+"""File formats: WAV for speech (written as float32, read from PCM or
+float), CSV for displacement traces, and .npy float64 for traces whose rate
+is kept in a JSON record beside them."""
 
 from __future__ import annotations
 
@@ -26,33 +26,24 @@ _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 _U32_MAX = 0xFFFFFFFF
 
 
-def write_wav(path: str | Path, sig: SampledSignal, encoding: str = "float32") -> None:
-    """Mono RIFF/WAVE file, byte for byte as scipy.io.wavfile.write lays it
-    out: float32 gets an 18-byte fmt chunk (cbSize 0) and a fact chunk,
-    pcm16 a 16-byte fmt chunk and none."""
+def write_wav(path: str | Path, sig: SampledSignal) -> None:
+    """Mono IEEE float32 RIFF/WAVE file, byte for byte as
+    scipy.io.wavfile.write lays it out: an 18-byte fmt chunk (cbSize 0) and
+    a fact chunk."""
     rate = int(round(sig.rate_hz))
     if abs(rate - sig.rate_hz) > 1e-6:
         raise ValueError("WAV requires an integer sample rate; use CSV instead")
-    if encoding == "float32":
-        data, tag, width = sig.samples.astype("<f4"), _IEEE_FLOAT, 4
-    elif encoding == "pcm16":
-        clipped = np.clip(sig.samples, -1.0, 1.0)
-        data, tag, width = np.round(clipped * 32767.0).astype("<i2"), _PCM, 2
-    else:
-        raise ValueError(f"unknown encoding {encoding!r}")
-    # The RIFF size counts from 'WAVE': 4 + fmt chunk 24 (26 with cbSize)
-    # + fact chunk 12 (float only) + data header 8 + the samples.
-    riff_size = (50 if tag == _IEEE_FLOAT else 36) + data.nbytes
-    if riff_size > _U32_MAX or rate * width > _U32_MAX:
+    data = sig.samples.astype("<f4")
+    # The RIFF size counts from 'WAVE': 4 + fmt chunk 26 + fact chunk 12
+    # + data header 8 + the samples.
+    riff_size = 50 + data.nbytes
+    if riff_size > _U32_MAX or rate * 4 > _U32_MAX:
         raise ValueError("signal too large for a RIFF WAV file")
-    fmt = struct.pack("<HHIIHH", tag, 1, rate, rate * width, width, 8 * width)
-    if tag == _IEEE_FLOAT:
-        chunks = (b"fmt " + struct.pack("<I", 18) + fmt + b"\x00\x00"
-                  + b"fact" + struct.pack("<II", 4, len(data)))
-    else:
-        chunks = b"fmt " + struct.pack("<I", 16) + fmt
+    fmt = struct.pack("<HHIIHH", _IEEE_FLOAT, 1, rate, rate * 4, 4, 32)
     with open(path, "wb") as fh:
-        fh.write(b"RIFF" + struct.pack("<I", riff_size) + b"WAVE" + chunks
+        fh.write(b"RIFF" + struct.pack("<I", riff_size) + b"WAVE"
+                 + b"fmt " + struct.pack("<I", 18) + fmt + b"\x00\x00"
+                 + b"fact" + struct.pack("<II", 4, len(data))
                  + b"data" + struct.pack("<I", data.nbytes))
         fh.write(data.tobytes())
 

@@ -198,18 +198,26 @@ class TestTransform:
                     "--displacement", str(tmp_path / "d.csv"),
                     "--out", str(tmp_path / "o")]) == 2
 
-    def test_rate_mismatch_without_resample(self, tmp_path):
-        from phonoradar.io import write_csv_signal, write_wav
-        from phonoradar.signals import SampledSignal
-        t = np.arange(8000) / 16000.0
-        speech = SampledSignal(np.sin(2 * np.pi * 150 * t), 16000.0)
+    def test_speech_at_an_integer_multiple_is_decimated(self, tmp_path, capsys):
+        # with no flag: 16 kHz speech is decimated to the 2 kHz trace, and
+        # 3 kHz, no integer multiple of it, is a data error
         disp = SampledSignal(np.sin(2 * np.pi * 150 * np.arange(1000) / 2000.0), 2000.0)
-        write_wav(tmp_path / "s.wav", speech)
         write_csv_signal(tmp_path / "d.csv", disp)
-        args = ["transform", "--speech", str(tmp_path / "s.wav"),
-                "--displacement", str(tmp_path / "d.csv"), "--out", str(tmp_path / "o")]
-        assert run(args) == 2
-        assert run(args + ["--resample"]) == 0
+        for rate, code in ((16000, 0), (3000, 2)):
+            t = np.arange(rate // 2) / rate
+            write_wav(tmp_path / "s.wav", SampledSignal(np.sin(2 * np.pi * 150 * t), rate))
+            out = tmp_path / str(rate)
+            capsys.readouterr()
+            assert run(["transform", "--speech", str(tmp_path / "s.wav"),
+                        "--displacement", str(tmp_path / "d.csv"), "--out", str(out)]) == code
+            assert (out / "d_hat.csv").exists() == (code == 0)
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_resample_is_an_unknown_flag(self, tmp_path, capsys):
+        assert run(["transform", "--subject", str(tmp_path), "--resample"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--resample" in err
 
 
 class TestEvaluate:
@@ -364,13 +372,35 @@ def test_config_as_last_argument_is_usage_error(tmp_path, capsys):
     assert err.startswith("usage error:") and err.count("\n") == 1
 
 
-def test_config_with_equals_sign_is_usage_error(tmp_path, capsys):
+def test_config_with_equals_sign_reads_the_file(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"f0": 200.0}))
-    assert run(["synth", "--out", str(tmp_path / "s"), f"--config={cfg}"]) == 1
+    cfg.write_text(json.dumps({"f0": 200.0, "duration": 0.5}))
+    assert run(["synth", "--out", str(tmp_path / "a"), "--config", str(cfg)]) == 0
+    assert run(["synth", "--out", str(tmp_path / "b"), f"--config={cfg}"]) == 0
+    assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
+    assert json.loads((tmp_path / "b" / "subject.json").read_text())["glottal"]["f0_hz"] == 200.0
+
+
+def test_config_keys_are_long_flag_names(tmp_path):
+    subj = tmp_path / "s"
+    assert run(["synth", "--out", str(subj), "--duration", "0.3", "--seed", "1"]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"range": 0.3}))
+    assert run(["radar", "--subject", str(subj), "--config", str(cfg)]) == 0
+    assert json.loads((subj / "radar.json").read_text())["range_m"] == 0.3
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["radar", "--subject", "{tmp}"], {"range_m": 0.3}),
+    (["evaluate", "{tmp}"], {"cohort": "x"}),
+], ids=["radar-dest", "evaluate-positional"])
+def test_config_key_that_names_no_flag_is_usage_error(tmp_path, capsys, argv, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([arg.format(tmp=tmp_path) for arg in argv] + ["--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and err.count("\n") == 1
-    assert not (tmp_path / "s").exists()
+    assert next(iter(config)) in err
 
 
 class SpyPool:
@@ -411,7 +441,8 @@ def test_pool_has_no_more_workers_than_tasks(tmp_path, pools_started):
     ({"jobs": 1.5}, ["--cohort", "2"]),
     ({"f0_range": 5}, ["--cohort", "2"]),
     ({"seed": True}, []),
-], ids=["duration-list", "jobs-fraction", "f0-range-scalar", "seed-bool"])
+    ({"rate": 2000.5}, []),
+], ids=["duration-list", "jobs-fraction", "f0-range-scalar", "seed-bool", "rate-fraction"])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, pools_started, config, argv):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -422,14 +453,16 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, pools_started, config
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("make_config", [Path.mkdir, lambda path: path.write_bytes(b"\xff{}")],
-                         ids=["directory", "not-text"])
+@pytest.mark.parametrize("make_config", [Path.mkdir, lambda path: path.write_bytes(b"\xff{}"),
+                                         lambda path: path.write_text("{oops")],
+                         ids=["directory", "not-text", "not-json"])
 def test_unreadable_config_is_data_error(tmp_path, capsys, make_config):
     cfg = tmp_path / "cfg.json"
     make_config(cfg)
     assert run(["synth", "--out", str(tmp_path / "x"), "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert str(cfg) in err
     assert not (tmp_path / "x").exists()
 
 
@@ -445,6 +478,8 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["synth", "--out", "{tmp}/x", "--rate", "0"],
+    # speech is written as WAV, at a whole number of Hz
+    ["synth", "--out", "{tmp}/x", "--rate", "2000.5"],
     ["synth", "--out", "{tmp}/x", "--lead-in", "-1"],
     ["synth", "--out", "{tmp}/x", "--k-d", "0"],
     ["synth", "--out", "{tmp}/x", "--tau-ms", "10"],
@@ -494,6 +529,19 @@ def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv):
     # the value's range is reported, not a value missing
     assert "expected one argument" not in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("stage", ["synth", "evaluate"])
+def test_output_path_that_cannot_be_made_is_data_error(tmp_path, capsys, stage):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    (tmp_path / "subject_000").mkdir()
+    (tmp_path / "subject_000" / "subject.json").write_text("{}")
+    argv = (["synth", "--out", str(taken)] if stage == "synth"
+            else ["evaluate", str(tmp_path), "--out", str(taken)])
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and str(taken) in err
 
 
 def test_voicing_threshold_one_voices_periodic_frames(small_cohort):

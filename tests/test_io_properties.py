@@ -166,37 +166,19 @@ def test_unpickling_error_is_value_error(tmp_path, monkeypatch):
 @given(samples=unit_signals, rate=rates)
 def test_float32_wav_round_trips_to_float32(tmp_path_factory, samples, rate):
     path = tmp_path_factory.mktemp("wav") / "s.wav"
-    write_wav(path, SampledSignal(samples, rate), "float32")
+    write_wav(path, SampledSignal(samples, rate))
     back = read_wav(path)
     assert back.rate_hz == rate
     assert np.array_equal(back.samples, samples.astype(np.float32).astype(np.float64))
 
 
 @settings(max_examples=60, deadline=None)
-@given(samples=hnp.arrays(np.float64, st.integers(0, 200), elements=st.floats(-2.0, 2.0)),
-       rate=rates)
-def test_pcm16_wav_round_trips_within_quantisation(tmp_path_factory, samples, rate):
-    # Written as round(32767 x), read as n / 32768: the error is half a step
-    # plus a gain error of |x| / 32768, so within 1/32767 for |x| <= 1/2.
-    path = tmp_path_factory.mktemp("wav") / "s.wav"
-    write_wav(path, SampledSignal(samples, rate), "pcm16")
-    clipped = np.clip(samples, -1.0, 1.0)
-    error = np.abs(read_wav(path).samples - clipped)
-    assert np.all(error <= (0.5 + np.abs(clipped)) / 32768.0 + 1e-15)
-    assert np.all(error[np.abs(clipped) <= 0.5] <= 1.0 / 32767.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(samples=signals, rate=rates, encoding=st.sampled_from(["float32", "pcm16"]))
-def test_wav_bytes_match_scipy_writer(tmp_path_factory, samples, rate, encoding):
+@given(samples=signals, rate=rates)
+def test_wav_bytes_match_scipy_writer(tmp_path_factory, samples, rate):
     d = tmp_path_factory.mktemp("wav")
-    with np.errstate(over="ignore", invalid="ignore"):
-        write_wav(d / "ours.wav", SampledSignal(samples, rate), encoding)
-        if encoding == "float32":
-            data = samples.astype(np.float32)
-        else:
-            data = np.round(np.clip(samples, -1.0, 1.0) * 32767.0).astype(np.int16)
-    wavfile.write(d / "scipy.wav", rate, data)
+    with np.errstate(over="ignore"):
+        write_wav(d / "ours.wav", SampledSignal(samples, rate))
+        wavfile.write(d / "scipy.wav", rate, samples.astype(np.float32))
     assert (d / "ours.wav").read_bytes() == (d / "scipy.wav").read_bytes()
 
 
@@ -249,11 +231,11 @@ def test_scipy_test_files_read_alike(path):
 
 
 def test_every_truncation_reads_alike(tmp_path):
-    for samples, encoding in [(np.sin(np.arange(9.0)), "float32"),
-                              (np.cos(np.arange(10.0)), "pcm16")]:
-        full = tmp_path / f"{encoding}.wav"
-        write_wav(full, SampledSignal(samples, 8000.0), encoding)
-        blob = full.read_bytes()
+    write_wav(tmp_path / "float32.wav", SampledSignal(np.sin(np.arange(9.0)), 8000.0))
+    wavfile.write(tmp_path / "pcm16.wav", 8000,
+                  np.round(np.cos(np.arange(10.0)) * 32767.0).astype(np.int16))
+    for encoding in ("float32", "pcm16"):
+        blob = (tmp_path / f"{encoding}.wav").read_bytes()
         for cut in range(len(blob) + 1):
             path = tmp_path / f"{encoding}_{cut}.wav"
             path.write_bytes(blob[:cut])
@@ -302,4 +284,4 @@ def test_odd_chunk_layouts_read_alike(tmp_path, name):
 
 def test_oversized_wav_is_refused(tmp_path):
     with pytest.raises(ValueError):
-        write_wav(tmp_path / "s.wav", SampledSignal(np.zeros(4), 2**31), "float32")
+        write_wav(tmp_path / "s.wav", SampledSignal(np.zeros(4), 2**31))
