@@ -118,8 +118,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--start-freq", type=float, default=77e9)
     p.add_argument("--bandwidth", type=float, default=3.6e9)
     p.add_argument("--chirp-duration", type=float, default=60e-6)
-    # The range spectrum keeps the positive half of the bins.
-    p.add_argument("--adc-samples", type=_at_least(2), default=256)
+    # The positive half of the bins holds the target's and a noise-floor bin.
+    p.add_argument("--adc-samples", type=_at_least(4), default=256)
     p.add_argument("--range", type=float, default=0.25, help="target range, meters")
 
     p = sub.add_parser("transform", help="run the model transform")
@@ -256,7 +256,6 @@ def _radar_one(chirp: ChirpConfig, scene: TargetScene, seed: int, task: tuple) -
         "selected_bin": measured.bin_index,
         "bin_magnitude": measured.bin_magnitude,
         "noise_floor": measured.noise_floor,
-        "passes": measured.passes,
         "range_m": scene.nominal_range_m,
         "snr_db": scene.noise_snr_db,
         "correlation_vs_truth": corr,
@@ -278,6 +277,7 @@ def cmd_radar(args) -> int:
                         adc_samples_per_chirp=args.adc_samples)
     scene = _from_flags(TargetScene, displacement=None, nominal_range_m=args.range,
                         noise_snr_db=args.snr)
+    _from_flags(chirp.check_range, range_m=args.range)
     dirs = [Path(args.subject)] if args.subject else _subject_dirs(Path(args.cohort))
     for d in dirs:
         if not (d / SUBJECT_MANIFEST).exists():
@@ -298,7 +298,10 @@ def _transform_one(cfg: TransformConfig, task: tuple) -> str:
     speech = pio.read_wav(speech_path)
     displacement = pio.read_csv_signal(displacement_path)
     if abs(speech.rate_hz - displacement.rate_hz) > 1e-9:
-        speech = resample_decimate(speech, displacement.rate_hz)
+        try:
+            speech = resample_decimate(speech, displacement.rate_hz)
+        except ValueError as exc:
+            raise ValueError(f"{speech_path} and {displacement_path}: {exc}") from None
     _check_lengths((speech_path, speech), (displacement_path, displacement))
     out = transform_speech(speech, displacement, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -56,6 +56,8 @@ class ChirpConfig:
                      "adc_samples_per_chirp", "adc_rate_hz"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
+        if self.adc_samples_per_chirp < 4:   # the target's bin and a noise-floor bin
+            raise ValueError("adc_samples_per_chirp must be at least 4")
         if self.adc_samples_per_chirp / self.adc_rate_hz > self.chirp_duration_s * (1 + 1e-9):
             raise ValueError("ADC capture must fit within one chirp")
         if self.prf_hz > 1.0 / self.chirp_duration_s * (1 + 1e-9):
@@ -83,6 +85,15 @@ class ChirpConfig:
     def bin_of_range(self, range_m: float) -> int:
         return int(round(range_m / self.range_bin_spacing_m()))
 
+    def check_range(self, range_m: float) -> None:
+        """A ValueError unless range_m lies in a positive-range bin, 0 ..
+        n//2 - 1, the bins the range spectrum keeps: past them it aliases."""
+        last = self.adc_samples_per_chirp // 2 - 1
+        if self.bin_of_range(range_m) > last:
+            raise ValueError(f"range {range_m:g} m lies past the last positive range bin, "
+                             f"{last}, which ends at "
+                             f"{(last + 0.5) * self.range_bin_spacing_m():.4g} m")
+
 
 @dataclass(frozen=True)
 class TargetScene:
@@ -106,15 +117,13 @@ class RadarDisplacement(SampledSignal):
     """Displacement read from the slow-time phase of one range bin.
 
     bin_index is the bin it was read from, bin_magnitude that bin's mean
-    magnitude over the chirps, noise_floor the median of the other bins'
-    mean magnitudes it was checked against, and passes the number of passes
-    over the chirps the measurement took.
+    magnitude over the chirps, and noise_floor the median of the other bins'
+    mean magnitudes it was checked against.
     """
 
     bin_index: int = field(kw_only=True)
     bin_magnitude: float = field(kw_only=True)
     noise_floor: float = field(kw_only=True)
-    passes: int = field(kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -135,7 +144,9 @@ class BeatMatrix:
 
 def _scene_ranges(scene: TargetScene, cfg: ChirpConfig) -> np.ndarray:
     """Per-chirp target range R_m = R0 + d[m], after checking that the
-    displacement is sampled at the PRF and stays inside the range bin."""
+    nominal range lies in a positive-range bin and that the displacement is
+    sampled at the PRF and stays inside the range bin."""
+    cfg.check_range(scene.nominal_range_m)
     d = scene.displacement
     if abs(d.rate_hz - cfg.prf_hz) > 1e-6 * cfg.prf_hz:
         raise ValueError("displacement must be sampled at the PRF")
@@ -198,8 +209,8 @@ def add_range_noise(spectrum: np.ndarray, scene: TargetScene, cfg: ChirpConfig,
     N_k/2 - N_{k-1}/4 - N_{k+1}/4. Only N over bins -1 .. n/2 (modulo n) is
     drawn: real/imaginary pairs, bin by bin, chirp by chirp, so the stream
     does not depend on how the chirps are split into calls. scratch, a
-    float64 buffer of at least 2 * chirps * min(n//2 + 2, n) elements, holds
-    the draws; without it they are allocated.
+    float64 buffer of at least 2 * chirps * (n//2 + 2) elements, holds the
+    draws; without it they are allocated.
     """
     if scene.noise_snr_db is None:
         return
@@ -207,14 +218,11 @@ def add_range_noise(spectrum: np.ndarray, scene: TargetScene, cfg: ChirpConfig,
         rng = np.random.default_rng()
     n = cfg.adc_samples_per_chirp
     rows, half = spectrum.shape
-    width = min(half + 2, n)
-    size = 2 * rows * width
+    size = 2 * rows * (half + 2)
     raw = np.empty(size) if scratch is None else scratch[:size]
-    raw = rng.standard_normal(out=raw.reshape(rows, width, 2))
+    raw = rng.standard_normal(out=raw.reshape(rows, half + 2, 2))
     raw *= 0.25 * np.sqrt(n) * _noise_sigma(scene)
     quarter = raw.view(np.complex128)[..., 0]   # N_{k-1} / 4 in column k
-    if width < half + 2:   # n <= 2: bins -1 .. n/2 repeat modulo n
-        quarter = quarter[:, np.arange(half + 2) % n]
     # (2 N_k - N_{k-1} - N_{k+1}) / 4 in four in-place passes, no temporary
     centre = quarter[:, 1:half + 1]
     spectrum += centre
@@ -223,16 +231,13 @@ def add_range_noise(spectrum: np.ndarray, scene: TargetScene, cfg: ChirpConfig,
     spectrum -= quarter[:, 2:]
 
 
-def _select_bin(mags: np.ndarray, bin_index: int | None) -> tuple[int, float, float]:
-    """(bin, its mean magnitude, median of the other bins' means) for the bin
-    extraction reads: bin_index, or the max mean-magnitude bin when it is
-    None. Raises NoCoherentTargetError unless the bin clears five times that
-    median floor."""
-    if bin_index is None:
-        bin_index = int(np.argmax(mags))
+def _select_bin(mags: np.ndarray) -> tuple[int, float, float]:
+    """(bin, its mean magnitude, median of the other bins' means) for the max
+    mean-magnitude bin, which extraction reads. Raises NoCoherentTargetError
+    unless the bin clears five times that median floor."""
+    bin_index = int(np.argmax(mags))
     peak = mags[bin_index]
-    others = np.delete(mags, bin_index)
-    floor = median(others) if len(others) else 0.0
+    floor = median(np.delete(mags, bin_index))
     if peak <= 0 or peak < 5.0 * floor:
         raise NoCoherentTargetError(
             f"bin {bin_index} magnitude {peak:.3g} is below the noise floor"
@@ -240,8 +245,8 @@ def _select_bin(mags: np.ndarray, bin_index: int | None) -> tuple[int, float, fl
     return bin_index, float(peak), float(floor)
 
 
-def _phase_displacement(column: np.ndarray, cfg: ChirpConfig, choice: tuple,
-                        passes: int) -> RadarDisplacement:
+def _phase_displacement(column: np.ndarray, cfg: ChirpConfig,
+                        choice: tuple) -> RadarDisplacement:
     """Displacement from the slow-time phase of one range bin's column;
     choice is _select_bin's (bin, magnitude, floor) for that bin."""
     bin_index, magnitude, floor = choice
@@ -254,21 +259,19 @@ def _phase_displacement(column: np.ndarray, cfg: ChirpConfig, choice: tuple,
     disp = disp / gain
     disp = disp - disp.mean()
     return RadarDisplacement(disp, cfg.prf_hz, bin_index=bin_index, bin_magnitude=magnitude,
-                             noise_floor=floor, passes=passes)
+                             noise_floor=floor)
 
 
-def extract_displacement(rangefft: np.ndarray, cfg: ChirpConfig,
-                         bin_index: int | None = None) -> RadarDisplacement:
+def extract_displacement(rangefft: np.ndarray, cfg: ChirpConfig) -> RadarDisplacement:
     """Slow-time phase vibrometry at one range bin.
 
-    Auto-selects the max mean-magnitude bin when bin_index is None, unwraps
-    the slow-time phase, converts d[m] = lambda * phi_m / (4*pi), compensates
-    the deterministic fast-time group-delay gain of the windowed FFT, and
-    removes the mean. Output is sampled at the PRF and carries the bin it
-    was read from.
+    Selects the max mean-magnitude bin, unwraps its slow-time phase,
+    converts d[m] = lambda * phi_m / (4*pi), compensates the deterministic
+    fast-time group-delay gain of the windowed FFT, and removes the mean.
+    Output is sampled at the PRF and carries the bin it was read from.
     """
-    choice = _select_bin(np.abs(rangefft).mean(axis=0), bin_index)
-    return _phase_displacement(rangefft[:, choice[0]], cfg, choice, passes=1)
+    choice = _select_bin(np.abs(rangefft).mean(axis=0))
+    return _phase_displacement(rangefft[:, choice[0]], cfg, choice)
 
 
 def _block_chirps(adc_samples: int) -> int:
@@ -280,18 +283,17 @@ def _dirichlet_rows(offset: np.ndarray, j0: int, n: int, out: np.ndarray) -> Non
     """Fill out[m, c] with sin(pi*b_m) / sin(pi*(b_m - j)/n), the Dirichlet
     kernel of a tone at bin b_m = j0 + offset_m seen from bin j = c - 1.
 
-    j0, in -1 .. n-2, is a bin near the tone and offset_m lies in (-1, 1).
-    With C_j = pi*(j0 - j)/n and tau_m = pi*offset_m/n, the denominator is
-    cos(tau_m) * (sin(C_j) + cos(C_j) tan(tau_m)): one real outer product
-    over chirps and bins, so no sine is taken per element, and cos(tau_m)
-    joins the numerator. The sum's rounding is small against every
-    denominator but the one nearest the tone, which it forms by
+    j0, a positive-range bin, is a bin near the tone and offset_m lies in
+    (-1, 1). With C_j = pi*(j0 - j)/n and tau_m = pi*offset_m/n, the
+    denominator is cos(tau_m) * (sin(C_j) + cos(C_j) tan(tau_m)): one real
+    outer product over chirps and bins, so no sine is taken per element, and
+    cos(tau_m) joins the numerator. The sum's rounding is small against
+    every denominator but the one nearest the tone, which it forms by
     cancellation; that column is set apart. With the tone's nearest bin
     k_m = j0 + s_m and t_m = offset_m - s_m in [-1/2, 1/2], every column
     shares the numerator sin(pi*b_m) = (-1)^k_m sin(pi*t_m), and column
-    k_m + 1, taken modulo n, is (-1)^k_m * n * sinc(t_m) / sinc(t_m/n) times
-    (-1)^w for a wrap of w times n: the same ratio without the cancellation,
-    with the limit n at t_m = 0.
+    k_m + 1 is (-1)^k_m * n * sinc(t_m) / sinc(t_m/n): the same ratio
+    without the cancellation, with the limit n at t_m = 0.
     """
     rows, cols = out.shape
     angle = np.pi / n * (j0 - np.arange(-1, cols - 1))
@@ -301,16 +303,11 @@ def _dirichlet_rows(offset: np.ndarray, j0: int, n: int, out: np.ndarray) -> Non
     whole = np.rint(offset)
     t = offset - whole
     k = j0 + whole
-    near = (k + 1.0) % n - 1.0   # the nearest bin's column, less one
     sign = 1.0 - 2.0 * (k % 2)
-    index = np.arange(rows), near.astype(np.intp) + 1
-    inside = index[1] < cols
-    if not inside.all():
-        index = index[0][inside], index[1][inside]
+    index = np.arange(rows), (k + 1.0).astype(np.intp)   # the nearest bin's column
     out[index] = 1.0
     np.divide((sign * np.sin(np.pi * t) / np.cos(tau))[:, None], out, out=out)
-    wrap = 1.0 - 2.0 * ((k - near) / n % 2)
-    out[index] = (sign * wrap * n * np.sinc(t) / np.sinc(t / n))[inside]
+    out[index] = sign * n * np.sinc(t) / np.sinc(t / n)
 
 
 def _hann_taps(q: np.ndarray, n: int, u: np.ndarray, v: np.ndarray) -> None:
@@ -346,10 +343,10 @@ def _stream_bins(scene: TargetScene, cfg: ChirpConfig, rng: np.random.Generator 
         X_mk = a/2 * exp(j*(phi_m + pi*b_m*(n-1)/n + pi*k/n)) * (u + j*v)_mk
 
     with phi_m = 4*pi*R_m/lambda and u + j*v from _hann_taps. b_m is taken
-    from the bin nearest the nominal range, J, as b_m = J + offset_m with
-    offset_m = ((R0 - J*spacing) + d_m) / spacing, so the offset carries no
-    rounding of the whole range; J is reduced modulo n to j0 in -1 .. n-2,
-    which changes no X. Noiseless magnitudes need only a/2 * |u + j*v|; a
+    from the bin nearest the nominal range, j0, a positive-range bin
+    (_scene_ranges), as b_m = j0 + offset_m with offset_m = ((R0 -
+    j0*spacing) + d_m) / spacing, so the offset carries no rounding of the
+    whole range. Noiseless magnitudes need only a/2 * |u + j*v|; a
     noisy block is formed in full and takes its noise in place
     (add_range_noise).
     """
@@ -359,17 +356,15 @@ def _stream_bins(scene: TargetScene, cfg: ChirpConfig, rng: np.random.Generator 
     chirps = len(d)
     size = max(min(_block_chirps(n), chirps), 1)
     spacing = cfg.range_bin_spacing_m()
-    nearest = round(scene.nominal_range_m / spacing)
-    base = scene.nominal_range_m - nearest * spacing
-    j0 = (nearest + 1) % n - 1
-    width = min(half + 2, n)   # bins -1 .. n/2, distinct modulo n when n >= 3
-    q = np.empty((size, width))
+    j0 = round(scene.nominal_range_m / spacing)
+    base = scene.nominal_range_m - j0 * spacing
+    q = np.empty((size, half + 2))   # bins -1 .. n/2
     noisy = scene.noise_snr_db is not None
     if noisy:   # u and v interleaved, the spectrum's real and imaginary parts
         spectrum = np.empty((size, half), dtype=np.complex128)
         parts = spectrum.view(np.float64).reshape(size, half, 2)
         u, v = parts[..., 0], parts[..., 1]
-        scratch = np.empty(2 * size * width)
+        scratch = np.empty(2 * size * (half + 2))
     else:       # contiguous, for the magnitudes sqrt(u^2 + v^2)
         u, v = np.empty((size, half)), np.empty((size, half))
     bin_phase = 0.5 * scene.reflectivity * np.exp(1j * np.pi / n * np.arange(half))
@@ -381,8 +376,6 @@ def _stream_bins(scene: TargetScene, cfg: ChirpConfig, rng: np.random.Generator 
         offset = (base + d[start:stop]) / spacing
         block_q = q[:rows]
         _dirichlet_rows(offset, j0, n, block_q)
-        if width < half + 2:   # n == 2: bin 1 is bin -1 with its sign flipped
-            block_q = block_q[:, [0, 1, 0]] * [1.0, 1.0, -1.0]
         block_u, block_v = u[:rows], v[:rows]
         _hann_taps(block_q, n, block_u, block_v)
         phase = np.exp(1j * (4.0 * np.pi * (scene.nominal_range_m + d[start:stop])
@@ -421,23 +414,20 @@ def measure_displacement(scene: TargetScene, cfg: ChirpConfig,
     no beat samples and no FFT. It streams over blocks of chirps in working
     memory that does not grow with chirps x bins: only the per-bin
     magnitude sums and the columns extraction may read are kept, the
-    nominal range's bin +- _BAND_BINS. If the selected bin lies outside that
-    band (a range beyond the positive bins can put it there), rng is rewound
-    and the pass runs again keeping that bin alone (passes == 2).
+    nominal range's bin +- _BAND_BINS. A selected bin outside that band is
+    no return of the target, whose peak lies within one bin of the nominal
+    range's: it raises NoCoherentTargetError.
     """
-    _scene_ranges(scene, cfg)   # checks the PRF and the excursion
+    _scene_ranges(scene, cfg)   # checks the range's bin, the PRF and the excursion
     half = cfg.adc_samples_per_chirp // 2
     if rng is None and scene.noise_snr_db is not None:
         rng = np.random.default_rng()
-    centre = min(cfg.bin_of_range(scene.nominal_range_m), half - 1)
+    centre = cfg.bin_of_range(scene.nominal_range_m)
     lo, hi = max(centre - _BAND_BINS, 0), min(centre + _BAND_BINS + 1, half)
-    state = None if rng is None else rng.bit_generator.state
     mags, kept = _stream_bins(scene, cfg, rng, lo, hi)
-    choice = _select_bin(mags, None)
-    column = choice[0]
-    if lo <= column < hi:
-        return _phase_displacement(kept[:, column - lo], cfg, choice, passes=1)
-    if rng is not None:
-        rng.bit_generator.state = state
-    _, kept = _stream_bins(scene, cfg, rng, column, column + 1)
-    return _phase_displacement(kept[:, 0], cfg, choice, passes=2)
+    choice = _select_bin(mags)
+    if not lo <= choice[0] < hi:
+        raise NoCoherentTargetError(
+            f"selected bin {choice[0]} lies more than {_BAND_BINS} bins from the "
+            f"nominal range's bin {centre}")
+    return _phase_displacement(kept[:, choice[0] - lo], cfg, choice)

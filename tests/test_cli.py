@@ -110,12 +110,11 @@ class TestRadar:
         profile = np.abs(spectrum).mean(axis=0)
         peak = int(np.argmax(profile))
         assert meta["selected_bin"] == peak
-        # the bin decision: its mean magnitude, the median of the other
-        # bins' it was checked against, and one pass over the chirps
+        # the bin decision: its mean magnitude and the median of the other
+        # bins' it was checked against
         bound = means_bound(scene, cfg, spectrum)
         assert abs(meta["bin_magnitude"] - profile[peak]) <= bound
         assert abs(meta["noise_floor"] - np.median(np.delete(profile, peak))) <= bound
-        assert meta["passes"] == 1
 
 
 class TestTransform:
@@ -200,7 +199,7 @@ class TestTransform:
 
     def test_speech_at_an_integer_multiple_is_decimated(self, tmp_path, capsys):
         # with no flag: 16 kHz speech is decimated to the 2 kHz trace, and
-        # 3 kHz, no integer multiple of it, is a data error
+        # 3 kHz, no integer multiple of it, is a data error naming both files
         disp = SampledSignal(np.sin(2 * np.pi * 150 * np.arange(1000) / 2000.0), 2000.0)
         write_csv_signal(tmp_path / "d.csv", disp)
         for rate, code in ((16000, 0), (3000, 2)):
@@ -213,6 +212,7 @@ class TestTransform:
             assert (out / "d_hat.csv").exists() == (code == 0)
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        assert str(tmp_path / "s.wav") in err and str(tmp_path / "d.csv") in err
 
     def test_resample_is_an_unknown_flag(self, tmp_path, capsys):
         assert run(["transform", "--subject", str(tmp_path), "--resample"]) == 1
@@ -486,6 +486,12 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     ["synth", "--out", "{tmp}/x", "--jitter", "100"],
     ["radar", "--subject", "{tmp}", "--adc-samples", "0"],
     ["radar", "--subject", "{tmp}", "--adc-samples", "1"],
+    # the positive-range bins need one besides the target's for the noise floor
+    ["radar", "--subject", "{tmp}", "--adc-samples", "2"],
+    ["radar", "--subject", "{tmp}", "--adc-samples", "3"],
+    # past the last positive range bin, 127, which ends at 5.309 m
+    ["radar", "--subject", "{tmp}", "--range", "5.31"],
+    ["radar", "--subject", "{tmp}", "--range", "10.7"],
     ["radar", "--subject", "{tmp}", "--chirp-duration", "0"],
     ["radar", "--subject", "{tmp}", "--bandwidth", "0"],
     ["radar", "--subject", "{tmp}", "--range", "-1"],

@@ -68,16 +68,34 @@ def chirp_config(n):
                        adc_rate_hz=max(n, 256) / 60e-6)
 
 
+def refused(n):
+    """Whether n ADC samples lie below the 4 ChirpConfig takes, after
+    checking that it refuses them: the cases at n = 1, 2 and 3 check that."""
+    if n >= 4:
+        return False
+    with pytest.raises(ValueError, match="adc_samples_per_chirp must be at least 4"):
+        chirp_config(n)
+    return True
+
+
 def vibrating(rng, n_chirps=300):
     return SampledSignal(rng.uniform(-1e-4, 1e-4, n_chirps), PRF)
+
+
+def raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
 
 
 # --- beat recurrence ------------------------------------------------------
 
 @pytest.mark.parametrize("reflectivity", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("range_m", [0.25, 0.5])
-@pytest.mark.parametrize("n", [1, 2, 3, 200, 256, 1000])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 200, 256, 1000])
 def test_beat_matches_exp_formula(rng, n, range_m, reflectivity):
+    if refused(n):
+        return
     cfg = chirp_config(n)
     scene = TargetScene(displacement=vibrating(rng), nominal_range_m=range_m,
                         reflectivity=reflectivity)
@@ -112,8 +130,10 @@ def noise_moments(noise, n, sigma):
     return noise.T @ noise.conj() / scale, noise.T @ noise / scale
 
 
-@pytest.mark.parametrize("n", [2, 63, 64, 256])
+@pytest.mark.parametrize("n", [2, 4, 5, 63, 64, 256])
 def test_range_noise_matches_time_domain_noise_in_distribution(n):
+    if refused(n):
+        return
     chirps = 8000
     cfg = chirp_config(n)
     still = SampledSignal(np.zeros(chirps), PRF)
@@ -125,13 +145,10 @@ def test_range_noise_matches_time_domain_noise_in_distribution(n):
     oracle = np.fft.fft(hann_window(n) * ref_beat(scene, cfg, np.random.default_rng(6)),
                         axis=1)[:, :n // 2]
     want = hann_noise_covariance(n)
-    if n == 2:   # bins -1 and 1 coincide
-        assert want.tolist() == [[0.5]]
-    else:
-        lags = [want[k, k + lag] for lag in range(3) for k in range(n // 2 - lag)]
-        assert set(lags) == {3 / 8, -1 / 4, 1 / 16}
-        far = np.abs(np.subtract.outer(range(n // 2), range(n // 2))) >= 3
-        assert not want[far].any()
+    lags = [want[k, k + lag] for lag in range(3) for k in range(n // 2 - lag)]
+    assert set(lags) == set([3 / 8, -1 / 4, 1 / 16][:n // 2])
+    far = np.abs(np.subtract.outer(range(n // 2), range(n // 2))) >= 3
+    assert not want[far].any()
     # each moment has a standard error of at most 3/8 / sqrt(chirps), about 0.004
     for noise in (added, oracle):
         cov, pseudo = noise_moments(noise, n, sigma)
@@ -144,9 +161,9 @@ def test_range_noise_matches_time_domain_noise_in_distribution(n):
 def stream_grid(test):
     """Parametrize test over chirp counts around the block size, ADC sample
     counts and SNR."""
-    # at two ADC samples the noise's bin -1 is bin 1; an odd count has no Nyquist bin
+    # an odd count has no Nyquist bin; below 4 the chirp config is refused
     for mark in (pytest.mark.parametrize("chirps", ["1", "B-1", "B", "B+1", "4100"]),
-                 pytest.mark.parametrize("n", [2, 3, 63, 64, 256]),
+                 pytest.mark.parametrize("n", [2, 3, 4, 5, 63, 64, 256]),
                  pytest.mark.parametrize("snr_db", [None, 15.0])):
         test = mark(test)
     return test
@@ -158,16 +175,15 @@ def grid_scene(rng, chirps, n, snr_db):
     return TargetScene(displacement=vibrating(rng, count), noise_snr_db=snr_db)
 
 
-def assert_matches_oracle(scene, cfg, passes=1):
+def assert_matches_oracle(scene, cfg):
     """measure_displacement against the explicit chain, within the derived
-    bounds: the same bin and generator state, the given pass count, and
-    every figure within its bound."""
+    bounds: the same bin and generator state, and every figure within its
+    bound."""
     got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
     got = measure_displacement(scene, cfg, got_rng)
     spectrum = explicit_spectrum(scene, cfg, want_rng)
     want = extract_displacement(spectrum, cfg)
     assert got.bin_index == want.bin_index
-    assert got.passes == passes
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     means = means_bound(scene, cfg, spectrum)
     assert abs(got.bin_magnitude - want.bin_magnitude) <= means
@@ -179,22 +195,35 @@ def assert_matches_oracle(scene, cfg, passes=1):
 @pytest.mark.parametrize("band_off_peak", [False, True])
 @stream_grid
 def test_streamed_chain_matches_explicit(monkeypatch, rng, chirps, n, snr_db, band_off_peak):
+    if refused(n):
+        return
     cfg = chirp_config(n)
     scene = grid_scene(rng, chirps, n, snr_db)
-    passes = 1   # the band kept around the nominal range's bin holds the peak
+    if n // 2 == 2:
+        # the Hann-tapered peak's one other positive bin holds half of it or
+        # more, under the five-times floor: both chains find no target
+        got = raised(lambda: measure_displacement(scene, cfg, np.random.default_rng(7)))
+        assert got == raised(lambda: explicit_chain(scene, cfg, np.random.default_rng(7)))
+        assert got[0] is NoCoherentTargetError
+        return
     if band_off_peak:
-        # centre the kept band on the positive bin farthest from the peak:
-        # where there are bins enough, the chain rereads the peak in a
-        # second pass
+        # centre the kept band on the positive bin farthest from the peak,
+        # as if the nominal range lay there: a peak that far from it is no
+        # return of the target
         peak = explicit_chain(scene, cfg, np.random.default_rng(7)).bin_index
         far = 0 if 2 * peak >= n // 2 else n // 2 - 1
+        assert abs(far - peak) > _BAND_BINS
         monkeypatch.setattr(ChirpConfig, "bin_of_range", lambda self, range_m: far)
-        passes = 1 if abs(far - peak) <= _BAND_BINS else 2
-    assert_matches_oracle(scene, cfg, passes)
+        with pytest.raises(NoCoherentTargetError, match=f"bin {peak} .* bin {far}$"):
+            measure_displacement(scene, cfg, np.random.default_rng(7))
+        return
+    assert_matches_oracle(scene, cfg)
 
 
 @stream_grid
 def test_streamed_bin_means_match_explicit(rng, chirps, n, snr_db):
+    if refused(n):
+        return
     cfg = chirp_config(n)
     scene = grid_scene(rng, chirps, n, snr_db)
     spectrum = explicit_spectrum(scene, cfg, np.random.default_rng(7))
@@ -207,17 +236,20 @@ def test_streamed_bin_means_match_explicit(rng, chirps, n, snr_db):
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-12, 0.5, -0.5])
-@pytest.mark.parametrize("n", [2, 3, 63, 64, 256])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 63, 64, 256])
 @pytest.mark.parametrize("chirps", ["B-1", "B+1"])
 @pytest.mark.parametrize("excursion_m", [0.0, 1e-11])
 def test_tone_at_and_between_bin_centres(chirps, n, offset, excursion_m):
     # the nominal range offset bins from a bin centre, still or moving by
     # 1e-11 m: at a centre the Dirichlet kernel's nearest column is 0/0 and
     # takes its limit n, near it numerator and denominator both vanish, and
-    # half a bin off the nearest bin changes between chirps
+    # half a bin off the nearest bin changes between chirps; the tone stays
+    # in the positive bins, so at n = 4 and 5 it lies half a bin above bin 0
+    if refused(n):
+        return
     cfg = chirp_config(n)
     spacing = cfg.range_bin_spacing_m()
-    centre = max(1, min(6, n // 2 - 1))
+    centre = min(6, n // 2 - 1 - (offset > 0.25))
     count = _block_chirps(n) + (1 if chirps == "B+1" else -1)
     d = excursion_m * np.sin(np.arange(count) * 0.7)
     scene = TargetScene(displacement=SampledSignal(d, PRF),
@@ -238,44 +270,15 @@ def test_bin_centre_range_measures_like_the_oracle(rng):
     assert_matches_oracle(scene, cfg)
 
 
-@pytest.mark.parametrize("snr_db", [None, 15.0])
-@pytest.mark.parametrize("band_above", [False, True])
-def test_streamed_chain_second_pass_matches_explicit(monkeypatch, rng, snr_db, band_above):
-    cfg = ChirpConfig()
-    scene = TargetScene(displacement=vibrating(rng, 1000), noise_snr_db=snr_db)
-    centre = cfg.bin_of_range(scene.nominal_range_m)
-    want_rng = np.random.default_rng(7)
-    spectrum = explicit_spectrum(scene, cfg, want_rng)
-    want = extract_displacement(spectrum, cfg)
-    assert want.bin_index == centre
-    # move the kept band off the peak: ten bins above it, or down to bin 0
-    band = centre + 10 if band_above else 0
-    assert abs(band - centre) > _BAND_BINS
-    monkeypatch.setattr(ChirpConfig, "bin_of_range", lambda self, range_m: band)
-    got_rng = np.random.default_rng(7)
-    got = measure_displacement(scene, cfg, got_rng)
-    assert got.passes == 2
-    assert got.bin_index == want.bin_index
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    means = means_bound(scene, cfg, spectrum)
-    assert abs(got.bin_magnitude - want.bin_magnitude) <= means
-    assert abs(got.noise_floor - want.noise_floor) <= means
-    assert np.max(np.abs(got.samples - want.samples)) <= displacement_bound(
-        scene, cfg, spectrum, centre)
-
-
-def raised(call):
-    with pytest.raises(Exception) as info:
-        call()
-    return type(info.value), str(info.value)
-
-
 @pytest.mark.parametrize("scene, error", [
     (TargetScene(displacement=SampledSignal(np.zeros(300), 1000.0)), ValueError),
     (TargetScene(displacement=SampledSignal(np.full(300, 0.03), PRF)), ValueError),
     (TargetScene(displacement=SampledSignal(np.zeros(300), PRF), reflectivity=0.0,
                  noise_snr_db=0.0), NoCoherentTargetError),
-], ids=["prf-mismatch", "excursion-out-of-bin", "no-reflection"])
+    # past bin 127, which ends at 5.31 m, the range would alias
+    (TargetScene(displacement=SampledSignal(np.zeros(300), PRF), nominal_range_m=10.7),
+     ValueError),
+], ids=["prf-mismatch", "excursion-out-of-bin", "no-reflection", "range-beyond-positive-bins"])
 def test_streamed_chain_raises_as_explicit(scene, error):
     cfg = ChirpConfig()
     got = raised(lambda: measure_displacement(scene, cfg, np.random.default_rng(7)))
