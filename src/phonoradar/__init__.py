@@ -17,9 +17,8 @@ from .synth import (GlottalConfig, NeckChannel, SyntheticSubject, VocalTractMode
 from .lpc import LpcModel, autocorrelation, levinson_durbin
 from .transform import (FrameRecord, NoVoicedFramesError, TransformConfig,
                         TransformOutput, integrate_excitation, transform_speech)
-from .radar import (BeatMatrix, ChirpConfig, NoCoherentTargetError, TargetScene,
-                    add_range_noise, extract_displacement, measure_displacement,
-                    range_fft, simulate_beat_signal)
+from .radar import (ChirpConfig, NoCoherentTargetError, TargetScene, add_range_noise,
+                    measure_displacement)
 from .metrics import (LsdSeries, PowerSpectrum, SilentFrameError, log_spectral_distance,
                       loess_smooth, lsd_over_windows)
 from .stats import (DescriptiveStats, PairedTTestResult, descriptive_stats,

@@ -118,8 +118,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--start-freq", type=float, default=77e9)
     p.add_argument("--bandwidth", type=float, default=3.6e9)
     p.add_argument("--chirp-duration", type=float, default=60e-6)
-    # The positive half of the bins holds the target's and a noise-floor bin.
-    p.add_argument("--adc-samples", type=_at_least(4), default=256)
+    # Below 16 the Hann main lobe can be the median noise floor (ChirpConfig).
+    p.add_argument("--adc-samples", type=_at_least(16), default=256)
     p.add_argument("--range", type=float, default=0.25, help="target range, meters")
 
     p = sub.add_parser("transform", help="run the model transform")

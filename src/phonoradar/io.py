@@ -7,6 +7,7 @@ from __future__ import annotations
 import pickle
 import struct
 import zipfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,16 @@ _PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
 # {XXXXXXXX-0000-0010-8000-00AA00389B71}; the first 4 bytes hold the format tag.
 _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 _U32_MAX = 0xFFFFFFFF
+
+
+@contextmanager
+def _naming(path):
+    """Re-raise a ValueError raised while reading path with the path in
+    front, so that every data error names its file."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_wav(path: str | Path, sig: SampledSignal) -> None:
@@ -55,11 +66,11 @@ def read_wav(path: str | Path) -> SampledSignal:
 
     The chunk walk follows scipy.io.wavfile.read: other chunks are skipped,
     and a data chunk cut short by the end of the file yields the whole
-    samples it holds. Any other file raises ValueError.
+    samples it holds. Any other file raises ValueError naming the path.
     """
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, _naming(path):
         rate, samples = _parse_wav(fh.read())
-    return SampledSignal(samples, float(rate))
+        return SampledSignal(samples, float(rate))
 
 
 class _Cursor:
@@ -201,14 +212,16 @@ def write_csv_signal(path: str | Path, sig: SampledSignal) -> None:
 
 
 def read_csv_signal(path: str | Path) -> SampledSignal:
-    with open(path) as fh:
+    """A trace written by write_csv_signal. A malformed file raises
+    ValueError naming the path."""
+    with open(path) as fh, _naming(path):
         header = fh.readline().strip()
         key, _, value = header.partition(",")
         if key.strip() != "rate_hz":
-            raise ValueError(f"{path}: expected 'rate_hz,<value>' header, got {header!r}")
+            raise ValueError(f"expected 'rate_hz,<value>' header, got {header!r}")
         rate = float(value)
         samples = np.array(fh.read().split(), dtype=np.float64)
-    return SampledSignal(samples, rate)
+        return SampledSignal(samples, rate)
 
 
 def write_npy_signal(path: str | Path, sig: SampledSignal) -> None:
@@ -221,13 +234,14 @@ def write_npy_signal(path: str | Path, sig: SampledSignal) -> None:
 def read_npy_signal(path: str | Path, rate_hz: float) -> SampledSignal:
     """A trace written by write_npy_signal, at the given rate. Anything but
     a 1-D float64 .npy array raises ValueError naming the path."""
-    try:
-        with open(path, "rb") as fh:
-            samples = np.load(fh, allow_pickle=False)
-    except (OSError, EOFError, ValueError, pickle.UnpicklingError,
-            zipfile.BadZipFile) as exc:
-        raise ValueError(f"{path}: not a readable .npy trace ({exc})") from exc
-    if not (isinstance(samples, np.ndarray) and samples.dtype == np.float64
-            and samples.ndim == 1):
-        raise ValueError(f"{path}: expected a 1-D float64 .npy trace")
-    return SampledSignal(samples, float(rate_hz))
+    with _naming(path):
+        try:
+            with open(path, "rb") as fh:
+                samples = np.load(fh, allow_pickle=False)
+        except (OSError, EOFError, ValueError, pickle.UnpicklingError,
+                zipfile.BadZipFile) as exc:
+            raise ValueError(f"not a readable .npy trace ({exc})") from exc
+        if not (isinstance(samples, np.ndarray) and samples.dtype == np.float64
+                and samples.ndim == 1):
+            raise ValueError("expected a 1-D float64 .npy trace")
+        return SampledSignal(samples, float(rate_hz))

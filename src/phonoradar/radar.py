@@ -1,6 +1,7 @@
 """FMCW radar chain: chirp configuration, the closed-form range spectrum of a
-vibrating point reflector, receiver noise, and slow-time phase vibrometry;
-beat-signal synthesis and the range FFT are kept as its reference."""
+vibrating point reflector, receiver noise, and slow-time phase vibrometry.
+Its reference, beat-signal synthesis and the range FFT, is the test oracle
+in tests/radar_oracle.py."""
 
 from __future__ import annotations
 
@@ -9,26 +10,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signals import SampledSignal, hann_window, median
+from .signals import SampledSignal, median
 
 __all__ = [
     "C_LIGHT",
     "ChirpConfig",
     "TargetScene",
-    "BeatMatrix",
     "NoCoherentTargetError",
     "RadarDisplacement",
-    "simulate_beat_signal",
-    "range_fft",
     "add_range_noise",
-    "extract_displacement",
     "measure_displacement",
 ]
 
 C_LIGHT = 299792458.0
 _BLOCK_BYTES = 1 << 19
 # Range bins the streamed chain keeps either side of the nominal range's
-# bin: _scene_ranges keeps the excursion under half a range resolution, so
+# bin: _check_scene keeps the excursion under half a range resolution, so
 # the peak sits within one bin of it.
 _BAND_BINS = 2
 
@@ -56,8 +53,12 @@ class ChirpConfig:
                      "adc_samples_per_chirp", "adc_rate_hz"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
-        if self.adc_samples_per_chirp < 4:   # the target's bin and a noise-floor bin
-            raise ValueError("adc_samples_per_chirp must be at least 4")
+        # A tone between bins puts its peak and up to 3 other bins in the
+        # Hann main lobe. _select_bin's floor, the median of the other
+        # n/2 - 1 positive bins, is a sidelobe bin only when those 3 are
+        # fewer than half of them: 3 < (n/2 - 1)/2, so n >= 16.
+        if self.adc_samples_per_chirp < 16:
+            raise ValueError("adc_samples_per_chirp must be at least 16")
         if self.adc_samples_per_chirp / self.adc_rate_hz > self.chirp_duration_s * (1 + 1e-9):
             raise ValueError("ADC capture must fit within one chirp")
         if self.prf_hz > 1.0 / self.chirp_duration_s * (1 + 1e-9):
@@ -74,9 +75,6 @@ class ChirpConfig:
     @property
     def range_resolution_m(self) -> float:
         return C_LIGHT / (2.0 * self.bandwidth_hz)
-
-    def beat_frequency_hz(self, range_m: float) -> float:
-        return 2.0 * self.slope_hz_per_s * range_m / C_LIGHT
 
     def range_bin_spacing_m(self) -> float:
         bin_hz = self.adc_rate_hz / self.adc_samples_per_chirp
@@ -102,7 +100,6 @@ class TargetScene:
 
     displacement: SampledSignal
     nominal_range_m: float = 0.25
-    reflectivity: float = 1.0
     noise_snr_db: float | None = None
 
     def __post_init__(self):
@@ -126,26 +123,9 @@ class RadarDisplacement(SampledSignal):
     noise_floor: float = field(kw_only=True)
 
 
-@dataclass(frozen=True)
-class BeatMatrix:
-    """Per-chirp complex beat signal, chirps x adc samples."""
-
-    data: np.ndarray
-    config: ChirpConfig
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[1] != self.config.adc_samples_per_chirp:
-            raise ValueError("beat matrix must be chirps x adc_samples_per_chirp")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-
-def _scene_ranges(scene: TargetScene, cfg: ChirpConfig) -> np.ndarray:
-    """Per-chirp target range R_m = R0 + d[m], after checking that the
-    nominal range lies in a positive-range bin and that the displacement is
-    sampled at the PRF and stays inside the range bin."""
+def _check_scene(scene: TargetScene, cfg: ChirpConfig) -> None:
+    """A ValueError unless the nominal range lies in a positive-range bin and
+    the displacement is sampled at the PRF and stays inside the range bin."""
     cfg.check_range(scene.nominal_range_m)
     d = scene.displacement
     if abs(d.rate_hz - cfg.prf_hz) > 1e-6 * cfg.prf_hz:
@@ -156,51 +136,19 @@ def _scene_ranges(scene: TargetScene, cfg: ChirpConfig) -> np.ndarray:
             f"displacement {max_excursion:.3g} m leaves the range bin "
             f"(resolution {cfg.range_resolution_m:.3g} m)"
         )
-    return scene.nominal_range_m + d.samples
 
 
 def _noise_sigma(scene: TargetScene) -> float:
-    """Per-component standard deviation of the complex noise at the scene's SNR."""
-    sig_power = scene.reflectivity ** 2 if scene.reflectivity > 0 else 1.0
-    return np.sqrt(sig_power / 10.0 ** (scene.noise_snr_db / 10.0) / 2.0)
-
-
-def simulate_beat_signal(scene: TargetScene, cfg: ChirpConfig) -> BeatMatrix:
-    """Noiseless beat signal for chirp m against a target at R_m = R0 + d[m].
-
-    Each chirp yields a complex tone at f_b = 2*slope*R_m/c with starting
-    phase 4*pi*R_m/lambda. The phase is affine in the ADC sample index n,
-    4*pi*R_m/lambda + step_m*n with step_m = 2*pi*f_b/f_s, so the tone is
-    built by a phasor recurrence: column 0 holds the starting phasor, and
-    each pass doubles the filled width w by one complex multiply with
-    exp(j*step_m*w). Receiver noise is added after the range FFT
-    (add_range_noise).
-    """
-    ranges = _scene_ranges(scene, cfg)
-    n = cfg.adc_samples_per_chirp
-    data = np.empty((len(ranges), n), dtype=np.complex128)
-    step = 2.0 * np.pi * cfg.beat_frequency_hz(ranges) / cfg.adc_rate_hz
-    data[:, 0] = scene.reflectivity * np.exp(1j * (4.0 * np.pi * ranges / cfg.wavelength_m))
-    width = 1
-    while width < n:
-        k = min(width, n - width)
-        np.multiply(data[:, :k], np.exp(1j * (step * width))[:, None],
-                    out=data[:, width:width + k])
-        width += k
-    return BeatMatrix(data=data, config=cfg)
-
-
-def range_fft(beat: BeatMatrix) -> np.ndarray:
-    """Hann-tapered fast-time FFT per chirp, keeping the positive-range bins."""
-    n = beat.config.adc_samples_per_chirp
-    return np.fft.fft(beat.data * hann_window(n), axis=1)[:, :n // 2]
+    """Per-component standard deviation of the complex noise at the scene's
+    SNR against the unit beat tone."""
+    return np.sqrt(1.0 / 10.0 ** (scene.noise_snr_db / 10.0) / 2.0)
 
 
 def add_range_noise(spectrum: np.ndarray, scene: TargetScene, cfg: ChirpConfig,
-                    rng: np.random.Generator | None = None,
-                    scratch: np.ndarray | None = None) -> None:
+                    rng: np.random.Generator, scratch: np.ndarray | None = None) -> None:
     """Add the scene's receiver noise, in place, to a positive-range spectrum
-    (chirps x n//2, as range_fft returns it); a noiseless scene adds nothing.
+    (chirps x n//2, as range_fft in tests/radar_oracle.py returns it); a
+    noiseless scene adds nothing.
 
     The noise is white complex Gaussian in the beat, sigma per component at
     the scene's SNR per ADC sample, seen through the Hann-tapered FFT. Its
@@ -210,12 +158,11 @@ def add_range_noise(spectrum: np.ndarray, scene: TargetScene, cfg: ChirpConfig,
     drawn: real/imaginary pairs, bin by bin, chirp by chirp, so the stream
     does not depend on how the chirps are split into calls. scratch, a
     float64 buffer of at least 2 * chirps * (n//2 + 2) elements, holds the
-    draws; without it they are allocated.
+    draws; without it they are allocated. rng is read only for a noisy
+    scene.
     """
     if scene.noise_snr_db is None:
         return
-    if rng is None:
-        rng = np.random.default_rng()
     n = cfg.adc_samples_per_chirp
     rows, half = spectrum.shape
     size = 2 * rows * (half + 2)
@@ -260,18 +207,6 @@ def _phase_displacement(column: np.ndarray, cfg: ChirpConfig,
     disp = disp - disp.mean()
     return RadarDisplacement(disp, cfg.prf_hz, bin_index=bin_index, bin_magnitude=magnitude,
                              noise_floor=floor)
-
-
-def extract_displacement(rangefft: np.ndarray, cfg: ChirpConfig) -> RadarDisplacement:
-    """Slow-time phase vibrometry at one range bin.
-
-    Selects the max mean-magnitude bin, unwraps its slow-time phase,
-    converts d[m] = lambda * phi_m / (4*pi), compensates the deterministic
-    fast-time group-delay gain of the windowed FFT, and removes the mean.
-    Output is sampled at the PRF and carries the bin it was read from.
-    """
-    choice = _select_bin(np.abs(rangefft).mean(axis=0))
-    return _phase_displacement(rangefft[:, choice[0]], cfg, choice)
 
 
 def _block_chirps(adc_samples: int) -> int:
@@ -336,17 +271,17 @@ def _stream_bins(scene: TargetScene, cfg: ChirpConfig, rng: np.random.Generator 
     mean magnitudes of the noisy positive-range spectrum, and its columns
     lo .. hi-1.
 
-    The spectrum is the closed form of the Hann-tapered DFT of the beat tone
-    a*exp(j*(phi_m + 2*pi*b_m*i/n)), i = 0 .. n-1, at bin b_m = R_m / bin
+    The spectrum is the closed form of the Hann-tapered DFT of the unit beat
+    tone exp(j*(phi_m + 2*pi*b_m*i/n)), i = 0 .. n-1, at bin b_m = R_m / bin
     spacing:
 
-        X_mk = a/2 * exp(j*(phi_m + pi*b_m*(n-1)/n + pi*k/n)) * (u + j*v)_mk
+        X_mk = 1/2 * exp(j*(phi_m + pi*b_m*(n-1)/n + pi*k/n)) * (u + j*v)_mk
 
     with phi_m = 4*pi*R_m/lambda and u + j*v from _hann_taps. b_m is taken
     from the bin nearest the nominal range, j0, a positive-range bin
-    (_scene_ranges), as b_m = j0 + offset_m with offset_m = ((R0 -
+    (_check_scene), as b_m = j0 + offset_m with offset_m = ((R0 -
     j0*spacing) + d_m) / spacing, so the offset carries no rounding of the
-    whole range. Noiseless magnitudes need only a/2 * |u + j*v|; a
+    whole range. Noiseless magnitudes need only 1/2 * |u + j*v|; a
     noisy block is formed in full and takes its noise in place
     (add_range_noise).
     """
@@ -367,7 +302,7 @@ def _stream_bins(scene: TargetScene, cfg: ChirpConfig, rng: np.random.Generator 
         scratch = np.empty(2 * size * (half + 2))
     else:       # contiguous, for the magnitudes sqrt(u^2 + v^2)
         u, v = np.empty((size, half)), np.empty((size, half))
-    bin_phase = 0.5 * scene.reflectivity * np.exp(1j * np.pi / n * np.arange(half))
+    bin_phase = 0.5 * np.exp(1j * np.pi / n * np.arange(half))
     sums = np.zeros(half)
     kept = np.empty((chirps, hi - lo), dtype=np.complex128)
     for start in range(0, chirps, size):
@@ -395,7 +330,7 @@ def _stream_bins(scene: TargetScene, cfg: ChirpConfig, rng: np.random.Generator 
             block_u += block_v
             sums += np.sqrt(block_u, out=block_u).sum(axis=0)
     if not noisy:
-        sums *= 0.5 * abs(scene.reflectivity)
+        sums *= 0.5
     return sums / chirps, kept
 
 
@@ -403,7 +338,7 @@ def measure_displacement(scene: TargetScene, cfg: ChirpConfig,
                          rng: np.random.Generator | None = None) -> RadarDisplacement:
     """Full chain: range spectrum, receiver noise, phase extraction.
 
-    The numbers of the public steps
+    The numbers of the FFT oracle in tests/radar_oracle.py
 
         spectrum = range_fft(simulate_beat_signal(scene, cfg))
         add_range_noise(spectrum, scene, cfg, rng)
@@ -418,7 +353,7 @@ def measure_displacement(scene: TargetScene, cfg: ChirpConfig,
     no return of the target, whose peak lies within one bin of the nominal
     range's: it raises NoCoherentTargetError.
     """
-    _scene_ranges(scene, cfg)   # checks the range's bin, the PRF and the excursion
+    _check_scene(scene, cfg)
     half = cfg.adc_samples_per_chirp // 2
     if rng is None and scene.noise_snr_db is not None:
         rng = np.random.default_rng()

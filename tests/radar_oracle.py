@@ -3,23 +3,89 @@ chain is held to against it.
 
 measure_displacement forms the positive-range spectrum in closed form;
 range_fft(simulate_beat_signal(...)) computes the same spectrum by phasor
-recurrence, Hann taper and FFT. The two round differently, so they are
-compared within bounds derived here from the rounding of each step, with
-eps the double-precision unit roundoff. They are upper bounds: every
-constant is a count of roundings taken at its worst, and the starting
-phase, rounded identically on both sides, is counted on both.
+recurrence, Hann taper and FFT, and extract_displacement reads the
+displacement from it as measure_displacement does. The two round
+differently, so they are compared within bounds derived here from the
+rounding of each step, with eps the double-precision machine epsilon,
+twice the unit roundoff u. They are upper bounds: every constant is a
+count of roundings taken at its worst, and the starting phase, rounded
+identically on both sides, is counted on both.
 """
 
 import numpy as np
 
-from phonoradar.radar import (C_LIGHT, add_range_noise, extract_displacement, range_fft,
-                              simulate_beat_signal)
+from phonoradar.radar import (C_LIGHT, _check_scene, _phase_displacement, _select_bin,
+                              add_range_noise)
+from phonoradar.signals import hann_window
 
 EPS = np.finfo(np.float64).eps
+# The relative error, in eps, of each column _dirichlet_rows forms from its
+# offsets, with u = eps/2. For n >= 16 every angle C_j = pi*(j0 - j)/n lies
+# in [-pi/2, pi/2], so no argument is reduced, and |tau| = pi*|offset|/n
+# < pi/16.
+# - pi, pi/n and the product with an integer or an offset: C_j and tau to
+#   3u relative; sin, cos and tan to 2u (one ulp) of their values.
+# - Denominator D_j = sin(C_j) + cos(C_j) tan(tau): sin(C_j) to 2u|sin C_j|
+#   + 3u|C_j cos C_j| <= 5u|sin C_j|; tan(tau) to 2u + 3u tau/(sin tau
+#   cos tau) <= 5.5u relative; cos(C_j) to 2u plus 3u|C_j sin C_j|, on a
+#   term whose |tan tau| <= 0.2; the multiply and the add u each: in all
+#   8.5u (|sin C_j| + |cos C_j tan tau|) + u|D_j|. Off the nearest bin
+#   |b - j| >= 1/2, so with m = j0 - j the two terms cancel by at most
+#   (|m| + |offset|)/(|m| - |offset|) <= 3: 26.5u relative.
+# - Numerator sin(pi*t)/cos(tau): 4u for the sine and its argument, 2u for
+#   the cosine and u for the division; the last division u.
+# 34.5u in all. The nearest column, n*sinc(t)/sinc(t/n), takes about 7u.
+DIRICHLET_ULPS = 18
+
+
+def beat_frequency_hz(cfg, range_m):
+    return 2.0 * cfg.slope_hz_per_s * range_m / C_LIGHT
+
+
+def simulate_beat_signal(scene, cfg):
+    """Noiseless unit beat tone, chirps x adc samples, for chirp m against a
+    target at R_m = R0 + d[m].
+
+    Each chirp yields a complex tone at f_b = 2*slope*R_m/c with starting
+    phase 4*pi*R_m/lambda. The phase is affine in the ADC sample index n,
+    4*pi*R_m/lambda + step_m*n with step_m = 2*pi*f_b/f_s, so the tone is
+    built by a phasor recurrence: column 0 holds the starting phasor, and
+    each pass doubles the filled width w by one complex multiply with
+    exp(j*step_m*w). Receiver noise is added after the range FFT
+    (add_range_noise).
+    """
+    _check_scene(scene, cfg)
+    ranges = scene.nominal_range_m + scene.displacement.samples
+    n = cfg.adc_samples_per_chirp
+    data = np.empty((len(ranges), n), dtype=np.complex128)
+    step = 2.0 * np.pi * beat_frequency_hz(cfg, ranges) / cfg.adc_rate_hz
+    data[:, 0] = np.exp(1j * (4.0 * np.pi * ranges / cfg.wavelength_m))
+    width = 1
+    while width < n:
+        k = min(width, n - width)
+        np.multiply(data[:, :k], np.exp(1j * (step * width))[:, None],
+                    out=data[:, width:width + k])
+        width += k
+    return data
+
+
+def range_fft(beat):
+    """Hann-tapered fast-time FFT per chirp of a chirps x n beat, keeping the
+    positive-range bins."""
+    n = beat.shape[1]
+    return np.fft.fft(beat * hann_window(n), axis=1)[:, :n // 2]
+
+
+def extract_displacement(rangefft, cfg):
+    """Slow-time phase vibrometry at the max mean-magnitude bin: the
+    package's bin choice and phase-to-displacement steps on the whole
+    spectrum."""
+    choice = _select_bin(np.abs(rangefft).mean(axis=0))
+    return _phase_displacement(rangefft[:, choice[0]], cfg, choice)
 
 
 def explicit_spectrum(scene, cfg, rng=None):
-    """The oracle: the noisy positive-range spectrum from the public steps."""
+    """The oracle: the noisy positive-range spectrum from the FFT chain."""
     spectrum = range_fft(simulate_beat_signal(scene, cfg))
     add_range_noise(spectrum, scene, cfg, rng)
     return spectrum
@@ -33,35 +99,34 @@ def spectrum_bound(scene, cfg, spectrum):
     """Bound on |closed form - oracle| in any one bin of any chirp; spectrum
     is the oracle's (noisy) positive-range spectrum.
 
-    For a tone of amplitude a, n ADC samples, starting phase phi = 4*pi*R/lambda
-    and bin b = R / bin spacing:
+    For the unit tone, n ADC samples, starting phase phi = 4*pi*R/lambda and
+    bin b = R / bin spacing:
 
     - oracle, phasor recurrence: phi's rounding (2 eps |phi|) and the
       exponential (2 eps); each of the log2 n doubling passes multiplies by
       exp(j*step*w), step = 2*pi*b/n to 6 ulps, so the phase errors sum to
       12*pi*b eps, plus 5 eps per pass for the exponential and the multiply;
-      on |X| <= a*n/2 that is a*n/2 * eps * (2|phi| + 12*pi*b + 5 log2 n + 5);
+      on |X| <= n/2 that is n/2 * eps * (2|phi| + 12*pi*b + 5 log2 n + 5);
     - oracle, taper and FFT: a normwise FFT error of 5 log2(n) eps ||X||_2,
-      with ||X||_2 = a*n*sqrt(3/8) for the Hann-tapered tone (Parseval);
+      with ||X||_2 = n*sqrt(3/8) for the Hann-tapered tone (Parseval);
     - closed form, phase factors: phi + pi*b*(n-1)/n and exp(j*pi*k/n) to
-      3 eps (|phi| + pi*b) + 10 eps, on |u + j*v| <= 2n;
-    - closed form, Dirichlet kernel: each q_j to (10 + 2n) eps relative (the
-      outer-product denominators are at least sin(pi/(2n)) away from the
-      nearest bin, whose column is formed without cancellation; 2n covers
-      an argument reduced by pi), |q_j| <= n, and u, v add 3 eps each, so
-      |delta(u + j*v)| <= 2n (2n + 13) eps, scaled by a/2;
+      3 eps (|phi| + pi*b) + 10 eps, on |u + j*v| <= 2n, scaled by 1/2;
+    - closed form, Dirichlet kernel: each q_j to DIRICHLET_ULPS eps relative
+      of its offsets, |q_j| <= n, and u, v add 3 eps each, so
+      |delta(u + j*v)| <= 2n (DIRICHLET_ULPS + 3) eps, scaled by 1/2; the
+      offsets' own rounding moves b by at most (b + 2) eps/2, and the
+      spectrum by at most pi*n/2 per unit of b;
     - noise: the four in-place additions of add_range_noise, 4 eps of the
       noisy bin on each side.
     """
     n = cfg.adc_samples_per_chirp
-    a = abs(scene.reflectivity)
     ranges = scene.nominal_range_m + scene.displacement.samples
     phi = float(np.max(np.abs(4.0 * np.pi * ranges / cfg.wavelength_m)))
     b = float(np.max(ranges)) / cfg.range_bin_spacing_m()
     log_n = max(1, int(np.ceil(np.log2(n))))
-    oracle = (a * n / 2 * (2 * phi + 12 * np.pi * b + 5 * log_n + 5)
-              + a * n * np.sqrt(3 / 8) * 5 * log_n)
-    closed = a * n * (3 * (phi + np.pi * b) + 10) + a * n * (2 * n + 13)
+    oracle = n / 2 * (2 * phi + 12 * np.pi * b + 5 * log_n + 5) + n * np.sqrt(3 / 8) * 5 * log_n
+    closed = (n * (3 * (phi + np.pi * b) + 10) + n * (DIRICHLET_ULPS + 3)
+              + n * np.pi * (b + 2) / 4)
     noise = 8 * float(np.max(np.abs(spectrum), initial=0.0))
     return EPS * (oracle + closed + noise)
 

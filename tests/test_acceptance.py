@@ -27,6 +27,7 @@ from phonoradar.report import build_cohort_report, evaluate_signals
 from phonoradar.signals import FramePlan, SampledSignal
 from phonoradar.stats import descriptive_stats, paired_t_test, student_t_two_sided_p
 from phonoradar.transform import TransformConfig, transform_speech
+from radar_oracle import range_fft, simulate_beat_signal
 
 COHORT_SEED = 42
 COHORT_SIZE = 66
@@ -183,9 +184,9 @@ class TestCriterion3RadarRoundTrip:
         rms_err = np.sqrt(np.mean((recovered.samples - truth) ** 2))
         rel = rms_err / np.sqrt(np.mean(truth**2))
 
-        static = pr.simulate_beat_signal(
+        static = simulate_beat_signal(
             pr.TargetScene(displacement=SampledSignal(np.zeros(32), RATE)), cfg)
-        power = np.abs(pr.range_fft(static)[0]) ** 2
+        power = np.abs(range_fft(static)[0]) ** 2
         bin_hz = cfg.adc_rate_hz / cfg.adc_samples_per_chirp
         beat_hz = np.argmax(power) * bin_hz
         ok = rel < 0.02 and abs(beat_hz - 100e3) <= bin_hz

@@ -486,9 +486,10 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     ["synth", "--out", "{tmp}/x", "--jitter", "100"],
     ["radar", "--subject", "{tmp}", "--adc-samples", "0"],
     ["radar", "--subject", "{tmp}", "--adc-samples", "1"],
-    # the positive-range bins need one besides the target's for the noise floor
     ["radar", "--subject", "{tmp}", "--adc-samples", "2"],
     ["radar", "--subject", "{tmp}", "--adc-samples", "3"],
+    # below 16 the Hann main lobe can be the median of the noise-floor bins
+    ["radar", "--subject", "{tmp}", "--adc-samples", "15"],
     # past the last positive range bin, 127, which ends at 5.309 m
     ["radar", "--subject", "{tmp}", "--range", "5.31"],
     ["radar", "--subject", "{tmp}", "--range", "10.7"],
@@ -669,6 +670,25 @@ def test_bad_wav_is_data_error(tmp_path, capsys, make_bad_wav):
                 "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert str(speech) in err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "abc"])
+@pytest.mark.parametrize("name, stage", [("neck_true.csv", "radar"),
+                                         ("neck_radar.csv", "transform")])
+def test_bad_trace_value_is_data_error_naming_the_file(tmp_path, capsys, name, stage, value):
+    subject = tmp_path / "s"
+    assert run(["synth", "--out", str(subject), "--duration", "0.5", "--seed", "2"]) == 0
+    assert run(["radar", "--subject", str(subject)]) == 0
+    trace = subject / name
+    lines = trace.read_text().splitlines(keepends=True)
+    lines[10] = value + "\n"
+    trace.write_text("".join(lines))
+    capsys.readouterr()
+    assert run([stage, "--subject", str(subject)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(trace) in err
 
 
 def test_truncated_speech_is_a_length_mismatch(tmp_path, capsys):

