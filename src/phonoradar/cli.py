@@ -357,9 +357,10 @@ def _transform_voicing(path: Path, n_frames: int) -> np.ndarray:
     return voiced
 
 
-def _evaluate_one(directory: Path) -> SubjectEvaluation:
+def _evaluate_one(windows: Path, span: float, directory: Path) -> SubjectEvaluation:
     """Worker: the LSD evaluation of one transformed subject over the frames
-    its transform voiced."""
+    its transform voiced; writes the subject's per-window CSV, loess-smoothed
+    over span, into the windows directory."""
     s_path, d_path = directory / SUBJECT_FILES["speech"], _displacement_path(directory)
     e_path, d_hat_path = (directory / TRANSFORM_FILES[key] for key in ("e_hat", "d_hat"))
     s = pio.read_wav(s_path)
@@ -371,7 +372,9 @@ def _evaluate_one(directory: Path) -> SubjectEvaluation:
     _check_lengths((s_path, s), (e_path, e_hat), (d_hat_path, d_hat), (d_path, d))
     voiced = _transform_voicing(directory / TRANSFORM_META,
                                 FramePlan.for_rate(s.rate_hz).n_frames(len(s)))
-    return evaluate_signals(directory.name, s, e_hat, d_hat, d, voiced)
+    evaluation, series = evaluate_signals(directory.name, s, e_hat, d_hat, d, voiced)
+    write_window_csv(windows / f"{directory.name}.csv", series, span=span)
+    return evaluation
 
 
 def cmd_evaluate(args) -> int:
@@ -395,10 +398,8 @@ def cmd_evaluate(args) -> int:
         complete.append(d)
     if not complete:
         raise ValueError("no complete subjects to evaluate")
-    evaluations = _run_jobs(_evaluate_one, complete, args.jobs)
-    for ev in evaluations:
-        write_window_csv(out_dir / "windows" / f"{ev.subject_id}.csv", ev.series,
-                         span=args.loess_span)
+    evaluations = _run_jobs(functools.partial(_evaluate_one, out_dir / "windows",
+                                              args.loess_span), complete, args.jobs)
     report = build_cohort_report(evaluations, skipped)
     write_report_json(out_dir / "report.json", report)
     write_report_csv(out_dir / "report.csv", report)

@@ -25,6 +25,9 @@ __all__ = [
 SPECTRAL_FLOOR = 1e-8   # fraction of total power, applied before the log ratio
 SILENCE_RMS = 1e-12
 LOESS_MIN_POINTS = 5
+# Bytes in each of a loess block's (points, n) temporaries: 1 MiB fits
+# series of up to 362 points, the benchmark cohorts' lengths, in one block.
+_LOESS_BLOCK_BYTES = 1 << 20
 
 
 class SilentFrameError(ValueError):
@@ -166,14 +169,34 @@ def _tricube(u: np.ndarray) -> np.ndarray:
     return w**3
 
 
-def _window_starts(x: np.ndarray, k: int) -> np.ndarray:
+def _window_starts(x: np.ndarray, k: int, points: np.ndarray) -> np.ndarray:
     """First index of each point's k nearest neighbours in sorted x, a tie
     going to the lower index: the count of lefts in [0, n - k) whose right
     neighbour x[left + k] is strictly nearer the point than x[left]. Both
     sides of that comparison are monotone in left, so the lefts that pass
     form a prefix."""
     left = np.arange(len(x) - k)
-    return np.count_nonzero(x[left + k] - x[:, None] < x[:, None] - x[left], axis=1)
+    return np.count_nonzero(x[left + k] - points[:, None] < points[:, None] - x[left],
+                            axis=1)
+
+
+def _local_linear_fit(x: np.ndarray, y: np.ndarray, k: int, rows: slice) -> np.ndarray:
+    """The tricube-weighted linear fit at x[rows] from each point's k
+    nearest neighbours; every temporary has one row per point."""
+    at = x[rows]
+    idx = _window_starts(x, k, at)[:, None] + np.arange(k)
+    xw, yw = x[idx], y[idx]
+    dist = np.abs(xw - at[:, None])
+    h = dist.max(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = _tricube(dist / h)
+        sw = w.sum(axis=1)
+        mx = (w * xw).sum(axis=1) / sw
+        my = (w * yw).sum(axis=1) / sw
+        sxx = (w * (xw - mx[:, None]) ** 2).sum(axis=1)
+        slope = (w * (xw - mx[:, None]) * (yw - my[:, None])).sum(axis=1) / sxx
+    fit = np.where(sxx > 0, my + slope * (at - mx), my)
+    return np.where(h[:, 0] > 0, fit, yw.mean(axis=1))
 
 
 def loess_smooth(series: LsdSeries, span: float = 0.3) -> LsdSeries:
@@ -183,6 +206,11 @@ def loess_smooth(series: LsdSeries, span: float = 0.3) -> LsdSeries:
     tie goes to the lower index. Times must be sorted, so each neighborhood
     is a contiguous window. Constant and exactly linear series are
     reproduced unchanged.
+
+    The points are fitted in blocks, each temporary about
+    _LOESS_BLOCK_BYTES, so working memory grows with n, not n squared.
+    Each point's fit is the same row-wise arithmetic in any block, so the
+    output does not depend on the block size.
     """
     if not (0.0 < span <= 1.0):
         raise ValueError("span must be in (0, 1]")
@@ -194,18 +222,10 @@ def loess_smooth(series: LsdSeries, span: float = 0.3) -> LsdSeries:
     if np.any(np.diff(x) < 0):
         raise ValueError("times must be sorted")
     k = max(2, int(np.ceil(span * n)))
-    idx = _window_starts(x, k)[:, None] + np.arange(k)
-    xw, yw = x[idx], y[idx]
-    dist = np.abs(xw - x[:, None])
-    h = dist.max(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = _tricube(dist / h)
-        sw = w.sum(axis=1)
-        mx = (w * xw).sum(axis=1) / sw
-        my = (w * yw).sum(axis=1) / sw
-        sxx = (w * (xw - mx[:, None]) ** 2).sum(axis=1)
-        slope = (w * (xw - mx[:, None]) * (yw - my[:, None])).sum(axis=1) / sxx
-    out = np.where(sxx > 0, my + slope * (x - mx), my)
-    out = np.where(h[:, 0] > 0, out, yw.mean(axis=1))
+    out = np.empty(n)
+    step = max(1, _LOESS_BLOCK_BYTES // (8 * n))   # points per block
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        out[rows] = _local_linear_fit(x, y, k, rows)
     return LsdSeries(values=out, times_s=series.times_s,
                      window_indices=series.window_indices)

@@ -35,26 +35,29 @@ class SubjectEvaluation:
     lsd_estimated_excitation: float
     lsd_model_filtered: float
     n_voiced_windows: int
-    series: dict
 
 
 def evaluate_signals(subject_id: str, s: SampledSignal, e_hat: SampledSignal,
                      d_hat: SampledSignal, d: SampledSignal,
-                     voiced: np.ndarray) -> SubjectEvaluation:
+                     voiced: np.ndarray) -> tuple[SubjectEvaluation, dict]:
     """Mean LSD of each candidate signal against the radar displacement over
     the windows flagged in `voiced`, on the transform's frame grid: the
-    frames the transform voiced (TransformOutput.voiced_mask)."""
+    frames the transform voiced (TransformOutput.voiced_mask).
+
+    Returns the evaluation and the per-window LSD series it averages, keyed
+    by comparison, for write_window_csv.
+    """
     plan = FramePlan.for_rate(s.rate_hz)
     series = {name: lsd_over_windows(signal, d, plan, voiced)
               for name, signal in zip(COMPARISONS, (s, e_hat, d_hat))}
-    return SubjectEvaluation(
+    evaluation = SubjectEvaluation(
         subject_id=subject_id,
         lsd_raw_speech=series["raw_speech"].mean,
         lsd_estimated_excitation=series["estimated_excitation"].mean,
         lsd_model_filtered=series["model_filtered"].mean,
         n_voiced_windows=len(series["model_filtered"]),
-        series=series,
     )
+    return evaluation, series
 
 
 @dataclass(frozen=True)

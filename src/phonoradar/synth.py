@@ -37,6 +37,9 @@ F0_MIN_HZ = 90.0
 F0_MAX_HZ = 1000.0
 OVERSAMPLE = 8       # fold displacement is generated at this multiple of the rate
 FADE_OUT_S = 0.02
+# Bytes of open-phase temporaries per block of the pulse train: 512 KiB is
+# about 5500 samples, a few dozen cycles at OVERSAMPLE times 2 kHz.
+_PULSE_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,9 @@ def synth_vocal_fold_displacement(cfg: GlottalConfig, duration_s: float,
     silent lead-in precedes the first pulse.
 
     A scalar loop walks the cycle onsets (one jitter draw per cycle); the
-    open-phase samples of all cycles are then evaluated in one array pass.
+    open-phase samples are then evaluated in blocks of cycles, about
+    _PULSE_BLOCK_BYTES of temporaries each, every sample by the same
+    elementwise arithmetic in any block.
     """
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
@@ -176,6 +181,21 @@ def synth_vocal_fold_displacement(cfg: GlottalConfig, duration_s: float,
     i0 = np.ceil(t0 * rate_hz).astype(np.int64)
     i1 = np.minimum(np.ceil((t0 + t_open) * rate_hz).astype(np.int64), n)
     counts = np.maximum(i1 - i0, 0)
+    x = np.zeros(n)
+    # cycles per block: a dozen 8-byte temporaries per open-phase sample
+    step = max(1, _PULSE_BLOCK_BYTES // (96 * max(1, int(counts.max()))))
+    for c in range(0, len(counts), step):
+        block = slice(c, c + step)
+        idx, pulse = _open_phases(i0[block], counts[block], t0[block], t_open[block],
+                                  rate_hz)
+        x[idx] = cfg.amplitude * np.clip(pulse, 0.0, None)
+    return SampledSignal(x, rate_hz)
+
+
+def _open_phases(i0: np.ndarray, counts: np.ndarray, t0: np.ndarray, t_open: np.ndarray,
+                 rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sample indices and pulse shape of the open phases of some cycles:
+    counts[c] samples from i0[c], the cycle opening at t0[c] for t_open[c]."""
     cycle = np.repeat(np.arange(len(counts)), counts)
     first = np.cumsum(counts) - counts   # position of each cycle's first sample in idx
     idx = i0[cycle] + np.arange(len(cycle)) - first[cycle]
@@ -183,10 +203,7 @@ def synth_vocal_fold_displacement(cfg: GlottalConfig, duration_s: float,
     rise_frac = 2.0 / 3.0  # fixed speed quotient 2:1 within the open phase
     u = phase / rise_frac
     v = (phase - rise_frac) / (1.0 - rise_frac)
-    pulse = np.where(phase < rise_frac, 3.0 * u**2 - 2.0 * u**3, 1.0 - v**2)
-    x = np.zeros(n)
-    x[idx] = cfg.amplitude * np.clip(pulse, 0.0, None)
-    return SampledSignal(x, rate_hz)
+    return idx, np.where(phase < rise_frac, 3.0 * u**2 - 2.0 * u**3, 1.0 - v**2)
 
 
 def neck_displacement(x: SampledSignal, ch: NeckChannel) -> SampledSignal:
@@ -268,7 +285,7 @@ def make_subject(glottal: GlottalConfig, neck: NeckChannel, tract: VocalTractMod
     rng = np.random.default_rng(seed)
     hi = synth_vocal_fold_displacement(glottal, duration_s, rate_hz * OVERSAMPLE,
                                        rng, lead_in_s)
-    hi = hi.with_samples(_fade_out(np.array(hi.samples), int(FADE_OUT_S * hi.rate_hz)))
+    hi = hi.with_samples(_fade_out(hi.samples, int(FADE_OUT_S * hi.rate_hz)))
     x = resample_decimate(hi, rate_hz)
     e = excitation_from_displacement(x, glottal.flow_gain_k)
     s = synthesize_speech(e, tract, noise_snr_db, rng)

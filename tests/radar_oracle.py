@@ -8,8 +8,9 @@ displacement from it as measure_displacement does. The two round
 differently, so they are compared within bounds derived here from the
 rounding of each step, with eps the double-precision machine epsilon,
 twice the unit roundoff u. They are upper bounds: every constant is a
-count of roundings taken at its worst, and the starting phase, rounded
-identically on both sides, is counted on both.
+count of roundings taken at its worst. The starting phase, rounded to the
+same double on both sides, is charged once: for the one addition that
+only the closed form makes with it.
 """
 
 import numpy as np
@@ -100,17 +101,21 @@ def spectrum_bound(scene, cfg, spectrum):
     is the oracle's (noisy) positive-range spectrum.
 
     For the unit tone, n ADC samples, starting phase phi = 4*pi*R/lambda and
-    bin b = R / bin spacing:
+    bin b = R / bin spacing. Both chains round phi from the same ranges by
+    the same expression, to the same double, so its rounding turns both
+    spectra alike and leaves their difference; only what each chain does
+    with that double is charged:
 
-    - oracle, phasor recurrence: phi's rounding (2 eps |phi|) and the
-      exponential (2 eps); each of the log2 n doubling passes multiplies by
-      exp(j*step*w), step = 2*pi*b/n to 6 ulps, so the phase errors sum to
-      12*pi*b eps, plus 5 eps per pass for the exponential and the multiply;
-      on |X| <= n/2 that is n/2 * eps * (2|phi| + 12*pi*b + 5 log2 n + 5);
+    - oracle, phasor recurrence: the exponential of phi (2 eps); each of the
+      log2 n doubling passes multiplies by exp(j*step*w), step = 2*pi*b/n
+      to 6 ulps, so the phase errors sum to 12*pi*b eps, plus 5 eps per
+      pass for the exponential and the multiply; on |X| <= n/2 that is
+      n/2 * eps * (12*pi*b + 5 log2 n + 5);
     - oracle, taper and FFT: a normwise FFT error of 5 log2(n) eps ||X||_2,
       with ||X||_2 = n*sqrt(3/8) for the Hann-tapered tone (Parseval);
-    - closed form, phase factors: phi + pi*b*(n-1)/n and exp(j*pi*k/n) to
-      3 eps (|phi| + pi*b) + 10 eps, on |u + j*v| <= 2n, scaled by 1/2;
+    - closed form, phase factors: pi*b*(n-1)/n to 3 eps pi*b, its sum with
+      phi rounded once, eps/2 (|phi| + pi*b), and the exponentials with
+      exp(j*pi*k/n) 10 eps, on |u + j*v| <= 2n, scaled by 1/2;
     - closed form, Dirichlet kernel: each q_j to DIRICHLET_ULPS eps relative
       of its offsets, |q_j| <= n, and u, v add 3 eps each, so
       |delta(u + j*v)| <= 2n (DIRICHLET_ULPS + 3) eps, scaled by 1/2; the
@@ -124,8 +129,8 @@ def spectrum_bound(scene, cfg, spectrum):
     phi = float(np.max(np.abs(4.0 * np.pi * ranges / cfg.wavelength_m)))
     b = float(np.max(ranges)) / cfg.range_bin_spacing_m()
     log_n = max(1, int(np.ceil(np.log2(n))))
-    oracle = n / 2 * (2 * phi + 12 * np.pi * b + 5 * log_n + 5) + n * np.sqrt(3 / 8) * 5 * log_n
-    closed = (n * (3 * (phi + np.pi * b) + 10) + n * (DIRICHLET_ULPS + 3)
+    oracle = n / 2 * (12 * np.pi * b + 5 * log_n + 5) + n * np.sqrt(3 / 8) * 5 * log_n
+    closed = (n * (phi / 2 + 3.5 * np.pi * b + 10) + n * (DIRICHLET_ULPS + 3)
               + n * np.pi * (b + 2) / 4)
     noise = 8 * float(np.max(np.abs(spectrum), initial=0.0))
     return EPS * (oracle + closed + noise)

@@ -71,8 +71,8 @@ def cohort():
         params = _draw_subject_params(i)
         subject, d_meas = _build_subject(params)
         out = transform_speech(subject.s, d_meas)
-        ev = evaluate_signals(f"subject_{i:03d}", subject.s, out.e_hat, out.d_hat,
-                              d_meas, out.voiced_mask())
+        ev, _ = evaluate_signals(f"subject_{i:03d}", subject.s, out.e_hat, out.d_hat,
+                                 d_meas, out.voiced_mask())
         rows.append({"params": params, "subject": subject, "d_meas": d_meas,
                      "transform": out, "evaluation": ev})
     elapsed = time.time() - t0

@@ -318,7 +318,7 @@ def test_loess_window_starts_match_the_loop(rng, times, span):
          "random-sorted": np.sort(rng.uniform(0.0, 3.0, n)),
          "repeated": np.repeat(np.sort(rng.uniform(0.0, 3.0, 41)), 5)[:n]}[times]
     k = max(2, int(np.ceil(span * n)))
-    assert np.array_equal(_window_starts(x, k), loop_window_starts(x, k))
+    assert np.array_equal(_window_starts(x, k, x), loop_window_starts(x, k))
 
 
 def test_loess_rejects_unsorted_times():
