@@ -297,13 +297,17 @@ def _transform_one(cfg: TransformConfig, task: tuple) -> str:
     speech_path, displacement_path, out_dir = map(Path, task)
     speech = pio.read_wav(speech_path)
     displacement = pio.read_csv_signal(displacement_path)
+    pair = f"{speech_path} and {displacement_path}"
     if abs(speech.rate_hz - displacement.rate_hz) > 1e-9:
         try:
             speech = resample_decimate(speech, displacement.rate_hz)
         except ValueError as exc:
-            raise ValueError(f"{speech_path} and {displacement_path}: {exc}") from None
+            raise ValueError(f"{pair}: {exc}") from None
     _check_lengths((speech_path, speech), (displacement_path, displacement))
-    out = transform_speech(speech, displacement, cfg)
+    try:
+        out = transform_speech(speech, displacement, cfg)
+    except ValueError as exc:
+        raise ValueError(f"{pair}: {exc}") from None
     out_dir.mkdir(parents=True, exist_ok=True)
     for key, name in TRANSFORM_FILES.items():
         pio.write_csv_signal(out_dir / name, getattr(out, key))

@@ -1,11 +1,11 @@
 """Frame-based linear prediction of the all-pole vocal tract model:
 autocorrelation method, Levinson-Durbin recursion and pole-radius clamp,
-batched over a stack of frames."""
+batched over a stack of frames. fit_envelopes owns the envelope fit the
+transform runs: the pitch-period order cap, the regularizers and the clamp."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -19,11 +19,16 @@ __all__ = [
     "levinson_durbin",
     "lag_window",
     "clamp_pole_stack",
-    "LpcFrames",
-    "lpc_analyze_frames",
+    "fit_envelopes",
 ]
 
 SILENT_FLOOR = 1e-12  # r0 below SILENT_FLOOR * frame length flags silence
+# Envelope regularizers: the lag window, noise floor and pole-radius cap keep
+# the per-frame whitener from locking onto individual pitch harmonics at high
+# fundamental frequencies.
+LAG_WINDOW_HZ = 20.0
+NOISE_FLOOR = 1e-3
+MAX_POLE_RADIUS = 0.90
 
 
 class LevinsonError(ValueError):
@@ -147,53 +152,46 @@ def clamp_pole_stack(error_filters: np.ndarray,
     return filters, fired
 
 
-class LpcFrames(NamedTuple):
-    """All-pole models of a stack of frames: error filters [1, a_1..a_p] per
-    row, per-sample residual RMS gain, and the mask of silent rows (their
-    filters and gains are zero)."""
+def fit_envelopes(frames: np.ndarray, history: np.ndarray, voiced: np.ndarray,
+                  f0: np.ndarray, rate_hz: float, order: int,
+                  pre_emphasis: float) -> tuple[np.ndarray, ...]:
+    """All-pole envelope of every voiced row of a (frames, n) stack, fitted
+    in one batch per order; history holds each row's preceding sample x[-1]
+    and f0 each row's pitch in Hz.
 
-    error_filters: np.ndarray
-    gains: np.ndarray
-    silent: np.ndarray
-
-
-def lpc_analyze_frames(frames: np.ndarray, order: int, pre_emphasis: float = 0.0, *,
-                       rate_hz: float | None = None, lag_window_hz: float = 0.0,
-                       noise_floor: float = 0.0, max_pole_radius: float | None = None,
-                       history: np.ndarray | float = 0.0) -> LpcFrames:
-    """Estimate the all-pole model of every row of a (frames, n) stack.
-
-    Pipeline: optional pre-emphasis y[n] = x[n] - beta*x[n-1] (history supplies
-    each row's x[-1]), hann taper, biased autocorrelation, silence check,
-    optional regularization (Gaussian lag window, white-noise floor on r0),
-    Levinson-Durbin, optional pole-radius clamp. gain is rescaled to the
-    per-sample residual RMS.
+    Per row: the order, capped below the pitch period; pre-emphasis
+    y[n] = x[n] - pre_emphasis*x[n-1]; Hann taper; biased autocorrelation
+    and silence check; the regularizers (lag window, noise floor on r0);
+    Levinson-Durbin; pole-radius clamp. Returns (orders, error filters
+    [1, a_1..a_p] zero-padded to a common width, per-sample residual RMS
+    gains, silent mask); unvoiced and silent rows have zero filters and
+    gains.
     """
-    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    rows, n = frames.shape
-    if n < 4 * order:
-        raise ValueError(f"frame of {n} samples too short for order {order}")
-    if pre_emphasis:
-        prev = np.concatenate((np.broadcast_to(history, (rows,))[:, None],
-                               frames[:, :-1]), axis=1)
-        work = frames - pre_emphasis * prev
-    else:
-        work = frames
-    r = autocorrelation(work * hann_window(n), order)
-    silent = r[:, 0] < SILENT_FLOOR * n
-    r = r[~silent]
-    if lag_window_hz > 0.0:
-        if rate_hz is None:
-            raise ValueError("lag_window_hz requires rate_hz")
-        r = r * lag_window(order, lag_window_hz, rate_hz)
-    if noise_floor > 0.0:
-        r = r.copy()
-        r[:, 0] *= (1.0 + noise_floor)
-    a, _, err = levinson_stack(r / n, order)
-    filters = np.concatenate((np.ones((len(a), 1)), a), axis=1)
-    if max_pole_radius is not None:
-        filters, _ = clamp_pole_stack(filters, max_pole_radius)
-    out = LpcFrames(np.zeros((rows, order + 1)), np.zeros(rows), silent)
-    out.error_filters[~silent] = filters
-    out.gains[~silent] = np.sqrt(err)
-    return out
+    rows_total, n = frames.shape
+    # keep the predictor shorter than the pitch period so it models the
+    # envelope instead of predicting the pitch cycle
+    orders = np.full(rows_total, order)
+    with np.errstate(invalid="ignore"):
+        period = rate_hz / f0
+        capped = voiced & (period < order + 1)
+    orders[capped] = np.maximum(3, np.floor(period[capped]).astype(int) - 1)
+    orders[~voiced] = 0
+    taps = np.zeros((rows_total, orders.max() + 1))
+    gains = np.zeros(rows_total)
+    silent = np.zeros(rows_total, dtype=bool)
+    # sorted(set()) rather than np.unique, which imports numpy.ma
+    for p in sorted(set(orders[voiced].tolist())):
+        rows = np.flatnonzero(voiced & (orders == p))
+        x = frames[rows]
+        x = x - pre_emphasis * np.concatenate((history[rows, None], x[:, :-1]), axis=1)
+        r = autocorrelation(x * hann_window(n), p)
+        quiet = r[:, 0] < SILENT_FLOOR * n
+        silent[rows] = quiet
+        r = r[~quiet] * lag_window(p, LAG_WINDOW_HZ, rate_hz)
+        r[:, 0] *= 1.0 + NOISE_FLOOR
+        a, _, err = levinson_stack(r / n, p)
+        filters, _ = clamp_pole_stack(np.concatenate((np.ones((len(a), 1)), a), axis=1),
+                                      MAX_POLE_RADIUS)
+        taps[rows[~quiet], :p + 1] = filters
+        gains[rows[~quiet]] = np.sqrt(err)
+    return orders, taps, gains, silent

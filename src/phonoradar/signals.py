@@ -218,10 +218,22 @@ def design_lowpass(cutoff_frac: float, taps: int) -> np.ndarray:
     return h / h.sum()
 
 
+# Bytes per block of the decimation filter, 16 per input sample (the block's
+# copy and its output): 1 MiB is 65536 samples, about 4 s at 16 kHz.
+_DECIMATE_BLOCK_BYTES = 1 << 20
+
+
 def resample_decimate(sig: SampledSignal, target_rate_hz: float) -> SampledSignal:
     """Anti-alias low-pass (windowed sinc, cutoff 0.45 * target rate) then
     keep every k-th sample. The source rate must be an integer multiple of
-    the target rate."""
+    the target rate.
+
+    The filter runs over blocks of about _DECIMATE_BLOCK_BYTES of input, as
+    np.convolve copies a read-only input whole. Filtered sample i is output
+    i + half of the full convolution of a block that holds samples i - half
+    to i + half or ends where the signal does: the same dot product as in
+    one pass, so the bytes do not depend on the blocks.
+    """
     ratio = sig.rate_hz / target_rate_hz
     k = int(round(ratio))
     if k < 1 or abs(ratio - k) > 1e-9:
@@ -231,8 +243,17 @@ def resample_decimate(sig: SampledSignal, target_rate_hz: float) -> SampledSigna
     if k == 1:
         return SampledSignal(sig.samples, target_rate_hz)
     h = design_lowpass(0.45 / k, 16 * k + 1)
-    y = np.convolve(sig.samples, h, mode="same")
-    return SampledSignal(y[::k], target_rate_hz)
+    x, n, half = sig.samples, len(sig), 8 * k
+    step = k * max(1, _DECIMATE_BLOCK_BYTES // (16 * k))   # a block's copy and its output
+    y = np.empty((n + k - 1) // k)
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        # a block of at least len(h) samples, or np.convolve swaps its operands
+        lo = max(0, min(start - half, n - len(h)))
+        hi = min(n, max(stop + half, lo + len(h)))
+        full = np.convolve(x[lo:hi], h)
+        y[start // k:(stop + k - 1) // k] = full[start + half - lo:stop + half - lo:k]
+    return SampledSignal(y, target_rate_hz)
 
 
 def differentiate(x: np.ndarray, rate_hz: float) -> np.ndarray:

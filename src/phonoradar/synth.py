@@ -283,9 +283,14 @@ def make_subject(glottal: GlottalConfig, neck: NeckChannel, tract: VocalTractMod
     wrap-around step.
     """
     rng = np.random.default_rng(seed)
-    hi = synth_vocal_fold_displacement(glottal, duration_s, rate_hz * OVERSAMPLE,
-                                       rng, lead_in_s)
-    hi = hi.with_samples(_fade_out(hi.samples, int(FADE_OUT_S * hi.rate_hz)))
+    hi_rate = rate_hz * OVERSAMPLE
+    # At most two copies of the oversampled train live at once: the train
+    # goes once faded holds its copy, and faded once the signal holds its own.
+    faded = _fade_out(synth_vocal_fold_displacement(glottal, duration_s, hi_rate, rng,
+                                                    lead_in_s).samples,
+                      int(FADE_OUT_S * hi_rate))
+    hi = SampledSignal(faded, hi_rate)
+    del faded
     x = resample_decimate(hi, rate_hz)
     e = excitation_from_displacement(x, glottal.flow_gain_k)
     s = synthesize_speech(e, tract, noise_snr_db, rng)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lpc import lpc_analyze_frames
+from .lpc import fit_envelopes
 from .signals import (FramePlan, SampledSignal, constant_rows, frame_view, hann_window,
                       iir_filter, integrate_spectral, lagged_products, median)
 from .synth import F0_MAX_HZ, F0_MIN_HZ, VocalTractModel
@@ -30,12 +30,6 @@ SUBHARMONIC_RATIO = 0.85
 RELATIVE_ENERGY_FLOOR = 1e-2   # frames 40 dB below the whole-signal RMS are silence
 ENERGY_FLOOR_RMS = 1e-8        # absolute fallback of the energy floor
 INTEGRATOR_POLE = 0.998        # leak of the 'leaky' integration
-# LPC regularizers: the lag window, noise floor and pole-radius cap keep the
-# per-frame whitener from locking onto individual pitch harmonics at high
-# fundamental frequencies.
-LAG_WINDOW_HZ = 20.0
-NOISE_FLOOR = 1e-3
-MAX_POLE_RADIUS = 0.90
 
 
 class NoVoicedFramesError(RuntimeError):
@@ -213,53 +207,19 @@ def _overlap_add(pieces: np.ndarray, starts: np.ndarray, length: int) -> np.ndar
     return np.bincount(idx.ravel(), weights=pieces.ravel(), minlength=length)
 
 
-def _frame_lpc(x: np.ndarray, frames: np.ndarray, starts: np.ndarray,
-               voiced: np.ndarray, f0: np.ndarray, rate: float,
-               cfg: TransformConfig) -> tuple[np.ndarray, ...]:
-    """Per-frame LPC order, error filters (zero-padded to a common width),
-    gains and silent mask of the voiced frames, fitted in one batch per
-    order."""
-    # keep the predictor shorter than the pitch period so it models the
-    # envelope instead of predicting the pitch cycle
-    orders = np.full(len(frames), cfg.lpc_order)
-    with np.errstate(invalid="ignore"):
-        period = rate / f0
-        capped = voiced & (period < cfg.lpc_order + 1)
-    orders[capped] = np.maximum(3, np.floor(period[capped]).astype(int) - 1)
-    orders[~voiced] = 0
-    history = np.concatenate(([0.0], x))[starts]   # x[start - 1], 0 at the head
-    taps = np.zeros((len(frames), orders.max() + 1))
-    gains = np.zeros(len(frames))
-    silent = np.zeros(len(frames), dtype=bool)
-    # sorted(set()) rather than np.unique, which imports numpy.ma
-    for order in sorted(set(orders[voiced].tolist())):
-        rows = np.flatnonzero(voiced & (orders == order))
-        fit = lpc_analyze_frames(
-            frames[rows], order, cfg.pre_emphasis, rate_hz=rate,
-            lag_window_hz=LAG_WINDOW_HZ, noise_floor=NOISE_FLOOR,
-            max_pole_radius=MAX_POLE_RADIUS, history=history[rows],
-        )
-        taps[rows, :order + 1] = fit.error_filters
-        gains[rows] = fit.gains
-        silent[rows] = fit.silent
-    return orders, taps, gains, silent
-
-
 def transform_speech(s: SampledSignal, d: SampledSignal,
                      cfg: TransformConfig | None = None) -> TransformOutput:
     """Run the full speech-to-displacement model transform.
 
-    Per voiced frame: LPC (or the supplied known tract), inverse filtering
-    with preceding-sample history so the residual has no warm-up error,
-    overlap-add of the residual, one band-limited integration to the fold
-    displacement estimate, per-frame delay estimation against the radar
-    displacement, and assembly of the delayed, unit-RMS-normalized
-    displacement estimate. The absolute flow scale is unobservable, so the
-    output is normalized rather than scaled by 1/K; per-window spectrum
-    normalization makes the evaluation scale-free anyway. When the detected
-    pitch period is shorter than the configured order the per-frame order is
-    capped below the period, otherwise the predictor cancels the pitch cycle
-    itself instead of the tract envelope.
+    Per voiced frame: the all-pole envelope of lpc.fit_envelopes (or the
+    supplied known tract), inverse filtering with preceding-sample history
+    so the residual has no warm-up error, overlap-add of the residual, one
+    band-limited integration to the fold displacement estimate, per-frame
+    delay estimation against the radar displacement, and assembly of the
+    delayed, unit-RMS-normalized displacement estimate. The absolute flow
+    scale is unobservable, so the output is normalized rather than scaled by
+    1/K; per-window spectrum normalization makes the evaluation scale-free
+    anyway.
     """
     if cfg is None:
         cfg = TransformConfig()
@@ -272,6 +232,10 @@ def transform_speech(s: SampledSignal, d: SampledSignal,
     max_lag = int(round(cfg.max_lag_ms * 1e-3 * rate))
     if max_lag >= n_win:
         raise ValueError("max_lag_ms must stay below the frame length")
+    # the fit needs four frame samples per predictor coefficient
+    if cfg.lpc_order > n_win // 4:
+        raise ValueError(f"lpc_order {cfg.lpc_order} too high for the {n_win}-sample "
+                         f"frames at {rate:g} Hz: at most {n_win // 4}")
     n_frames = plan.n_frames(len(s))
     if n_frames == 0:
         raise ValueError("signal shorter than one analysis window")
@@ -287,7 +251,9 @@ def transform_speech(s: SampledSignal, d: SampledSignal,
                        (n_frames, 1))
         gains = np.full(n_frames, cfg.known_tract.gain)
     else:
-        orders, taps, gains, silent = _frame_lpc(x, frames, starts, voiced, f0, rate, cfg)
+        history = np.concatenate(([0.0], x))[starts]   # x[start - 1], 0 at the head
+        orders, taps, gains, silent = fit_envelopes(frames, history, voiced, f0, rate,
+                                                    cfg.lpc_order, cfg.pre_emphasis)
         voiced &= ~silent
 
     if not voiced.any():

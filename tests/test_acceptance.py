@@ -1,11 +1,14 @@
 """Acceptance suite: one test (or test group) per acceptance criterion, each
 printing a PASS/FAIL line with the measured quantities.
 
-Criterion 1's ordering-count clause is marked xfail: the per-frame LPC
-envelope estimate degrades once the pitch period approaches the predictor
-order (f0 above roughly 350 Hz at a 2 kHz rate leaves fewer than three
-harmonics to constrain the fit), and the required 60-of-66 rate is not
-reachable over f0 ~ U[90, 500] in a noiseless synthetic cohort. Both paired
+Criterion 1's ordering-count clause is marked xfail: over f0 ~ U[90, 500] Hz
+the ordering holds for 57 of 66 subjects, short of the required 60. The
+defect is the per-frame envelope estimate, not the cohort: given each
+subject's true tract in place of the fitted envelope, the transform wins the
+ordering for all 66 (mean model-filtered LSD 0.46 dB against 6.30 dB). Above
+roughly 350 Hz a 2 kHz rate leaves two harmonics below Nyquist to sample the
+envelope, and the all-pole fit through them misplaces it despite the
+pitch-capped order and the regularizers of lpc.fit_envelopes. Both paired
 t-tests still reject decisively, and the ordering holds essentially always
 in the 90-300 Hz sustained-phonation regime the human protocol occupies;
 that supplementary check runs alongside.
@@ -103,13 +106,12 @@ class TestCriterion1SyntheticCohortOrdering:
 
     @pytest.mark.xfail(
         strict=False,
-        reason="above ~350 Hz only 2-4 harmonics sample the tract envelope at "
-               "a 2 kHz rate, so per-frame LPC cannot resolve it and subjects "
-               "whose tract happens to color those harmonics weakly start with "
-               "LSD(s,d) too small for the transform to improve on; the "
-               "ordering lands at ~57/66 over f0 ~ U[90, 500] Hz, short of the "
-               "required 60/66 (see decisions ledger); it holds essentially "
-               "always for f0 <= 300 Hz")
+        reason="the per-frame envelope estimate is the defect: with each "
+               "subject's true tract the transform wins 66/66, with the fitted "
+               "envelope ~57/66 over f0 ~ U[90, 500] Hz, short of the required "
+               "60/66; above ~350 Hz two harmonics below the 1 kHz Nyquist "
+               "sample the envelope the fit must place; the ordering holds "
+               "essentially always for f0 <= 300 Hz")
     def test_ordering_holds_for_60_of_66(self, cohort):
         evs = [row["evaluation"] for row in cohort["rows"]]
         wins = sum(1 for ev in evs

@@ -1,16 +1,18 @@
-"""Loess and the glottal pulse train work in blocks of fixed size; each must
-give the bytes of the one-pass version it replaced, kept here as the
-reference, at every block size, in working memory that grows with the
-input's length, not its square or a dozen copies of it."""
+"""Loess, the glottal pulse train and the decimation filter work in blocks of
+fixed size; each must give the bytes of the one-pass version it replaced,
+kept here as the reference, at every block size, in working memory that
+grows with the input's length, not its square or a dozen copies of it."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from phonoradar import metrics, synth
+from phonoradar import metrics, signals, synth
 from phonoradar.metrics import LsdSeries, loess_smooth
-from phonoradar.synth import GlottalConfig, synth_vocal_fold_displacement
+from phonoradar.signals import SampledSignal, design_lowpass, resample_decimate
+from phonoradar.synth import (GlottalConfig, NeckChannel, make_subject, random_vocal_tract,
+                              synth_vocal_fold_displacement)
 
 MB = 1e6
 
@@ -139,3 +141,34 @@ def test_pulse_train_60s_at_16khz_matches_unblocked_in_bounded_memory():
     assert peak < 2 * 960000 * 8 + 4 * MB
     want = unblocked_pulse_train(cfg, 60.0, 16000.0, np.random.default_rng(9))
     assert got["x"].samples.tobytes() == want.tobytes()
+
+
+# --- decimation filter and the whole subject ------------------------------
+
+@pytest.mark.parametrize("k", [2, 3, 8])
+@pytest.mark.parametrize("n", [20, 16 * 8 + 1, 1000, 4099])
+def test_decimation_blocks_match_one_pass(monkeypatch, rng, n, k):
+    # one pass: np.convolve's 'same' output, the full output from sample
+    # 8k on; below 16k + 1 samples 'same' is 16k + 1 long, longer than the
+    # signal, and the decimated signal keeps ceil(n / k) samples
+    x = rng.standard_normal(n)
+    h = design_lowpass(0.45 / k, 16 * k + 1)
+    want = np.convolve(x, h)[8 * k:8 * k + n:k]
+    if n >= len(h):
+        assert want.tobytes() == np.convolve(x, h, mode="same")[::k].tobytes()
+    for outputs in (1, 2, 3, 5, 8, 13, 40, 1 << 20):   # kept outputs per block
+        monkeypatch.setattr(signals, "_DECIMATE_BLOCK_BYTES", 16 * k * outputs)
+        got = resample_decimate(SampledSignal(x, 1000.0 * k), 1000.0).samples
+        assert got.tobytes() == want.tobytes()
+
+
+def test_subject_60s_holds_at_most_two_oversampled_trains():
+    # the fold train at 8 x 2 kHz is 960000 samples, 7.7 MB: the train and
+    # its faded copy, then the faded signal and one filter block; a third
+    # full copy (np.convolve's of a read-only input, or one more fade copy)
+    # takes the peak past 23 MB
+    glottal = GlottalConfig(f0_hz=100.0, jitter_pct=1.0)
+    tract = random_vocal_tract(np.random.default_rng(3))
+    peak = peak_bytes(lambda: make_subject(glottal, NeckChannel(), tract, 60.0, 2000.0,
+                                           noise_snr_db=30.0, seed=3))
+    assert peak < 2 * 960000 * 8 + 4 * MB

@@ -707,6 +707,25 @@ def test_truncated_speech_is_a_length_mismatch(tmp_path, capsys):
     assert str(speech) in err and str(cohort / "subject_001" / "neck_radar.csv") in err
 
 
+@pytest.mark.parametrize("synth_args, mode, subject", [
+    (["--f0", "95"], "--subject", "."),
+    (["--cohort", "2", "--f0-range", "400", "500"], "--cohort", "subject_000"),
+], ids=["low-pitched", "high-pitched-cohort"])
+def test_lpc_order_above_a_quarter_frame_is_refused_at_any_pitch(tmp_path, capsys,
+                                                                 synth_args, mode, subject):
+    # a 25 ms frame at 2 kHz has 50 samples: order 12 is the highest whose
+    # fit has four samples per coefficient, however far pitch would cap it
+    out = tmp_path / "s"
+    assert run(["synth", "--out", str(out), "--duration", "0.5", "--seed", "2",
+                *synth_args]) == 0
+    assert run(["transform", mode, str(out), "--lpc-order", "12"]) == 0
+    capsys.readouterr()
+    assert run(["transform", mode, str(out), "--lpc-order", "13"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "lpc_order 13 " in err
+    assert str(out / subject / "speech.wav") in err and str(out / subject / "neck_true.csv") in err
+
+
 def test_evaluate_length_mismatch_is_data_error(small_cohort, capsys):
     d_hat = small_cohort / "subject_002" / "d_hat.csv"
     lines = d_hat.read_text().splitlines(keepends=True)

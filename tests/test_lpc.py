@@ -3,14 +3,33 @@ import pytest
 from scipy.signal import freqz, lfilter
 
 import phonoradar as pr
-from phonoradar.lpc import (LevinsonError, autocorrelation, lag_window, levinson_durbin,
-                            lpc_analyze_frames)
+from phonoradar.lpc import (MAX_POLE_RADIUS, LevinsonError, autocorrelation, fit_envelopes,
+                            lag_window, levinson_durbin)
 from phonoradar.metrics import normalized_power_spectra
+from phonoradar.signals import SampledSignal, hann_window
+from phonoradar.transform import TransformConfig, transform_speech
+
+
+def plain_lpc(frame, order):
+    """Unregularized all-pole model of one frame: Hann taper, biased
+    autocorrelation per sample, Levinson-Durbin."""
+    frame = np.asarray(frame, dtype=np.float64)
+    r = autocorrelation(frame * hann_window(len(frame)), order)
+    return levinson_durbin(r / len(frame), order)
 
 
 def error_filter(frame, order):
-    """Fitted error filter [1, a_1..a_p] of one frame, from a one-row stack."""
-    return lpc_analyze_frames(np.asarray(frame)[None, :], order).error_filters[0]
+    """Unregularized error filter [1, a_1..a_p] of one frame."""
+    return np.concatenate(([1.0], plain_lpc(frame, order).coefficients))
+
+
+def fit(frames, f0_hz, order=6, pre_emphasis=0.9, rate_hz=2000.0):
+    """fit_envelopes over a stack whose rows are voiced where f0 is finite,
+    with zero history."""
+    frames = np.atleast_2d(frames)
+    f0 = np.asarray(f0_hz, dtype=np.float64)
+    return fit_envelopes(frames, np.zeros(len(frames)), np.isfinite(f0), f0, rate_hz,
+                         order, pre_emphasis)
 
 
 def inverse_filter(frame, taps):
@@ -110,7 +129,9 @@ class TestLpcAnalyze:
         assert np.max(np.abs(m.coefficients - a[1:])) < 0.02
 
     def test_silent_frame_flagged(self):
-        assert lpc_analyze_frames(np.zeros((1, 64)), 6).silent[0]
+        orders, taps, gains, silent = fit(np.zeros((2, 64)), [200.0, np.nan])
+        assert silent[0] and not silent[1]   # an unvoiced row is not fitted at all
+        assert not taps.any() and not gains.any()
 
     def test_voiced_frame_envelope(self):
         # Pulse-excited known tract, 25 ms frame, order 6: the gain-aligned
@@ -139,8 +160,42 @@ class TestLpcAnalyze:
         assert np.all(np.abs(r[1:] / r[0]) < 0.1)
 
     def test_short_frame_rejected(self):
-        with pytest.raises(ValueError):
-            lpc_analyze_frames(np.ones((1, 10)), 6)
+        # a 25 ms frame at 2 kHz has 50 samples: four per coefficient allow
+        # order 12, whatever the pitch
+        s = SampledSignal(np.ones(400), 2000.0)
+        with pytest.raises(ValueError, match="lpc_order 13 too high for the 50-sample"):
+            transform_speech(s, s, TransformConfig(lpc_order=13))
+
+    def test_order_capped_below_pitch_period(self, rng):
+        # 2000/500 = 4 samples per period: order 6 is capped to 3; 100 Hz
+        # leaves it at 6; an unvoiced row gets order 0 and zero taps
+        frames = rng.standard_normal((3, 50))
+        orders, taps, gains, silent = fit(frames, [100.0, 500.0, np.nan])
+        assert orders.tolist() == [6, 3, 0] and taps.shape == (3, 7)
+        assert taps[:2, 0].tolist() == [1.0, 1.0] and not taps[1, 4:].any()
+        assert not taps[2].any() and gains[2] == 0.0 and (gains[:2] > 0).all()
+        assert not silent.any()
+
+    def test_batch_matches_row_by_row(self, rng):
+        frames = rng.standard_normal((8, 50))
+        f0 = np.array([100.0, 500.0, np.nan, 150.0, 400.0, 90.0, 650.0, 300.0])
+        history = rng.standard_normal(8)
+        whole = fit_envelopes(frames, history, np.isfinite(f0), f0, 2000.0, 8, 0.9)
+        for i in range(8):
+            row = fit_envelopes(frames[i:i + 1], history[i:i + 1], np.isfinite(f0[i:i + 1]),
+                                f0[i:i + 1], 2000.0, 8, 0.9)
+            width = row[1].shape[1]
+            assert whole[0][i] == row[0][0] and whole[2][i] == row[2][0]
+            assert whole[1][i, :width].tobytes() == row[1][0].tobytes()
+            assert not whole[1][i, width:].any()
+
+    def test_poles_held_inside_the_clamp_radius(self, rng):
+        # a near-unit-circle resonance: the clamp pulls its poles to the radius
+        a = np.poly([0.995 * np.exp(0.8j), 0.995 * np.exp(-0.8j)]).real
+        frames = lfilter([1.0], a, rng.standard_normal((4, 600)), axis=1)[:, -50:]
+        _, taps, _, _ = fit(frames, [100.0] * 4, pre_emphasis=0.0)
+        for row in taps:
+            assert np.max(np.abs(np.roots(row))) <= MAX_POLE_RADIUS + 1e-9
 
     def test_lag_window_shape(self):
         w = lag_window(6, 20.0, 2000.0)
@@ -166,9 +221,10 @@ class TestInverseFilter:
 
     def test_synthesis_impulse_response_decays(self, rng):
         x = rng.standard_normal(400)
-        fit = lpc_analyze_frames(x[None, :], 8)
+        model = plain_lpc(x, 8)
+        taps = np.concatenate(([1.0], model.coefficients))
         impulse = np.zeros(400)
         impulse[0] = 1.0
-        h = lfilter([fit.gains[0]], fit.error_filters[0], impulse)
+        h = lfilter([model.gain], taps, impulse)
         assert np.max(np.abs(h[300:])) < np.max(np.abs(h[:50]))
-        assert np.all(np.abs(np.roots(fit.error_filters[0])) < 1.0)
+        assert np.all(np.abs(np.roots(taps)) < 1.0)
