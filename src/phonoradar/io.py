@@ -18,6 +18,7 @@ __all__ = [
     "read_wav", "write_wav",
     "read_csv_signal", "write_csv_signal",
     "read_npy_signal", "write_npy_signal",
+    "naming",
 ]
 
 _PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
@@ -28,13 +29,14 @@ _U32_MAX = 0xFFFFFFFF
 
 
 @contextmanager
-def _naming(path):
-    """Re-raise a ValueError raised while reading path with the path in
-    front, so that every data error names its file."""
+def naming(what):
+    """Re-raise a ValueError raised in the block with what (a file, the
+    files of a pair, a subject directory) in front, so that every data
+    error names its file or subject."""
     try:
         yield
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError(f"{what}: {exc}") from exc
 
 
 def write_wav(path: str | Path, sig: SampledSignal) -> None:
@@ -68,7 +70,7 @@ def read_wav(path: str | Path) -> SampledSignal:
     and a data chunk cut short by the end of the file yields the whole
     samples it holds. Any other file raises ValueError naming the path.
     """
-    with open(path, "rb") as fh, _naming(path):
+    with open(path, "rb") as fh, naming(path):
         rate, samples = _parse_wav(fh.read())
         return SampledSignal(samples, float(rate))
 
@@ -214,7 +216,7 @@ def write_csv_signal(path: str | Path, sig: SampledSignal) -> None:
 def read_csv_signal(path: str | Path) -> SampledSignal:
     """A trace written by write_csv_signal. A malformed file raises
     ValueError naming the path."""
-    with open(path) as fh, _naming(path):
+    with open(path) as fh, naming(path):
         header = fh.readline().strip()
         key, _, value = header.partition(",")
         if key.strip() != "rate_hz":
@@ -234,7 +236,7 @@ def write_npy_signal(path: str | Path, sig: SampledSignal) -> None:
 def read_npy_signal(path: str | Path, rate_hz: float) -> SampledSignal:
     """A trace written by write_npy_signal, at the given rate. Anything but
     a 1-D float64 .npy array raises ValueError naming the path."""
-    with _naming(path):
+    with naming(path):
         try:
             with open(path, "rb") as fh:
                 samples = np.load(fh, allow_pickle=False)

@@ -169,13 +169,10 @@ def fit_envelopes(frames: np.ndarray, history: np.ndarray, voiced: np.ndarray,
     """
     rows_total, n = frames.shape
     # keep the predictor shorter than the pitch period so it models the
-    # envelope instead of predicting the pitch cycle
-    orders = np.full(rows_total, order)
-    with np.errstate(invalid="ignore"):
-        period = rate_hz / f0
-        capped = voiced & (period < order + 1)
-    orders[capped] = np.maximum(3, np.floor(period[capped]).astype(int) - 1)
-    orders[~voiced] = 0
+    # envelope instead of predicting the pitch cycle; the cap only lowers
+    orders = np.zeros(rows_total, dtype=int)
+    period = np.floor(rate_hz / f0[voiced]).astype(int)
+    orders[voiced] = np.minimum(order, np.maximum(3, period - 1))
     taps = np.zeros((rows_total, orders.max() + 1))
     gains = np.zeros(rows_total)
     silent = np.zeros(rows_total, dtype=bool)

@@ -30,7 +30,7 @@ _BLOCK_BYTES = 1 << 19
 _BAND_BINS = 2
 
 
-class NoCoherentTargetError(RuntimeError):
+class NoCoherentTargetError(ValueError):
     """Selected range bin carries no coherent target return."""
 
 
@@ -351,12 +351,13 @@ def measure_displacement(scene: TargetScene, cfg: ChirpConfig,
     magnitude sums and the columns extraction may read are kept, the
     nominal range's bin +- _BAND_BINS. A selected bin outside that band is
     no return of the target, whose peak lies within one bin of the nominal
-    range's: it raises NoCoherentTargetError.
+    range's: it raises NoCoherentTargetError. A noisy scene needs rng; a
+    noiseless one draws nothing and takes None.
     """
     _check_scene(scene, cfg)
     half = cfg.adc_samples_per_chirp // 2
     if rng is None and scene.noise_snr_db is not None:
-        rng = np.random.default_rng()
+        raise ValueError("a noisy scene draws from rng: pass a seeded generator")
     centre = cfg.bin_of_range(scene.nominal_range_m)
     lo, hi = max(centre - _BAND_BINS, 0), min(centre + _BAND_BINS + 1, half)
     mags, kept = _stream_bins(scene, cfg, rng, lo, hi)

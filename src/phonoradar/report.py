@@ -13,12 +13,11 @@ import numpy as np
 
 from .metrics import LOESS_MIN_POINTS, loess_smooth, lsd_over_windows
 from .signals import FramePlan, SampledSignal
-from .stats import PairedTTestResult, descriptive_stats, paired_t_test
+from .stats import descriptive_stats, paired_t_test
 
 __all__ = [
     "SubjectEvaluation",
     "evaluate_signals",
-    "CohortReport",
     "build_cohort_report",
     "write_report_json",
     "write_report_csv",
@@ -60,18 +59,11 @@ def evaluate_signals(subject_id: str, s: SampledSignal, e_hat: SampledSignal,
     return evaluation, series
 
 
-@dataclass(frozen=True)
-class CohortReport:
-    subjects: tuple
-    descriptive: dict
-    t_tests: dict
-    skipped: tuple
-
-
 def build_cohort_report(evaluations: list[SubjectEvaluation],
-                        skipped: list[str] | None = None) -> CohortReport:
-    """Descriptive statistics per comparison and the two paired t-tests
-    (model vs raw speech, model vs estimated excitation).
+                        skipped: list[str] | None = None) -> dict:
+    """The record report.json holds: each subject's row, sorted by id, the
+    descriptive statistics per comparison, the two paired t-tests (model vs
+    raw speech, model vs estimated excitation) and the skipped subjects.
 
     t statistics are computed on (model - other) differences, so a negative t
     means the model-filtered signal sits closer to the radar displacement.
@@ -82,59 +74,50 @@ def build_cohort_report(evaluations: list[SubjectEvaluation],
     mod = np.array([ev.lsd_model_filtered for ev in evaluations])
     descriptive, t_tests = {}, {}
     if len(evaluations) >= 2:
-        descriptive = {name: descriptive_stats(lsd)
+        descriptive = {name: asdict(descriptive_stats(lsd))
                        for name, lsd in zip(COMPARISONS, (raw, exc, mod))}
         try:
-            t_tests = {"raw_speech_vs_model_filtered": paired_t_test(mod, raw),
-                       "estimated_excitation_vs_model_filtered": paired_t_test(mod, exc)}
+            t_tests = {"raw_speech_vs_model_filtered": _t_test_record(mod, raw),
+                       "estimated_excitation_vs_model_filtered": _t_test_record(mod, exc)}
         except ValueError:
             pass
-    return CohortReport(subjects=tuple(evaluations), descriptive=descriptive,
-                        t_tests=t_tests, skipped=tuple(skipped or []))
+    return {
+        "subjects": [{"id": ev.subject_id, "lsd_raw_speech": ev.lsd_raw_speech,
+                      "lsd_estimated_excitation": ev.lsd_estimated_excitation,
+                      "lsd_model_filtered": ev.lsd_model_filtered,
+                      "n_voiced_windows": ev.n_voiced_windows}
+                     for ev in evaluations],
+        "descriptive": descriptive,
+        "t_tests": t_tests,
+        "skipped": list(skipped or []),
+    }
 
 
-def _ttest_dict(tt: PairedTTestResult) -> dict:
+def _t_test_record(a: np.ndarray, b: np.ndarray) -> dict:
+    tt = paired_t_test(a, b)
     return {"t_stat": tt.t_stat, "n": tt.n, "std": tt.std_of_differences,
             "p_value": tt.p_value, "df": tt.df}
 
 
-def report_as_dict(report: CohortReport) -> dict:
-    return {
-        "subjects": [
-            {
-                "id": ev.subject_id,
-                "lsd_raw_speech": ev.lsd_raw_speech,
-                "lsd_estimated_excitation": ev.lsd_estimated_excitation,
-                "lsd_model_filtered": ev.lsd_model_filtered,
-                "n_voiced_windows": ev.n_voiced_windows,
-            }
-            for ev in report.subjects
-        ],
-        "descriptive": {k: asdict(v) for k, v in report.descriptive.items()},
-        "t_tests": {k: _ttest_dict(v) for k, v in report.t_tests.items()},
-        "skipped": list(report.skipped),
-    }
-
-
-def write_report_json(path: str | Path, report: CohortReport) -> None:
+def write_report_json(path: str | Path, report: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(report_as_dict(report), fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def write_report_csv(path: str | Path, report: CohortReport) -> None:
-    """Single CSV with a `table` column carrying both summary tables."""
+def write_report_csv(path: str | Path, report: dict) -> None:
+    """Single CSV with a `table` column carrying both summary tables of a
+    build_cohort_report record."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["table", "comparison", "mean", "n", "std", "sem",
                          "t_stat", "p_value"])
-        for name, st in report.descriptive.items():
-            writer.writerow(["descriptive", name, repr(st.mean), st.n,
-                             repr(st.std), repr(st.sem), "", ""])
-        for name, tt in report.t_tests.items():
-            writer.writerow(["paired_t_test", name, "", tt.n,
-                             repr(tt.std_of_differences), "",
-                             repr(tt.t_stat), repr(tt.p_value)])
+        for name, st in report["descriptive"].items():
+            writer.writerow(["descriptive", name, repr(st["mean"]), st["n"],
+                             repr(st["std"]), repr(st["sem"]), "", ""])
+        for name, tt in report["t_tests"].items():
+            writer.writerow(["paired_t_test", name, "", tt["n"], repr(tt["std"]), "",
+                             repr(tt["t_stat"]), repr(tt["p_value"])])
 
 
 def write_window_csv(path: str | Path, series: dict, span: float = 0.3) -> None:

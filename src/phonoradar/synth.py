@@ -146,7 +146,8 @@ def synth_vocal_fold_displacement(cfg: GlottalConfig, duration_s: float,
     Each cycle opens for open_quotient of the period: a cubic rise over the
     first two thirds of the open phase (zero slope at both ends) and a
     quadratic fall over the last third, zero during the closed phase, peak at
-    cfg.amplitude. jitter_pct perturbs each period uniformly. An optional
+    cfg.amplitude. jitter_pct perturbs each period uniformly, one draw from
+    rng per cycle, so jitter needs a generator. An optional
     silent lead-in precedes the first pulse.
 
     A scalar loop walks the cycle onsets (one jitter draw per cycle); the
@@ -163,7 +164,7 @@ def synth_vocal_fold_displacement(cfg: GlottalConfig, duration_s: float,
             f"rate {rate_hz} Hz too low for f0 {cfg.f0_hz} Hz (need >= 4*f0)"
         )
     if cfg.jitter_pct > 0 and rng is None:
-        rng = np.random.default_rng()
+        raise ValueError("jitter draws from rng: pass a seeded generator")
     n = int(round((duration_s + lead_in_s) * rate_hz))
     onsets, open_times = [], []
     t0 = lead_in_s
@@ -230,11 +231,12 @@ def excitation_from_displacement(x: SampledSignal, k: float) -> SampledSignal:
 def synthesize_speech(e: SampledSignal, tract: VocalTractModel,
                       noise_snr_db: float | None = None,
                       rng: np.random.Generator | None = None) -> SampledSignal:
-    """Excitation through the all-pole tract, optional additive white noise."""
+    """Excitation through the all-pole tract, optional additive white noise
+    drawn from rng, which noise needs."""
     s = iir_filter([tract.gain], tract.error_filter(), e.samples)
     if noise_snr_db is not None:
         if rng is None:
-            rng = np.random.default_rng()
+            raise ValueError("noise draws from rng: pass a seeded generator")
         power = float(np.mean(s**2))
         sigma = np.sqrt(power / 10.0 ** (noise_snr_db / 10.0))
         s = s + sigma * rng.standard_normal(len(s))

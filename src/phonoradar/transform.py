@@ -32,7 +32,7 @@ ENERGY_FLOOR_RMS = 1e-8        # absolute fallback of the energy floor
 INTEGRATOR_POLE = 0.998        # leak of the 'leaky' integration
 
 
-class NoVoicedFramesError(RuntimeError):
+class NoVoicedFramesError(ValueError):
     """Nothing to transform: every analysis frame was unvoiced or silent."""
 
 

@@ -703,8 +703,75 @@ def test_truncated_speech_is_a_length_mismatch(tmp_path, capsys):
     capsys.readouterr()
     assert run(["transform", "--cohort", str(cohort)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: length mismatch:") and err.count("\n") == 1
-    assert str(speech) in err and str(cohort / "subject_001" / "neck_radar.csv") in err
+    radar = cohort / "subject_001" / "neck_radar.csv"
+    assert err.startswith(f"error: {speech} and {radar}: ") and err.count("\n") == 1
+    assert "length mismatch" in err
+
+
+@pytest.fixture
+def pair_cohort(tmp_path):
+    cohort = tmp_path / "cohort"
+    assert run(["synth", "--out", str(cohort), "--cohort", "2", "--seed", "1",
+                "--duration", "0.5"]) == 0
+    return cohort
+
+
+def one_error_line(capsys, argv) -> str:
+    """stderr of a run that exits 2 with a single `error:` line."""
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+# Each data error a worker raises names its subject, on the serial path and
+# through the pool, which pickles the named error back to the parent.
+JOBS = pytest.mark.parametrize("jobs", ["1", "2"])
+
+
+@JOBS
+def test_target_leaving_its_range_bin_names_the_subject(pair_cohort, capsys, jobs):
+    # subject_001 alone moves by more than half a range resolution
+    trace = pair_cohort / "subject_001" / "neck_true.csv"
+    d = read_csv_signal(trace)
+    write_csv_signal(trace, d.with_samples(1000.0 * d.samples))
+    err = one_error_line(capsys, ["radar", "--cohort", str(pair_cohort), "--jobs", jobs])
+    assert err.startswith(f"error: {pair_cohort / 'subject_001'}: displacement ")
+    assert "leaves the range bin" in err
+
+
+@JOBS
+def test_target_below_the_noise_floor_names_the_subject(pair_cohort, capsys, jobs):
+    err = one_error_line(capsys, ["radar", "--cohort", str(pair_cohort), "--snr", "-40",
+                                  "--jobs", jobs])
+    assert err.startswith(f"error: {pair_cohort / 'subject_000'}: bin ")
+    assert err.endswith("is below the noise floor\n")
+
+
+@JOBS
+def test_no_voiced_windows_names_the_subject(pair_cohort, capsys, jobs):
+    # no radar stage ran: evaluate scores against neck_true.csv, zeroed here
+    assert run(["transform", "--cohort", str(pair_cohort)]) == 0
+    trace = pair_cohort / "subject_001" / "neck_true.csv"
+    d = read_csv_signal(trace)
+    write_csv_signal(trace, d.with_samples(np.zeros(len(d))))
+    err = one_error_line(capsys, ["evaluate", str(pair_cohort), "--jobs", jobs])
+    assert err == f"error: {pair_cohort / 'subject_001'}: no voiced windows to compare\n"
+
+
+@JOBS
+@pytest.mark.parametrize("mode", ["explicit", "cohort"])
+def test_nothing_to_transform_names_both_files(pair_cohort, tmp_path, capsys, jobs, mode):
+    subject = pair_cohort / "subject_001"
+    speech, trace = subject / "speech.wav", subject / "neck_true.csv"
+    s = read_wav(speech)
+    write_wav(speech, s.with_samples(np.zeros(len(s))))
+    argv = (["--speech", str(speech), "--displacement", str(trace), "--out", str(tmp_path / "o")]
+            if mode == "explicit" else ["--cohort", str(pair_cohort)])
+    err = one_error_line(capsys, ["transform", *argv, "--jobs", jobs])
+    assert err == (f"error: {speech} and {trace}: nothing to transform: "
+                   "all 43 frames unvoiced or silent\n")
 
 
 @pytest.mark.parametrize("synth_args, mode, subject", [

@@ -176,6 +176,12 @@ class TestLpcAnalyze:
         assert not taps[2].any() and gains[2] == 0.0 and (gains[:2] > 0).all()
         assert not silent.any()
 
+    def test_pitch_cap_never_raises_the_order(self, rng):
+        # at order 2 an 800 Hz frame (2.5 samples per period) keeps order 2:
+        # the cap's floor of 3 applies only below the configured order
+        orders, taps, _, _ = fit(rng.standard_normal((1, 50)), [800.0], order=2)
+        assert orders.tolist() == [2] and taps.shape == (1, 3)
+
     def test_batch_matches_row_by_row(self, rng):
         frames = rng.standard_normal((8, 50))
         f0 = np.array([100.0, 500.0, np.nan, 150.0, 400.0, 90.0, 650.0, 300.0])

@@ -121,6 +121,11 @@ class TestExtractDisplacement:
         k = np.argmax(ref)
         assert abs(spec[k] / ref[k] - 1.0) < 0.10
 
+    def test_noisy_scene_needs_a_generator(self, cfg):
+        scene = TargetScene(displacement=displacement(np.zeros(32)), noise_snr_db=20.0)
+        with pytest.raises(ValueError, match="noisy scene draws from rng"):
+            measure_displacement(scene, cfg)
+
     def test_no_coherent_target(self, cfg):
         # a target buried in noise, -20 dB per ADC sample: both chains find
         # no bin five times the floor, and say the same

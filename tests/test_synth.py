@@ -41,6 +41,11 @@ class TestGlottalPulseTrain:
         intervals = np.diff(onset_idx) / 16000.0
         assert np.mean(intervals) == pytest.approx(5e-3, rel=0.01)
 
+    def test_jitter_needs_a_generator(self):
+        cfg = pr.GlottalConfig(f0_hz=200.0, jitter_pct=2.0)
+        with pytest.raises(ValueError, match="jitter draws from rng"):
+            pr.synth_vocal_fold_displacement(cfg, 0.1, 2000.0)
+
     def test_rate_too_low(self):
         with pytest.raises(ValueError):
             pr.synth_vocal_fold_displacement(pr.GlottalConfig(f0_hz=600.0), 1.0, 2000.0)
@@ -176,6 +181,13 @@ class TestSynthesizeSpeech:
         noise = noisy.samples - e.samples
         snr = 10 * np.log10(np.mean(e.samples**2) / np.mean(noise**2))
         assert snr == pytest.approx(20.0, abs=0.5)
+
+    def test_noise_needs_a_generator(self):
+        tract = pr.VocalTractModel(coefficients=np.array([]), gain=1.0)
+        e = SampledSignal(np.ones(100), 2000.0)
+        assert pr.synthesize_speech(e, tract).samples.tolist() == [1.0] * 100
+        with pytest.raises(ValueError, match="noise draws from rng"):
+            pr.synthesize_speech(e, tract, noise_snr_db=20.0)
 
 
 class TestMakeSubject:
