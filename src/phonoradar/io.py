@@ -26,6 +26,10 @@ _PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
 # {XXXXXXXX-0000-0010-8000-00AA00389B71}; the first 4 bytes hold the format tag.
 _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 _U32_MAX = 0xFFFFFFFF
+# Samples per block of a CSV trace, about 125 KB of Python floats and
+# strings; the reader takes 25 characters a sample, the longest float repr
+# and its newline.
+_CSV_BLOCK = 1024
 
 
 @contextmanager
@@ -207,22 +211,34 @@ def _decode_samples(cur: _Cursor, size: int, tag: int, channels: int, block_alig
 
 def write_csv_signal(path: str | Path, sig: SampledSignal) -> None:
     """One float per line (shortest round-trip repr) after a
-    'rate_hz,<value>' header line, written in one pass."""
-    lines = [f"rate_hz,{float(sig.rate_hz)!r}", *map(repr, sig.samples.tolist()), ""]
+    'rate_hz,<value>' header line, written _CSV_BLOCK samples at a time."""
+    samples = sig.samples
     with open(path, "w") as fh:
-        fh.write("\n".join(lines))
+        fh.write(f"rate_hz,{float(sig.rate_hz)!r}\n")
+        for start in range(0, len(samples), _CSV_BLOCK):
+            block = samples[start:start + _CSV_BLOCK].tolist()
+            fh.write("\n".join(map(repr, block)) + "\n")
 
 
 def read_csv_signal(path: str | Path) -> SampledSignal:
-    """A trace written by write_csv_signal. A malformed file raises
-    ValueError naming the path."""
+    """A trace written by write_csv_signal: after the header, the samples
+    are the file's whitespace-separated tokens, read about _CSV_BLOCK at a
+    time. A malformed file raises ValueError naming the path."""
     with open(path) as fh, naming(path):
         header = fh.readline().strip()
         key, _, value = header.partition(",")
         if key.strip() != "rate_hz":
             raise ValueError(f"expected 'rate_hz,<value>' header, got {header!r}")
         rate = float(value)
-        samples = np.array(fh.read().split(), dtype=np.float64)
+        blocks, tail = [], ""
+        while chunk := fh.read(25 * _CSV_BLOCK):
+            tokens = (tail + chunk).split()
+            # the chunk's last token may go on in the next chunk
+            tail = "" if chunk[-1].isspace() else tokens.pop()
+            blocks.append(np.array(tokens, dtype=np.float64))
+        blocks.append(np.array(tail.split(), dtype=np.float64))
+        samples = np.concatenate(blocks)
+        del blocks   # the signal takes its own copy
         return SampledSignal(samples, rate)
 
 

@@ -96,7 +96,7 @@ class VocalTractModel:
         object.__setattr__(self, "coefficients", a)
         if not (self.gain > 0):
             raise ValueError("gain must be positive")
-        if self.order and np.max(np.abs(self.poles())) >= 1.0:
+        if not _reflections_inside(a.tolist()):
             raise ValueError("unstable tract: poles must lie inside the unit circle")
 
     @property
@@ -106,10 +106,18 @@ class VocalTractModel:
     def error_filter(self) -> np.ndarray:
         return np.concatenate(([1.0], self.coefficients))
 
-    def poles(self) -> np.ndarray:
-        if self.order == 0:
-            return np.array([])
-        return np.roots(self.error_filter())
+
+def _reflections_inside(a: list[float]) -> bool:
+    """Whether every root of 1 + sum a_i z^-i lies strictly inside the unit
+    circle, by the step-down recursion: each reflection coefficient, k = a_m
+    at order m, must satisfy |k| < 1 (false for NaN too), and the order m - 1
+    coefficients are (a_i - k a_{m-i}) / (1 - k^2)."""
+    while a:
+        k = a[-1]
+        if not abs(k) < 1.0:
+            return False
+        a = [(ai - k * aj) / (1.0 - k * k) for ai, aj in zip(a[:-1], a[-2::-1])]
+    return True
 
 
 @dataclass(frozen=True)
@@ -282,9 +290,10 @@ def make_subject(glottal: GlottalConfig, neck: NeckChannel, tract: VocalTractMod
     through the anti-alias chain so x is band-limited below the working
     Nyquist; e, s, d then follow from the model equations at rate_hz. A
     FADE_OUT_S fade ends the phonation so the spectral derivative sees no
-    wrap-around step.
+    wrap-around step. Jitter and noise draw from a generator seeded with
+    seed; without a seed they raise ValueError.
     """
-    rng = np.random.default_rng(seed)
+    rng = None if seed is None else np.random.default_rng(seed)
     hi_rate = rate_hz * OVERSAMPLE
     # At most two copies of the oversampled train live at once: the train
     # goes once faded holds its copy, and faded once the signal holds its own.

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -170,8 +174,36 @@ class TestSynthesizeSpeech:
         assert np.allclose(alpha.samples, 2.5 * one.samples)
 
     def test_unstable_tract_rejected(self):
-        with pytest.raises(ValueError):
-            pr.VocalTractModel(coefficients=np.array([-2.1, 1.2]), gain=1.0)
+        for coefficients in ([-2.1, 1.2], [0.5, np.nan], [0.5, np.inf]):
+            with pytest.raises(ValueError, match="unstable tract"):
+                pr.VocalTractModel(coefficients=np.array(coefficients), gain=1.0)
+
+    def test_stability_agrees_with_roots(self):
+        # random monic polynomials of order 1-8, from roots (real or in
+        # conjugate pairs, up to radius 1.25) or from coefficients; a largest
+        # root within 1e-9 of the unit circle is left to rounding
+        rng = np.random.default_rng(20)
+        outcomes = []
+        for _ in range(3000):
+            order = int(rng.integers(1, 9))
+            if rng.random() < 0.5:
+                pairs = rng.uniform(0.0, 1.25, order // 2) * np.exp(
+                    1j * rng.uniform(0.0, np.pi, order // 2))
+                real = rng.uniform(-1.25, 1.25, order % 2)
+                a = np.poly(np.concatenate([pairs, pairs.conj(), real])).real[1:]
+            else:
+                a = rng.uniform(-1.5, 1.5, order)
+            radius = np.max(np.abs(np.roots(np.concatenate(([1.0], a)))))
+            if abs(radius - 1.0) < 1e-9:
+                continue
+            try:
+                pr.VocalTractModel(coefficients=a)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == (radius < 1.0), (a, radius)
+            outcomes.append(accepted)
+        assert 500 < sum(outcomes) < len(outcomes) - 500
 
     def test_noise_snr_level(self, rng):
         tract = pr.VocalTractModel(coefficients=np.array([]), gain=1.0)
@@ -205,6 +237,26 @@ class TestMakeSubject:
         assert np.array_equal(one.x.samples, two.x.samples)
         assert np.array_equal(one.s.samples, two.s.samples)
 
+    def test_jitter_needs_a_seed(self):
+        glottal = pr.GlottalConfig(f0_hz=180.0, jitter_pct=1.0)
+        tract = pr.random_vocal_tract(np.random.default_rng(11))
+        with pytest.raises(ValueError, match="jitter draws from rng: pass a seeded generator"):
+            pr.make_subject(glottal, pr.NeckChannel(), tract, 0.5, 2000.0)
+
+    def test_noise_needs_a_seed(self):
+        glottal = pr.GlottalConfig(f0_hz=180.0)
+        tract = pr.random_vocal_tract(np.random.default_rng(11))
+        with pytest.raises(ValueError, match="noise draws from rng: pass a seeded generator"):
+            pr.make_subject(glottal, pr.NeckChannel(), tract, 0.5, 2000.0, noise_snr_db=20.0)
+
+    def test_no_draws_need_no_seed(self):
+        glottal = pr.GlottalConfig(f0_hz=180.0)
+        tract = pr.random_vocal_tract(np.random.default_rng(11))
+        one = pr.make_subject(glottal, pr.NeckChannel(), tract, 0.5, 2000.0)
+        two = pr.make_subject(glottal, pr.NeckChannel(), tract, 0.5, 2000.0, seed=5)
+        assert one.seed is None
+        assert np.array_equal(one.s.samples, two.s.samples)
+
     def test_signals_consistent(self, subject):
         assert len(subject.x) == len(subject.e) == len(subject.s) == len(subject.d)
         e_again = pr.excitation_from_displacement(subject.x, subject.glottal.flow_gain_k)
@@ -213,7 +265,7 @@ class TestMakeSubject:
     def test_random_tracts_stable(self):
         for seed in range(200):
             tract = pr.random_vocal_tract(np.random.default_rng(seed))
-            assert np.all(np.abs(tract.poles()) < 1.0 - 1e-6)
+            assert np.all(np.abs(np.roots(tract.error_filter())) < 1.0 - 1e-6)
 
     def test_save_load_roundtrip(self, tmp_path, subject):
         save_subject(subject, tmp_path)
@@ -237,3 +289,30 @@ class TestMakeSubject:
             assert len(subj.x) == len(subj.d)
             assert np.all(np.isfinite(subj.s.samples))
             assert subj.tract.order >= 4
+
+
+NO_LAPACK = """
+import sys
+sys.path.insert(0, {src!r})
+import numpy as np
+
+def refuse(*args, **kwargs):
+    raise AssertionError("LAPACK called")
+
+np.linalg.eigvals = refuse
+# np.roots and every other numpy.linalg routine reach LAPACK through these
+kernels = np.linalg._umath_linalg
+for name in dir(kernels):
+    if isinstance(getattr(kernels, name), np.ufunc):
+        setattr(kernels, name, refuse)
+import phonoradar.cli
+sys.exit(phonoradar.cli.main(["synth", "--out", {out!r}, "--cohort", "2", "--seed", "3"]))
+"""
+
+
+def test_synth_stage_calls_no_lapack(tmp_path):
+    src = str(Path(pr.__file__).resolve().parents[1])
+    script = NO_LAPACK.format(src=src, out=str(tmp_path / "cohort"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "cohort" / "subject_001" / "neck_true.csv").exists()
