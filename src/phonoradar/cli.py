@@ -2,9 +2,11 @@
 transform, and cohort evaluation.
 
 Each stage builds its configuration once from the flags and runs one worker
-per subject, in process or on a pool of --jobs processes.
+per subject, in process or on a pool of --jobs processes. A subject whose
+worker raises a data error is skipped, on one `error:` line; the others run.
 
-Exit codes: 0 success, 1 usage error, 2 data/precondition error.
+Exit codes: 0 success, 1 usage error, 2 data/precondition error (in a cohort
+stage: of every subject).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from . import io as pio
 from .radar import ChirpConfig, TargetScene, measure_displacement
 from .report import (SubjectEvaluation, build_cohort_report, evaluate_signals,
                      write_report_csv, write_report_json, write_window_csv)
-from .signals import FramePlan, SampledSignal, resample_decimate
+from .signals import FramePlan, resample_decimate
 from .synth import (F0_MAX_HZ, F0_MIN_HZ, GlottalConfig, NeckChannel, SUBJECT_FILES,
                     SUBJECT_MANIFEST, make_subject, random_vocal_tract, save_subject)
 from .transform import TransformConfig, transform_speech
@@ -38,6 +40,7 @@ RADAR_FILE = "neck_radar.csv"
 RADAR_META = "radar.json"
 TRANSFORM_FILES = {"e_hat": "e_hat.csv", "x_hat": "x_hat.csv", "d_hat": "d_hat.csv"}
 TRANSFORM_META = "transform.json"
+DATA_ERRORS = (OSError, ValueError)
 
 
 class UsageError(Exception):
@@ -165,20 +168,10 @@ def _from_flags(config, **values):
 
 
 def _displacement_path(directory: Path) -> Path:
-    """The radar measurement once the radar stage has run, else the true
-    neck displacement."""
-    radar_path = directory / RADAR_FILE
-    return radar_path if radar_path.exists() else directory / SUBJECT_FILES["neck_true"]
-
-
-def _check_lengths(*traces: tuple[Path, SampledSignal]) -> None:
-    """A data error, naming both files, unless every (path, signal) pair has
-    the first one's length: evaluate pairs the traces sample by sample."""
-    (first, reference), *others = traces
-    for path, sig in others:
-        if len(sig) != len(reference):
-            raise ValueError(f"length mismatch: {first} has {len(reference)} samples, "
-                             f"{path} has {len(sig)}")
+    """The radar measurement once the radar stage has run (radar.json is
+    there, without the measurement if the run failed), else the true one."""
+    ran = (directory / RADAR_META).exists()
+    return directory / RADAR_FILE if ran else directory / SUBJECT_FILES["neck_true"]
 
 
 def _draw_cohort_params(args, index: int, seed: int) -> tuple:
@@ -209,24 +202,23 @@ def _synth_one(glottal: GlottalConfig, duration_s: float, rate_hz: float,
 def cmd_synth(args) -> int:
     glottal = _from_flags(GlottalConfig, f0_hz=args.f0, open_quotient=args.open_quotient,
                           amplitude=args.amplitude, jitter_pct=args.jitter)
-    if args.cohort:
-        lo, hi = args.f0_range
-        if not (F0_MIN_HZ <= lo <= hi <= F0_MAX_HZ):
-            raise UsageError(f"--f0-range must lie within [{F0_MIN_HZ:g}, {F0_MAX_HZ:g}] Hz")
     out = Path(args.out)
     if not args.cohort:
         tau_samples = int(round(args.tau_ms * 1e-3 * args.rate))
         neck = _from_flags(NeckChannel, k_d=args.k_d, tau_d_s=tau_samples / args.rate)
         tasks = [(out, args.f0, args.open_quotient, neck, args.seed, args.seed)]
     else:
+        lo, hi = args.f0_range
+        if not (F0_MIN_HZ <= lo <= hi <= F0_MAX_HZ):
+            raise UsageError(f"--f0-range must lie within [{F0_MIN_HZ:g}, {F0_MAX_HZ:g}] Hz")
         tasks = [(out / f"subject_{i:03d}", *_draw_cohort_params(args, i, args.seed))
                  for i in range(args.cohort)]
     out.mkdir(parents=True, exist_ok=True)
-    _run_jobs(functools.partial(_synth_one, glottal, args.duration, args.rate,
-                                args.noise_snr, args.lead_in), tasks, args.jobs)
-    print(f"wrote subject to {out}" if not args.cohort
-          else f"wrote {len(tasks)} subjects to {out}")
-    return 0
+    written = len(_run_subjects(functools.partial(_synth_one, glottal, args.duration, args.rate,
+                                                  args.noise_snr, args.lead_in), tasks, args.jobs))
+    if written:
+        print(f"wrote {written} subjects to {out}" if args.cohort else f"wrote subject to {out}")
+    return 0 if written else 2
 
 
 def radar_noise_seed(seed: int, index: int) -> np.random.SeedSequence:
@@ -239,17 +231,25 @@ def radar_noise_seed(seed: int, index: int) -> np.random.SeedSequence:
 
 def _radar_one(chirp: ChirpConfig, scene: TargetScene, seed: int, task: tuple) -> str:
     """Worker: measure one subject's neck displacement at the subject's rate
-    as PRF. task is (subject index, directory)."""
+    as PRF. task is (subject index, directory). A failed subject keeps no
+    earlier measurement. A failed measurement leaves a radar.json holding
+    the error, which the later stages refuse; they fail on their own on a
+    neck_true.csv this stage cannot read."""
     index, directory = task
+    (directory / RADAR_FILE).unlink(missing_ok=True)
     d_true = pio.read_csv_signal(directory / SUBJECT_FILES["neck_true"])
     cfg = replace(chirp, prf_hz=d_true.rate_hz)
     scene = replace(scene, displacement=d_true)
     # A noiseless run never imports numpy.random: about 5 MB of RSS.
     rng = (np.random.default_rng(radar_noise_seed(seed, index))
            if scene.noise_snr_db is not None else None)
-    with pio.naming(directory):
-        measured = measure_displacement(scene, cfg, rng)
-    pio.write_csv_signal(directory / RADAR_FILE, measured)
+    try:
+        with pio.naming(directory):
+            measured = measure_displacement(scene, cfg, rng)
+        pio.write_csv_signal(directory / RADAR_FILE, measured)
+    except DATA_ERRORS as exc:
+        (directory / RADAR_META).write_text(json.dumps({"error": str(exc)}) + "\n")
+        raise
     truth = d_true.samples - d_true.samples.mean()
     denom = float(np.linalg.norm(truth) * np.linalg.norm(measured.samples))
     corr = float(truth @ measured.samples / denom) if denom > 0 else 0.0
@@ -262,17 +262,14 @@ def _radar_one(chirp: ChirpConfig, scene: TargetScene, seed: int, task: tuple) -
         "correlation_vs_truth": corr,
         "chirp": asdict(cfg),
     }
-    with open(directory / RADAR_META, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (directory / RADAR_META).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return f"{directory}: corr={corr:.6f}"
 
 
 def cmd_radar(args) -> int:
     if bool(args.subject) == bool(args.cohort):
         raise UsageError("provide exactly one of --subject or --cohort")
-    # The PRF is each subject's rate; the scene's displacement is the
-    # subject's neck_true.csv. Both are filled in by the worker.
+    # The worker fills in the PRF (the subject's rate) and the displacement.
     chirp = _from_flags(ChirpConfig, start_freq_hz=args.start_freq,
                         bandwidth_hz=args.bandwidth, chirp_duration_s=args.chirp_duration,
                         adc_samples_per_chirp=args.adc_samples)
@@ -280,14 +277,11 @@ def cmd_radar(args) -> int:
                         noise_snr_db=args.snr)
     _from_flags(chirp.check_range, range_m=args.range)
     dirs = [Path(args.subject)] if args.subject else _subject_dirs(Path(args.cohort))
-    for d in dirs:
-        if not (d / SUBJECT_MANIFEST).exists():
-            raise FileNotFoundError(f"missing {d / SUBJECT_MANIFEST}")
-    tasks = list(enumerate(dirs))
-    for line in _run_jobs(functools.partial(_radar_one, chirp, scene, args.seed), tasks,
-                          args.jobs):
+    done = _run_subjects(functools.partial(_radar_one, chirp, scene, args.seed),
+                         list(enumerate(dirs)), args.jobs)
+    for _, line in done:
         print(line)
-    return 0
+    return 0 if done else 2
 
 
 def _transform_one(cfg: TransformConfig, task: tuple) -> str:
@@ -296,6 +290,8 @@ def _transform_one(cfg: TransformConfig, task: tuple) -> str:
     output directory). Speech at an integer multiple of the displacement
     rate is decimated to it; any other rate is a data error."""
     speech_path, displacement_path, out_dir = map(Path, task)
+    for name in (*TRANSFORM_FILES.values(), TRANSFORM_META):   # none kept from a past run
+        (out_dir / name).unlink(missing_ok=True)
     speech = pio.read_wav(speech_path)
     displacement = pio.read_csv_signal(displacement_path)
     with pio.naming(f"{speech_path} and {displacement_path}"):
@@ -316,14 +312,12 @@ def _transform_one(cfg: TransformConfig, task: tuple) -> str:
     }
     # One compact dumps call: json.dump, and any indent, run the pure-Python
     # encoder, several times slower on the per-frame records.
-    with open(out_dir / TRANSFORM_META, "w") as fh:
-        fh.write(json.dumps(meta, sort_keys=True) + "\n")
+    (out_dir / TRANSFORM_META).write_text(json.dumps(meta, sort_keys=True) + "\n")
     return f"{out_dir}: {voiced}/{len(out.per_frame)} voiced frames, tau={out.global_tau_samples}"
 
 
 def cmd_transform(args) -> int:
-    modes = sum(bool(v) for v in (args.subject, args.cohort, args.speech))
-    if modes != 1:
+    if sum(bool(v) for v in (args.subject, args.cohort, args.speech)) != 1:
         raise UsageError("provide exactly one of --subject, --cohort, or --speech/--displacement")
     # Every TransformConfig field but known_tract is a flag of the same name.
     cfg = _from_flags(TransformConfig, **{f.name: getattr(args, f.name)
@@ -336,9 +330,10 @@ def cmd_transform(args) -> int:
     else:
         dirs = [Path(args.subject)] if args.subject else _subject_dirs(Path(args.cohort))
         tasks = [(d / SUBJECT_FILES["speech"], _displacement_path(d), d) for d in dirs]
-    for line in _run_jobs(functools.partial(_transform_one, cfg), tasks, args.jobs):
+    done = _run_subjects(functools.partial(_transform_one, cfg), tasks, args.jobs)
+    for _, line in done:
         print(line)
-    return 0
+    return 0 if done else 2
 
 
 def _transform_voicing(path: Path, n_frames: int) -> np.ndarray:
@@ -359,68 +354,73 @@ def _evaluate_one(windows: Path, span: float, directory: Path) -> SubjectEvaluat
     """Worker: the LSD evaluation of one transformed subject over the frames
     its transform voiced; writes the subject's per-window CSV, loess-smoothed
     over span, into the windows directory."""
+    window_path = windows / f"{directory.name}.csv"
+    window_path.unlink(missing_ok=True)   # none kept from a past run
     s_path, d_path = directory / SUBJECT_FILES["speech"], _displacement_path(directory)
     e_path, d_hat_path = (directory / TRANSFORM_FILES[key] for key in ("e_hat", "d_hat"))
     s = pio.read_wav(s_path)
     d = pio.read_csv_signal(d_path)
     if d_path.name != RADAR_FILE:
         d = d.with_samples(d.samples - d.samples.mean())
-    e_hat = pio.read_csv_signal(e_path)
-    d_hat = pio.read_csv_signal(d_hat_path)
-    _check_lengths((s_path, s), (e_path, e_hat), (d_hat_path, d_hat), (d_path, d))
+    e_hat, d_hat = map(pio.read_csv_signal, (e_path, d_hat_path))
+    for path, sig in ((e_path, e_hat), (d_hat_path, d_hat), (d_path, d)):
+        if len(sig) != len(s):   # the traces are paired sample by sample
+            raise ValueError(f"length mismatch: {s_path} has {len(s)} samples, "
+                             f"{path} has {len(sig)}")
     voiced = _transform_voicing(directory / TRANSFORM_META,
                                 FramePlan.for_rate(s.rate_hz).n_frames(len(s)))
     with pio.naming(directory):
         evaluation, series = evaluate_signals(directory.name, s, e_hat, d_hat, d, voiced)
-    write_window_csv(windows / f"{directory.name}.csv", series, span=span)
+    write_window_csv(window_path, series, span=span)
     return evaluation
 
 
 def cmd_evaluate(args) -> int:
     cohort = Path(args.cohort)
-    if not cohort.is_dir():
-        raise FileNotFoundError(f"cohort directory {cohort} does not exist")
     dirs = _subject_dirs(cohort)
     out_dir = Path(args.out) if args.out else cohort / "report"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "windows").mkdir(exist_ok=True)
-    required = [SUBJECT_FILES["speech"], TRANSFORM_FILES["e_hat"], TRANSFORM_FILES["d_hat"],
-                TRANSFORM_META]
-    complete, skipped = [], []
-    for d in dirs:
-        missing = [f for f in required if not (d / f).exists()]
-        if missing:
-            skipped.append(d.name)
-            print(f"warning: skipping {d.name} (missing {', '.join(missing)})",
-                  file=sys.stderr)
-            continue
-        complete.append(d)
-    if not complete:
-        raise ValueError("no complete subjects to evaluate")
-    evaluations = _run_jobs(functools.partial(_evaluate_one, out_dir / "windows",
-                                              args.loess_span), complete, args.jobs)
-    report = build_cohort_report(evaluations, skipped)
+    (out_dir / "windows").mkdir(parents=True, exist_ok=True)
+    evaluations = dict(_run_subjects(functools.partial(_evaluate_one, out_dir / "windows",
+                                                       args.loess_span), dirs, args.jobs))
+    if not evaluations:
+        return 2
+    report = build_cohort_report(list(evaluations.values()),
+                                 [d.name for d in dirs if d not in evaluations])
     write_report_json(out_dir / "report.json", report)
     write_report_csv(out_dir / "report.csv", report)
-    n = len(evaluations)
-    print(f"evaluated {n} subjects -> {out_dir}")
-    if report["t_tests"]:
-        for name, tt in report["t_tests"].items():
-            print(f"  {name}: t={tt['t_stat']:.3f} n={tt['n']} p={tt['p_value']:.3g}")
-    elif n < 2:
+    print(f"evaluated {len(evaluations)} subjects -> {out_dir}")
+    for name, tt in report["t_tests"].items():
+        print(f"  {name}: t={tt['t_stat']:.3f} n={tt['n']} p={tt['p_value']:.3g}")
+    if len(evaluations) < 2:
         print("  t-tests skipped: need at least 2 subjects")
     return 0
 
 
-def _run_jobs(fn, tasks, jobs: int):
+def _outcome(worker, task):
+    """worker(task), or the data error it raised."""
+    try:
+        return worker(task)
+    except DATA_ERRORS as exc:
+        return exc
+
+
+def _run_subjects(worker, tasks: list, jobs: int) -> list[tuple]:
+    """(task, worker(task)) of each task that succeeded, in task order; each
+    data error, caught in the worker's process, is printed on an `error:` line."""
+    run = functools.partial(_outcome, worker)
     if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    # Imported here: the pool machinery (multiprocessing, logging, socket)
-    # costs every serial stage process about 25 ms of start-up.
-    from concurrent.futures import ProcessPoolExecutor
-    # No more workers than tasks: the pool forks all of them at its first submit.
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
+        outcomes = [run(t) for t in tasks]
+    else:
+        # Imported here: the pool machinery (multiprocessing, logging, socket)
+        # costs every serial stage process about 25 ms of start-up.
+        from concurrent.futures import ProcessPoolExecutor
+        # No more workers than tasks: the pool forks all of them at its first submit.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            outcomes = list(pool.map(run, tasks))
+    for outcome in outcomes:
+        if isinstance(outcome, DATA_ERRORS):
+            print(f"error: {outcome}", file=sys.stderr)
+    return [(t, o) for t, o in zip(tasks, outcomes) if not isinstance(o, DATA_ERRORS)]
 
 
 def _config_value(key: str, action: argparse.Action, value):
@@ -480,7 +480,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

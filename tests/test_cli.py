@@ -31,6 +31,23 @@ def run(argv):
     return main(argv)
 
 
+def error_lines(capsys, argv, code: int) -> list[str]:
+    """stderr of a run that exits with code, as lines, each an `error:` line."""
+    capsys.readouterr()
+    assert run(argv) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert lines and all(line.startswith("error: ") for line in lines), lines
+    return lines
+
+
+def assert_skipped(cohort: Path, subject: str) -> None:
+    """evaluate's report lists subject alone as skipped, without its window CSV."""
+    report = json.loads((cohort / "report" / "report.json").read_text())
+    assert report["skipped"] == [subject]
+    assert subject not in {row["id"] for row in report["subjects"]}
+    assert not (cohort / "report" / "windows" / f"{subject}.csv").exists()
+
+
 @pytest.fixture
 def small_cohort(tmp_path):
     cohort = tmp_path / "cohort"
@@ -65,6 +82,18 @@ class TestSynth:
         assert run(["synth", "--out", str(out), "--cohort", "4", "--seed", "1",
                     "--duration", "0.5"]) == 0
         assert len(list(out.glob("subject_*"))) == 4
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_subject_that_cannot_be_written_is_skipped(self, tmp_path, capsys, jobs):
+        # a file holds subject_001's directory name: that subject alone fails
+        out = tmp_path / "c"
+        out.mkdir()
+        (out / "subject_001").write_text("a file, not a directory")
+        [line] = error_lines(capsys, ["synth", "--out", str(out), "--cohort", "3", "--seed", "1",
+                                      "--duration", "0.3", "--jobs", jobs], 0)
+        assert str(out / "subject_001") in line
+        assert [p.parent.name for p in sorted(out.glob("*/subject.json"))] == ["subject_000",
+                                                                             "subject_002"]
 
     def test_low_f0_rejected_as_usage_error(self, tmp_path):
         assert run(["synth", "--out", str(tmp_path / "x"), "--f0", "50"]) == 1
@@ -295,13 +324,12 @@ class TestEvaluate:
         assert len(calls) == 1
 
     def test_missing_transform_json_skipped(self, small_cohort, capsys):
-        (small_cohort / "subject_002" / "transform.json").unlink()
-        capsys.readouterr()
-        assert run(["evaluate", str(small_cohort)]) == 0
-        err = capsys.readouterr().err
-        assert err == "warning: skipping subject_002 (missing transform.json)\n"
+        path = small_cohort / "subject_002" / "transform.json"
+        path.unlink()
+        [line] = error_lines(capsys, ["evaluate", str(small_cohort)], 0)
+        assert str(path) in line
+        assert_skipped(small_cohort, "subject_002")
         report = json.loads((small_cohort / "report" / "report.json").read_text())
-        assert report["skipped"] == ["subject_002"]
         assert len(report["subjects"]) == 2
 
     @pytest.mark.parametrize("corrupt", [
@@ -321,10 +349,9 @@ class TestEvaluate:
     def test_bad_transform_json_is_data_error(self, small_cohort, capsys, corrupt):
         path = small_cohort / "subject_001" / "transform.json"
         path.write_text(corrupt(json.loads(path.read_text())))
-        capsys.readouterr()
-        assert run(["evaluate", str(small_cohort)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}") and err.count("\n") == 1
+        [line] = error_lines(capsys, ["evaluate", str(small_cohort)], 0)
+        assert line.startswith(f"error: {path}")
+        assert_skipped(small_cohort, "subject_001")
 
     def test_voicing_threshold_config_key_is_usage_error(self, small_cohort, capsys):
         cfg = small_cohort / "cfg.json"
@@ -693,19 +720,19 @@ def test_bad_trace_value_is_data_error_naming_the_file(tmp_path, capsys, name, s
 
 def test_truncated_speech_is_a_length_mismatch(tmp_path, capsys):
     # a speech.wav cut to 300 bytes still reads as 60 whole float32 samples;
-    # paired with the full radar trace, that is a data error naming both files
+    # paired with the full radar trace, that is a data error naming both
+    # files, and that subject alone is not transformed
     cohort = tmp_path / "cohort"
     assert run(["synth", "--out", str(cohort), "--cohort", "2", "--seed", "1",
                 "--duration", "1.0"]) == 0
     assert run(["radar", "--cohort", str(cohort)]) == 0
     speech = cohort / "subject_001" / "speech.wav"
     speech.write_bytes(speech.read_bytes()[:300])
-    capsys.readouterr()
-    assert run(["transform", "--cohort", str(cohort)]) == 2
-    err = capsys.readouterr().err
+    [line] = error_lines(capsys, ["transform", "--cohort", str(cohort)], 0)
     radar = cohort / "subject_001" / "neck_radar.csv"
-    assert err.startswith(f"error: {speech} and {radar}: ") and err.count("\n") == 1
-    assert "length mismatch" in err
+    assert line.startswith(f"error: {speech} and {radar}: ") and "length mismatch" in line
+    assert (cohort / "subject_000" / "transform.json").exists()
+    assert not (cohort / "subject_001" / "transform.json").exists()
 
 
 @pytest.fixture
@@ -716,17 +743,10 @@ def pair_cohort(tmp_path):
     return cohort
 
 
-def one_error_line(capsys, argv) -> str:
-    """stderr of a run that exits 2 with a single `error:` line."""
-    capsys.readouterr()
-    assert run(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    return err
-
-
 # Each data error a worker raises names its subject, on the serial path and
-# through the pool, which pickles the named error back to the parent.
+# through the pool, which pickles the named error back to the parent. A
+# cohort stage skips a failed subject and exits 2 only if every subject
+# failed, with one error line per subject in subject order.
 JOBS = pytest.mark.parametrize("jobs", ["1", "2"])
 
 
@@ -736,17 +756,44 @@ def test_target_leaving_its_range_bin_names_the_subject(pair_cohort, capsys, job
     trace = pair_cohort / "subject_001" / "neck_true.csv"
     d = read_csv_signal(trace)
     write_csv_signal(trace, d.with_samples(1000.0 * d.samples))
-    err = one_error_line(capsys, ["radar", "--cohort", str(pair_cohort), "--jobs", jobs])
-    assert err.startswith(f"error: {pair_cohort / 'subject_001'}: displacement ")
-    assert "leaves the range bin" in err
+    [line] = error_lines(capsys, ["radar", "--cohort", str(pair_cohort), "--jobs", jobs], 0)
+    assert line.startswith(f"error: {pair_cohort / 'subject_001'}: displacement ")
+    assert "leaves the range bin" in line
+    assert (pair_cohort / "subject_000" / "neck_radar.csv").exists()
+    assert not (pair_cohort / "subject_001" / "neck_radar.csv").exists()
+
+
+@JOBS
+def test_failed_radar_subject_is_skipped_not_scored_on_its_true_trace(pair_cohort, capsys,
+                                                                      jobs):
+    # a clean run first, so every stage has outputs of subject_001 to leave
+    # behind; then subject_001's target leaves its range bin and the stages
+    # run again: none of them may fall back to neck_true.csv or an old output
+    for argv in (["radar", "--cohort"], ["transform", "--cohort"], ["evaluate"]):
+        assert run([*argv, str(pair_cohort)]) == 0
+    subject = pair_cohort / "subject_001"
+    d = read_csv_signal(subject / "neck_true.csv")
+    write_csv_signal(subject / "neck_true.csv", d.with_samples(1000.0 * d.samples))
+    [line] = error_lines(capsys, ["radar", "--cohort", str(pair_cohort), "--jobs", jobs], 0)
+    assert "leaves the range bin" in line
+    assert json.loads((subject / "radar.json").read_text()) == {"error": line[len("error: "):]}
+    for argv in (["transform", "--cohort"], ["evaluate"]):
+        [line] = error_lines(capsys, [*argv, str(pair_cohort), "--jobs", jobs], 0)
+        assert str(subject / "neck_radar.csv") in line
+    assert not any((subject / name).exists()
+                   for name in ("neck_radar.csv", "e_hat.csv", "x_hat.csv", "d_hat.csv",
+                                "transform.json"))
+    assert_skipped(pair_cohort, "subject_001")
 
 
 @JOBS
 def test_target_below_the_noise_floor_names_the_subject(pair_cohort, capsys, jobs):
-    err = one_error_line(capsys, ["radar", "--cohort", str(pair_cohort), "--snr", "-40",
-                                  "--jobs", jobs])
-    assert err.startswith(f"error: {pair_cohort / 'subject_000'}: bin ")
-    assert err.endswith("is below the noise floor\n")
+    lines = error_lines(capsys, ["radar", "--cohort", str(pair_cohort), "--snr", "-40",
+                                 "--jobs", jobs], 2)
+    assert len(lines) == 2
+    for line, subject in zip(lines, ("subject_000", "subject_001")):
+        assert line.startswith(f"error: {pair_cohort / subject}: bin ")
+        assert line.endswith("is below the noise floor")
 
 
 @JOBS
@@ -756,49 +803,114 @@ def test_no_voiced_windows_names_the_subject(pair_cohort, capsys, jobs):
     trace = pair_cohort / "subject_001" / "neck_true.csv"
     d = read_csv_signal(trace)
     write_csv_signal(trace, d.with_samples(np.zeros(len(d))))
-    err = one_error_line(capsys, ["evaluate", str(pair_cohort), "--jobs", jobs])
-    assert err == f"error: {pair_cohort / 'subject_001'}: no voiced windows to compare\n"
+    lines = error_lines(capsys, ["evaluate", str(pair_cohort), "--jobs", jobs], 0)
+    assert lines == [f"error: {pair_cohort / 'subject_001'}: no voiced windows to compare"]
+    assert_skipped(pair_cohort, "subject_001")
+    # with subject_000 zeroed too, every subject fails: exit 2, a line each
+    trace = pair_cohort / "subject_000" / "neck_true.csv"
+    write_csv_signal(trace, read_csv_signal(trace).with_samples(np.zeros(len(d))))
+    lines = error_lines(capsys, ["evaluate", str(pair_cohort), "--jobs", jobs], 2)
+    assert lines == [f"error: {pair_cohort / subject}: no voiced windows to compare"
+                     for subject in ("subject_000", "subject_001")]
 
 
 @JOBS
 @pytest.mark.parametrize("mode", ["explicit", "cohort"])
 def test_nothing_to_transform_names_both_files(pair_cohort, tmp_path, capsys, jobs, mode):
-    subject = pair_cohort / "subject_001"
-    speech, trace = subject / "speech.wav", subject / "neck_true.csv"
-    s = read_wav(speech)
-    write_wav(speech, s.with_samples(np.zeros(len(s))))
-    argv = (["--speech", str(speech), "--displacement", str(trace), "--out", str(tmp_path / "o")]
-            if mode == "explicit" else ["--cohort", str(pair_cohort)])
-    err = one_error_line(capsys, ["transform", *argv, "--jobs", jobs])
-    assert err == (f"error: {speech} and {trace}: nothing to transform: "
-                   "all 43 frames unvoiced or silent\n")
+    # every subject's speech is silent; the explicit run transforms subject_001's
+    subjects = ["subject_000", "subject_001"]
+    for subject in subjects:
+        speech = pair_cohort / subject / "speech.wav"
+        s = read_wav(speech)
+        write_wav(speech, s.with_samples(np.zeros(len(s))))
+    if mode == "explicit":
+        subjects = subjects[1:]
+        argv = ["--speech", str(pair_cohort / "subject_001" / "speech.wav"),
+                "--displacement", str(pair_cohort / "subject_001" / "neck_true.csv"),
+                "--out", str(tmp_path / "o")]
+    else:
+        argv = ["--cohort", str(pair_cohort)]
+    lines = error_lines(capsys, ["transform", *argv, "--jobs", jobs], 2)
+    assert lines == [f"error: {pair_cohort / subject / 'speech.wav'} and "
+                     f"{pair_cohort / subject / 'neck_true.csv'}: nothing to transform: "
+                     "all 43 frames unvoiced or silent" for subject in subjects]
 
 
-@pytest.mark.parametrize("synth_args, mode, subject", [
-    (["--f0", "95"], "--subject", "."),
-    (["--cohort", "2", "--f0-range", "400", "500"], "--cohort", "subject_000"),
+@pytest.mark.parametrize("synth_args, mode, subjects", [
+    (["--f0", "95"], "--subject", ["."]),
+    (["--cohort", "2", "--f0-range", "400", "500"], "--cohort", ["subject_000", "subject_001"]),
 ], ids=["low-pitched", "high-pitched-cohort"])
 def test_lpc_order_above_a_quarter_frame_is_refused_at_any_pitch(tmp_path, capsys,
-                                                                 synth_args, mode, subject):
+                                                                 synth_args, mode, subjects):
     # a 25 ms frame at 2 kHz has 50 samples: order 12 is the highest whose
     # fit has four samples per coefficient, however far pitch would cap it
     out = tmp_path / "s"
     assert run(["synth", "--out", str(out), "--duration", "0.5", "--seed", "2",
                 *synth_args]) == 0
     assert run(["transform", mode, str(out), "--lpc-order", "12"]) == 0
-    capsys.readouterr()
-    assert run(["transform", mode, str(out), "--lpc-order", "13"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1 and "lpc_order 13 " in err
-    assert str(out / subject / "speech.wav") in err and str(out / subject / "neck_true.csv") in err
+    lines = error_lines(capsys, ["transform", mode, str(out), "--lpc-order", "13"], 2)
+    assert len(lines) == len(subjects)
+    for line, subject in zip(lines, subjects):
+        assert "lpc_order 13 " in line
+        assert str(out / subject / "speech.wav") in line
+        assert str(out / subject / "neck_true.csv") in line
+        # the order-12 outputs are gone, so evaluate cannot score them
+        assert not any((out / subject / name).exists()
+                       for name in ("e_hat.csv", "x_hat.csv", "d_hat.csv", "transform.json"))
+    if mode == "--cohort":
+        lines = error_lines(capsys, ["evaluate", str(out)], 2)
+        assert [str(out / subject / "e_hat.csv") in line
+                for line, subject in zip(lines, subjects)] == [True, True]
 
 
 def test_evaluate_length_mismatch_is_data_error(small_cohort, capsys):
+    # after a clean evaluate, so a window CSV of subject_002 is there to go
+    assert run(["evaluate", str(small_cohort)]) == 0
     d_hat = small_cohort / "subject_002" / "d_hat.csv"
     lines = d_hat.read_text().splitlines(keepends=True)
     d_hat.write_text("".join(lines[:-1]))
-    capsys.readouterr()
-    assert run(["evaluate", str(small_cohort)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: length mismatch:") and err.count("\n") == 1
-    assert str(small_cohort / "subject_002" / "speech.wav") in err and str(d_hat) in err
+    [line] = error_lines(capsys, ["evaluate", str(small_cohort)], 0)
+    assert line.startswith("error: length mismatch:")
+    assert str(small_cohort / "subject_002" / "speech.wav") in line and str(d_hat) in line
+    assert_skipped(small_cohort, "subject_002")
+
+
+def _cut_speech(subject: Path) -> None:
+    speech = subject / "speech.wav"
+    speech.write_bytes(speech.read_bytes()[:300])
+
+
+def _nan_in_trace(subject: Path) -> None:
+    trace = subject / "neck_true.csv"
+    lines = trace.read_text().splitlines(keepends=True)
+    lines[10] = "nan\n"
+    trace.write_text("".join(lines))
+
+
+@JOBS
+@pytest.mark.parametrize("fault, failing", [(_cut_speech, ("transform", "evaluate")),
+                                            (_nan_in_trace, ("radar", "transform", "evaluate"))],
+                         ids=["cut-speech", "nan-trace"])
+def test_one_bad_subject_is_skipped_and_the_others_run(tmp_path, capsys, fault, failing, jobs):
+    # subject_001 alone is broken: each stage that reads the broken file exits
+    # 0 with one error line naming it, the other subjects' files are
+    # byte-identical to a clean run's, and the report skips subject_001 alone
+    clean, broken = tmp_path / "clean", tmp_path / "broken"
+    for cohort in (clean, broken):
+        assert run(["synth", "--out", str(cohort), "--cohort", "3", "--seed", "1",
+                    "--duration", "1.0"]) == 0
+    fault(broken / "subject_001")
+    for stage in ("radar", "transform", "evaluate"):
+        where = [] if stage == "evaluate" else ["--cohort"]
+        assert run([stage, *where, str(clean), "--jobs", jobs]) == 0
+        capsys.readouterr()
+        assert run([stage, *where, str(broken), "--jobs", jobs]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == (stage in failing)
+        assert all(line.startswith("error: ") and str(broken / "subject_001") in line
+                   for line in lines)
+    for subject in ("subject_000", "subject_002"):
+        assert tree_digest(broken / subject) == tree_digest(clean / subject)
+        window = Path("report", "windows", f"{subject}.csv")
+        assert (broken / window).read_bytes() == (clean / window).read_bytes()
+    assert_skipped(broken, "subject_001")

@@ -1,7 +1,6 @@
-"""Set-up cost guard: `scipy.signal` takes over a second to import, and only
-synthesis (and the non-default leaky integration) needs it, so it must not
-load on `import phonoradar.cli` nor in the radar, default transform and
-evaluate stages."""
+"""Set-up cost guard: `scipy.signal` takes over a second to import, and no
+stage needs it (the package runs on numpy alone), so it must not load on
+`import phonoradar.cli` nor in the radar, transform and evaluate stages."""
 
 import subprocess
 import sys
