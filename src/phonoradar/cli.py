@@ -12,6 +12,7 @@ stage: of every subject).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -189,9 +190,16 @@ def _draw_cohort_params(args, index: int, seed: int) -> tuple:
 
 def _synth_one(glottal: GlottalConfig, duration_s: float, rate_hz: float,
                noise_snr_db: float | None, lead_in_s: float, task: tuple) -> None:
-    """Worker: build and save one subject. task is (directory, f0 in Hz, open
-    quotient, neck channel, tract seed, subject seed)."""
+    """Worker: build and save one subject in place of every file an earlier
+    run left. task is (directory, f0 in Hz, open quotient, neck channel,
+    tract seed, subject seed)."""
     directory, f0_hz, open_quotient, neck, tract_seed, seed = task
+    # subject.json first: a subject whose rewrite fails is no longer listed.
+    # A directory in a file's place is left for the write to name.
+    for name in (SUBJECT_MANIFEST, *SUBJECT_FILES.values(), RADAR_FILE, RADAR_META,
+                 *TRANSFORM_FILES.values(), TRANSFORM_META):
+        with contextlib.suppress(FileNotFoundError, IsADirectoryError):
+            (directory / name).unlink()
     subject = make_subject(replace(glottal, f0_hz=f0_hz, open_quotient=open_quotient), neck,
                            random_vocal_tract(np.random.default_rng(tract_seed), rate_hz),
                            duration_s, rate_hz, noise_snr_db=noise_snr_db, seed=seed,
@@ -240,7 +248,7 @@ def _radar_one(chirp: ChirpConfig, scene: TargetScene, seed: int, task: tuple) -
     d_true = pio.read_csv_signal(directory / SUBJECT_FILES["neck_true"])
     cfg = replace(chirp, prf_hz=d_true.rate_hz)
     scene = replace(scene, displacement=d_true)
-    # A noiseless run never imports numpy.random: about 5 MB of RSS.
+    # A noiseless run never imports numpy.random: about 2.1 MB of RSS.
     rng = (np.random.default_rng(radar_noise_seed(seed, index))
            if scene.noise_snr_db is not None else None)
     try:
@@ -464,6 +472,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, path: str) -> None:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # numpy.random maps OpenSSL's libcrypto (3.3 MB RSS) via secrets, hmac
+        # and hashlib; no stage hashes, and hashlib falls back to its builtins.
+        sys.modules.setdefault("_hashlib", None)
     parser = _build_parser()
     handlers = {
         "synth": cmd_synth,

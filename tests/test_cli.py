@@ -914,3 +914,30 @@ def test_one_bad_subject_is_skipped_and_the_others_run(tmp_path, capsys, fault, 
         window = Path("report", "windows", f"{subject}.csv")
         assert (broken / window).read_bytes() == (clean / window).read_bytes()
     assert_skipped(broken, "subject_001")
+
+
+def test_synth_over_a_cohort_keeps_no_file_of_the_earlier_run(tmp_path, capsys):
+    # a rerun replaces each subject's files: a later transform cannot read an
+    # old neck_radar.csv, and a subject whose rewrite fails is left unlisted
+    cohort = tmp_path / "cohort"
+    assert run(["synth", "--out", str(cohort), "--cohort", "3", "--seed", "1",
+                "--duration", "0.5"]) == 0
+    assert run(["radar", "--cohort", str(cohort)]) == 0
+    assert run(["transform", "--cohort", str(cohort)]) == 0
+    old_truth = {s: (cohort / s / "neck_true.csv").read_bytes()
+                 for s in ("subject_000", "subject_002")}
+    speech = cohort / "subject_001" / "speech.wav"
+    speech.unlink()
+    speech.mkdir()
+    [line] = error_lines(capsys, ["synth", "--out", str(cohort), "--cohort", "3",
+                                  "--seed", "2", "--duration", "0.5"], 0)
+    assert str(cohort / "subject_001") in line
+    assert [p.name for p in (cohort / "subject_001").iterdir()] == ["speech.wav"]
+    for subject, truth in old_truth.items():
+        names = {p.name for p in (cohort / subject).iterdir()}
+        assert names == {"subject.json", "speech.wav", "vocal_fold.npy", "excitation.npy",
+                         "neck_true.csv"}
+        assert (cohort / subject / "neck_true.csv").read_bytes() != truth
+    capsys.readouterr()
+    assert run(["radar", "--cohort", str(cohort)]) == 0
+    assert "subject_001" not in capsys.readouterr().out

@@ -42,7 +42,7 @@ def test_import_leaves_the_process_pool_unloaded():
 
 
 def test_noiseless_radar_does_not_load_numpy_random(tmp_path):
-    # importing numpy.random adds about 5 MB to a stage's peak RSS, and a
+    # importing numpy.random adds about 2.1 MB to a stage's peak RSS, and a
     # noiseless radar run draws nothing
     cohort = tmp_path / "cohort"
     assert main(["synth", "--out", str(cohort), "--cohort", "2", "--seed", "5",
@@ -51,6 +51,32 @@ def test_noiseless_radar_does_not_load_numpy_random(tmp_path):
     script = (f"import sys; sys.path.insert(0, {src!r}); import phonoradar.cli; "
               f"assert phonoradar.cli.main(['radar', '--cohort', {str(cohort)!r}]) == 0; "
               "assert 'numpy.random' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_stage_processes_do_not_load_openssl(tmp_path):
+    # numpy.random imports secrets, hmac and hashlib, whose _hashlib maps
+    # OpenSSL's libcrypto: 3.3 MB of a stage's RSS that no stage uses. main()
+    # as the process entry blocks it; main(argv) in a caller's process, and a
+    # process that loaded it already, keep it.
+    cohort = str(tmp_path / "cohort")
+    src = str(Path(phonoradar.__file__).resolve().parents[1])
+    for argv in (["synth", "--out", cohort, "--cohort", "2", "--seed", "5", "--duration", "0.3"],
+                 ["radar", "--cohort", cohort, "--snr", "20"]):
+        script = (f"import sys; sys.path.insert(0, {src!r}); import phonoradar.cli; "
+                  f"sys.argv = ['phonoradar', *{argv!r}]; "
+                  "assert phonoradar.cli.main() == 0; "
+                  "assert 'numpy.random' in sys.modules; "
+                  "assert sys.modules.get('_hashlib') is None, 'loaded'")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, (argv[0], proc.stderr)
+    argv = ["radar", "--cohort", cohort, "--snr", "20"]
+    script = (f"import sys; sys.path.insert(0, {src!r}); import hashlib, phonoradar.cli; "
+              f"assert phonoradar.cli.main({argv!r}) == 0; "
+              f"sys.argv = ['phonoradar', *{argv!r}]; "
+              "assert phonoradar.cli.main() == 0; "
+              "assert sys.modules['_hashlib'] is not None")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
