@@ -237,21 +237,30 @@ def radar_noise_seed(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(RADAR_NOISE_KEY, index))
 
 
+def _cohort_index(directory: Path) -> int | None:
+    """i of a directory named subject_{i:03d}, as synth names cohort subjects."""
+    i = directory.name.removeprefix("subject_")
+    return int(i) if i.isdecimal() and directory.name == f"subject_{int(i):03d}" else None
+
+
 def _radar_one(chirp: ChirpConfig, scene: TargetScene, seed: int, task: tuple) -> str:
     """Worker: measure one subject's neck displacement at the subject's rate
-    as PRF. task is (subject index, directory). A failed subject keeps no
-    earlier measurement. A failed measurement leaves a radar.json holding
-    the error, which the later stages refuse; they fail on their own on a
-    neck_true.csv this stage cannot read."""
+    as PRF. task is (noise stream index or None, directory). A failed subject
+    keeps no earlier measurement. A failed measurement leaves a radar.json
+    holding the error, which the later stages refuse; they fail on their own
+    on a neck_true.csv this stage cannot read."""
     index, directory = task
     (directory / RADAR_FILE).unlink(missing_ok=True)
     d_true = pio.read_csv_signal(directory / SUBJECT_FILES["neck_true"])
     cfg = replace(chirp, prf_hz=d_true.rate_hz)
     scene = replace(scene, displacement=d_true)
-    # A noiseless run never imports numpy.random: about 2.1 MB of RSS.
-    rng = (np.random.default_rng(radar_noise_seed(seed, index))
-           if scene.noise_snr_db is not None else None)
     try:
+        if scene.noise_snr_db is not None and index is None:
+            raise ValueError(f"{directory}: a noisy cohort run keys each subject's noise "
+                             "by its subject_NNN name")
+        # A noiseless run never imports numpy.random: about 2.1 MB of RSS.
+        rng = (np.random.default_rng(radar_noise_seed(seed, index))
+               if scene.noise_snr_db is not None else None)
         with pio.naming(directory):
             measured = measure_displacement(scene, cfg, rng)
         pio.write_csv_signal(directory / RADAR_FILE, measured)
@@ -284,9 +293,14 @@ def cmd_radar(args) -> int:
     scene = _from_flags(TargetScene, displacement=None, nominal_range_m=args.range,
                         noise_snr_db=args.snr)
     _from_flags(chirp.check_range, range_m=args.range)
-    dirs = [Path(args.subject)] if args.subject else _subject_dirs(Path(args.cohort))
+    # A noise stream follows its subject_NNN name, not the subject's place in
+    # the cohort; a lone subject of any other name takes stream 0.
+    if args.subject:
+        tasks = [(_cohort_index(Path(args.subject)) or 0, Path(args.subject))]
+    else:
+        tasks = [(_cohort_index(d), d) for d in _subject_dirs(Path(args.cohort))]
     done = _run_subjects(functools.partial(_radar_one, chirp, scene, args.seed),
-                         list(enumerate(dirs)), args.jobs)
+                         tasks, args.jobs)
     for _, line in done:
         print(line)
     return 0 if done else 2
@@ -314,7 +328,7 @@ def _transform_one(cfg: TransformConfig, task: tuple) -> str:
         "global_tau_samples": out.global_tau_samples,
         "n_frames": len(out.per_frame),
         "n_voiced": voiced,
-        "config": asdict(out.config),
+        "config": asdict(cfg),
         # the records' own field dicts: asdict deep-copies each of them
         "per_frame": [vars(r) for r in out.per_frame],
     }
@@ -327,10 +341,9 @@ def _transform_one(cfg: TransformConfig, task: tuple) -> str:
 def cmd_transform(args) -> int:
     if sum(bool(v) for v in (args.subject, args.cohort, args.speech)) != 1:
         raise UsageError("provide exactly one of --subject, --cohort, or --speech/--displacement")
-    # Every TransformConfig field but known_tract is a flag of the same name.
+    # Every TransformConfig field is a flag of the same name.
     cfg = _from_flags(TransformConfig, **{f.name: getattr(args, f.name)
-                                          for f in fields(TransformConfig)
-                                          if f.name != "known_tract"})
+                                          for f in fields(TransformConfig)})
     if args.speech:
         if not args.displacement or not args.out:
             raise UsageError("explicit mode needs --speech, --displacement, and --out")

@@ -75,53 +75,41 @@ def read_wav(path: str | Path) -> SampledSignal:
     samples it holds. Any other file raises ValueError naming the path.
     """
     with open(path, "rb") as fh, naming(path):
-        rate, samples = _parse_wav(fh.read())
+        rate, samples = _parse_wav(fh)
         return SampledSignal(samples, float(rate))
 
 
-class _Cursor:
-    """A byte string read like a file: short at the end, empty past it; pos
-    may be moved past the end, as a seek may."""
-
-    def __init__(self, buf: bytes):
-        self.buf, self.pos = buf, 0
-
-    def read(self, n: int) -> bytes:
-        raw = self.buf[self.pos:self.pos + n]
-        self.pos += len(raw)
-        return raw
-
-    def unpack(self, layout: str) -> tuple:
-        size = struct.calcsize(layout)
-        raw = self.read(size)
-        if len(raw) < size:
-            raise ValueError("WAV file ends inside a header field")
-        return struct.unpack(layout, raw)
+def _unpack(fh, layout: str) -> tuple:
+    size = struct.calcsize(layout)
+    raw = fh.read(size)
+    if len(raw) < size:
+        raise ValueError("WAV file ends inside a header field")
+    return struct.unpack(layout, raw)
 
 
-def _parse_wav(buf: bytes) -> tuple[int, np.ndarray]:
-    cur = _Cursor(buf)
-    kind = cur.read(4)
+def _parse_wav(fh) -> tuple[int, np.ndarray]:
+    """(rate, first channel) of the open binary WAV file fh."""
+    kind = fh.read(4)
     if kind == b"RIFF":
-        end = cur.unpack("<I")[0] + 8
+        end = _unpack(fh, "<I")[0] + 8
         rf64_data_size = None
-        form = cur.read(4)
+        form = fh.read(4)
     elif kind == b"RF64":
-        cur.read(4)
-        form = cur.read(4)
-        if cur.read(4) != b"ds64":
+        fh.read(4)
+        form = fh.read(4)
+        if fh.read(4) != b"ds64":
             raise ValueError("RF64 file without a ds64 chunk")
-        ds64_size, riff_size, rf64_data_size = cur.unpack("<IQQ")
+        ds64_size, riff_size, rf64_data_size = _unpack(fh, "<IQQ")
         end = riff_size + 8
-        cur.pos += ds64_size - 16
+        fh.seek(ds64_size - 16, 1)
     else:
         raise ValueError(f"not a little-endian RIFF or RF64 file (signature {kind!r})")
     if form != b"WAVE":
         raise ValueError(f"not a WAVE file (form type {form!r})")
 
     fmt = samples = None
-    while cur.pos < end:
-        chunk_id = cur.read(4)
+    while fh.tell() < end:
+        chunk_id = fh.read(4)
         if not chunk_id:
             if samples is None:
                 raise ValueError("WAV file ends before its data chunk")
@@ -129,55 +117,55 @@ def _parse_wav(buf: bytes) -> tuple[int, np.ndarray]:
         if len(chunk_id) < 4 and samples is None:
             raise ValueError(f"incomplete WAV chunk id {chunk_id!r}")
         if chunk_id == b"fmt ":
-            fmt = _fmt_chunk(cur)
+            fmt = _fmt_chunk(fh)
         elif chunk_id == b"data":
             if fmt is None:
                 raise ValueError("WAV data chunk before the fmt chunk")
             if rf64_data_size is None:
-                size = cur.unpack("<I")[0]
+                size = _unpack(fh, "<I")[0]
             else:
-                cur.read(4)   # 0xFFFFFFFF: the size is in the ds64 chunk
+                fh.read(4)   # 0xFFFFFFFF: the size is in the ds64 chunk
                 size = rf64_data_size
-            samples = _decode_samples(cur, size, *fmt[1:])
-            cur.pos += size % 2
+            samples = _decode_samples(fh, size, *fmt[1:])
+            fh.seek(size % 2, 1)
         else:   # fact, LIST, JUNK or any other chunk
-            raw = cur.read(4)
+            raw = fh.read(4)
             if raw:
                 if len(raw) < 4:
                     raise ValueError("WAV file ends inside a chunk size")
                 size = int.from_bytes(raw, "little")
-                cur.pos += size + size % 2
+                fh.seek(size + size % 2, 1)
     if samples is None:
         raise ValueError("WAV file has no data chunk")
     return fmt[0], samples
 
 
-def _fmt_chunk(cur: _Cursor) -> tuple[int, int, int, int, int]:
+def _fmt_chunk(fh) -> tuple[int, int, int, int, int]:
     """(rate, format tag, channels, block align, bits per sample) of the fmt
-    chunk after its id, with EXTENSIBLE resolved to its subformat; reads
+    chunk after its id, with EXTENSIBLE resolved to its subformat; moves
     to the end of the chunk and its pad byte."""
-    size = cur.unpack("<I")[0]
+    size = _unpack(fh, "<I")[0]
     if size < 16:
         raise ValueError("WAV fmt chunk shorter than 16 bytes")
-    tag, channels, rate, byte_rate, block_align, bits = cur.unpack("<HHIIHH")
+    tag, channels, rate, byte_rate, block_align, bits = _unpack(fh, "<HHIIHH")
     consumed = 16
     if tag == _EXTENSIBLE and size >= 18:
-        if cur.unpack("<H")[0] < 22:
+        if _unpack(fh, "<H")[0] < 22:
             raise ValueError("WAV extensible fmt chunk shorter than 40 bytes")
-        guid = cur.read(22)[6:22]
+        guid = fh.read(22)[6:22]
         consumed += 24
         if guid.endswith(_GUID_TAIL):
             tag = int.from_bytes(guid[:4], "little")
     if tag not in (_PCM, _IEEE_FLOAT):
         raise ValueError(f"unsupported WAV format tag {tag:#06x}: "
                          "only PCM and IEEE float are read")
-    cur.read(max(size - consumed, 0) + size % 2)
+    fh.seek(max(size - consumed, 0) + size % 2, 1)
     if tag == _PCM and byte_rate != rate * block_align:
         raise ValueError("WAV header is invalid: byte rate is not rate * block align")
     return rate, tag, channels, block_align, bits
 
 
-def _decode_samples(cur: _Cursor, size: int, tag: int, channels: int, block_align: int,
+def _decode_samples(fh, size: int, tag: int, channels: int, block_align: int,
                     bits: int) -> np.ndarray:
     """First channel of a data chunk of `size` bytes, as float64. As in
     scipy.io.wavfile.read the container width is block_align // channels
@@ -187,8 +175,12 @@ def _decode_samples(cur: _Cursor, size: int, tag: int, channels: int, block_alig
     width = block_align // channels
     if tag == _PCM and 1 <= bits <= 8:
         raise ValueError("unsupported WAV sample format: unsigned 8-bit PCM")
+    # fh.read(n) allocates n bytes first: read no more than the file holds
+    here = fh.tell()
+    left = max(fh.seek(0, 2) - here, 0)
+    fh.seek(here)
     if tag == _PCM and width == 3:
-        raw = cur.read(size)
+        raw = fh.read(min(size, left))
         if len(raw) % 3:
             raise ValueError("24-bit WAV data is not a whole number of samples")
         packed = np.zeros((len(raw) // 3, 4), dtype=np.uint8)
@@ -196,7 +188,7 @@ def _decode_samples(cur: _Cursor, size: int, tag: int, channels: int, block_alig
         data, full_scale = packed.view("<i4")[:, 0], 2147483648.0
     elif (tag == _PCM and width in (2, 4) and bits <= 64
           or tag == _IEEE_FLOAT and width in (4, 8) and bits in (32, 64)):
-        raw = cur.read(size // width * width)
+        raw = fh.read(min(size // width * width, left))
         kind = "i" if tag == _PCM else "f"
         data = np.frombuffer(raw, dtype=f"<{kind}{width}", count=len(raw) // width)
         full_scale = 2.0 ** (8 * width - 1) if tag == _PCM else 1.0

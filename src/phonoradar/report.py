@@ -4,7 +4,6 @@ displacement; descriptive statistics and paired t-tests over the cohort."""
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -108,16 +107,12 @@ def write_report_json(path: str | Path, report: dict) -> None:
 def write_report_csv(path: str | Path, report: dict) -> None:
     """Single CSV with a `table` column carrying both summary tables of a
     build_cohort_report record."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["table", "comparison", "mean", "n", "std", "sem",
-                         "t_stat", "p_value"])
-        for name, st in report["descriptive"].items():
-            writer.writerow(["descriptive", name, repr(st["mean"]), st["n"],
-                             repr(st["std"]), repr(st["sem"]), "", ""])
-        for name, tt in report["t_tests"].items():
-            writer.writerow(["paired_t_test", name, "", tt["n"], repr(tt["std"]), "",
-                             repr(tt["t_stat"]), repr(tt["p_value"])])
+    rows = [["table", "comparison", "mean", "n", "std", "sem", "t_stat", "p_value"]]
+    rows += [["descriptive", name, repr(st["mean"]), st["n"], repr(st["std"]),
+              repr(st["sem"]), "", ""] for name, st in report["descriptive"].items()]
+    rows += [["paired_t_test", name, "", tt["n"], repr(tt["std"]), "",
+              repr(tt["t_stat"]), repr(tt["p_value"])] for name, tt in report["t_tests"].items()]
+    _write_csv_lines(path, [",".join(map(str, row)) for row in rows])
 
 
 def write_window_csv(path: str | Path, series: dict, span: float = 0.3) -> None:
@@ -139,7 +134,12 @@ def write_window_csv(path: str | Path, series: dict, span: float = 0.3) -> None:
     for widx, t in zip(base.window_indices.tolist(), base.times_s.tolist()):
         lines.append(",".join([str(widx), repr(t),
                                *(cells[name].get(widx, ",") for name in COMPARISONS)]))
-    lines.append("")
-    # The csv module's dialect: CRLF line ends, and no cell needs quoting.
+    _write_csv_lines(path, lines)
+
+
+def _write_csv_lines(path: str | Path, lines: list[str]) -> None:
+    """Lines of comma-joined cells, each ended by CRLF as in the csv module's
+    dialect; no cell of a report needs quoting."""
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines))
+        fh.write("\r\n")

@@ -38,8 +38,7 @@ class NoVoicedFramesError(ValueError):
 
 @dataclass(frozen=True)
 class TransformConfig:
-    """Knobs for the model transform, one per transform flag, plus a known
-    tract that bypasses the LPC fit.
+    """Knobs for the model transform, one per transform flag.
 
     Frames are 25 ms windows with 50% overlap at the signal rate.
     integration 'spectral' uses the zero-phase band-limited antiderivative
@@ -53,7 +52,6 @@ class TransformConfig:
     max_lag_ms: float = 5.0
     tau_mode: str = "global"          # 'global' or 'per-frame'
     integration: str = "spectral"     # 'spectral' or 'leaky'
-    known_tract: VocalTractModel | None = None
 
     def __post_init__(self):
         if self.lpc_order < 0:
@@ -90,7 +88,6 @@ class TransformOutput:
     d_hat: SampledSignal
     per_frame: tuple
     global_tau_samples: int
-    config: TransformConfig
 
     def voiced_mask(self) -> np.ndarray:
         return np.array([r.voiced for r in self.per_frame], dtype=bool)
@@ -208,21 +205,20 @@ def _overlap_add(pieces: np.ndarray, starts: np.ndarray, length: int) -> np.ndar
 
 
 def transform_speech(s: SampledSignal, d: SampledSignal,
-                     cfg: TransformConfig | None = None) -> TransformOutput:
+                     cfg: TransformConfig = TransformConfig(),
+                     known_tract: VocalTractModel | None = None) -> TransformOutput:
     """Run the full speech-to-displacement model transform.
 
-    Per voiced frame: the all-pole envelope of lpc.fit_envelopes (or the
-    supplied known tract), inverse filtering with preceding-sample history
-    so the residual has no warm-up error, overlap-add of the residual, one
-    band-limited integration to the fold displacement estimate, per-frame
-    delay estimation against the radar displacement, and assembly of the
-    delayed, unit-RMS-normalized displacement estimate. The absolute flow
-    scale is unobservable, so the output is normalized rather than scaled by
-    1/K; per-window spectrum normalization makes the evaluation scale-free
-    anyway.
+    Per voiced frame: the all-pole envelope of lpc.fit_envelopes (or
+    known_tract, which bypasses the fit), inverse filtering with
+    preceding-sample history so the residual has no warm-up error,
+    overlap-add of the residual, one band-limited integration to the fold
+    displacement estimate, per-frame delay estimation against the radar
+    displacement, and assembly of the delayed, unit-RMS-normalized
+    displacement estimate. The absolute flow scale is unobservable, so the
+    output is normalized rather than scaled by 1/K; per-window spectrum
+    normalization makes the evaluation scale-free anyway.
     """
-    if cfg is None:
-        cfg = TransformConfig()
     s.require_same_rate(d)
     if len(s) != len(d):
         raise ValueError(f"length mismatch: speech {len(s)} vs displacement {len(d)}")
@@ -245,11 +241,10 @@ def transform_speech(s: SampledSignal, d: SampledSignal,
     frames = frame_view(x, n_win, hop)
     voiced, f0 = frame_voicing(frames, rate, cfg.voicing_threshold,
                                _energy_floor(x))
-    if cfg.known_tract is not None:
-        orders = np.full(n_frames, len(cfg.known_tract.coefficients))
-        taps = np.tile(np.concatenate(([1.0], cfg.known_tract.coefficients)),
-                       (n_frames, 1))
-        gains = np.full(n_frames, cfg.known_tract.gain)
+    if known_tract is not None:
+        orders = np.full(n_frames, len(known_tract.coefficients))
+        taps = np.tile(np.concatenate(([1.0], known_tract.coefficients)), (n_frames, 1))
+        gains = np.full(n_frames, known_tract.gain)
     else:
         history = np.concatenate(([0.0], x))[starts]   # x[start - 1], 0 at the head
         orders, taps, gains, silent = fit_envelopes(frames, history, voiced, f0, rate,
@@ -321,5 +316,4 @@ def transform_speech(s: SampledSignal, d: SampledSignal,
         d_hat=SampledSignal(d_hat, rate),
         per_frame=tuple(per_frame),
         global_tau_samples=global_tau,
-        config=cfg,
     )

@@ -29,7 +29,7 @@ from phonoradar.metrics import PowerSpectrum, log_spectral_distance, lsd_over_wi
 from phonoradar.report import build_cohort_report, evaluate_signals
 from phonoradar.signals import FramePlan, SampledSignal
 from phonoradar.stats import descriptive_stats, paired_t_test, student_t_two_sided_p
-from phonoradar.transform import TransformConfig, transform_speech
+from phonoradar.transform import transform_speech
 from radar_oracle import range_fft, simulate_beat_signal
 
 COHORT_SEED = 42
@@ -148,8 +148,7 @@ class TestCriterion2ExactnessCase:
                                   lead_in_s=0.05)
         d_meas = pr.measure_displacement(pr.TargetScene(displacement=subject.d),
                                          pr.ChirpConfig())
-        out = transform_speech(subject.s, d_meas,
-                               TransformConfig(known_tract=subject.tract))
+        out = transform_speech(subject.s, d_meas, known_tract=subject.tract)
         mask = out.voiced_mask()
         plan = FramePlan.for_rate(RATE)
         # per-voiced-frame correlation over steady-state frames: a frame within
@@ -244,8 +243,7 @@ class TestCriterion5DelayEstimation:
         exact = 0
         for row in cohort["rows"]:
             subject = row["subject"]
-            out = transform_speech(subject.s, row["d_meas"],
-                                   TransformConfig(known_tract=subject.tract))
+            out = transform_speech(subject.s, row["d_meas"], known_tract=subject.tract)
             exact += out.global_tau_samples == row["params"]["tau_samples"]
         ok = exact >= math.ceil(0.95 * COHORT_SIZE)
         _report("5 (exact recovery)", ok,

@@ -12,7 +12,7 @@ import pytest
 from scipy.io import wavfile
 
 import phonoradar
-from phonoradar.cli import RADAR_NOISE_KEY, main, radar_noise_seed
+from phonoradar.cli import RADAR_NOISE_KEY, _build_parser, main, radar_noise_seed
 from phonoradar.io import read_csv_signal, read_wav, write_csv_signal, write_wav
 from phonoradar.radar import ChirpConfig, TargetScene, measure_displacement
 from phonoradar.signals import SampledSignal
@@ -171,7 +171,7 @@ class TestTransform:
         meta = {"global_tau_samples": out.global_tau_samples,
                 "n_frames": len(out.per_frame),
                 "n_voiced": sum(r.voiced for r in out.per_frame),
-                "config": asdict(out.config),
+                "config": asdict(TransformConfig()),
                 "per_frame": [asdict(r) for r in out.per_frame]}
         # json.loads reads NaN as a fresh float, which is not equal to
         # itself; dumping both parses again compares them value for value.
@@ -187,7 +187,14 @@ class TestTransform:
         assert run(["transform", "--subject", str(subj)]) == 0
         config = json.loads((subj / "transform.json").read_text())["config"]
         assert config.keys() == {f.name for f in fields(TransformConfig)}
-        assert config["known_tract"] is None
+
+    def test_transform_config_fields_are_the_transform_flags(self):
+        # cmd_transform builds the config from every flag but the inputs,
+        # the outputs and the run options
+        parser = _build_parser().subcommand_parsers["transform"]
+        flags = {action.dest for action in parser._actions} - {
+            "help", "config", "jobs", "subject", "cohort", "speech", "displacement", "out"}
+        assert {f.name for f in fields(TransformConfig)} == flags
 
     def test_config_echo_replays_byte_identically(self, tmp_path):
         subj = tmp_path / "s"
@@ -198,13 +205,12 @@ class TestTransform:
                     "--max-lag-ms", "4", "--tau-mode", "per-frame",
                     "--integration", "leaky"]) == 0
         config = json.loads((subj / "transform.json").read_text())["config"]
-        del config["known_tract"]
         (tmp_path / "replay.json").write_text(json.dumps(config))
         out = tmp_path / "replay"
         assert run(["transform", "--speech", str(subj / "speech.wav"),
                     "--displacement", str(subj / "neck_radar.csv"), "--out", str(out),
                     "--config", str(tmp_path / "replay.json")]) == 0
-        for name in ("e_hat.csv", "d_hat.csv"):
+        for name in ("e_hat.csv", "x_hat.csv", "d_hat.csv", "transform.json"):
             assert (out / name).read_bytes() == (subj / name).read_bytes()
 
     def test_explicit_files_and_tau_mode(self, tmp_path):
@@ -794,6 +800,44 @@ def test_target_below_the_noise_floor_names_the_subject(pair_cohort, capsys, job
     for line, subject in zip(lines, ("subject_000", "subject_001")):
         assert line.startswith(f"error: {pair_cohort / subject}: bin ")
         assert line.endswith("is below the noise floor")
+
+
+@JOBS
+def test_radar_noise_stream_follows_the_subject_name(tmp_path, jobs):
+    # subject_001 unlisted (no subject.json) moves no other subject's noise,
+    # and a lone subject_002 draws the stream of its cohort run
+    clean, gap = tmp_path / "clean", tmp_path / "gap"
+    for cohort in (clean, gap):
+        assert run(["synth", "--out", str(cohort), "--cohort", "3", "--seed", "1",
+                    "--duration", "0.3"]) == 0
+    (gap / "subject_001" / "subject.json").unlink()
+    noisy = ["--snr", "20", "--seed", "5"]
+    for cohort in (clean, gap):
+        assert run(["radar", "--cohort", str(cohort), *noisy, "--jobs", jobs]) == 0
+    assert not (gap / "subject_001" / "neck_radar.csv").exists()
+    for subject in ("subject_000", "subject_002"):
+        for name in ("neck_radar.csv", "radar.json"):
+            assert (gap / subject / name).read_bytes() == (clean / subject / name).read_bytes()
+    lone = gap / "subject_002"
+    assert run(["radar", "--subject", str(lone), *noisy]) == 0
+    for name in ("neck_radar.csv", "radar.json"):
+        assert (lone / name).read_bytes() == (clean / "subject_002" / name).read_bytes()
+
+
+def test_noisy_cohort_radar_refuses_a_subject_synth_did_not_name(pair_cohort, capsys):
+    extra = pair_cohort / "extra"
+    (pair_cohort / "subject_001").rename(extra)
+    [line] = error_lines(capsys, ["radar", "--cohort", str(pair_cohort), "--snr", "20"], 0)
+    assert line.startswith(f"error: {extra}: ")
+    assert json.loads((extra / "radar.json").read_text()).keys() == {"error"}
+    assert run(["radar", "--cohort", str(pair_cohort)]) == 0   # noiseless: no stream drawn
+    # alone, a subject of any name draws stream 0
+    assert run(["radar", "--subject", str(extra), "--snr", "20"]) == 0
+    d_true = read_csv_signal(extra / "neck_true.csv")
+    want = measure_displacement(TargetScene(displacement=d_true, noise_snr_db=20.0),
+                                ChirpConfig(prf_hz=d_true.rate_hz),
+                                np.random.default_rng(radar_noise_seed(0, 0)))
+    assert np.array_equal(read_csv_signal(extra / "neck_radar.csv").samples, want.samples)
 
 
 @JOBS

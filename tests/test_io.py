@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,18 @@ def test_wav_pcm16_roundtrip(tmp_path, tone):
     wavfile.write(path, 2000, np.round(tone.samples * 32767.0).astype(np.int16))
     back = read_wav(path)
     assert np.allclose(back.samples, tone.samples, atol=1.0 / 32767)
+
+
+@pytest.mark.parametrize("data_size", [2**64 - 1, 2**40])
+def test_wav_data_size_past_the_end_reads_the_samples_held(tmp_path, data_size):
+    # an RF64 data size far past the end of the file, where scipy's reader
+    # allocates the size it is told; the read takes what the file holds
+    fmt = struct.pack("<IHHIIHH", 16, 1, 1, 8000, 16000, 2, 16)
+    path = tmp_path / "s.wav"
+    path.write_bytes(b"RF64" + b"\xff" * 4 + b"WAVEds64"
+                     + struct.pack("<IQQ", 16, 2**64 - 9, data_size) + b"fmt " + fmt
+                     + b"data" + b"\xff" * 4 + np.arange(1, 6, dtype="<i2").tobytes())
+    assert np.array_equal(read_wav(path).samples, np.arange(1, 6) / 32768.0)
 
 
 def test_csv_roundtrip(tmp_path, tone):

@@ -102,14 +102,12 @@ class TestTransform:
     def test_delay_recovered(self):
         for tau in (0, 1, 2, 4):
             subj = make_test_subject(seed=5, tau_samples=tau)
-            out = transform_speech(subj.s, subj.d,
-                                   TransformConfig(known_tract=subj.tract))
+            out = transform_speech(subj.s, subj.d, known_tract=subj.tract)
             assert out.global_tau_samples == tau
 
     def test_bypass_reconstruction_tracks_truth(self, subject):
         d_ref = SampledSignal(subject.d.samples - subject.d.samples.mean(), 2000.0)
-        out = transform_speech(subject.s, d_ref,
-                               TransformConfig(known_tract=subject.tract))
+        out = transform_speech(subject.s, d_ref, known_tract=subject.tract)
         interior = slice(300, len(subject.s) - 300)
         corr = np.corrcoef(out.d_hat.samples[interior], d_ref.samples[interior])[0, 1]
         assert corr > 0.99
