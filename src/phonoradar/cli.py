@@ -25,8 +25,8 @@ import numpy as np
 
 from . import io as pio
 from .radar import ChirpConfig, TargetScene, measure_displacement
-from .report import (SubjectEvaluation, build_cohort_report, evaluate_signals,
-                     write_report_csv, write_report_json, write_window_csv)
+from .report import (build_cohort_report, evaluate_signals, write_report_csv,
+                     write_report_json, write_window_csv)
 from .signals import FramePlan, resample_decimate
 from .synth import (F0_MAX_HZ, F0_MIN_HZ, GlottalConfig, NeckChannel, SUBJECT_FILES,
                     SUBJECT_MANIFEST, make_subject, random_vocal_tract, save_subject)
@@ -371,10 +371,10 @@ def _transform_voicing(path: Path, n_frames: int) -> np.ndarray:
     return voiced
 
 
-def _evaluate_one(windows: Path, span: float, directory: Path) -> SubjectEvaluation:
-    """Worker: the LSD evaluation of one transformed subject over the frames
-    its transform voiced; writes the subject's per-window CSV, loess-smoothed
-    over span, into the windows directory."""
+def _evaluate_one(windows: Path, span: float, directory: Path) -> dict:
+    """Worker: the report.json row of one transformed subject, its LSDs over
+    the frames its transform voiced; writes the subject's per-window CSV,
+    loess-smoothed over span, into the windows directory."""
     window_path = windows / f"{directory.name}.csv"
     window_path.unlink(missing_ok=True)   # none kept from a past run
     s_path, d_path = directory / SUBJECT_FILES["speech"], _displacement_path(directory)
@@ -391,9 +391,9 @@ def _evaluate_one(windows: Path, span: float, directory: Path) -> SubjectEvaluat
     voiced = _transform_voicing(directory / TRANSFORM_META,
                                 FramePlan.for_rate(s.rate_hz).n_frames(len(s)))
     with pio.naming(directory):
-        evaluation, series = evaluate_signals(directory.name, s, e_hat, d_hat, d, voiced)
+        row, series = evaluate_signals(directory.name, s, e_hat, d_hat, d, voiced)
     write_window_csv(window_path, series, span=span)
-    return evaluation
+    return row
 
 
 def cmd_evaluate(args) -> int:
@@ -401,18 +401,17 @@ def cmd_evaluate(args) -> int:
     dirs = _subject_dirs(cohort)
     out_dir = Path(args.out) if args.out else cohort / "report"
     (out_dir / "windows").mkdir(parents=True, exist_ok=True)
-    evaluations = dict(_run_subjects(functools.partial(_evaluate_one, out_dir / "windows",
-                                                       args.loess_span), dirs, args.jobs))
-    if not evaluations:
+    rows = dict(_run_subjects(functools.partial(_evaluate_one, out_dir / "windows",
+                                                args.loess_span), dirs, args.jobs))
+    if not rows:
         return 2
-    report = build_cohort_report(list(evaluations.values()),
-                                 [d.name for d in dirs if d not in evaluations])
+    report = build_cohort_report(list(rows.values()), [d.name for d in dirs if d not in rows])
     write_report_json(out_dir / "report.json", report)
     write_report_csv(out_dir / "report.csv", report)
-    print(f"evaluated {len(evaluations)} subjects -> {out_dir}")
+    print(f"evaluated {len(rows)} subjects -> {out_dir}")
     for name, tt in report["t_tests"].items():
         print(f"  {name}: t={tt['t_stat']:.3f} n={tt['n']} p={tt['p_value']:.3g}")
-    if len(evaluations) < 2:
+    if len(rows) < 2:
         print("  t-tests skipped: need at least 2 subjects")
     return 0
 

@@ -198,7 +198,8 @@ def _decode_samples(fh, size: int, tag: int, channels: int, block_align: int,
                          f"in {width}-byte containers")
     if len(data) % channels:
         raise ValueError("WAV data is not a whole number of frames")
-    return data[::channels].astype(np.float64) / full_scale
+    with np.errstate(invalid="ignore"):   # a signalling NaN: SampledSignal refuses it
+        return data[::channels].astype(np.float64) / full_scale
 
 
 def write_csv_signal(path: str | Path, sig: SampledSignal) -> None:

@@ -133,35 +133,41 @@ class LsdSeries:
         return float(np.mean(self.values))
 
 
-def lsd_over_windows(a: SampledSignal, b: SampledSignal, plan: FramePlan,
-                     voiced_mask=None) -> LsdSeries:
-    """Log-spectral distance per voiced window between two aligned signals.
+def lsd_over_windows(reference: SampledSignal, candidates: dict[str, SampledSignal],
+                     plan: FramePlan, voiced_mask=None) -> dict[str, LsdSeries]:
+    """Log-spectral distance per voiced window of each candidate signal
+    against the reference, keyed as the candidates are. Every series covers
+    one window set: the windows flagged voiced and silent in no signal.
 
     Frames are sliced untapered; the spectral estimator applies its own hann
-    taper. Windows flagged unvoiced (or silent in either signal) are
-    omitted.
+    taper. The reference is framed and its spectra computed once; one
+    candidate's spectra are held at a time.
     """
-    a.require_same_rate(b)
-    if len(a) != len(b):
-        raise ValueError("signals must have equal length")
-    fa = frame_signal(a, plan)
-    fb = frame_signal(b, plan)
-    n = len(fa)
+    fr = frame_signal(reference, plan)
+    n = len(fr)
     if voiced_mask is None:
         voiced_mask = np.ones(n, dtype=bool)
     voiced_mask = np.asarray(voiced_mask, dtype=bool)
     if len(voiced_mask) != n:
         raise ValueError(f"voiced mask has {len(voiced_mask)} entries for {n} windows")
     rows = np.flatnonzero(voiced_mask)
-    pa, silent_a = normalized_power_spectra(fa[rows])
-    pb, silent_b = normalized_power_spectra(fb[rows])
-    keep = ~(silent_a | silent_b)
+    p_ref, silent = normalized_power_spectra(fr[rows])
+    distances = {}
+    for name, signal in candidates.items():
+        reference.require_same_rate(signal)
+        if len(signal) != len(reference):
+            raise ValueError("signals must have equal length")
+        p, silent_here = normalized_power_spectra(frame_signal(signal, plan)[rows])
+        silent |= silent_here
+        distances[name] = log_spectral_distances(p, p_ref)   # silent rows dropped below
+        del p   # before the next candidate's spectra are computed
+    keep = ~silent
     if not keep.any():
         raise ValueError("no voiced windows to compare")
     rows = rows[keep]
-    return LsdSeries(values=log_spectral_distances(pa[keep], pb[keep]),
-                     times_s=rows * plan.hop / a.rate_hz,
-                     window_indices=rows)
+    times_s = rows * plan.hop / reference.rate_hz
+    return {name: LsdSeries(values=lsd[keep], times_s=times_s, window_indices=rows)
+            for name, lsd in distances.items()}
 
 
 def _tricube(u: np.ndarray) -> np.ndarray:

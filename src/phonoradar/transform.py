@@ -94,7 +94,7 @@ class TransformOutput:
 
 
 def frame_voicing(frames: np.ndarray, rate_hz: float, threshold: float,
-                  energy_floor_rms: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+                  energy_floor_rms: float = ENERGY_FLOOR_RMS) -> tuple[np.ndarray, np.ndarray]:
     """Voicing decision and pitch of every row of a (frames, n) stack.
 
     A frame is voiced iff its RMS clears the energy floor and its normalized

@@ -92,9 +92,9 @@ class TestCriterion1SyntheticCohortOrdering:
 
     def test_paired_t_tests_reject_with_negative_t(self, cohort):
         evs = [row["evaluation"] for row in cohort["rows"]]
-        raw = np.array([ev.lsd_raw_speech for ev in evs])
-        exc = np.array([ev.lsd_estimated_excitation for ev in evs])
-        mod = np.array([ev.lsd_model_filtered for ev in evs])
+        raw = np.array([ev["lsd_raw_speech"] for ev in evs])
+        exc = np.array([ev["lsd_estimated_excitation"] for ev in evs])
+        mod = np.array([ev["lsd_model_filtered"] for ev in evs])
         t_raw = paired_t_test(mod, raw)
         t_exc = paired_t_test(mod, exc)
         ok = (t_raw.t_stat < 0 and t_raw.p_value < 1e-3
@@ -115,8 +115,8 @@ class TestCriterion1SyntheticCohortOrdering:
     def test_ordering_holds_for_60_of_66(self, cohort):
         evs = [row["evaluation"] for row in cohort["rows"]]
         wins = sum(1 for ev in evs
-                   if ev.lsd_model_filtered < ev.lsd_raw_speech
-                   and ev.lsd_model_filtered < ev.lsd_estimated_excitation)
+                   if ev["lsd_model_filtered"] < ev["lsd_raw_speech"]
+                   and ev["lsd_model_filtered"] < ev["lsd_estimated_excitation"])
         ok = wins >= 60
         _report("1 (ordering)", ok,
                 f"model-filtered LSD smallest for {wins}/{COHORT_SIZE} subjects "
@@ -128,10 +128,10 @@ class TestCriterion1SyntheticCohortOrdering:
         # Hz band of the sustained-phonation protocol the ordering is robust.
         rows = [row for row in cohort["rows"] if row["params"]["f0_hz"] <= 300.0]
         wins = sum(1 for row in rows
-                   if row["evaluation"].lsd_model_filtered
-                   < row["evaluation"].lsd_raw_speech
-                   and row["evaluation"].lsd_model_filtered
-                   < row["evaluation"].lsd_estimated_excitation)
+                   if row["evaluation"]["lsd_model_filtered"]
+                   < row["evaluation"]["lsd_raw_speech"]
+                   and row["evaluation"]["lsd_model_filtered"]
+                   < row["evaluation"]["lsd_estimated_excitation"])
         ok = wins >= math.ceil(0.91 * len(rows))
         _report("1 (supplementary, f0 <= 300 Hz)", ok,
                 f"ordering holds for {wins}/{len(rows)} subjects in the "
@@ -166,7 +166,7 @@ class TestCriterion2ExactnessCase:
             if b.std() > 1e-3 * d_std:
                 cors.append(float(np.corrcoef(a, b)[0, 1]))
         min_corr = min(cors)
-        series = lsd_over_windows(out.d_hat, d_meas, plan, mask)
+        series = lsd_over_windows(d_meas, {"d_hat": out.d_hat}, plan, mask)["d_hat"]
         ok = min_corr > 0.99 and series.mean < 0.5
         _report("2", ok,
                 f"known-tract bypass: min per-frame corr {min_corr:.4f} (> 0.99), "
@@ -302,13 +302,13 @@ class TestCriterion6MetricAxioms:
                           + 0.2 * np.sin(2 * np.pi * 420 * t), RATE)
         b = SampledSignal(a.samples + 0.05 * rng.standard_normal(2000), RATE)
         plan = FramePlan.for_rate(RATE)
-        base = lsd_over_windows(a, b, plan)
+        base = lsd_over_windows(b, {"a": a}, plan)["a"]
         worst = 0.0
         n_scalings = 150   # x 79 windows each: > 1e4 scaled-window cases
         for _ in range(n_scalings):
             alpha, beta = rng.uniform(1e-3, 1e3, 2)
-            scaled = lsd_over_windows(SampledSignal(alpha * a.samples, RATE),
-                                      SampledSignal(beta * b.samples, RATE), plan)
+            scaled = lsd_over_windows(SampledSignal(beta * b.samples, RATE),
+                                      {"a": SampledSignal(alpha * a.samples, RATE)}, plan)["a"]
             worst = max(worst, float(np.max(np.abs(scaled.values - base.values))))
         ok = worst < 1e-9
         _report("6 (scale invariance)", ok,

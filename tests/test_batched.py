@@ -81,19 +81,23 @@ def ref_spectrum(frame):
     return b / b.sum()
 
 
-def ref_lsd_over_windows(a, b, plan, mask):
-    values, indices = [], []
-    for i in range(plan.n_frames(len(a))):
+def ref_lsd_over_windows(reference, candidates, plan, mask):
+    """Per-candidate LSD values and the shared window indices: the voiced
+    windows silent in no signal."""
+    values, indices = {name: [] for name in candidates}, []
+    for i in range(plan.n_frames(len(reference))):
         if not mask[i]:
             continue
         start = i * plan.hop
-        pa = ref_spectrum(a[start:start + plan.window_len])
-        pb = ref_spectrum(b[start:start + plan.window_len])
-        if pa is None or pb is None:
+        spectra = {name: ref_spectrum(x[start:start + plan.window_len])
+                   for name, x in [("", reference), *candidates.items()]}
+        if any(p is None for p in spectra.values()):
             continue
-        values.append(float(np.sqrt(np.mean((10.0 * np.log10(pa / pb)) ** 2))))
+        for name in candidates:
+            ratio = spectra[name] / spectra[""]
+            values[name].append(float(np.sqrt(np.mean((10.0 * np.log10(ratio)) ** 2))))
         indices.append(i)
-    return np.array(values), np.array(indices)
+    return {name: np.array(v) for name, v in values.items()}, np.array(indices)
 
 
 def ref_loess(x, y, span):
@@ -253,14 +257,19 @@ def test_lsd_over_windows_matches_per_window(rng):
     t = np.arange(2000) / RATE
     a = np.sin(2 * np.pi * 170 * t) + 0.2 * rng.standard_normal(2000)
     b = np.sin(2 * np.pi * 170 * t + 0.3) + 0.5 * rng.standard_normal(2000)
-    b[400:700] = 0.0   # silent stretch in one signal only
+    c = np.sin(2 * np.pi * 340 * t) + 0.3 * rng.standard_normal(2000)
+    b[400:700] = 0.0   # silent stretch in the reference only
+    c[1200:1400] = 0.0   # and in one candidate only
     plan = FramePlan.for_rate(RATE)
     mask = rng.random(plan.n_frames(2000)) < 0.8
-    series = lsd_over_windows(SampledSignal(a, RATE), SampledSignal(b, RATE), plan, mask)
-    values, indices = ref_lsd_over_windows(a, b, plan, mask)
-    assert np.array_equal(series.window_indices, indices)
-    assert np.allclose(series.values, values, rtol=1e-12, atol=1e-12)
-    assert np.array_equal(series.times_s, indices * plan.hop / RATE)
+    series = lsd_over_windows(SampledSignal(b, RATE), {"a": SampledSignal(a, RATE),
+                                                       "c": SampledSignal(c, RATE)}, plan, mask)
+    values, indices = ref_lsd_over_windows(b, {"a": a, "c": c}, plan, mask)
+    assert list(series) == ["a", "c"]
+    for name, ser in series.items():
+        assert np.array_equal(ser.window_indices, indices)
+        assert np.allclose(ser.values, values[name], rtol=1e-12, atol=1e-12)
+        assert np.array_equal(ser.times_s, indices * plan.hop / RATE)
 
 
 def constant_row():

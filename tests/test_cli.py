@@ -724,6 +724,27 @@ def test_bad_trace_value_is_data_error_naming_the_file(tmp_path, capsys, name, s
     assert str(trace) in err
 
 
+def test_signalling_nan_in_speech_is_one_error_line(tmp_path):
+    # A float32 signalling NaN made numpy warn on the cast to float64, a
+    # two-line RuntimeWarning before the error line. pytest captures warnings
+    # raised in process, so the stage runs as a process of its own.
+    subject = tmp_path / "s"
+    assert run(["synth", "--out", str(subject), "--duration", "0.5", "--seed", "2"]) == 0
+    assert run(["radar", "--subject", str(subject)]) == 0
+    speech = subject / "speech.wav"
+    raw = bytearray(speech.read_bytes())
+    at = raw.index(b"data") + 8 + 4 * 300   # float32 sample 300
+    raw[at:at + 4] = (0x7FA00000).to_bytes(4, "little")
+    speech.write_bytes(raw)
+    src = str(Path(phonoradar.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "phonoradar.cli", "transform", "--subject",
+                           str(subject)], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(speech) in lines[0], lines
+
+
 def test_truncated_speech_is_a_length_mismatch(tmp_path, capsys):
     # a speech.wav cut to 300 bytes still reads as 60 whole float32 samples;
     # paired with the full radar trace, that is a data error naming both

@@ -114,38 +114,47 @@ class TestLsdOverWindows:
         self.a = SampledSignal(np.sin(2 * np.pi * 150 * t) +
                                0.3 * np.sin(2 * np.pi * 450 * t), 2000.0)
 
+    def pair(self, a, b, mask=None):
+        """The series of candidate a against reference b."""
+        return lsd_over_windows(b, {"a": a}, self.plan, mask)["a"]
+
     def test_identical_signals(self):
-        series = lsd_over_windows(self.a, self.a, self.plan)
+        series = self.pair(self.a, self.a)
         assert np.all(series.values == 0.0)
         assert series.mean == 0.0
 
     def test_scale_invariance(self):
         b = SampledSignal(3.0 * self.a.samples, 2000.0)
-        series = lsd_over_windows(self.a, b, self.plan)
+        series = self.pair(self.a, b)
         assert np.allclose(series.values, 0.0, atol=1e-9)
 
     def test_independent_scalings(self, rng):
         b = SampledSignal(self.a.samples + 0.1 * rng.standard_normal(1000), 2000.0)
-        base = lsd_over_windows(self.a, b, self.plan)
-        scaled = lsd_over_windows(
-            SampledSignal(2.7 * self.a.samples, 2000.0),
-            SampledSignal(0.4 * b.samples, 2000.0), self.plan)
+        base = self.pair(self.a, b)
+        scaled = self.pair(SampledSignal(2.7 * self.a.samples, 2000.0),
+                           SampledSignal(0.4 * b.samples, 2000.0))
         assert np.allclose(base.values, scaled.values, atol=1e-9)
 
     def test_voiced_mask_respected(self):
         mask = np.zeros(39, dtype=bool)
         mask[5:12] = True
-        series = lsd_over_windows(self.a, self.a, self.plan, mask)
+        series = self.pair(self.a, self.a, mask)
         assert len(series) == 7
         assert np.array_equal(series.window_indices, np.arange(5, 12))
 
     def test_mask_length_checked(self):
         with pytest.raises(ValueError):
-            lsd_over_windows(self.a, self.a, self.plan, np.ones(5, bool))
+            self.pair(self.a, self.a, np.ones(5, bool))
 
     def test_no_voiced_windows(self):
         with pytest.raises(ValueError):
-            lsd_over_windows(self.a, self.a, self.plan, np.zeros(39, bool))
+            self.pair(self.a, self.a, np.zeros(39, bool))
+
+    def test_candidate_length_and_rate_checked(self):
+        with pytest.raises(ValueError, match="equal length"):
+            self.pair(SampledSignal(self.a.samples[:900], 2000.0), self.a)
+        with pytest.raises(ValueError):
+            self.pair(SampledSignal(self.a.samples, 4000.0), self.a)
 
 
 class TestLoess:

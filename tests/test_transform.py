@@ -118,9 +118,8 @@ class TestTransform:
         out = transform_speech(subject.s, d_ref)
         plan = FramePlan.for_rate(2000.0)
         mask = out.voiced_mask()
-        lsd_model = lsd_over_windows(out.d_hat, d_ref, plan, mask).mean
-        lsd_raw = lsd_over_windows(subject.s, d_ref, plan, mask).mean
-        assert lsd_model < lsd_raw
+        series = lsd_over_windows(d_ref, {"model": out.d_hat, "raw": subject.s}, plan, mask)
+        assert series["model"].mean < series["raw"].mean
 
     def test_all_silence_errors(self):
         silent = SampledSignal(np.zeros(2000), 2000.0)
