@@ -188,18 +188,23 @@ def _draw_cohort_params(args, index: int, seed: int) -> tuple:
             int(rng.integers(2**31 - 1)), int(rng.integers(2**31 - 1)))
 
 
+def _clear_subject(directory: Path) -> None:
+    """Remove every subject, radar and transform file an earlier run left,
+    subject.json first, so that a subject whose removal or rewrite fails is
+    unlisted. A directory in a file's place is left for a write to name."""
+    for name in (SUBJECT_MANIFEST, *SUBJECT_FILES.values(), RADAR_FILE, RADAR_META,
+                 *TRANSFORM_FILES.values(), TRANSFORM_META):
+        with contextlib.suppress(FileNotFoundError, IsADirectoryError):
+            (directory / name).unlink()
+
+
 def _synth_one(glottal: GlottalConfig, duration_s: float, rate_hz: float,
                noise_snr_db: float | None, lead_in_s: float, task: tuple) -> None:
     """Worker: build and save one subject in place of every file an earlier
     run left. task is (directory, f0 in Hz, open quotient, neck channel,
     tract seed, subject seed)."""
     directory, f0_hz, open_quotient, neck, tract_seed, seed = task
-    # subject.json first: a subject whose rewrite fails is no longer listed.
-    # A directory in a file's place is left for the write to name.
-    for name in (SUBJECT_MANIFEST, *SUBJECT_FILES.values(), RADAR_FILE, RADAR_META,
-                 *TRANSFORM_FILES.values(), TRANSFORM_META):
-        with contextlib.suppress(FileNotFoundError, IsADirectoryError):
-            (directory / name).unlink()
+    _clear_subject(directory)
     subject = make_subject(replace(glottal, f0_hz=f0_hz, open_quotient=open_quotient), neck,
                            random_vocal_tract(np.random.default_rng(tract_seed), rate_hz),
                            duration_s, rate_hz, noise_snr_db=noise_snr_db, seed=seed,
@@ -222,6 +227,11 @@ def cmd_synth(args) -> int:
         tasks = [(out / f"subject_{i:03d}", *_draw_cohort_params(args, i, args.seed))
                  for i in range(args.cohort)]
     out.mkdir(parents=True, exist_ok=True)
+    if args.cohort:   # a smaller rerun lists none of the earlier run's extra subjects
+        for directory in sorted(out.glob("subject_*")):
+            index = _cohort_index(directory)
+            if index is not None and index >= args.cohort and directory.is_dir():
+                _clear_subject(directory)
     written = len(_run_subjects(functools.partial(_synth_one, glottal, args.duration, args.rate,
                                                   args.noise_snr, args.lead_in), tasks, args.jobs))
     if written:
@@ -323,14 +333,13 @@ def _transform_one(cfg: TransformConfig, task: tuple) -> str:
     out_dir.mkdir(parents=True, exist_ok=True)
     for key, name in TRANSFORM_FILES.items():
         pio.write_csv_signal(out_dir / name, getattr(out, key))
-    voiced = sum(r.voiced for r in out.per_frame)
+    voiced = sum(r["voiced"] for r in out.per_frame)
     meta = {
         "global_tau_samples": out.global_tau_samples,
         "n_frames": len(out.per_frame),
         "n_voiced": voiced,
         "config": asdict(cfg),
-        # the records' own field dicts: asdict deep-copies each of them
-        "per_frame": [vars(r) for r in out.per_frame],
+        "per_frame": out.per_frame,
     }
     # One compact dumps call: json.dump, and any indent, run the pure-Python
     # encoder, several times slower on the per-frame records.
@@ -348,6 +357,8 @@ def cmd_transform(args) -> int:
         if not args.displacement or not args.out:
             raise UsageError("explicit mode needs --speech, --displacement, and --out")
         tasks = [(args.speech, args.displacement, args.out)]
+    elif args.displacement is not None or args.out is not None:
+        raise UsageError("--displacement and --out are for explicit mode, with --speech")
     else:
         dirs = [Path(args.subject)] if args.subject else _subject_dirs(Path(args.cohort))
         tasks = [(d / SUBJECT_FILES["speech"], _displacement_path(d), d) for d in dirs]

@@ -17,7 +17,6 @@ from .synth import F0_MAX_HZ, F0_MIN_HZ, VocalTractModel
 
 __all__ = [
     "TransformConfig",
-    "FrameRecord",
     "TransformOutput",
     "NoVoicedFramesError",
     "frame_voicing",
@@ -72,25 +71,21 @@ class TransformConfig:
 
 
 @dataclass(frozen=True)
-class FrameRecord:
-    index: int
-    voiced: bool
-    f0_hz: float | None = None
-    tau_d_samples: int | None = None
-    correlation_peak: float | None = None
-    lpc_gain: float | None = None
-
-
-@dataclass(frozen=True)
 class TransformOutput:
+    """The three estimates, and per_frame: transform.json's records, one dict
+    per analysis frame with keys index, voiced, f0_hz, tau_d_samples,
+    correlation_peak and lpc_gain. An unvoiced frame has None in the last
+    four, a voiced frame whose delay is undefined (frame_delays) in
+    tau_d_samples and correlation_peak."""
+
     e_hat: SampledSignal
     x_hat: SampledSignal
     d_hat: SampledSignal
-    per_frame: tuple
+    per_frame: list
     global_tau_samples: int
 
     def voiced_mask(self) -> np.ndarray:
-        return np.array([r.voiced for r in self.per_frame], dtype=bool)
+        return np.array([r["voiced"] for r in self.per_frame], dtype=bool)
 
 
 def frame_voicing(frames: np.ndarray, rate_hz: float, threshold: float,
@@ -197,13 +192,6 @@ def integrate_excitation(e_hat: SampledSignal, pole: float) -> SampledSignal:
     return e_hat.with_samples(y)
 
 
-def _overlap_add(pieces: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
-    """Sum each row of pieces into a signal of the given length at its start
-    sample; overlapping rows add in row order."""
-    idx = starts[:, None] + np.arange(pieces.shape[1])
-    return np.bincount(idx.ravel(), weights=pieces.ravel(), minlength=length)
-
-
 def transform_speech(s: SampledSignal, d: SampledSignal,
                      cfg: TransformConfig = TransformConfig(),
                      known_tract: VocalTractModel | None = None) -> TransformOutput:
@@ -244,7 +232,7 @@ def transform_speech(s: SampledSignal, d: SampledSignal,
     if known_tract is not None:
         orders = np.full(n_frames, len(known_tract.coefficients))
         taps = np.tile(np.concatenate(([1.0], known_tract.coefficients)), (n_frames, 1))
-        gains = np.full(n_frames, known_tract.gain)
+        gains = np.full(n_frames, known_tract.gain, dtype=float)
     else:
         history = np.concatenate(([0.0], x))[starts]   # x[start - 1], 0 at the head
         orders, taps, gains, silent = fit_envelopes(frames, history, voiced, f0, rate,
@@ -263,22 +251,26 @@ def transform_speech(s: SampledSignal, d: SampledSignal,
     residual = np.zeros((len(rows), n_win))
     for j in range(width + 1):
         residual += taps[rows, j:j + 1] * padded[:, width - j:width - j + n_win]
-    residual[starts[rows, None] + np.arange(n_win) < orders[rows, None]] = 0.0
-    window = hann_window(n_win)
-    e_hat = _overlap_add(residual * window, starts[rows], len(s))
-    weight = _overlap_add(np.broadcast_to(window, residual.shape), starts[rows], len(s))
-
+    position = starts[rows, None] + np.arange(n_win)   # signal index of each residual sample
+    residual[position < orders[rows, None]] = 0.0
+    at, window = position.ravel(), hann_window(n_win)
+    weight = np.bincount(at, weights=np.tile(window, len(rows)), minlength=len(s))
     active = weight > 1e-8
-    e_hat[active] /= weight[active]
-    e_hat[~active] = 0.0
 
+    def overlap_add(pieces: np.ndarray) -> np.ndarray:
+        """The voiced frames' windowed pieces summed at their samples, rows
+        adding in order, over the window weight; 0 where no frame reaches."""
+        total = np.bincount(at, weights=(pieces * window).ravel(), minlength=len(s))
+        return np.divide(total, weight, out=np.zeros(len(s)), where=active)
+
+    e_hat = overlap_add(residual)
+    # Both integrators return a fresh array. A voiced frame leaves active
+    # samples: the periodic Hann window is positive past its first tap.
     if cfg.integration == "spectral":
         x_hat = integrate_spectral(e_hat, rate)
     else:
-        x_hat = integrate_excitation(
-            SampledSignal(e_hat, rate), INTEGRATOR_POLE).samples
-        x_hat = x_hat - x_hat[active].mean() if active.any() else x_hat
-    x_hat = x_hat.copy()
+        x_hat = integrate_excitation(SampledSignal(e_hat, rate), INTEGRATOR_POLE).samples
+        x_hat = x_hat - x_hat[active].mean()
     x_hat[~active] = 0.0
 
     tau, peak, defined = frame_delays(frame_view(x_hat, n_win, hop)[rows],
@@ -292,28 +284,23 @@ def transform_speech(s: SampledSignal, d: SampledSignal,
             d_hat[global_tau:] = x_hat[:len(s) - global_tau]
     else:
         shift = np.where(defined, tau, global_tau)
-        src = starts[rows, None] - shift[:, None] + np.arange(n_win)
-        pieces = np.where(src >= 0, x_hat[np.maximum(src, 0)], 0.0)
-        d_hat = _overlap_add(pieces * window, starts[rows], len(s))
-        d_hat[active] /= weight[active]
-        d_hat[~active] = 0.0
+        src = position - shift[:, None]
+        d_hat = overlap_add(np.where(src >= 0, x_hat[np.maximum(src, 0)], 0.0))
 
     rms = float(np.sqrt(np.mean(d_hat**2)))
     if rms > 0:
         d_hat = d_hat / rms
 
-    per_frame = [FrameRecord(index=i, voiced=False) for i in range(n_frames)]
-    for k, i in enumerate(rows):
-        per_frame[i] = FrameRecord(
-            index=int(i), voiced=True, f0_hz=float(f0[i]),
-            tau_d_samples=int(tau[k]) if defined[k] else None,
-            correlation_peak=float(peak[k]) if defined[k] else None,
-            lpc_gain=float(gains[i]),
-        )
+    per_frame = [{"index": i, "voiced": False, "f0_hz": None, "tau_d_samples": None,
+                  "correlation_peak": None, "lpc_gain": None} for i in range(n_frames)]
+    for i, f, g, t, p, ok in zip(rows.tolist(), f0[rows].tolist(), gains[rows].tolist(),
+                                 tau.tolist(), peak.tolist(), defined.tolist()):
+        per_frame[i].update(voiced=True, f0_hz=f, lpc_gain=g, tau_d_samples=t if ok else None,
+                            correlation_peak=p if ok else None)
     return TransformOutput(
         e_hat=SampledSignal(e_hat, rate),
         x_hat=SampledSignal(x_hat, rate),
         d_hat=SampledSignal(d_hat, rate),
-        per_frame=tuple(per_frame),
+        per_frame=per_frame,
         global_tau_samples=global_tau,
     )

@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -12,7 +13,8 @@ import pytest
 from scipy.io import wavfile
 
 import phonoradar
-from phonoradar.cli import RADAR_NOISE_KEY, _build_parser, main, radar_noise_seed
+from phonoradar.cli import (RADAR_NOISE_KEY, _build_parser, _subject_dirs, main,
+                            radar_noise_seed)
 from phonoradar.io import read_csv_signal, read_wav, write_csv_signal, write_wav
 from phonoradar.radar import ChirpConfig, TargetScene, measure_displacement
 from phonoradar.signals import SampledSignal
@@ -170,9 +172,9 @@ class TestTransform:
                                TransformConfig())
         meta = {"global_tau_samples": out.global_tau_samples,
                 "n_frames": len(out.per_frame),
-                "n_voiced": sum(r.voiced for r in out.per_frame),
+                "n_voiced": sum(r["voiced"] for r in out.per_frame),
                 "config": asdict(TransformConfig()),
-                "per_frame": [asdict(r) for r in out.per_frame]}
+                "per_frame": out.per_frame}
         # json.loads reads NaN as a fresh float, which is not equal to
         # itself; dumping both parses again compares them value for value.
         indented = json.dumps(meta, indent=2, sort_keys=True)
@@ -180,6 +182,30 @@ class TestTransform:
                 == json.dumps(json.loads(indented), sort_keys=True))
         assert json.loads(text)["per_frame"][0].keys() == {
             "index", "voiced", "f0_hz", "tau_d_samples", "correlation_peak", "lpc_gain"}
+
+    def test_per_frame_records_are_the_transform_json_records(self, tmp_path):
+        subj = tmp_path / "s"
+        assert run(["synth", "--out", str(subj), "--duration", "0.5", "--seed", "2"]) == 0
+        assert run(["transform", "--subject", str(subj)]) == 0
+        out = transform_speech(read_wav(subj / "speech.wav"),
+                               read_csv_signal(subj / "neck_true.csv"), TransformConfig())
+        assert {r["f0_hz"] is None for r in out.per_frame} == {True, False}
+        assert out.per_frame == json.loads((subj / "transform.json").read_text())["per_frame"]
+
+    @pytest.mark.parametrize("where", ["--cohort", "--subject"])
+    @pytest.mark.parametrize("flag", ["--out", "--displacement"])
+    def test_explicit_mode_flag_without_speech_is_usage_error(self, tmp_path, capsys,
+                                                               where, flag):
+        cohort = tmp_path / "cohort"
+        assert run(["synth", "--out", str(cohort), "--cohort", "2", "--seed", "1",
+                    "--duration", "0.3"]) == 0
+        target = cohort if where == "--cohort" else cohort / "subject_000"
+        before = tree_digest(tmp_path)
+        capsys.readouterr()
+        assert run(["transform", where, str(target), flag, str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1 and flag in err
+        assert tree_digest(tmp_path) == before and not (tmp_path / "x").exists()
 
     def test_transform_json_echoes_every_config_field(self, tmp_path):
         subj = tmp_path / "s"
@@ -979,6 +1005,20 @@ def test_one_bad_subject_is_skipped_and_the_others_run(tmp_path, capsys, fault, 
         window = Path("report", "windows", f"{subject}.csv")
         assert (broken / window).read_bytes() == (clean / window).read_bytes()
     assert_skipped(broken, "subject_001")
+
+
+def test_smaller_synth_rerun_unlists_the_earlier_runs_extra_subjects(tmp_path):
+    # subject_002 of the first run is neither listed nor read by a later
+    # stage; a subject directory of any other name stays listed
+    cohort = tmp_path / "cohort"
+    assert run(["synth", "--out", str(cohort), "--cohort", "3", "--seed", "1",
+                "--duration", "0.3"]) == 0
+    assert run(["transform", "--cohort", str(cohort)]) == 0
+    shutil.copytree(cohort / "subject_002", cohort / "mine")
+    assert run(["synth", "--out", str(cohort), "--cohort", "2", "--seed", "9",
+                "--duration", "0.3"]) == 0
+    assert [d.name for d in _subject_dirs(cohort)] == ["mine", "subject_000", "subject_001"]
+    assert list((cohort / "subject_002").iterdir()) == []
 
 
 def test_synth_over_a_cohort_keeps_no_file_of_the_earlier_run(tmp_path, capsys):

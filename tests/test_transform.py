@@ -134,8 +134,8 @@ class TestTransform:
                                   d_ref)
         assert np.array_equal(base.voiced_mask(), scaled.voiced_mask())
         assert base.global_tau_samples == scaled.global_tau_samples
-        taus_a = [r.tau_d_samples for r in base.per_frame]
-        taus_b = [r.tau_d_samples for r in scaled.per_frame]
+        taus_a = [r["tau_d_samples"] for r in base.per_frame]
+        taus_b = [r["tau_d_samples"] for r in scaled.per_frame]
         assert taus_a == taus_b
         assert np.allclose(base.d_hat.samples, scaled.d_hat.samples, atol=1e-9)
 
@@ -149,8 +149,8 @@ class TestTransform:
         out = transform_speech(subject.s, subject.d,
                                TransformConfig(tau_mode="per-frame"))
         assert len(out.d_hat) == len(subject.s)
-        voiced_taus = [r.tau_d_samples for r in out.per_frame
-                       if r.voiced and r.tau_d_samples is not None]
+        voiced_taus = [r["tau_d_samples"] for r in out.per_frame
+                       if r["voiced"] and r["tau_d_samples"] is not None]
         assert len(voiced_taus) > 0
 
     def test_leaky_integration_mode(self, subject):
