@@ -19,8 +19,8 @@ from .transform import (NoVoicedFramesError, TransformConfig, TransformOutput,
                         integrate_excitation, transform_speech)
 from .radar import (ChirpConfig, NoCoherentTargetError, TargetScene, add_range_noise,
                     measure_displacement)
-from .metrics import (LsdSeries, PowerSpectrum, SilentFrameError, log_spectral_distance,
-                      loess_smooth, lsd_over_windows)
+from .metrics import (PowerSpectrum, SilentFrameError, log_spectral_distance, loess_smooth,
+                      lsd_over_windows)
 from .stats import (DescriptiveStats, PairedTTestResult, descriptive_stats,
                     paired_t_test, student_t_cdf, student_t_two_sided_p)
 

@@ -4,6 +4,7 @@ transform, and cohort evaluation.
 Each stage builds its configuration once from the flags and runs one worker
 per subject, in process or on a pool of --jobs processes. A subject whose
 worker raises a data error is skipped, on one `error:` line; the others run.
+So is each subject that a pool worker's death left without a result.
 
 Exit codes: 0 success, 1 usage error, 2 data/precondition error (in a cohort
 stage: of every subject).
@@ -33,6 +34,10 @@ from .synth import (F0_MAX_HZ, F0_MIN_HZ, GlottalConfig, NeckChannel, SUBJECT_FI
 from .transform import TransformConfig, transform_speech
 
 TAU_CHOICES_SAMPLES = (0, 1, 2, 4)
+# Defaults of the synth flags that one mode alone reads. Each flag parses to
+# None, so that cmd_synth can refuse it in a run of the other mode.
+SINGLE_SUBJECT_DEFAULTS = {"f0": 120.0, "open_quotient": 0.6, "k_d": 1.0, "tau_ms": 1.0}
+COHORT_DEFAULTS = {"f0_range": (90.0, 500.0)}
 # Spawn key of the radar noise streams' parent: synth's per-subject streams
 # are SeedSequence(seed)'s children, spawn keys (i,); radar's are (key, i).
 RADAR_NOISE_KEY = int.from_bytes(b"radar", "big")
@@ -97,16 +102,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--rate", default=2000.0, help="sample rate, Hz",
                    type=_checked(float, lambda v: 0.0 < v < math.inf and v.is_integer(),
                                  "a positive whole number"))
-    p.add_argument("--f0", type=float, default=120.0, help="single-subject pitch, Hz")
-    p.add_argument("--f0-range", type=float, nargs=2, default=(90.0, 500.0),
-                   metavar=("LO", "HI"), help="cohort pitch range, Hz")
-    p.add_argument("--open-quotient", type=float, default=0.6)
+    p.add_argument("--f0", type=float, help="single-subject pitch, Hz")
+    p.add_argument("--f0-range", type=float, nargs=2, metavar=("LO", "HI"),
+                   help="cohort pitch range, Hz")
+    p.add_argument("--open-quotient", type=float, help="single-subject open quotient")
     p.add_argument("--amplitude", type=float, default=1e-4,
                    help="peak fold displacement, meters")
     p.add_argument("--jitter", type=float, default=0.0, help="cycle jitter, percent")
-    p.add_argument("--k-d", type=float, default=1.0, help="tissue transmission scale")
-    p.add_argument("--tau-ms", type=finite, default=1.0,
-                   help="single-subject tissue delay, milliseconds")
+    p.add_argument("--k-d", type=float, help="single-subject tissue transmission scale")
+    p.add_argument("--tau-ms", type=finite, help="single-subject tissue delay, milliseconds")
     p.add_argument("--noise-snr", type=finite, default=None,
                    help="speech SNR in dB (omit for noiseless)")
     p.add_argument("--lead-in", default=0.05, help="silent lead-in before phonation, seconds",
@@ -213,6 +217,12 @@ def _synth_one(glottal: GlottalConfig, duration_s: float, rate_hz: float,
 
 
 def cmd_synth(args) -> int:
+    for dest, default in {**SINGLE_SUBJECT_DEFAULTS, **COHORT_DEFAULTS}.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif (dest in COHORT_DEFAULTS) != bool(args.cohort):
+            raise UsageError(f"--{dest.replace('_', '-')} is for "
+                             f"{'single-subject' if args.cohort else 'cohort'} runs")
     glottal = _from_flags(GlottalConfig, f0_hz=args.f0, open_quotient=args.open_quotient,
                           amplitude=args.amplitude, jitter_pct=args.jitter)
     out = Path(args.out)
@@ -255,11 +265,11 @@ def _cohort_index(directory: Path) -> int | None:
 
 def _radar_one(chirp: ChirpConfig, scene: TargetScene, seed: int, task: tuple) -> str:
     """Worker: measure one subject's neck displacement at the subject's rate
-    as PRF. task is (noise stream index or None, directory). A failed subject
+    as PRF. task is (directory, noise stream index or None). A failed subject
     keeps no earlier measurement. A failed measurement leaves a radar.json
     holding the error, which the later stages refuse; they fail on their own
     on a neck_true.csv this stage cannot read."""
-    index, directory = task
+    directory, index = task
     (directory / RADAR_FILE).unlink(missing_ok=True)
     d_true = pio.read_csv_signal(directory / SUBJECT_FILES["neck_true"])
     cfg = replace(chirp, prf_hz=d_true.rate_hz)
@@ -306,9 +316,9 @@ def cmd_radar(args) -> int:
     # A noise stream follows its subject_NNN name, not the subject's place in
     # the cohort; a lone subject of any other name takes stream 0.
     if args.subject:
-        tasks = [(_cohort_index(Path(args.subject)) or 0, Path(args.subject))]
+        tasks = [(Path(args.subject), _cohort_index(Path(args.subject)) or 0)]
     else:
-        tasks = [(_cohort_index(d), d) for d in _subject_dirs(Path(args.cohort))]
+        tasks = [(d, _cohort_index(d)) for d in _subject_dirs(Path(args.cohort))]
     done = _run_subjects(functools.partial(_radar_one, chirp, scene, args.seed),
                          tasks, args.jobs)
     for _, line in done:
@@ -318,10 +328,10 @@ def cmd_radar(args) -> int:
 
 def _transform_one(cfg: TransformConfig, task: tuple) -> str:
     """Worker: transform one speech/displacement pair and write the three
-    estimates and transform.json. task is (speech WAV, displacement CSV,
-    output directory). Speech at an integer multiple of the displacement
+    estimates and transform.json. task is (output directory, speech WAV,
+    displacement CSV). Speech at an integer multiple of the displacement
     rate is decimated to it; any other rate is a data error."""
-    speech_path, displacement_path, out_dir = map(Path, task)
+    out_dir, speech_path, displacement_path = map(Path, task)
     for name in (*TRANSFORM_FILES.values(), TRANSFORM_META):   # none kept from a past run
         (out_dir / name).unlink(missing_ok=True)
     speech = pio.read_wav(speech_path)
@@ -356,12 +366,12 @@ def cmd_transform(args) -> int:
     if args.speech:
         if not args.displacement or not args.out:
             raise UsageError("explicit mode needs --speech, --displacement, and --out")
-        tasks = [(args.speech, args.displacement, args.out)]
+        tasks = [(args.out, args.speech, args.displacement)]
     elif args.displacement is not None or args.out is not None:
         raise UsageError("--displacement and --out are for explicit mode, with --speech")
     else:
         dirs = [Path(args.subject)] if args.subject else _subject_dirs(Path(args.cohort))
-        tasks = [(d / SUBJECT_FILES["speech"], _displacement_path(d), d) for d in dirs]
+        tasks = [(d, d / SUBJECT_FILES["speech"], _displacement_path(d)) for d in dirs]
     done = _run_subjects(functools.partial(_transform_one, cfg), tasks, args.jobs)
     for _, line in done:
         print(line)
@@ -402,8 +412,8 @@ def _evaluate_one(windows: Path, span: float, directory: Path) -> dict:
     voiced = _transform_voicing(directory / TRANSFORM_META,
                                 FramePlan.for_rate(s.rate_hz).n_frames(len(s)))
     with pio.naming(directory):
-        row, series = evaluate_signals(directory.name, s, e_hat, d_hat, d, voiced)
-    write_window_csv(window_path, series, span=span)
+        row, scored = evaluate_signals(directory.name, s, e_hat, d_hat, d, voiced)
+    write_window_csv(window_path, scored, span)
     return row
 
 
@@ -437,17 +447,26 @@ def _outcome(worker, task):
 
 def _run_subjects(worker, tasks: list, jobs: int) -> list[tuple]:
     """(task, worker(task)) of each task that succeeded, in task order; each
-    data error, caught in the worker's process, is printed on an `error:` line."""
+    data error, caught in the worker's process, is printed on an `error:` line,
+    as is each task a pool worker's death left without a result. A task is a
+    subject directory or a tuple that begins with one."""
     run = functools.partial(_outcome, worker)
     if jobs <= 1 or len(tasks) <= 1:
         outcomes = [run(t) for t in tasks]
     else:
         # Imported here: the pool machinery (multiprocessing, logging, socket)
         # costs every serial stage process about 25 ms of start-up.
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
         # No more workers than tasks: the pool forks all of them at its first submit.
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            outcomes = list(pool.map(run, tasks))
+            futures = [pool.submit(run, t) for t in tasks]
+        outcomes = []
+        for task, future in zip(tasks, futures):
+            try:
+                outcomes.append(future.result())
+            except BrokenExecutor:
+                subject = task[0] if isinstance(task, tuple) else task
+                outcomes.append(ChildProcessError(f"{subject}: worker process ended abruptly"))
     for outcome in outcomes:
         if isinstance(outcome, DATA_ERRORS):
             print(f"error: {outcome}", file=sys.stderr)

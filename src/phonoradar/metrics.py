@@ -1,5 +1,5 @@
 """Spectral comparison machinery: normalized power spectra on short windows,
-log-spectral distance, per-window distance series, and loess smoothing."""
+log-spectral distance, per-window distances, and loess smoothing."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ __all__ = [
     "normalized_power_spectra",
     "log_spectral_distances",
     "log_spectral_distance",
-    "LsdSeries",
     "lsd_over_windows",
     "loess_smooth",
 ]
@@ -109,35 +108,15 @@ def log_spectral_distance(p: PowerSpectrum, q: PowerSpectrum) -> float:
     return float(log_spectral_distances(p.bins, q.bins))
 
 
-@dataclass(frozen=True)
-class LsdSeries:
-    """Per-window log-spectral distances with timestamps; unvoiced or silent
-    windows are excluded and recorded by index."""
-
-    values: np.ndarray
-    times_s: np.ndarray
-    window_indices: np.ndarray
-
-    def __post_init__(self):
-        for name in ("values", "times_s", "window_indices"):
-            arr = np.asarray(getattr(self, name))
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-
-
 def lsd_over_windows(reference: SampledSignal, candidates: dict[str, SampledSignal],
-                     plan: FramePlan, voiced_mask=None) -> dict[str, LsdSeries]:
+                     plan: FramePlan, voiced_mask=None) -> tuple:
     """Log-spectral distance per voiced window of each candidate signal
-    against the reference, keyed as the candidates are. Every series covers
-    one window set: the windows flagged voiced and silent in no signal.
+    against the reference, over one window set: the windows flagged voiced
+    and silent in no signal.
+
+    Returns (windows, times_s, lsd): the kept window indices, their start
+    times, and each candidate's distances on them, keyed as the candidates
+    are.
 
     Frames are sliced untapered; the spectral estimator applies its own hann
     taper. The reference is framed and its spectra computed once; one
@@ -165,9 +144,8 @@ def lsd_over_windows(reference: SampledSignal, candidates: dict[str, SampledSign
     if not keep.any():
         raise ValueError("no voiced windows to compare")
     rows = rows[keep]
-    times_s = rows * plan.hop / reference.rate_hz
-    return {name: LsdSeries(values=lsd[keep], times_s=times_s, window_indices=rows)
-            for name, lsd in distances.items()}
+    return (rows, rows * plan.hop / reference.rate_hz,
+            {name: lsd[keep] for name, lsd in distances.items()})
 
 
 def _tricube(u: np.ndarray) -> np.ndarray:
@@ -205,8 +183,9 @@ def _local_linear_fit(x: np.ndarray, y: np.ndarray, k: int, rows: slice) -> np.n
     return np.where(h[:, 0] > 0, fit, yw.mean(axis=1))
 
 
-def loess_smooth(series: LsdSeries, span: float = 0.3) -> LsdSeries:
-    """Locally weighted linear regression with tricube weights (Cleveland 1979).
+def loess_smooth(times_s: np.ndarray, values: np.ndarray, span: float) -> np.ndarray:
+    """Locally weighted linear regression with tricube weights (Cleveland 1979):
+    the smoothed values at times_s.
 
     Each point is refit from its nearest span-fraction neighbors; a distance
     tie goes to the lower index. Times must be sorted, so each neighborhood
@@ -220,8 +199,8 @@ def loess_smooth(series: LsdSeries, span: float = 0.3) -> LsdSeries:
     """
     if not (0.0 < span <= 1.0):
         raise ValueError("span must be in (0, 1]")
-    x = series.times_s.astype(np.float64)
-    y = series.values.astype(np.float64)
+    x = np.asarray(times_s, dtype=np.float64)
+    y = np.asarray(values, dtype=np.float64)
     n = len(x)
     if n < LOESS_MIN_POINTS:
         raise ValueError(f"need at least {LOESS_MIN_POINTS} points to smooth")
@@ -233,5 +212,4 @@ def loess_smooth(series: LsdSeries, span: float = 0.3) -> LsdSeries:
     for start in range(0, n, step):
         rows = slice(start, start + step)
         out[rows] = _local_linear_fit(x, y, k, rows)
-    return LsdSeries(values=out, times_s=series.times_s,
-                     window_indices=series.window_indices)
+    return out

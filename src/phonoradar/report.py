@@ -27,19 +27,21 @@ COMPARISONS = ("raw_speech", "estimated_excitation", "model_filtered")
 
 def evaluate_signals(subject_id: str, s: SampledSignal, e_hat: SampledSignal,
                      d_hat: SampledSignal, d: SampledSignal,
-                     voiced: np.ndarray) -> tuple[dict, dict]:
+                     voiced: np.ndarray) -> tuple[dict, tuple]:
     """Mean LSD of each candidate signal against the radar displacement over
     the windows flagged in `voiced`, on the transform's frame grid, that no
     trace is silent in.
 
-    Returns the subject's report.json row and the per-window LSD series it
-    averages, keyed by comparison, for write_window_csv.
+    Returns the subject's report.json row and the lsd_over_windows triple it
+    averages, (windows, times_s, lsd keyed by comparison), for
+    write_window_csv.
     """
-    series = lsd_over_windows(d, dict(zip(COMPARISONS, (s, e_hat, d_hat))),
+    scored = lsd_over_windows(d, dict(zip(COMPARISONS, (s, e_hat, d_hat))),
                               FramePlan.for_rate(s.rate_hz), voiced)
-    row = {"id": subject_id, **{f"lsd_{name}": series[name].mean for name in COMPARISONS},
-           "n_voiced_windows": len(series["model_filtered"])}
-    return row, series
+    windows, _, lsd = scored
+    row = {"id": subject_id, **{f"lsd_{name}": float(np.mean(v)) for name, v in lsd.items()},
+           "n_voiced_windows": len(windows)}
+    return row, scored
 
 
 def build_cohort_report(rows: list[dict], skipped: list[str] | None = None) -> dict:
@@ -89,18 +91,17 @@ def write_report_csv(path: str | Path, report: dict) -> None:
     _write_csv_lines(path, [",".join(map(str, row)) for row in rows])
 
 
-def write_window_csv(path: str | Path, series: dict, span: float = 0.3) -> None:
+def write_window_csv(path: str | Path, scored: tuple, span: float) -> None:
     """Per-window LSD curves (raw plus loess-smoothed) for plotting, one row
-    per window of the window set the series share."""
-    shared = series["model_filtered"]
+    per window of an lsd_over_windows triple (windows, times_s, lsd)."""
+    windows, times_s, lsd = scored
     header = ["window_index", "time_s"]
-    columns = [shared.window_indices.tolist(), shared.times_s.tolist()]
+    columns = [windows.tolist(), times_s.tolist()]
+    smooth = len(windows) >= LOESS_MIN_POINTS   # a shorter series is written unsmoothed
     for name in COMPARISONS:
-        ser = series[name]
-        # A series too short to smooth is written unsmoothed.
-        smoothed = loess_smooth(ser, span) if len(ser) >= LOESS_MIN_POINTS else ser
+        smoothed = loess_smooth(times_s, lsd[name], span) if smooth else lsd[name]
         header += [f"lsd_{name}", f"lsd_{name}_loess"]
-        columns += [ser.values.tolist(), smoothed.values.tolist()]
+        columns += [lsd[name].tolist(), smoothed.tolist()]
     _write_csv_lines(path, [",".join(header)] + [",".join(map(repr, row))
                                                   for row in zip(*columns)])
 

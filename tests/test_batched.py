@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from phonoradar.lpc import LevinsonError, clamp_pole_stack, levinson_stack
-from phonoradar.metrics import (SILENCE_RMS, SPECTRAL_FLOOR, LsdSeries, _window_starts,
-                                loess_smooth, lsd_over_windows, normalized_power_spectra)
+from phonoradar.metrics import (SILENCE_RMS, SPECTRAL_FLOOR, _window_starts, loess_smooth,
+                                lsd_over_windows, normalized_power_spectra)
 from phonoradar.signals import FramePlan, SampledSignal, hann_window
 from phonoradar.transform import frame_delays, frame_voicing
 
@@ -262,14 +262,15 @@ def test_lsd_over_windows_matches_per_window(rng):
     c[1200:1400] = 0.0   # and in one candidate only
     plan = FramePlan.for_rate(RATE)
     mask = rng.random(plan.n_frames(2000)) < 0.8
-    series = lsd_over_windows(SampledSignal(b, RATE), {"a": SampledSignal(a, RATE),
-                                                       "c": SampledSignal(c, RATE)}, plan, mask)
+    windows, times_s, lsd = lsd_over_windows(
+        SampledSignal(b, RATE), {"a": SampledSignal(a, RATE), "c": SampledSignal(c, RATE)},
+        plan, mask)
     values, indices = ref_lsd_over_windows(b, {"a": a, "c": c}, plan, mask)
-    assert list(series) == ["a", "c"]
-    for name, ser in series.items():
-        assert np.array_equal(ser.window_indices, indices)
-        assert np.allclose(ser.values, values[name], rtol=1e-12, atol=1e-12)
-        assert np.array_equal(ser.times_s, indices * plan.hop / RATE)
+    assert list(lsd) == ["a", "c"]
+    assert np.array_equal(windows, indices)
+    assert np.array_equal(times_s, indices * plan.hop / RATE)
+    for name, ser in lsd.items():
+        assert np.allclose(ser, values[name], rtol=1e-12, atol=1e-12)
 
 
 def constant_row():
@@ -293,16 +294,15 @@ def test_loess_matches_brute_force_with_ties(rng, span):
     idx = np.flatnonzero(rng.random(160) < 0.7)
     x = idx * 0.0125
     y = rng.standard_normal(len(idx))
-    out = loess_smooth(LsdSeries(values=y, times_s=x, window_indices=idx), span)
-    assert np.allclose(out.values, ref_loess(x, y, span), rtol=1e-10, atol=1e-10)
+    out = loess_smooth(x, y, span)
+    assert np.allclose(out, ref_loess(x, y, span), rtol=1e-10, atol=1e-10)
 
 
 def test_loess_integer_grid_exact_ties(rng):
     idx = np.array([0, 1, 2, 4, 6, 7, 8, 10, 12, 13, 16, 18, 19, 20])
     y = rng.standard_normal(len(idx))
-    out = loess_smooth(LsdSeries(values=y, times_s=idx.astype(float), window_indices=idx),
-                       0.3)
-    assert np.allclose(out.values, ref_loess(idx.astype(float), y, 0.3), atol=1e-12)
+    out = loess_smooth(idx.astype(float), y, 0.3)
+    assert np.allclose(out, ref_loess(idx.astype(float), y, 0.3), atol=1e-12)
 
 
 def loop_window_starts(x, k):
@@ -332,8 +332,7 @@ def test_loess_window_starts_match_the_loop(rng, times, span):
 
 def test_loess_rejects_unsorted_times():
     with pytest.raises(ValueError):
-        loess_smooth(LsdSeries(values=np.ones(6), times_s=np.array([0, 2, 1, 3, 4, 5.0]),
-                               window_indices=np.arange(6)))
+        loess_smooth(np.array([0, 2, 1, 3, 4, 5.0]), np.ones(6), 0.3)
 
 
 # --- delay search ---------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from phonoradar import metrics, signals, synth
-from phonoradar.metrics import LsdSeries, loess_smooth
+from phonoradar.metrics import loess_smooth
 from phonoradar.signals import SampledSignal, design_lowpass, resample_decimate
 from phonoradar.synth import (GlottalConfig, NeckChannel, make_subject, random_vocal_tract,
                               synth_vocal_fold_displacement)
@@ -63,10 +63,9 @@ def test_loess_blocks_match_unblocked(monkeypatch, rng, kind, span, n, blocks):
     x = loess_times(rng, kind, n)
     y = rng.standard_normal(n)
     want = unblocked_loess(x, y, span).tobytes()
-    series = LsdSeries(values=y, times_s=x, window_indices=np.arange(n))
     for rows in blocks:   # points per block
         monkeypatch.setattr(metrics, "_LOESS_BLOCK_BYTES", 8 * n * rows)
-        assert loess_smooth(series, span).values.tobytes() == want
+        assert loess_smooth(x, y, span).tobytes() == want
 
 
 def test_loess_benchmark_series_fit_in_one_block():
@@ -79,9 +78,8 @@ def test_loess_peak_memory_at_4800_points(rng):
     # a 60 s subject's 4800 windows: about 2.4 MB in blocks, where the
     # unblocked fit holds (4800, 3360) matrices, about 390 MB
     n = 4800
-    series = LsdSeries(values=rng.standard_normal(n), times_s=np.arange(n) * 0.0125,
-                       window_indices=np.arange(n))
-    assert peak_bytes(lambda: loess_smooth(series, 0.3)) < 40 * MB
+    x, y = np.arange(n) * 0.0125, rng.standard_normal(n)
+    assert peak_bytes(lambda: loess_smooth(x, y, 0.3)) < 40 * MB
 
 
 # --- glottal pulse train --------------------------------------------------

@@ -104,6 +104,33 @@ class TestSynth:
         assert run(["synth", "--out", str(tmp_path / "x"),
                     "--open-quotient", "1.5"]) == 1
 
+    @pytest.mark.parametrize("mode, flag, values", [
+        (["--cohort", "2"], "--f0", [140.0]),
+        (["--cohort", "2"], "--open-quotient", [0.55]),
+        (["--cohort", "2"], "--k-d", [0.7]),
+        (["--cohort", "2"], "--tau-ms", [2.0]),
+        ([], "--f0-range", [100.0, 110.0]),
+    ], ids=["cohort-f0", "cohort-open-quotient", "cohort-k-d", "cohort-tau-ms",
+            "single-f0-range"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_flag_of_the_other_mode_is_usage_error(self, tmp_path, capsys, mode, flag,
+                                                   values, source):
+        # each was silently unused: a cohort run draws every subject's pitch,
+        # open quotient and neck channel, and a single subject has no range
+        out = tmp_path / "x"
+        if source == "flag":
+            given = [flag, *map(str, values)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag[2:]: values if len(values) > 1 else values[0]}))
+            given = ["--config", str(cfg)]
+        capsys.readouterr()
+        assert run(["synth", "--out", str(out), "--duration", "0.3", *mode, *given]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert flag in err
+        assert not out.exists()
+
 
 class TestRadar:
     def test_writes_measurement_and_meta(self, tmp_path):
@@ -475,8 +502,10 @@ class SpyPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+    def submit(self, fn, task):
+        future = concurrent.futures.Future()
+        future.set_result(fn(task))
+        return future
 
 
 @pytest.fixture
@@ -1046,3 +1075,53 @@ def test_synth_over_a_cohort_keeps_no_file_of_the_earlier_run(tmp_path, capsys):
     capsys.readouterr()
     assert run(["radar", "--cohort", str(cohort)]) == 0
     assert "subject_001" not in capsys.readouterr().out
+
+
+# Runs the phonoradar CLI on argv with a transform worker that, on
+# subject_001, kills its own process once subject_000's outputs are written,
+# as the OOM killer would, and on subject_002 stalls until the broken pool
+# ends it. The forked pool workers inherit the replacement.
+KILLING_WORKER = """
+import os, signal, sys, time
+from pathlib import Path
+import phonoradar.cli as cli
+
+transform_one = cli._transform_one
+
+def killing_transform_one(cfg, task):
+    subject = next(p for p in map(Path, task) if p.name.startswith("subject_"))
+    if subject.name == "subject_001":
+        done = subject.parent / "subject_000" / "transform.json"
+        deadline = time.monotonic() + 60
+        while not done.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.5)   # subject_000's result reaches the pool
+        os.kill(os.getpid(), signal.SIGKILL)
+    if subject.name == "subject_002":
+        time.sleep(60)
+    return transform_one(cfg, task)
+
+cli._transform_one = killing_transform_one
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_pool_worker_that_dies_fails_only_the_subjects_without_a_result(tmp_path):
+    clean, broken = tmp_path / "clean", tmp_path / "broken"
+    for cohort in (clean, broken):
+        assert run(["synth", "--out", str(cohort), "--cohort", "3", "--seed", "1",
+                    "--duration", "0.3"]) == 0
+    assert run(["transform", "--cohort", str(clean)]) == 0
+    src = str(Path(phonoradar.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", KILLING_WORKER, "transform", "--cohort",
+                           str(broken), "--jobs", "2"], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [f"error: {broken / s}: worker process ended abruptly"
+                                        for s in ("subject_001", "subject_002")]
+    assert [line.split(":")[0] for line in proc.stdout.splitlines()] == [
+        str(broken / "subject_000")]
+    assert tree_digest(broken / "subject_000") == tree_digest(clean / "subject_000")
+    for subject in ("subject_001", "subject_002"):
+        assert not (broken / subject / "transform.json").exists()
