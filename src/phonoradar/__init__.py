@@ -21,7 +21,6 @@ from .radar import (ChirpConfig, NoCoherentTargetError, TargetScene, add_range_n
                     measure_displacement)
 from .metrics import (PowerSpectrum, SilentFrameError, log_spectral_distance, loess_smooth,
                       lsd_over_windows)
-from .stats import (DescriptiveStats, PairedTTestResult, descriptive_stats,
-                    paired_t_test, student_t_cdf, student_t_two_sided_p)
+from .stats import descriptive_stats, paired_t_test, student_t_cdf, student_t_two_sided_p
 
 __version__ = "0.1.0"

@@ -1,10 +1,11 @@
 """Command line front end: cohort synthesis, radar measurement, model
 transform, and cohort evaluation.
 
-Each stage builds its configuration once from the flags and runs one worker
-per subject, in process or on a pool of --jobs processes. A subject whose
-worker raises a data error is skipped, on one `error:` line; the others run.
-So is each subject that a pool worker's death left without a result.
+Each stage builds its configuration once from the flags, removes what an
+earlier run left of its outputs, and runs one worker per subject, in process
+or on a pool of --jobs processes. A subject whose worker raises a data error
+or runs out of memory is skipped, on one `error:` line; the others run. So
+is each subject that a pool worker's death left without a result.
 
 Exit codes: 0 success, 1 usage error, 2 data/precondition error (in a cohort
 stage: of every subject).
@@ -192,23 +193,26 @@ def _draw_cohort_params(args, index: int, seed: int) -> tuple:
             int(rng.integers(2**31 - 1)), int(rng.integers(2**31 - 1)))
 
 
-def _clear_subject(directory: Path) -> None:
-    """Remove every subject, radar and transform file an earlier run left,
-    subject.json first, so that a subject whose removal or rewrite fails is
-    unlisted. A directory in a file's place is left for a write to name."""
-    for name in (SUBJECT_MANIFEST, *SUBJECT_FILES.values(), RADAR_FILE, RADAR_META,
-                 *TRANSFORM_FILES.values(), TRANSFORM_META):
+def _remove(directory: Path, names) -> None:
+    """Remove the named files an earlier run left in directory, in order; a
+    directory in a file's place is left for a write to name."""
+    for name in names:
         with contextlib.suppress(FileNotFoundError, IsADirectoryError):
             (directory / name).unlink()
 
 
+def _clear_subject(task) -> None:
+    """Remove every subject, radar and transform file of a task's subject,
+    subject.json first, so that one whose removal or rewrite fails is unlisted."""
+    _remove(_subject(task), (SUBJECT_MANIFEST, *SUBJECT_FILES.values(), RADAR_FILE,
+                             RADAR_META, *TRANSFORM_FILES.values(), TRANSFORM_META))
+
+
 def _synth_one(glottal: GlottalConfig, duration_s: float, rate_hz: float,
                noise_snr_db: float | None, lead_in_s: float, task: tuple) -> None:
-    """Worker: build and save one subject in place of every file an earlier
-    run left. task is (directory, f0 in Hz, open quotient, neck channel,
-    tract seed, subject seed)."""
+    """Worker: build and save one subject. task is (directory, f0 in Hz,
+    open quotient, neck channel, tract seed, subject seed)."""
     directory, f0_hz, open_quotient, neck, tract_seed, seed = task
-    _clear_subject(directory)
     subject = make_subject(replace(glottal, f0_hz=f0_hz, open_quotient=open_quotient), neck,
                            random_vocal_tract(np.random.default_rng(tract_seed), rate_hz),
                            duration_s, rate_hz, noise_snr_db=noise_snr_db, seed=seed,
@@ -243,7 +247,8 @@ def cmd_synth(args) -> int:
             if index is not None and index >= args.cohort and directory.is_dir():
                 _clear_subject(directory)
     written = len(_run_subjects(functools.partial(_synth_one, glottal, args.duration, args.rate,
-                                                  args.noise_snr, args.lead_in), tasks, args.jobs))
+                                                  args.noise_snr, args.lead_in),
+                                _clear_subject, tasks, args.jobs))
     if written:
         print(f"wrote {written} subjects to {out}" if args.cohort else f"wrote subject to {out}")
     return 0 if written else 2
@@ -263,14 +268,19 @@ def _cohort_index(directory: Path) -> int | None:
     return int(i) if i.isdecimal() and directory.name == f"subject_{int(i):03d}" else None
 
 
+def _clear_radar(task: tuple) -> None:
+    """Remove the subject's measurement and leave a radar.json holding the
+    error that it was not measured, for its worker to replace."""
+    directory = task[0]
+    _remove(directory, (RADAR_FILE,))
+    (directory / RADAR_META).write_text(json.dumps({"error": f"{directory}: not measured"}) + "\n")
+
+
 def _radar_one(chirp: ChirpConfig, scene: TargetScene, seed: int, task: tuple) -> str:
     """Worker: measure one subject's neck displacement at the subject's rate
-    as PRF. task is (directory, noise stream index or None). A failed subject
-    keeps no earlier measurement. A failed measurement leaves a radar.json
-    holding the error, which the later stages refuse; they fail on their own
-    on a neck_true.csv this stage cannot read."""
+    as PRF. task is (directory, noise stream index or None). A failed
+    measurement leaves a radar.json holding its error."""
     directory, index = task
-    (directory / RADAR_FILE).unlink(missing_ok=True)
     d_true = pio.read_csv_signal(directory / SUBJECT_FILES["neck_true"])
     cfg = replace(chirp, prf_hz=d_true.rate_hz)
     scene = replace(scene, displacement=d_true)
@@ -282,7 +292,7 @@ def _radar_one(chirp: ChirpConfig, scene: TargetScene, seed: int, task: tuple) -
         rng = (np.random.default_rng(radar_noise_seed(seed, index))
                if scene.noise_snr_db is not None else None)
         with pio.naming(directory):
-            measured = measure_displacement(scene, cfg, rng)
+            measured, decision = measure_displacement(scene, cfg, rng)
         pio.write_csv_signal(directory / RADAR_FILE, measured)
     except DATA_ERRORS as exc:
         (directory / RADAR_META).write_text(json.dumps({"error": str(exc)}) + "\n")
@@ -291,9 +301,7 @@ def _radar_one(chirp: ChirpConfig, scene: TargetScene, seed: int, task: tuple) -
     denom = float(np.linalg.norm(truth) * np.linalg.norm(measured.samples))
     corr = float(truth @ measured.samples / denom) if denom > 0 else 0.0
     meta = {
-        "selected_bin": measured.bin_index,
-        "bin_magnitude": measured.bin_magnitude,
-        "noise_floor": measured.noise_floor,
+        **decision,
         "range_m": scene.nominal_range_m,
         "snr_db": scene.noise_snr_db,
         "correlation_vs_truth": corr,
@@ -320,7 +328,7 @@ def cmd_radar(args) -> int:
     else:
         tasks = [(d, _cohort_index(d)) for d in _subject_dirs(Path(args.cohort))]
     done = _run_subjects(functools.partial(_radar_one, chirp, scene, args.seed),
-                         tasks, args.jobs)
+                         _clear_radar, tasks, args.jobs)
     for _, line in done:
         print(line)
     return 0 if done else 2
@@ -332,8 +340,6 @@ def _transform_one(cfg: TransformConfig, task: tuple) -> str:
     displacement CSV). Speech at an integer multiple of the displacement
     rate is decimated to it; any other rate is a data error."""
     out_dir, speech_path, displacement_path = map(Path, task)
-    for name in (*TRANSFORM_FILES.values(), TRANSFORM_META):   # none kept from a past run
-        (out_dir / name).unlink(missing_ok=True)
     speech = pio.read_wav(speech_path)
     displacement = pio.read_csv_signal(displacement_path)
     with pio.naming(f"{speech_path} and {displacement_path}"):
@@ -372,7 +378,8 @@ def cmd_transform(args) -> int:
     else:
         dirs = [Path(args.subject)] if args.subject else _subject_dirs(Path(args.cohort))
         tasks = [(d, d / SUBJECT_FILES["speech"], _displacement_path(d)) for d in dirs]
-    done = _run_subjects(functools.partial(_transform_one, cfg), tasks, args.jobs)
+    clear = lambda task: _remove(Path(task[0]), (*TRANSFORM_FILES.values(), TRANSFORM_META))
+    done = _run_subjects(functools.partial(_transform_one, cfg), clear, tasks, args.jobs)
     for _, line in done:
         print(line)
     return 0 if done else 2
@@ -396,8 +403,6 @@ def _evaluate_one(windows: Path, span: float, directory: Path) -> dict:
     """Worker: the report.json row of one transformed subject, its LSDs over
     the frames its transform voiced; writes the subject's per-window CSV,
     loess-smoothed over span, into the windows directory."""
-    window_path = windows / f"{directory.name}.csv"
-    window_path.unlink(missing_ok=True)   # none kept from a past run
     s_path, d_path = directory / SUBJECT_FILES["speech"], _displacement_path(directory)
     e_path, d_hat_path = (directory / TRANSFORM_FILES[key] for key in ("e_hat", "d_hat"))
     s = pio.read_wav(s_path)
@@ -413,7 +418,7 @@ def _evaluate_one(windows: Path, span: float, directory: Path) -> dict:
                                 FramePlan.for_rate(s.rate_hz).n_frames(len(s)))
     with pio.naming(directory):
         row, scored = evaluate_signals(directory.name, s, e_hat, d_hat, d, voiced)
-    write_window_csv(window_path, scored, span)
+    write_window_csv(windows / f"{directory.name}.csv", scored, span)
     return row
 
 
@@ -421,9 +426,11 @@ def cmd_evaluate(args) -> int:
     cohort = Path(args.cohort)
     dirs = _subject_dirs(cohort)
     out_dir = Path(args.out) if args.out else cohort / "report"
-    (out_dir / "windows").mkdir(parents=True, exist_ok=True)
-    rows = dict(_run_subjects(functools.partial(_evaluate_one, out_dir / "windows",
-                                                args.loess_span), dirs, args.jobs))
+    windows = out_dir / "windows"
+    windows.mkdir(parents=True, exist_ok=True)
+    _remove(out_dir, ("report.json", "report.csv"))
+    rows = dict(_run_subjects(functools.partial(_evaluate_one, windows, args.loess_span),
+                              lambda d: _remove(windows, (f"{d.name}.csv",)), dirs, args.jobs))
     if not rows:
         return 2
     report = build_cohort_report(list(rows.values()), [d.name for d in dirs if d not in rows])
@@ -437,40 +444,51 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _subject(task):
+    """The subject directory a task is, or a tuple task begins with."""
+    return task[0] if isinstance(task, tuple) else task
+
+
 def _outcome(worker, task):
-    """worker(task), or the data error it raised."""
+    """worker(task), or the data error it raised; running out of memory is
+    the subject's data error."""
     try:
         return worker(task)
     except DATA_ERRORS as exc:
         return exc
+    except MemoryError:
+        return MemoryError(f"{_subject(task)}: out of memory")
 
 
-def _run_subjects(worker, tasks: list, jobs: int) -> list[tuple]:
-    """(task, worker(task)) of each task that succeeded, in task order; each
-    data error, caught in the worker's process, is printed on an `error:` line,
-    as is each task a pool worker's death left without a result. A task is a
-    subject directory or a tuple that begins with one."""
+def _run_subjects(worker, clear, tasks: list, jobs: int) -> list[tuple]:
+    """(task, worker(task)) of each task that succeeded, in task order.
+    Before any worker starts, clear(task) removes each task's outputs of an
+    earlier run, in this process; a task whose clearing fails is not run.
+    Each error is printed on an `error:` line in task order, as is each task
+    a pool worker's death left without a result."""
+    outcomes = [_outcome(clear, t) for t in tasks]   # None, or why the task is not run
+    todo = [i for i, outcome in enumerate(outcomes) if outcome is None]
     run = functools.partial(_outcome, worker)
-    if jobs <= 1 or len(tasks) <= 1:
-        outcomes = [run(t) for t in tasks]
+    if jobs <= 1 or len(todo) <= 1:
+        for i in todo:
+            outcomes[i] = run(tasks[i])
     else:
         # Imported here: the pool machinery (multiprocessing, logging, socket)
         # costs every serial stage process about 25 ms of start-up.
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
         # No more workers than tasks: the pool forks all of them at its first submit.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            futures = [pool.submit(run, t) for t in tasks]
-        outcomes = []
-        for task, future in zip(tasks, futures):
+        with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
+            futures = {i: pool.submit(run, tasks[i]) for i in todo}
+        for i, future in futures.items():
             try:
-                outcomes.append(future.result())
+                outcomes[i] = future.result()
             except BrokenExecutor:
-                subject = task[0] if isinstance(task, tuple) else task
-                outcomes.append(ChildProcessError(f"{subject}: worker process ended abruptly"))
+                outcomes[i] = ChildProcessError(f"{_subject(tasks[i])}: "
+                                                "worker process ended abruptly")
     for outcome in outcomes:
-        if isinstance(outcome, DATA_ERRORS):
+        if isinstance(outcome, Exception):
             print(f"error: {outcome}", file=sys.stderr)
-    return [(t, o) for t, o in zip(tasks, outcomes) if not isinstance(o, DATA_ERRORS)]
+    return [(t, o) for t, o in zip(tasks, outcomes) if not isinstance(o, Exception)]
 
 
 def _config_value(key: str, action: argparse.Action, value):

@@ -6,7 +6,7 @@ in tests/radar_oracle.py."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ __all__ = [
     "ChirpConfig",
     "TargetScene",
     "NoCoherentTargetError",
-    "RadarDisplacement",
     "add_range_noise",
     "measure_displacement",
 ]
@@ -109,20 +108,6 @@ class TargetScene:
             raise ValueError("noise_snr_db must be finite (omit it for a noiseless scene)")
 
 
-@dataclass(frozen=True)
-class RadarDisplacement(SampledSignal):
-    """Displacement read from the slow-time phase of one range bin.
-
-    bin_index is the bin it was read from, bin_magnitude that bin's mean
-    magnitude over the chirps, and noise_floor the median of the other bins'
-    mean magnitudes it was checked against.
-    """
-
-    bin_index: int = field(kw_only=True)
-    bin_magnitude: float = field(kw_only=True)
-    noise_floor: float = field(kw_only=True)
-
-
 def _check_scene(scene: TargetScene, cfg: ChirpConfig) -> None:
     """A ValueError unless the nominal range lies in a positive-range bin and
     the displacement is sampled at the PRF and stays inside the range bin."""
@@ -193,9 +178,10 @@ def _select_bin(mags: np.ndarray) -> tuple[int, float, float]:
 
 
 def _phase_displacement(column: np.ndarray, cfg: ChirpConfig,
-                        choice: tuple) -> RadarDisplacement:
-    """Displacement from the slow-time phase of one range bin's column;
-    choice is _select_bin's (bin, magnitude, floor) for that bin."""
+                        choice: tuple) -> tuple[SampledSignal, dict]:
+    """(displacement, bin decision) from the slow-time phase of one range
+    bin's column; choice is _select_bin's (bin, magnitude, floor) for it,
+    which radar.json records as selected_bin, bin_magnitude and noise_floor."""
     bin_index, magnitude, floor = choice
     phase = np.unwrap(np.angle(column))
     disp = cfg.wavelength_m * phase / (4.0 * np.pi)
@@ -205,8 +191,8 @@ def _phase_displacement(column: np.ndarray, cfg: ChirpConfig,
     gain = 1.0 + cfg.slope_hz_per_s * cfg.wavelength_m * group_delay_s / C_LIGHT
     disp = disp / gain
     disp = disp - disp.mean()
-    return RadarDisplacement(disp, cfg.prf_hz, bin_index=bin_index, bin_magnitude=magnitude,
-                             noise_floor=floor)
+    return SampledSignal(disp, cfg.prf_hz), {"selected_bin": bin_index,
+                                             "bin_magnitude": magnitude, "noise_floor": floor}
 
 
 def _block_chirps(adc_samples: int) -> int:
@@ -335,8 +321,9 @@ def _stream_bins(scene: TargetScene, cfg: ChirpConfig, rng: np.random.Generator 
 
 
 def measure_displacement(scene: TargetScene, cfg: ChirpConfig,
-                         rng: np.random.Generator | None = None) -> RadarDisplacement:
-    """Full chain: range spectrum, receiver noise, phase extraction.
+                         rng: np.random.Generator | None = None) -> tuple[SampledSignal, dict]:
+    """Full chain: range spectrum, receiver noise, phase extraction. Returns
+    the displacement trace and the bin decision (_phase_displacement).
 
     The numbers of the FFT oracle in tests/radar_oracle.py
 

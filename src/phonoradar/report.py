@@ -5,7 +5,6 @@ displacement; descriptive statistics and paired t-tests over the cohort."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -58,20 +57,14 @@ def build_cohort_report(rows: list[dict], skipped: list[str] | None = None) -> d
     model = lsd["model_filtered"]
     descriptive, t_tests = {}, {}
     if len(rows) >= 2:
-        descriptive = {name: asdict(descriptive_stats(lsd[name])) for name in COMPARISONS}
+        descriptive = {name: descriptive_stats(lsd[name]) for name in COMPARISONS}
         try:
-            t_tests = {f"{name}_vs_model_filtered": _t_test_record(model, lsd[name])
+            t_tests = {f"{name}_vs_model_filtered": paired_t_test(model, lsd[name])
                        for name in COMPARISONS[:-1]}   # all but model_filtered
         except ValueError:
             pass
     return {"subjects": rows, "descriptive": descriptive, "t_tests": t_tests,
             "skipped": list(skipped or [])}
-
-
-def _t_test_record(a: np.ndarray, b: np.ndarray) -> dict:
-    tt = paired_t_test(a, b)
-    return {"t_stat": tt.t_stat, "n": tt.n, "std": tt.std_of_differences,
-            "p_value": tt.p_value, "df": tt.df}
 
 
 def write_report_json(path: str | Path, report: dict) -> None:

@@ -8,13 +8,10 @@ statistics package is involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "DescriptiveStats",
-    "PairedTTestResult",
     "descriptive_stats",
     "paired_t_test",
     "regularized_incomplete_beta",
@@ -27,35 +24,16 @@ _EPS = 1e-15
 _TINY = 1e-300
 
 
-@dataclass(frozen=True)
-class DescriptiveStats:
-    mean: float
-    n: int
-    std: float
-    sem: float
-
-
-@dataclass(frozen=True)
-class PairedTTestResult:
-    t_stat: float
-    n: int
-    std_of_differences: float
-    p_value: float
-
-    @property
-    def df(self) -> int:
-        return self.n - 1
-
-
-def descriptive_stats(values) -> DescriptiveStats:
-    """Sample mean, n, n-1 standard deviation, and standard error."""
+def descriptive_stats(values) -> dict:
+    """Sample mean, n, n-1 standard deviation, and standard error: the
+    record {"mean", "n", "std", "sem"} of one comparison in report.json's
+    descriptive table."""
     v = np.asarray(values, dtype=np.float64)
     n = len(v)
     if n < 2:
         raise ValueError("need at least two values")
     std = float(np.std(v, ddof=1))
-    return DescriptiveStats(mean=float(np.mean(v)), n=n, std=std,
-                            sem=std / math.sqrt(n))
+    return {"mean": float(np.mean(v)), "n": n, "std": std, "sem": std / math.sqrt(n)}
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
@@ -126,10 +104,12 @@ def student_t_cdf(t: float, df: int) -> float:
     return 1.0 - 0.5 * p if t >= 0 else 0.5 * p
 
 
-def paired_t_test(a, b) -> PairedTTestResult:
+def paired_t_test(a, b) -> dict:
     """Two-sided paired t-test on matched observations.
 
-    t = mean(a - b) / (std(a - b) / sqrt(n)) with df = n - 1.
+    t = mean(a - b) / (std(a - b) / sqrt(n)) with df = n - 1. Returns the
+    record {"t_stat", "n", "std", "p_value", "df"} of report.json's t_tests,
+    std the n-1 standard deviation of the differences.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -143,5 +123,5 @@ def paired_t_test(a, b) -> PairedTTestResult:
     if std == 0.0:
         raise ValueError("zero-variance differences: t statistic undefined")
     t = float(np.mean(diff)) / (std / math.sqrt(n))
-    return PairedTTestResult(t_stat=t, n=n, std_of_differences=std,
-                             p_value=student_t_two_sided_p(t, n - 1))
+    return {"t_stat": t, "n": n, "std": std, "p_value": student_t_two_sided_p(t, n - 1),
+            "df": n - 1}

@@ -80,7 +80,8 @@ def range_fft(beat):
 def extract_displacement(rangefft, cfg):
     """Slow-time phase vibrometry at the max mean-magnitude bin: the
     package's bin choice and phase-to-displacement steps on the whole
-    spectrum."""
+    spectrum, returning the (trace, bin decision) pair measure_displacement
+    returns."""
     choice = _select_bin(np.abs(rangefft).mean(axis=0))
     return _phase_displacement(rangefft[:, choice[0]], cfg, choice)
 

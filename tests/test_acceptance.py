@@ -60,8 +60,8 @@ def _build_subject(params, duration=2.0):
     tract = pr.random_vocal_tract(np.random.default_rng(params["tract_seed"]), RATE)
     subject = pr.make_subject(glottal, neck, tract, duration, RATE,
                               seed=params["subject_seed"], lead_in_s=0.05)
-    d_meas = pr.measure_displacement(pr.TargetScene(displacement=subject.d),
-                                     pr.ChirpConfig())
+    d_meas, _ = pr.measure_displacement(pr.TargetScene(displacement=subject.d),
+                                        pr.ChirpConfig())
     return subject, d_meas
 
 
@@ -97,11 +97,11 @@ class TestCriterion1SyntheticCohortOrdering:
         mod = np.array([ev["lsd_model_filtered"] for ev in evs])
         t_raw = paired_t_test(mod, raw)
         t_exc = paired_t_test(mod, exc)
-        ok = (t_raw.t_stat < 0 and t_raw.p_value < 1e-3
-              and t_exc.t_stat < 0 and t_exc.p_value < 1e-3)
+        ok = (t_raw["t_stat"] < 0 and t_raw["p_value"] < 1e-3
+              and t_exc["t_stat"] < 0 and t_exc["p_value"] < 1e-3)
         _report("1 (t-tests)", ok,
-                f"model vs raw: t={t_raw.t_stat:.2f} p={t_raw.p_value:.2e}; "
-                f"model vs excitation: t={t_exc.t_stat:.2f} p={t_exc.p_value:.2e}")
+                f"model vs raw: t={t_raw['t_stat']:.2f} p={t_raw['p_value']:.2e}; "
+                f"model vs excitation: t={t_exc['t_stat']:.2f} p={t_exc['p_value']:.2e}")
         assert ok
 
     @pytest.mark.xfail(
@@ -146,8 +146,8 @@ class TestCriterion2ExactnessCase:
         tract = pr.random_vocal_tract(np.random.default_rng(11), RATE)
         subject = pr.make_subject(glottal, neck, tract, 2.5, RATE, seed=11,
                                   lead_in_s=0.05)
-        d_meas = pr.measure_displacement(pr.TargetScene(displacement=subject.d),
-                                         pr.ChirpConfig())
+        d_meas, _ = pr.measure_displacement(pr.TargetScene(displacement=subject.d),
+                                            pr.ChirpConfig())
         out = transform_speech(subject.s, d_meas, known_tract=subject.tract)
         mask = out.voiced_mask()
         plan = FramePlan.for_rate(RATE)
@@ -181,7 +181,7 @@ class TestCriterion3RadarRoundTrip:
         cfg = pr.ChirpConfig()
         t = np.arange(2000) / RATE
         d_true = SampledSignal(50e-6 * np.sin(2 * np.pi * 100.0 * t), RATE)
-        recovered = pr.measure_displacement(pr.TargetScene(displacement=d_true), cfg)
+        recovered, _ = pr.measure_displacement(pr.TargetScene(displacement=d_true), cfg)
         truth = d_true.samples - d_true.samples.mean()
         rms_err = np.sqrt(np.mean((recovered.samples - truth) ** 2))
         rel = rms_err / np.sqrt(np.mean(truth**2))
@@ -343,12 +343,12 @@ class TestCriterion7StatisticsOracle:
     def test_descriptive_and_t_closed_forms(self):
         st = descriptive_stats([1.0, 2.0, 3.0])
         res = paired_t_test([1.0, 2.0, 3.0, 4.0], [2.0, 2.0, 4.0, 5.0])
-        ok = (st.mean == 2.0 and st.std == pytest.approx(1.0)
-              and st.sem == pytest.approx(1 / math.sqrt(3))
-              and res.t_stat == pytest.approx(-3.0) and res.df == 3)
+        ok = (st["mean"] == 2.0 and st["std"] == pytest.approx(1.0)
+              and st["sem"] == pytest.approx(1 / math.sqrt(3))
+              and res["t_stat"] == pytest.approx(-3.0) and res["df"] == 3)
         _report("7 (closed forms)", ok,
                 f"descriptive (1,2,3) and paired t of the fixture pairs match "
-                f"closed forms (t={res.t_stat:.3f}, df={res.df})")
+                f"closed forms (t={res['t_stat']:.3f}, df={res['df']})")
         assert ok
 
 

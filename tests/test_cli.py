@@ -13,8 +13,8 @@ import pytest
 from scipy.io import wavfile
 
 import phonoradar
-from phonoradar.cli import (RADAR_NOISE_KEY, _build_parser, _subject_dirs, main,
-                            radar_noise_seed)
+from phonoradar.cli import (RADAR_NOISE_KEY, _build_parser, _subject_dirs, _transform_one,
+                            main, radar_noise_seed)
 from phonoradar.io import read_csv_signal, read_wav, write_csv_signal, write_wav
 from phonoradar.radar import ChirpConfig, TargetScene, measure_displacement
 from phonoradar.signals import SampledSignal
@@ -681,9 +681,9 @@ def test_cohort_radar_noise_uses_each_subjects_stream(tmp_path):
     for i in range(2):
         directory = cohort / f"subject_{i:03d}"
         d_true = read_csv_signal(directory / "neck_true.csv")
-        want = measure_displacement(TargetScene(displacement=d_true, noise_snr_db=15.0),
-                                    ChirpConfig(prf_hz=d_true.rate_hz),
-                                    np.random.default_rng(radar_noise_seed(6, i)))
+        want, _ = measure_displacement(TargetScene(displacement=d_true, noise_snr_db=15.0),
+                                       ChirpConfig(prf_hz=d_true.rate_hz),
+                                       np.random.default_rng(radar_noise_seed(6, i)))
         got = read_csv_signal(directory / "neck_radar.csv")
         assert np.array_equal(got.samples, want.samples)
 
@@ -910,9 +910,9 @@ def test_noisy_cohort_radar_refuses_a_subject_synth_did_not_name(pair_cohort, ca
     # alone, a subject of any name draws stream 0
     assert run(["radar", "--subject", str(extra), "--snr", "20"]) == 0
     d_true = read_csv_signal(extra / "neck_true.csv")
-    want = measure_displacement(TargetScene(displacement=d_true, noise_snr_db=20.0),
-                                ChirpConfig(prf_hz=d_true.rate_hz),
-                                np.random.default_rng(radar_noise_seed(0, 0)))
+    want, _ = measure_displacement(TargetScene(displacement=d_true, noise_snr_db=20.0),
+                                   ChirpConfig(prf_hz=d_true.rate_hz),
+                                   np.random.default_rng(radar_noise_seed(0, 0)))
     assert np.array_equal(read_csv_signal(extra / "neck_radar.csv").samples, want.samples)
 
 
@@ -1077,21 +1077,23 @@ def test_synth_over_a_cohort_keeps_no_file_of_the_earlier_run(tmp_path, capsys):
     assert "subject_001" not in capsys.readouterr().out
 
 
-# Runs the phonoradar CLI on argv with a transform worker that, on
-# subject_001, kills its own process once subject_000's outputs are written,
-# as the OOM killer would, and on subject_002 stalls until the broken pool
-# ends it. The forked pool workers inherit the replacement.
+# Runs the phonoradar CLI on argv[3:] with the worker named argv[1] replaced
+# by one that, on subject_001, kills its own process once subject_000's
+# output argv[2] is written, as the OOM killer would, and on subject_002
+# stalls until the broken pool ends it. The forked pool workers inherit the
+# replacement.
 KILLING_WORKER = """
 import os, signal, sys, time
 from pathlib import Path
 import phonoradar.cli as cli
 
-transform_one = cli._transform_one
+name, done_file = sys.argv[1:3]
+worker = getattr(cli, name)
 
-def killing_transform_one(cfg, task):
-    subject = next(p for p in map(Path, task) if p.name.startswith("subject_"))
+def killing_worker(*args):
+    subject = Path(args[-1][0])   # the task's subject directory
     if subject.name == "subject_001":
-        done = subject.parent / "subject_000" / "transform.json"
+        done = subject.parent / "subject_000" / done_file
         deadline = time.monotonic() + 60
         while not done.exists() and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -1099,11 +1101,19 @@ def killing_transform_one(cfg, task):
         os.kill(os.getpid(), signal.SIGKILL)
     if subject.name == "subject_002":
         time.sleep(60)
-    return transform_one(cfg, task)
+    return worker(*args)
 
-cli._transform_one = killing_transform_one
-sys.exit(cli.main(sys.argv[1:]))
+setattr(cli, name, killing_worker)
+sys.exit(cli.main(sys.argv[3:]))
 """
+
+
+def run_killing_worker(worker: str, done_file: str, argv: list) -> subprocess.CompletedProcess:
+    """The CLI on argv at --jobs 2, its worker replaced as KILLING_WORKER does."""
+    src = str(Path(phonoradar.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", KILLING_WORKER, worker, done_file, *argv,
+                           "--jobs", "2"], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_a_pool_worker_that_dies_fails_only_the_subjects_without_a_result(tmp_path):
@@ -1112,10 +1122,8 @@ def test_a_pool_worker_that_dies_fails_only_the_subjects_without_a_result(tmp_pa
         assert run(["synth", "--out", str(cohort), "--cohort", "3", "--seed", "1",
                     "--duration", "0.3"]) == 0
     assert run(["transform", "--cohort", str(clean)]) == 0
-    src = str(Path(phonoradar.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", KILLING_WORKER, "transform", "--cohort",
-                           str(broken), "--jobs", "2"], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=120)
+    proc = run_killing_worker("_transform_one", "transform.json",
+                              ["transform", "--cohort", str(broken)])
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == [f"error: {broken / s}: worker process ended abruptly"
@@ -1125,3 +1133,75 @@ def test_a_pool_worker_that_dies_fails_only_the_subjects_without_a_result(tmp_pa
     assert tree_digest(broken / "subject_000") == tree_digest(clean / "subject_000")
     for subject in ("subject_001", "subject_002"):
         assert not (broken / subject / "transform.json").exists()
+
+
+def test_a_transform_worker_that_dies_keeps_no_earlier_outputs(tmp_path):
+    # a rerun clears every subject's outputs before its workers start, so
+    # the subjects it does not finish keep none of the earlier run's
+    cohort = tmp_path / "cohort"
+    assert run(["synth", "--out", str(cohort), "--cohort", "3", "--seed", "1",
+                "--duration", "0.3"]) == 0
+    assert run(["transform", "--cohort", str(cohort)]) == 0
+    proc = run_killing_worker("_transform_one", "transform.json",
+                              ["transform", "--cohort", str(cohort)])
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stderr.splitlines()) == 2 and "Traceback" not in proc.stderr
+    assert (cohort / "subject_000" / "transform.json").exists()
+    for subject in ("subject_001", "subject_002"):
+        assert not any((cohort / subject / name).exists()
+                       for name in ("e_hat.csv", "x_hat.csv", "d_hat.csv", "transform.json"))
+
+
+def test_a_radar_subject_whose_worker_died_is_not_scored_on_its_true_trace(tmp_path, capsys):
+    # radar.json says the subject was not measured, so the later stages read
+    # its missing neck_radar.csv and skip it, not fall back to neck_true.csv
+    cohort = tmp_path / "cohort"
+    assert run(["synth", "--out", str(cohort), "--cohort", "3", "--seed", "1",
+                "--duration", "0.3"]) == 0
+    proc = run_killing_worker("_radar_one", "neck_radar.csv", ["radar", "--cohort", str(cohort)])
+    lost = [cohort / s for s in ("subject_001", "subject_002")]
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [f"error: {d}: worker process ended abruptly"
+                                        for d in lost]
+    for d in lost:
+        assert json.loads((d / "radar.json").read_text()) == {"error": f"{d}: not measured"}
+    for argv in (["transform", "--cohort"], ["evaluate"]):
+        lines = error_lines(capsys, [*argv, str(cohort)], 0)
+        assert len(lines) == 2
+        assert all(str(d / "neck_radar.csv") in line for d, line in zip(lost, lines))
+    report = json.loads((cohort / "report" / "report.json").read_text())
+    assert [row["id"] for row in report["subjects"]] == ["subject_000"]
+    assert report["skipped"] == ["subject_001", "subject_002"]
+
+
+def test_evaluate_that_fails_every_subject_keeps_no_earlier_report(small_cohort, capsys):
+    assert run(["evaluate", str(small_cohort)]) == 0
+    for directory in _subject_dirs(small_cohort):
+        (directory / "transform.json").unlink()
+    assert len(error_lines(capsys, ["evaluate", str(small_cohort)], 2)) == 3
+    report = small_cohort / "report"
+    assert not (report / "report.json").exists() and not (report / "report.csv").exists()
+    assert list((report / "windows").iterdir()) == []
+
+
+def transform_out_of_memory_on_subject_001(cfg, task):
+    """_transform_one, but out of memory on subject_001; module level, so
+    that the pool can pickle it."""
+    if Path(task[0]).name == "subject_001":
+        raise MemoryError
+    return _transform_one(cfg, task)
+
+
+@JOBS
+def test_a_worker_out_of_memory_fails_only_its_subject(tmp_path, capsys, monkeypatch, jobs):
+    cohort = tmp_path / "cohort"
+    assert run(["synth", "--out", str(cohort), "--cohort", "3", "--seed", "1",
+                "--duration", "0.3"]) == 0
+    monkeypatch.setattr("phonoradar.cli._transform_one", transform_out_of_memory_on_subject_001)
+    capsys.readouterr()
+    assert run(["transform", "--cohort", str(cohort), "--jobs", jobs]) == 0
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [f"error: {cohort / 'subject_001'}: out of memory"]
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        str(cohort / s) for s in ("subject_000", "subject_002")]
+    assert not (cohort / "subject_001" / "transform.json").exists()

@@ -181,15 +181,15 @@ def assert_matches_oracle(scene, cfg):
     bounds: the same bin and generator state, and every figure within its
     bound."""
     got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
-    got = measure_displacement(scene, cfg, got_rng)
+    got, got_bin = measure_displacement(scene, cfg, got_rng)
     spectrum = explicit_spectrum(scene, cfg, want_rng)
-    want = extract_displacement(spectrum, cfg)
-    assert got.bin_index == want.bin_index
+    want, want_bin = extract_displacement(spectrum, cfg)
+    assert got_bin["selected_bin"] == want_bin["selected_bin"]
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     means = means_bound(scene, cfg, spectrum)
-    assert abs(got.bin_magnitude - want.bin_magnitude) <= means
-    assert abs(got.noise_floor - want.noise_floor) <= means
-    bound = displacement_bound(scene, cfg, spectrum, want.bin_index)
+    assert abs(got_bin["bin_magnitude"] - want_bin["bin_magnitude"]) <= means
+    assert abs(got_bin["noise_floor"] - want_bin["noise_floor"]) <= means
+    bound = displacement_bound(scene, cfg, spectrum, want_bin["selected_bin"])
     assert np.max(np.abs(got.samples - want.samples)) <= bound
 
 
@@ -204,7 +204,7 @@ def test_streamed_chain_matches_explicit(monkeypatch, rng, chirps, n, snr_db, ba
         # centre the kept band on the positive bin farthest from the peak,
         # as if the nominal range lay there: a peak that far from it is no
         # return of the target
-        peak = explicit_chain(scene, cfg, np.random.default_rng(7)).bin_index
+        peak = explicit_chain(scene, cfg, np.random.default_rng(7))[1]["selected_bin"]
         far = 0 if 2 * peak >= n // 2 else n // 2 - 1
         assert abs(far - peak) > _BAND_BINS
         monkeypatch.setattr(ChirpConfig, "bin_of_range", lambda self, range_m: far)

@@ -88,7 +88,7 @@ class TestExtractDisplacement:
         n = 400
         ramp = np.linspace(0.0, 2e-3, n)   # phase span ~6.5 rad
         d = displacement(ramp - ramp.mean())
-        out = measure_displacement(TargetScene(displacement=d), cfg)
+        out, _ = measure_displacement(TargetScene(displacement=d), cfg)
         assert np.max(np.abs(np.diff(out.samples))) < cfg.wavelength_m / 4
         err = out.samples - d.samples
         assert np.sqrt(np.mean(err**2)) < 0.02 * np.sqrt(np.mean(d.samples**2))
@@ -96,7 +96,7 @@ class TestExtractDisplacement:
     def test_roundtrip_sine(self, cfg):
         t = np.arange(1000) / 2000.0
         d = displacement(50e-6 * np.sin(2 * np.pi * 100 * t))
-        out = measure_displacement(TargetScene(displacement=d), cfg)
+        out, _ = measure_displacement(TargetScene(displacement=d), cfg)
         truth = d.samples - d.samples.mean()
         err = out.samples - truth
         assert np.sqrt(np.mean(err**2)) < 0.02 * np.sqrt(np.mean(truth**2))
@@ -106,16 +106,16 @@ class TestExtractDisplacement:
     def test_amplitude_linearity(self, cfg):
         t = np.arange(500) / 2000.0
         base = 30e-6 * np.sin(2 * np.pi * 120 * t)
-        one = measure_displacement(TargetScene(displacement=displacement(base)), cfg)
-        two = measure_displacement(TargetScene(displacement=displacement(2 * base)), cfg)
+        one, _ = measure_displacement(TargetScene(displacement=displacement(base)), cfg)
+        two, _ = measure_displacement(TargetScene(displacement=displacement(2 * base)), cfg)
         ratio = np.sqrt(np.mean(two.samples**2) / np.mean(one.samples**2))
         assert ratio == pytest.approx(2.0, rel=0.01)
 
     def test_noise_robustness_20db(self, cfg):
         t = np.arange(2000) / 2000.0
         d = displacement(100e-6 * np.sin(2 * np.pi * 100 * t))
-        out = measure_displacement(TargetScene(displacement=d, noise_snr_db=20.0),
-                                   cfg, rng=np.random.default_rng(0))
+        out, _ = measure_displacement(TargetScene(displacement=d, noise_snr_db=20.0),
+                                      cfg, rng=np.random.default_rng(0))
         spec = np.abs(np.fft.rfft(out.samples * np.hanning(len(out))))
         ref = np.abs(np.fft.rfft((d.samples - d.samples.mean()) * np.hanning(len(d))))
         k = np.argmax(ref)
@@ -148,8 +148,8 @@ class TestExtractDisplacement:
         d = displacement(bins * spacing * np.sin(2 * np.pi * 120 * t))
         for centre in np.arange(1, 750) / 100:   # bins 0.01 .. 7.49
             scene = TargetScene(displacement=d, nominal_range_m=centre * spacing)
-            out = measure_displacement(scene, cfg)
-            assert abs(out.bin_index - centre) <= 2
+            _, decision = measure_displacement(scene, cfg)
+            assert abs(decision["selected_bin"] - centre) <= 2
 
     def test_prf_mismatch_rejected(self, cfg):
         with pytest.raises(ValueError):

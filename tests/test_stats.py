@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from phonoradar.stats import (DescriptiveStats, descriptive_stats, paired_t_test,
-                              regularized_incomplete_beta, student_t_cdf,
-                              student_t_two_sided_p)
+from phonoradar.stats import (descriptive_stats, paired_t_test, regularized_incomplete_beta,
+                              student_t_cdf, student_t_two_sided_p)
 
 
 def t_density(x, df):
@@ -29,20 +28,20 @@ def tail_by_quadrature(t, df):
 class TestDescriptiveStats:
     def test_closed_form(self):
         st = descriptive_stats([1.0, 2.0, 3.0])
-        assert st.mean == pytest.approx(2.0)
-        assert st.n == 3
-        assert st.std == pytest.approx(1.0)
-        assert st.sem == pytest.approx(1.0 / math.sqrt(3))
+        assert st["mean"] == pytest.approx(2.0)
+        assert st["n"] == 3
+        assert st["std"] == pytest.approx(1.0)
+        assert st["sem"] == pytest.approx(1.0 / math.sqrt(3))
 
     def test_constant_values(self):
         st = descriptive_stats([4.0, 4.0, 4.0, 4.0])
-        assert st.std == 0.0 and st.sem == 0.0
+        assert st["std"] == 0.0 and st["sem"] == 0.0
 
     def test_sem_consistency(self, rng):
         for _ in range(20):
             values = rng.standard_normal(int(rng.integers(2, 50)))
             st = descriptive_stats(values)
-            assert st.sem * math.sqrt(st.n) == pytest.approx(st.std)
+            assert st["sem"] * math.sqrt(st["n"]) == pytest.approx(st["std"])
 
     def test_too_few(self):
         with pytest.raises(ValueError):
@@ -51,8 +50,8 @@ class TestDescriptiveStats:
     def test_report_format_fixture(self):
         # Table-shaped fixture row (mean, n, std, sem); the published values
         # are rounded, so sem ~ std/sqrt(n) only to the table's precision
-        row = DescriptiveStats(mean=3.9740, n=66, std=0.3054, sem=0.0365)
-        assert row.sem == pytest.approx(row.std / math.sqrt(row.n), abs=2e-3)
+        n, std, sem = 66, 0.3054, 0.0365
+        assert sem == pytest.approx(std / math.sqrt(n), abs=2e-3)
 
 
 class TestStudentT:
@@ -92,19 +91,19 @@ class TestPairedTTest:
         # a=(1,2,3,4), b=(2,2,4,5): differences (-1,0,-1,-1),
         # mean -0.75, sd 0.5, t = -0.75/(0.5/2) = -3.0, df 3
         res = paired_t_test([1.0, 2.0, 3.0, 4.0], [2.0, 2.0, 4.0, 5.0])
-        assert res.t_stat == pytest.approx(-3.0)
-        assert res.n == 4 and res.df == 3
-        assert res.std_of_differences == pytest.approx(0.5)
+        assert res["t_stat"] == pytest.approx(-3.0)
+        assert res["n"] == 4 and res["df"] == 3
+        assert res["std"] == pytest.approx(0.5)
         oracle_p = 2 * tail_by_quadrature(3.0, 3)
-        assert res.p_value == pytest.approx(oracle_p, abs=1e-6)
+        assert res["p_value"] == pytest.approx(oracle_p, abs=1e-6)
 
     def test_sign_convention(self, rng):
         a = rng.standard_normal(30)
         b = a + rng.standard_normal(30)
         fwd = paired_t_test(a, b)
         rev = paired_t_test(b, a)
-        assert fwd.t_stat == pytest.approx(-rev.t_stat)
-        assert fwd.p_value == pytest.approx(rev.p_value)
+        assert fwd["t_stat"] == pytest.approx(-rev["t_stat"])
+        assert fwd["p_value"] == pytest.approx(rev["p_value"])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
