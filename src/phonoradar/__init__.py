@@ -15,8 +15,8 @@ from .synth import (GlottalConfig, NeckChannel, SyntheticSubject, VocalTractMode
                     random_vocal_tract, synth_vocal_fold_displacement,
                     synthesize_speech)
 from .lpc import LpcModel, autocorrelation, levinson_durbin
-from .transform import (NoVoicedFramesError, TransformConfig, TransformOutput,
-                        integrate_excitation, transform_speech)
+from .transform import (NoVoicedFramesError, TransformConfig, integrate_excitation,
+                        transform_speech)
 from .radar import (ChirpConfig, NoCoherentTargetError, TargetScene, add_range_noise,
                     measure_displacement)
 from .metrics import (PowerSpectrum, SilentFrameError, log_spectral_distance, loess_smooth,

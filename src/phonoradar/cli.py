@@ -8,7 +8,9 @@ or runs out of memory is skipped, on one `error:` line; the others run. So
 is each subject that a pool worker's death left without a result.
 
 Exit codes: 0 success, 1 usage error, 2 data/precondition error (in a cohort
-stage: of every subject).
+stage: of every subject), 130 interrupted (SIGINT, as by Ctrl-C), on one
+`interrupted` line. At most the subjects in flight finish; the others keep
+no outputs, as the stage cleared them before its workers started.
 """
 
 from __future__ import annotations
@@ -345,22 +347,16 @@ def _transform_one(cfg: TransformConfig, task: tuple) -> str:
     with pio.naming(f"{speech_path} and {displacement_path}"):
         if abs(speech.rate_hz - displacement.rate_hz) > 1e-9:
             speech = resample_decimate(speech, displacement.rate_hz)
-        out = transform_speech(speech, displacement, cfg)
+        traces, record = transform_speech(speech, displacement, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     for key, name in TRANSFORM_FILES.items():
-        pio.write_csv_signal(out_dir / name, getattr(out, key))
-    voiced = sum(r["voiced"] for r in out.per_frame)
-    meta = {
-        "global_tau_samples": out.global_tau_samples,
-        "n_frames": len(out.per_frame),
-        "n_voiced": voiced,
-        "config": asdict(cfg),
-        "per_frame": out.per_frame,
-    }
+        pio.write_csv_signal(out_dir / name, traces[key])
     # One compact dumps call: json.dump, and any indent, run the pure-Python
     # encoder, several times slower on the per-frame records.
-    (out_dir / TRANSFORM_META).write_text(json.dumps(meta, sort_keys=True) + "\n")
-    return f"{out_dir}: {voiced}/{len(out.per_frame)} voiced frames, tau={out.global_tau_samples}"
+    (out_dir / TRANSFORM_META).write_text(
+        json.dumps({**record, "config": asdict(cfg)}, sort_keys=True) + "\n")
+    return (f"{out_dir}: {record['n_voiced']}/{record['n_frames']} voiced frames, "
+            f"tau={record['global_tau_samples']}")
 
 
 def cmd_transform(args) -> int:
@@ -471,20 +467,31 @@ def _run_subjects(worker, clear, tasks: list, jobs: int) -> list[tuple]:
     run = functools.partial(_outcome, worker)
     if jobs <= 1 or len(todo) <= 1:
         for i in todo:
-            outcomes[i] = run(tasks[i])
+            try:
+                outcomes[i] = run(tasks[i])
+            except KeyboardInterrupt:   # the interrupted subject keeps no outputs
+                clear(tasks[i])
+                raise
     else:
         # Imported here: the pool machinery (multiprocessing, logging, socket)
         # costs every serial stage process about 25 ms of start-up.
+        import signal
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-        # No more workers than tasks: the pool forks all of them at its first submit.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
+        # No more workers than tasks: the pool forks all of them at its first
+        # submit. An interrupt is the parent's alone: the workers ignore
+        # SIGINT, so the subjects in flight finish and the rest are cancelled.
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(todo)), initializer=signal.signal,
+                                   initargs=(signal.SIGINT, signal.SIG_IGN))
+        try:
             futures = {i: pool.submit(run, tasks[i]) for i in todo}
-        for i, future in futures.items():
-            try:
-                outcomes[i] = future.result()
-            except BrokenExecutor:
-                outcomes[i] = ChildProcessError(f"{_subject(tasks[i])}: "
-                                                "worker process ended abruptly")
+            for i, future in futures.items():
+                try:
+                    outcomes[i] = future.result()
+                except BrokenExecutor:
+                    outcomes[i] = ChildProcessError(f"{_subject(tasks[i])}: "
+                                                    "worker process ended abruptly")
+        finally:
+            pool.shutdown(cancel_futures=True)
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             print(f"error: {outcome}", file=sys.stderr)
@@ -555,6 +562,9 @@ def main(argv=None) -> int:
     except DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

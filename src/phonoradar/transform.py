@@ -17,7 +17,6 @@ from .synth import F0_MAX_HZ, F0_MIN_HZ, VocalTractModel
 
 __all__ = [
     "TransformConfig",
-    "TransformOutput",
     "NoVoicedFramesError",
     "frame_voicing",
     "frame_delays",
@@ -68,24 +67,6 @@ class TransformConfig:
             raise ValueError("tau_mode must be 'global' or 'per-frame'")
         if self.integration not in ("spectral", "leaky"):
             raise ValueError("integration must be 'spectral' or 'leaky'")
-
-
-@dataclass(frozen=True)
-class TransformOutput:
-    """The three estimates, and per_frame: transform.json's records, one dict
-    per analysis frame with keys index, voiced, f0_hz, tau_d_samples,
-    correlation_peak and lpc_gain. An unvoiced frame has None in the last
-    four, a voiced frame whose delay is undefined (frame_delays) in
-    tau_d_samples and correlation_peak."""
-
-    e_hat: SampledSignal
-    x_hat: SampledSignal
-    d_hat: SampledSignal
-    per_frame: list
-    global_tau_samples: int
-
-    def voiced_mask(self) -> np.ndarray:
-        return np.array([r["voiced"] for r in self.per_frame], dtype=bool)
 
 
 def frame_voicing(frames: np.ndarray, rate_hz: float, threshold: float,
@@ -194,7 +175,7 @@ def integrate_excitation(e_hat: SampledSignal, pole: float) -> SampledSignal:
 
 def transform_speech(s: SampledSignal, d: SampledSignal,
                      cfg: TransformConfig = TransformConfig(),
-                     known_tract: VocalTractModel | None = None) -> TransformOutput:
+                     known_tract: VocalTractModel | None = None) -> tuple[dict, dict]:
     """Run the full speech-to-displacement model transform.
 
     Per voiced frame: the all-pole envelope of lpc.fit_envelopes (or
@@ -206,6 +187,14 @@ def transform_speech(s: SampledSignal, d: SampledSignal,
     displacement estimate. The absolute flow scale is unobservable, so the
     output is normalized rather than scaled by 1/K; per-window spectrum
     normalization makes the evaluation scale-free anyway.
+
+    Returns (traces, record). traces maps e_hat, x_hat and d_hat to the
+    three estimates. record is transform.json's record without its config:
+    global_tau_samples, n_frames, n_voiced and per_frame, one dict per
+    analysis frame with keys index, voiced, f0_hz, tau_d_samples,
+    correlation_peak and lpc_gain. An unvoiced frame has None in the last
+    four, a voiced frame whose delay is undefined (frame_delays) in
+    tau_d_samples and correlation_peak.
     """
     s.require_same_rate(d)
     if len(s) != len(d):
@@ -297,10 +286,7 @@ def transform_speech(s: SampledSignal, d: SampledSignal,
                                  tau.tolist(), peak.tolist(), defined.tolist()):
         per_frame[i].update(voiced=True, f0_hz=f, lpc_gain=g, tau_d_samples=t if ok else None,
                             correlation_peak=p if ok else None)
-    return TransformOutput(
-        e_hat=SampledSignal(e_hat, rate),
-        x_hat=SampledSignal(x_hat, rate),
-        d_hat=SampledSignal(d_hat, rate),
-        per_frame=per_frame,
-        global_tau_samples=global_tau,
-    )
+    return ({"e_hat": SampledSignal(e_hat, rate), "x_hat": SampledSignal(x_hat, rate),
+             "d_hat": SampledSignal(d_hat, rate)},
+            {"global_tau_samples": global_tau, "n_frames": n_frames,
+             "n_voiced": len(rows), "per_frame": per_frame})

@@ -18,6 +18,12 @@ def make_test_subject(seed=3, f0=150.0, tau_samples=2, duration=1.0,
                            lead_in_s=lead_in)
 
 
+def voiced_flags(record) -> np.ndarray:
+    """The voiced flag of each analysis frame, from the per_frame records of
+    transform_speech's record."""
+    return np.array([r["voiced"] for r in record["per_frame"]], dtype=bool)
+
+
 @pytest.fixture
 def subject():
     return make_test_subject()

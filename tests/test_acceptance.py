@@ -30,6 +30,7 @@ from phonoradar.report import build_cohort_report, evaluate_signals
 from phonoradar.signals import FramePlan, SampledSignal
 from phonoradar.stats import descriptive_stats, paired_t_test, student_t_two_sided_p
 from phonoradar.transform import transform_speech
+from conftest import voiced_flags
 from radar_oracle import range_fft, simulate_beat_signal
 
 COHORT_SEED = 42
@@ -73,11 +74,11 @@ def cohort():
     for i in range(COHORT_SIZE):
         params = _draw_subject_params(i)
         subject, d_meas = _build_subject(params)
-        out = transform_speech(subject.s, d_meas)
-        ev, _ = evaluate_signals(f"subject_{i:03d}", subject.s, out.e_hat, out.d_hat,
-                                 d_meas, out.voiced_mask())
+        traces, record = transform_speech(subject.s, d_meas)
+        ev, _ = evaluate_signals(f"subject_{i:03d}", subject.s, traces["e_hat"],
+                                 traces["d_hat"], d_meas, voiced_flags(record))
         rows.append({"params": params, "subject": subject, "d_meas": d_meas,
-                     "transform": out, "evaluation": ev})
+                     "transform": record, "evaluation": ev})
     elapsed = time.time() - t0
     return {"rows": rows, "elapsed_s": elapsed}
 
@@ -148,8 +149,8 @@ class TestCriterion2ExactnessCase:
                                   lead_in_s=0.05)
         d_meas, _ = pr.measure_displacement(pr.TargetScene(displacement=subject.d),
                                             pr.ChirpConfig())
-        out = transform_speech(subject.s, d_meas, known_tract=subject.tract)
-        mask = out.voiced_mask()
+        traces, record = transform_speech(subject.s, d_meas, known_tract=subject.tract)
+        mask = voiced_flags(record)
         plan = FramePlan.for_rate(RATE)
         # per-voiced-frame correlation over steady-state frames: a frame within
         # one window length (two hops) of a voicing boundary straddles the
@@ -161,12 +162,12 @@ class TestCriterion2ExactnessCase:
         d_std = d_meas.samples.std()
         for i in np.flatnonzero(interior):
             lo = i * plan.hop
-            a = out.d_hat.samples[lo:lo + plan.window_len]
+            a = traces["d_hat"].samples[lo:lo + plan.window_len]
             b = d_meas.samples[lo:lo + plan.window_len]
             if b.std() > 1e-3 * d_std:
                 cors.append(float(np.corrcoef(a, b)[0, 1]))
         min_corr = min(cors)
-        mean_lsd = float(np.mean(lsd_over_windows(d_meas, {"d_hat": out.d_hat}, plan,
+        mean_lsd = float(np.mean(lsd_over_windows(d_meas, {"d_hat": traces["d_hat"]}, plan,
                                                   mask)[2]["d_hat"]))
         ok = min_corr > 0.99 and mean_lsd < 0.5
         _report("2", ok,
@@ -244,8 +245,8 @@ class TestCriterion5DelayEstimation:
         exact = 0
         for row in cohort["rows"]:
             subject = row["subject"]
-            out = transform_speech(subject.s, row["d_meas"], known_tract=subject.tract)
-            exact += out.global_tau_samples == row["params"]["tau_samples"]
+            _, record = transform_speech(subject.s, row["d_meas"], known_tract=subject.tract)
+            exact += record["global_tau_samples"] == row["params"]["tau_samples"]
         ok = exact >= math.ceil(0.95 * COHORT_SIZE)
         _report("5 (exact recovery)", ok,
                 f"global-median delay exact for {exact}/{COHORT_SIZE} subjects "
@@ -253,7 +254,7 @@ class TestCriterion5DelayEstimation:
         assert ok
 
     def test_lpc_mode_median_within_one_sample(self, cohort):
-        errors = [abs(row["transform"].global_tau_samples
+        errors = [abs(row["transform"]["global_tau_samples"]
                       - row["params"]["tau_samples"])
                   for row in cohort["rows"]]
         med = float(np.median(errors))

@@ -1,10 +1,13 @@
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -13,8 +16,9 @@ import pytest
 from scipy.io import wavfile
 
 import phonoradar
-from phonoradar.cli import (RADAR_NOISE_KEY, _build_parser, _subject_dirs, _transform_one,
-                            main, radar_noise_seed)
+from phonoradar.cli import (RADAR_NOISE_KEY, TRANSFORM_FILES, TRANSFORM_META, _build_parser,
+                            _run_subjects, _subject_dirs, _transform_one, main,
+                            radar_noise_seed)
 from phonoradar.io import read_csv_signal, read_wav, write_csv_signal, write_wav
 from phonoradar.radar import ChirpConfig, TargetScene, measure_displacement
 from phonoradar.signals import SampledSignal
@@ -195,13 +199,10 @@ class TestTransform:
                     "--out", str(tmp_path / "o")]) == 0
         text = (tmp_path / "o" / "transform.json").read_text()
         assert text.count("\n") == 1 and text.endswith("\n")
-        out = transform_speech(read_wav(tmp_path / "s.wav"), read_csv_signal(tmp_path / "d.csv"),
-                               TransformConfig())
-        meta = {"global_tau_samples": out.global_tau_samples,
-                "n_frames": len(out.per_frame),
-                "n_voiced": sum(r["voiced"] for r in out.per_frame),
-                "config": asdict(TransformConfig()),
-                "per_frame": out.per_frame}
+        _, record = transform_speech(read_wav(tmp_path / "s.wav"),
+                                     read_csv_signal(tmp_path / "d.csv"), TransformConfig())
+        meta = {**record, "config": asdict(TransformConfig())}
+        assert text == json.dumps(meta, sort_keys=True) + "\n"
         # json.loads reads NaN as a fresh float, which is not equal to
         # itself; dumping both parses again compares them value for value.
         indented = json.dumps(meta, indent=2, sort_keys=True)
@@ -214,10 +215,11 @@ class TestTransform:
         subj = tmp_path / "s"
         assert run(["synth", "--out", str(subj), "--duration", "0.5", "--seed", "2"]) == 0
         assert run(["transform", "--subject", str(subj)]) == 0
-        out = transform_speech(read_wav(subj / "speech.wav"),
-                               read_csv_signal(subj / "neck_true.csv"), TransformConfig())
-        assert {r["f0_hz"] is None for r in out.per_frame} == {True, False}
-        assert out.per_frame == json.loads((subj / "transform.json").read_text())["per_frame"]
+        _, record = transform_speech(read_wav(subj / "speech.wav"),
+                                     read_csv_signal(subj / "neck_true.csv"), TransformConfig())
+        assert {r["f0_hz"] is None for r in record["per_frame"]} == {True, False}
+        assert json.loads((subj / "transform.json").read_text()) == {
+            **record, "config": asdict(TransformConfig())}
 
     @pytest.mark.parametrize("where", ["--cohort", "--subject"])
     @pytest.mark.parametrize("flag", ["--out", "--displacement"])
@@ -496,23 +498,20 @@ class SpyPool:
     def __init__(self, max_workers, started):
         started.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
     def submit(self, fn, task):
         future = concurrent.futures.Future()
         future.set_result(fn(task))
         return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
 
 
 @pytest.fixture
 def pools_started(monkeypatch):
     started = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda max_workers: SpyPool(max_workers, started))
+                        lambda max_workers, **pool_args: SpyPool(max_workers, started))
     return started
 
 
@@ -1205,3 +1204,78 @@ def test_a_worker_out_of_memory_fails_only_its_subject(tmp_path, capsys, monkeyp
     assert [line.split(":")[0] for line in out.splitlines()] == [
         str(cohort / s) for s in ("subject_000", "subject_002")]
     assert not (cohort / "subject_001" / "transform.json").exists()
+
+
+# Runs the phonoradar CLI on argv[1:] with _transform_one replaced by one
+# that, on subject_001, sends SIGINT to its own process group once
+# subject_000's transform.json is written, as Ctrl-C in a terminal does. The
+# forked pool workers inherit the replacement.
+INTERRUPTING_WORKER = """
+import os, signal, sys, time
+from pathlib import Path
+import phonoradar.cli as cli
+
+worker = cli._transform_one
+
+def interrupting_worker(cfg, task):
+    subject = Path(task[0])
+    if subject.name == "subject_001":
+        done = subject.parent / "subject_000" / "transform.json"
+        deadline = time.monotonic() + 60
+        while not done.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os.killpg(os.getpgrp(), signal.SIGINT)
+    return worker(cfg, task)
+
+cli._transform_one = interrupting_worker
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@JOBS
+def test_an_interrupt_ends_the_stage_at_once_on_one_line(tmp_path, jobs):
+    clean, cohort = tmp_path / "clean", tmp_path / "cohort"
+    for c in (clean, cohort):
+        assert run(["synth", "--out", str(c), "--cohort", "3", "--seed", "1",
+                    "--duration", "0.3"]) == 0
+    assert run(["transform", "--cohort", str(clean)]) == 0
+    src = str(Path(phonoradar.__file__).resolve().parents[1])
+    # A session of its own: the signal reaches the stage and its workers, not pytest.
+    proc = subprocess.Popen([sys.executable, "-c", INTERRUPTING_WORKER, "transform", "--cohort",
+                             str(cohort), "--jobs", jobs], env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    start = time.monotonic()
+    try:
+        _, err = proc.communicate(timeout=60)
+        seconds = time.monotonic() - start
+        with pytest.raises(ProcessLookupError):   # no process of the stage outlived it
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert proc.returncode == 130, err
+    assert err.splitlines() == ["interrupted"]
+    assert seconds < 20
+    assert tree_digest(cohort / "subject_000") == tree_digest(clean / "subject_000")
+    # A pool's subjects in flight finish; every other subject keeps no outputs.
+    outputs = {*TRANSFORM_FILES.values(), TRANSFORM_META}
+    for subject in ("subject_001", "subject_002"):
+        want = tree_digest(clean / subject)
+        got = tree_digest(cohort / subject)
+        if jobs == "1" or got != want:
+            assert got == {name: digest for name, digest in want.items() if name not in outputs}
+
+
+def test_an_interrupted_serial_subject_keeps_no_outputs(tmp_path):
+    # the interrupt stops the subject in the middle of its writes, and the
+    # stage clears what it wrote before the interrupt goes on
+    def worker(path):
+        path.write_text("partial")
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        _run_subjects(worker, lambda path: path.unlink(missing_ok=True),
+                      [tmp_path / "a", tmp_path / "b"], 1)
+    assert list(tmp_path.iterdir()) == []

@@ -6,7 +6,7 @@ from phonoradar.signals import FramePlan, SampledSignal
 from phonoradar.transform import (NoVoicedFramesError, TransformConfig, frame_delays,
                                   frame_voicing, integrate_excitation, transform_speech)
 
-from conftest import make_test_subject
+from conftest import make_test_subject, voiced_flags
 
 
 class TestIntegrateExcitation:
@@ -92,33 +92,34 @@ class TestEstimateDelay:
 
 class TestTransform:
     def test_output_shapes_and_counts(self, subject):
-        out = transform_speech(subject.s, subject.d)
+        traces, record = transform_speech(subject.s, subject.d)
         plan = FramePlan.for_rate(2000.0)
-        assert len(out.e_hat) == len(subject.s)
-        assert len(out.x_hat) == len(subject.s)
-        assert len(out.d_hat) == len(subject.s)
-        assert len(out.per_frame) == plan.n_frames(len(subject.s))
+        assert len(traces["e_hat"]) == len(subject.s)
+        assert len(traces["x_hat"]) == len(subject.s)
+        assert len(traces["d_hat"]) == len(subject.s)
+        assert len(record["per_frame"]) == record["n_frames"] == plan.n_frames(len(subject.s))
+        assert record["n_voiced"] == sum(r["voiced"] for r in record["per_frame"]) > 0
 
     def test_delay_recovered(self):
         for tau in (0, 1, 2, 4):
             subj = make_test_subject(seed=5, tau_samples=tau)
-            out = transform_speech(subj.s, subj.d, known_tract=subj.tract)
-            assert out.global_tau_samples == tau
+            _, record = transform_speech(subj.s, subj.d, known_tract=subj.tract)
+            assert record["global_tau_samples"] == tau
 
     def test_bypass_reconstruction_tracks_truth(self, subject):
         d_ref = SampledSignal(subject.d.samples - subject.d.samples.mean(), 2000.0)
-        out = transform_speech(subject.s, d_ref, known_tract=subject.tract)
+        traces, _ = transform_speech(subject.s, d_ref, known_tract=subject.tract)
         interior = slice(300, len(subject.s) - 300)
-        corr = np.corrcoef(out.d_hat.samples[interior], d_ref.samples[interior])[0, 1]
+        corr = np.corrcoef(traces["d_hat"].samples[interior], d_ref.samples[interior])[0, 1]
         assert corr > 0.99
 
     def test_lpc_mode_orders_before_raw_speech(self, subject):
         from phonoradar.metrics import lsd_over_windows
         d_ref = SampledSignal(subject.d.samples - subject.d.samples.mean(), 2000.0)
-        out = transform_speech(subject.s, d_ref)
+        traces, record = transform_speech(subject.s, d_ref)
         plan = FramePlan.for_rate(2000.0)
-        mask = out.voiced_mask()
-        _, _, lsd = lsd_over_windows(d_ref, {"model": out.d_hat, "raw": subject.s}, plan, mask)
+        _, _, lsd = lsd_over_windows(d_ref, {"model": traces["d_hat"], "raw": subject.s}, plan,
+                                     voiced_flags(record))
         assert np.mean(lsd["model"]) < np.mean(lsd["raw"])
 
     def test_all_silence_errors(self):
@@ -129,34 +130,34 @@ class TestTransform:
 
     def test_scale_invariance(self, subject):
         d_ref = SampledSignal(subject.d.samples - subject.d.samples.mean(), 2000.0)
-        base = transform_speech(subject.s, d_ref)
-        scaled = transform_speech(SampledSignal(37.0 * subject.s.samples, 2000.0),
-                                  d_ref)
-        assert np.array_equal(base.voiced_mask(), scaled.voiced_mask())
-        assert base.global_tau_samples == scaled.global_tau_samples
-        taus_a = [r["tau_d_samples"] for r in base.per_frame]
-        taus_b = [r["tau_d_samples"] for r in scaled.per_frame]
+        base, base_record = transform_speech(subject.s, d_ref)
+        scaled, scaled_record = transform_speech(SampledSignal(37.0 * subject.s.samples, 2000.0),
+                                                 d_ref)
+        assert np.array_equal(voiced_flags(base_record), voiced_flags(scaled_record))
+        assert base_record["global_tau_samples"] == scaled_record["global_tau_samples"]
+        taus_a = [r["tau_d_samples"] for r in base_record["per_frame"]]
+        taus_b = [r["tau_d_samples"] for r in scaled_record["per_frame"]]
         assert taus_a == taus_b
-        assert np.allclose(base.d_hat.samples, scaled.d_hat.samples, atol=1e-9)
+        assert np.allclose(base["d_hat"].samples, scaled["d_hat"].samples, atol=1e-9)
 
     def test_sustained_phonation_mostly_voiced(self, subject):
-        out = transform_speech(subject.s, subject.d)
-        mask = out.voiced_mask()
+        _, record = transform_speech(subject.s, subject.d)
+        mask = voiced_flags(record)
         interior = mask[5:-5]
         assert np.mean(interior) >= 0.95
 
     def test_per_frame_tau_mode(self, subject):
-        out = transform_speech(subject.s, subject.d,
-                               TransformConfig(tau_mode="per-frame"))
-        assert len(out.d_hat) == len(subject.s)
-        voiced_taus = [r["tau_d_samples"] for r in out.per_frame
+        traces, record = transform_speech(subject.s, subject.d,
+                                          TransformConfig(tau_mode="per-frame"))
+        assert len(traces["d_hat"]) == len(subject.s)
+        voiced_taus = [r["tau_d_samples"] for r in record["per_frame"]
                        if r["voiced"] and r["tau_d_samples"] is not None]
         assert len(voiced_taus) > 0
 
     def test_leaky_integration_mode(self, subject):
-        out = transform_speech(subject.s, subject.d,
-                               TransformConfig(integration="leaky"))
-        assert np.all(np.isfinite(out.x_hat.samples))
+        traces, _ = transform_speech(subject.s, subject.d,
+                                     TransformConfig(integration="leaky"))
+        assert np.all(np.isfinite(traces["x_hat"].samples))
 
     def test_rate_mismatch_rejected(self, subject):
         other = SampledSignal(subject.d.samples, 4000.0)
@@ -174,6 +175,6 @@ class TestTransform:
         for seed, tau in zip(range(6), (0, 1, 2, 4, 2, 1)):
             subj = make_test_subject(seed=40 + seed, tau_samples=tau,
                                      f0=110.0 + 25 * seed)
-            out = transform_speech(subj.s, subj.d)
-            errors.append(abs(out.global_tau_samples - tau))
+            _, record = transform_speech(subj.s, subj.d)
+            errors.append(abs(record["global_tau_samples"] - tau))
         assert np.median(errors) <= 1

@@ -13,6 +13,8 @@ from phonoradar.report import COMPARISONS, evaluate_signals, write_window_csv
 from phonoradar.signals import FramePlan
 from phonoradar.transform import TransformConfig, transform_speech
 
+from conftest import voiced_flags
+
 
 def reference_window_csv(path, scored, span=0.3):
     """write_window_csv as a csv.writer loop over the shared windows."""
@@ -43,24 +45,25 @@ def assert_same_bytes(tmp_path, scored, span=0.3):
 
 
 def test_evaluated_subject_matches_reference(tmp_path, subject):
-    out = transform_speech(subject.s, subject.d, TransformConfig())
+    traces, record = transform_speech(subject.s, subject.d, TransformConfig())
     d = subject.d.with_samples(subject.d.samples - subject.d.samples.mean())
-    _, scored = evaluate_signals("s", subject.s, out.e_hat, out.d_hat, d, out.voiced_mask())
+    _, scored = evaluate_signals("s", subject.s, traces["e_hat"], traces["d_hat"], d,
+                                 voiced_flags(record))
     assert_same_bytes(tmp_path, scored)
 
 
 def test_a_window_silent_in_one_candidate_is_dropped_from_every_column(tmp_path, subject):
-    out = transform_speech(subject.s, subject.d, TransformConfig())
+    traces, record = transform_speech(subject.s, subject.d, TransformConfig())
+    e_hat, d_hat, voiced = traces["e_hat"], traces["d_hat"], voiced_flags(record)
     d = subject.d.with_samples(subject.d.samples - subject.d.samples.mean())
     plan = FramePlan.for_rate(subject.s.rate_hz)
-    _, (kept, _, kept_lsd) = evaluate_signals("s", subject.s, out.e_hat, out.d_hat, d,
-                                              out.voiced_mask())
+    _, (kept, _, kept_lsd) = evaluate_signals("s", subject.s, e_hat, d_hat, d, voiced)
     window = int(kept[len(kept) // 2])
     assert all(len(values) == len(kept) for values in kept_lsd.values())
-    samples = out.d_hat.samples.copy()
+    samples = d_hat.samples.copy()
     samples[window * plan.hop:window * plan.hop + plan.window_len] = 0.25
-    row, scored = evaluate_signals("s", subject.s, out.e_hat, out.d_hat.with_samples(samples),
-                                   d, out.voiced_mask())
+    row, scored = evaluate_signals("s", subject.s, e_hat, d_hat.with_samples(samples), d,
+                                   voiced)
     windows, _, lsd = scored
     shared = np.setdiff1d(kept, [window])
     assert np.array_equal(windows, shared)
