@@ -2,10 +2,13 @@
 transform, and cohort evaluation.
 
 Each stage builds its configuration once from the flags, removes what an
-earlier run left of its outputs, and runs one worker per subject, in process
-or on a pool of --jobs processes. A subject whose worker raises a data error
-or runs out of memory is skipped, on one `error:` line; the others run. So
-is each subject that a pool worker's death left without a result.
+earlier run left of its outputs and of every later stage's (STAGE_OUTPUTS),
+and runs one worker per subject, in process or on a pool of --jobs
+processes. Transform and evaluate read the radar trace, neck_radar.csv; a
+subject without one is their data error. Each subject's line is printed as
+it finishes, in subject order. A subject whose worker raises a data error or
+runs out of memory is skipped, on one `error:` line; the others run. So is
+each subject that a pool worker's death left without a result.
 
 Exit codes: 0 success, 1 usage error, 2 data/precondition error (in a cohort
 stage: of every subject), 130 interrupted (SIGINT, as by Ctrl-C), on one
@@ -49,6 +52,15 @@ RADAR_FILE = "neck_radar.csv"
 RADAR_META = "radar.json"
 TRANSFORM_FILES = {"e_hat": "e_hat.csv", "x_hat": "x_hat.csv", "d_hat": "d_hat.csv"}
 TRANSFORM_META = "transform.json"
+# Each stage's per-subject outputs, in pipeline order. Clearing a stage
+# removes its own and every later stage's, which were built on what it
+# replaces; subject.json goes first, so that a subject whose removal or
+# rewrite fails is unlisted.
+STAGE_OUTPUTS = {
+    "synth": (SUBJECT_MANIFEST, *SUBJECT_FILES.values()),
+    "radar": (RADAR_FILE, RADAR_META),
+    "transform": (*TRANSFORM_FILES.values(), TRANSFORM_META),
+}
 DATA_ERRORS = (OSError, ValueError)
 
 
@@ -175,13 +187,6 @@ def _from_flags(config, **values):
         raise UsageError(str(exc)) from None
 
 
-def _displacement_path(directory: Path) -> Path:
-    """The radar measurement once the radar stage has run (radar.json is
-    there, without the measurement if the run failed), else the true one."""
-    ran = (directory / RADAR_META).exists()
-    return directory / RADAR_FILE if ran else directory / SUBJECT_FILES["neck_true"]
-
-
 def _draw_cohort_params(args, index: int, seed: int) -> tuple:
     """(f0 in Hz, open quotient, neck channel, tract seed, subject seed) of
     cohort subject `index`."""
@@ -203,11 +208,11 @@ def _remove(directory: Path, names) -> None:
             (directory / name).unlink()
 
 
-def _clear_subject(task) -> None:
-    """Remove every subject, radar and transform file of a task's subject,
-    subject.json first, so that one whose removal or rewrite fails is unlisted."""
-    _remove(_subject(task), (SUBJECT_MANIFEST, *SUBJECT_FILES.values(), RADAR_FILE,
-                             RADAR_META, *TRANSFORM_FILES.values(), TRANSFORM_META))
+def _clear(stage: str, task) -> None:
+    """Remove the outputs of stage and of every later stage that an earlier
+    run left in a task's subject directory."""
+    later = list(STAGE_OUTPUTS)[list(STAGE_OUTPUTS).index(stage):]
+    _remove(Path(_subject(task)), [name for s in later for name in STAGE_OUTPUTS[s]])
 
 
 def _synth_one(glottal: GlottalConfig, duration_s: float, rate_hz: float,
@@ -247,10 +252,10 @@ def cmd_synth(args) -> int:
         for directory in sorted(out.glob("subject_*")):
             index = _cohort_index(directory)
             if index is not None and index >= args.cohort and directory.is_dir():
-                _clear_subject(directory)
+                _clear("synth", directory)
     written = len(_run_subjects(functools.partial(_synth_one, glottal, args.duration, args.rate,
                                                   args.noise_snr, args.lead_in),
-                                _clear_subject, tasks, args.jobs))
+                                functools.partial(_clear, "synth"), tasks, args.jobs))
     if written:
         print(f"wrote {written} subjects to {out}" if args.cohort else f"wrote subject to {out}")
     return 0 if written else 2
@@ -270,35 +275,22 @@ def _cohort_index(directory: Path) -> int | None:
     return int(i) if i.isdecimal() and directory.name == f"subject_{int(i):03d}" else None
 
 
-def _clear_radar(task: tuple) -> None:
-    """Remove the subject's measurement and leave a radar.json holding the
-    error that it was not measured, for its worker to replace."""
-    directory = task[0]
-    _remove(directory, (RADAR_FILE,))
-    (directory / RADAR_META).write_text(json.dumps({"error": f"{directory}: not measured"}) + "\n")
-
-
 def _radar_one(chirp: ChirpConfig, scene: TargetScene, seed: int, task: tuple) -> str:
     """Worker: measure one subject's neck displacement at the subject's rate
     as PRF. task is (directory, noise stream index or None). A failed
-    measurement leaves a radar.json holding its error."""
+    measurement writes nothing."""
     directory, index = task
     d_true = pio.read_csv_signal(directory / SUBJECT_FILES["neck_true"])
     cfg = replace(chirp, prf_hz=d_true.rate_hz)
     scene = replace(scene, displacement=d_true)
-    try:
-        if scene.noise_snr_db is not None and index is None:
-            raise ValueError(f"{directory}: a noisy cohort run keys each subject's noise "
-                             "by its subject_NNN name")
-        # A noiseless run never imports numpy.random: about 2.1 MB of RSS.
-        rng = (np.random.default_rng(radar_noise_seed(seed, index))
-               if scene.noise_snr_db is not None else None)
-        with pio.naming(directory):
-            measured, decision = measure_displacement(scene, cfg, rng)
-        pio.write_csv_signal(directory / RADAR_FILE, measured)
-    except DATA_ERRORS as exc:
-        (directory / RADAR_META).write_text(json.dumps({"error": str(exc)}) + "\n")
-        raise
+    if scene.noise_snr_db is not None and index is None:
+        raise ValueError(f"{directory}: a noisy cohort run keys each subject's noise "
+                         "by its subject_NNN name")
+    # A noiseless run never imports numpy.random: about 2.1 MB of RSS.
+    rng = (np.random.default_rng(radar_noise_seed(seed, index))
+           if scene.noise_snr_db is not None else None)
+    with pio.naming(directory):
+        measured, decision = measure_displacement(scene, cfg, rng)
     truth = d_true.samples - d_true.samples.mean()
     denom = float(np.linalg.norm(truth) * np.linalg.norm(measured.samples))
     corr = float(truth @ measured.samples / denom) if denom > 0 else 0.0
@@ -309,7 +301,9 @@ def _radar_one(chirp: ChirpConfig, scene: TargetScene, seed: int, task: tuple) -
         "correlation_vs_truth": corr,
         "chirp": asdict(cfg),
     }
+    # The trace last: a subject has one only once its record is written too.
     (directory / RADAR_META).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    pio.write_csv_signal(directory / RADAR_FILE, measured)
     return f"{directory}: corr={corr:.6f}"
 
 
@@ -330,9 +324,7 @@ def cmd_radar(args) -> int:
     else:
         tasks = [(d, _cohort_index(d)) for d in _subject_dirs(Path(args.cohort))]
     done = _run_subjects(functools.partial(_radar_one, chirp, scene, args.seed),
-                         _clear_radar, tasks, args.jobs)
-    for _, line in done:
-        print(line)
+                         functools.partial(_clear, "radar"), tasks, args.jobs)
     return 0 if done else 2
 
 
@@ -373,11 +365,9 @@ def cmd_transform(args) -> int:
         raise UsageError("--displacement and --out are for explicit mode, with --speech")
     else:
         dirs = [Path(args.subject)] if args.subject else _subject_dirs(Path(args.cohort))
-        tasks = [(d, d / SUBJECT_FILES["speech"], _displacement_path(d)) for d in dirs]
-    clear = lambda task: _remove(Path(task[0]), (*TRANSFORM_FILES.values(), TRANSFORM_META))
-    done = _run_subjects(functools.partial(_transform_one, cfg), clear, tasks, args.jobs)
-    for _, line in done:
-        print(line)
+        tasks = [(d, d / SUBJECT_FILES["speech"], d / RADAR_FILE) for d in dirs]
+    done = _run_subjects(functools.partial(_transform_one, cfg),
+                         functools.partial(_clear, "transform"), tasks, args.jobs)
     return 0 if done else 2
 
 
@@ -399,12 +389,10 @@ def _evaluate_one(windows: Path, span: float, directory: Path) -> dict:
     """Worker: the report.json row of one transformed subject, its LSDs over
     the frames its transform voiced; writes the subject's per-window CSV,
     loess-smoothed over span, into the windows directory."""
-    s_path, d_path = directory / SUBJECT_FILES["speech"], _displacement_path(directory)
+    s_path, d_path = directory / SUBJECT_FILES["speech"], directory / RADAR_FILE
     e_path, d_hat_path = (directory / TRANSFORM_FILES[key] for key in ("e_hat", "d_hat"))
     s = pio.read_wav(s_path)
     d = pio.read_csv_signal(d_path)
-    if d_path.name != RADAR_FILE:
-        d = d.with_samples(d.samples - d.samples.mean())
     e_hat, d_hat = map(pio.read_csv_signal, (e_path, d_hat_path))
     for path, sig in ((e_path, e_hat), (d_hat_path, d_hat), (d_path, d)):
         if len(sig) != len(s):   # the traces are paired sample by sample
@@ -456,22 +444,33 @@ def _outcome(worker, task):
         return MemoryError(f"{_subject(task)}: out of memory")
 
 
+def _print_outcome(outcome) -> None:
+    """A worker's line on stdout, or its error on an `error:` line on stderr."""
+    if isinstance(outcome, Exception):
+        print(f"error: {outcome}", file=sys.stderr)
+    elif isinstance(outcome, str):
+        print(outcome)
+
+
 def _run_subjects(worker, clear, tasks: list, jobs: int) -> list[tuple]:
     """(task, worker(task)) of each task that succeeded, in task order.
     Before any worker starts, clear(task) removes each task's outputs of an
     earlier run, in this process; a task whose clearing fails is not run.
-    Each error is printed on an `error:` line in task order, as is each task
-    a pool worker's death left without a result."""
+    Each task's outcome is printed as it arrives, in task order: a line the
+    worker returned, or an `error:` line, as for each task a pool worker's
+    death left without a result."""
     outcomes = [_outcome(clear, t) for t in tasks]   # None, or why the task is not run
     todo = [i for i, outcome in enumerate(outcomes) if outcome is None]
     run = functools.partial(_outcome, worker)
     if jobs <= 1 or len(todo) <= 1:
-        for i in todo:
-            try:
-                outcomes[i] = run(tasks[i])
-            except KeyboardInterrupt:   # the interrupted subject keeps no outputs
-                clear(tasks[i])
-                raise
+        for i, task in enumerate(tasks):
+            if outcomes[i] is None:
+                try:
+                    outcomes[i] = run(task)
+                except KeyboardInterrupt:   # the interrupted subject keeps no outputs
+                    clear(task)
+                    raise
+            _print_outcome(outcomes[i])
     else:
         # Imported here: the pool machinery (multiprocessing, logging, socket)
         # costs every serial stage process about 25 ms of start-up.
@@ -484,17 +483,16 @@ def _run_subjects(worker, clear, tasks: list, jobs: int) -> list[tuple]:
                                    initargs=(signal.SIGINT, signal.SIG_IGN))
         try:
             futures = {i: pool.submit(run, tasks[i]) for i in todo}
-            for i, future in futures.items():
-                try:
-                    outcomes[i] = future.result()
-                except BrokenExecutor:
-                    outcomes[i] = ChildProcessError(f"{_subject(tasks[i])}: "
-                                                    "worker process ended abruptly")
+            for i, task in enumerate(tasks):
+                if i in futures:
+                    try:
+                        outcomes[i] = futures[i].result()
+                    except BrokenExecutor:
+                        outcomes[i] = ChildProcessError(f"{_subject(task)}: "
+                                                        "worker process ended abruptly")
+                _print_outcome(outcomes[i])
         finally:
             pool.shutdown(cancel_futures=True)
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            print(f"error: {outcome}", file=sys.stderr)
     return [(t, o) for t, o in zip(tasks, outcomes) if not isinstance(o, Exception)]
 
 

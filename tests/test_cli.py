@@ -214,9 +214,10 @@ class TestTransform:
     def test_per_frame_records_are_the_transform_json_records(self, tmp_path):
         subj = tmp_path / "s"
         assert run(["synth", "--out", str(subj), "--duration", "0.5", "--seed", "2"]) == 0
+        assert run(["radar", "--subject", str(subj)]) == 0
         assert run(["transform", "--subject", str(subj)]) == 0
         _, record = transform_speech(read_wav(subj / "speech.wav"),
-                                     read_csv_signal(subj / "neck_true.csv"), TransformConfig())
+                                     read_csv_signal(subj / "neck_radar.csv"), TransformConfig())
         assert {r["f0_hz"] is None for r in record["per_frame"]} == {True, False}
         assert json.loads((subj / "transform.json").read_text()) == {
             **record, "config": asdict(TransformConfig())}
@@ -239,6 +240,7 @@ class TestTransform:
     def test_transform_json_echoes_every_config_field(self, tmp_path):
         subj = tmp_path / "s"
         run(["synth", "--out", str(subj), "--duration", "0.5", "--seed", "2"])
+        run(["radar", "--subject", str(subj)])
         assert run(["transform", "--subject", str(subj)]) == 0
         config = json.loads((subj / "transform.json").read_text())["config"]
         assert config.keys() == {f.name for f in fields(TransformConfig)}
@@ -857,13 +859,13 @@ def test_failed_radar_subject_is_skipped_not_scored_on_its_true_trace(pair_cohor
     write_csv_signal(subject / "neck_true.csv", d.with_samples(1000.0 * d.samples))
     [line] = error_lines(capsys, ["radar", "--cohort", str(pair_cohort), "--jobs", jobs], 0)
     assert "leaves the range bin" in line
-    assert json.loads((subject / "radar.json").read_text()) == {"error": line[len("error: "):]}
+    # the failed measurement keeps no radar or transform output of the clean run
+    assert not any((subject / name).exists()
+                   for name in ("neck_radar.csv", "radar.json", "e_hat.csv", "x_hat.csv",
+                                "d_hat.csv", "transform.json"))
     for argv in (["transform", "--cohort"], ["evaluate"]):
         [line] = error_lines(capsys, [*argv, str(pair_cohort), "--jobs", jobs], 0)
         assert str(subject / "neck_radar.csv") in line
-    assert not any((subject / name).exists()
-                   for name in ("neck_radar.csv", "e_hat.csv", "x_hat.csv", "d_hat.csv",
-                                "transform.json"))
     assert_skipped(pair_cohort, "subject_001")
 
 
@@ -904,7 +906,7 @@ def test_noisy_cohort_radar_refuses_a_subject_synth_did_not_name(pair_cohort, ca
     (pair_cohort / "subject_001").rename(extra)
     [line] = error_lines(capsys, ["radar", "--cohort", str(pair_cohort), "--snr", "20"], 0)
     assert line.startswith(f"error: {extra}: ")
-    assert json.loads((extra / "radar.json").read_text()).keys() == {"error"}
+    assert not (extra / "radar.json").exists() and not (extra / "neck_radar.csv").exists()
     assert run(["radar", "--cohort", str(pair_cohort)]) == 0   # noiseless: no stream drawn
     # alone, a subject of any name draws stream 0
     assert run(["radar", "--subject", str(extra), "--snr", "20"]) == 0
@@ -917,16 +919,17 @@ def test_noisy_cohort_radar_refuses_a_subject_synth_did_not_name(pair_cohort, ca
 
 @JOBS
 def test_no_voiced_windows_names_the_subject(pair_cohort, capsys, jobs):
-    # no radar stage ran: evaluate scores against neck_true.csv, zeroed here
+    # evaluate scores against the radar trace, zeroed here
+    assert run(["radar", "--cohort", str(pair_cohort)]) == 0
     assert run(["transform", "--cohort", str(pair_cohort)]) == 0
-    trace = pair_cohort / "subject_001" / "neck_true.csv"
+    trace = pair_cohort / "subject_001" / "neck_radar.csv"
     d = read_csv_signal(trace)
     write_csv_signal(trace, d.with_samples(np.zeros(len(d))))
     lines = error_lines(capsys, ["evaluate", str(pair_cohort), "--jobs", jobs], 0)
     assert lines == [f"error: {pair_cohort / 'subject_001'}: no voiced windows to compare"]
     assert_skipped(pair_cohort, "subject_001")
     # with subject_000 zeroed too, every subject fails: exit 2, a line each
-    trace = pair_cohort / "subject_000" / "neck_true.csv"
+    trace = pair_cohort / "subject_000" / "neck_radar.csv"
     write_csv_signal(trace, read_csv_signal(trace).with_samples(np.zeros(len(d))))
     lines = error_lines(capsys, ["evaluate", str(pair_cohort), "--jobs", jobs], 2)
     assert lines == [f"error: {pair_cohort / subject}: no voiced windows to compare"
@@ -942,16 +945,17 @@ def test_nothing_to_transform_names_both_files(pair_cohort, tmp_path, capsys, jo
         speech = pair_cohort / subject / "speech.wav"
         s = read_wav(speech)
         write_wav(speech, s.with_samples(np.zeros(len(s))))
-    if mode == "explicit":
-        subjects = subjects[1:]
+    if mode == "explicit":   # which reads any trace, the true one too
+        subjects, trace = subjects[1:], "neck_true.csv"
         argv = ["--speech", str(pair_cohort / "subject_001" / "speech.wav"),
-                "--displacement", str(pair_cohort / "subject_001" / "neck_true.csv"),
+                "--displacement", str(pair_cohort / "subject_001" / trace),
                 "--out", str(tmp_path / "o")]
     else:
-        argv = ["--cohort", str(pair_cohort)]
+        assert run(["radar", "--cohort", str(pair_cohort)]) == 0
+        trace, argv = "neck_radar.csv", ["--cohort", str(pair_cohort)]
     lines = error_lines(capsys, ["transform", *argv, "--jobs", jobs], 2)
     assert lines == [f"error: {pair_cohort / subject / 'speech.wav'} and "
-                     f"{pair_cohort / subject / 'neck_true.csv'}: nothing to transform: "
+                     f"{pair_cohort / subject / trace}: nothing to transform: "
                      "all 43 frames unvoiced or silent" for subject in subjects]
 
 
@@ -966,13 +970,14 @@ def test_lpc_order_above_a_quarter_frame_is_refused_at_any_pitch(tmp_path, capsy
     out = tmp_path / "s"
     assert run(["synth", "--out", str(out), "--duration", "0.5", "--seed", "2",
                 *synth_args]) == 0
+    assert run(["radar", mode, str(out)]) == 0
     assert run(["transform", mode, str(out), "--lpc-order", "12"]) == 0
     lines = error_lines(capsys, ["transform", mode, str(out), "--lpc-order", "13"], 2)
     assert len(lines) == len(subjects)
     for line, subject in zip(lines, subjects):
         assert "lpc_order 13 " in line
         assert str(out / subject / "speech.wav") in line
-        assert str(out / subject / "neck_true.csv") in line
+        assert str(out / subject / "neck_radar.csv") in line
         # the order-12 outputs are gone, so evaluate cannot score them
         assert not any((out / subject / name).exists()
                        for name in ("e_hat.csv", "x_hat.csv", "d_hat.csv", "transform.json"))
@@ -1041,6 +1046,7 @@ def test_smaller_synth_rerun_unlists_the_earlier_runs_extra_subjects(tmp_path):
     cohort = tmp_path / "cohort"
     assert run(["synth", "--out", str(cohort), "--cohort", "3", "--seed", "1",
                 "--duration", "0.3"]) == 0
+    assert run(["radar", "--cohort", str(cohort)]) == 0
     assert run(["transform", "--cohort", str(cohort)]) == 0
     shutil.copytree(cohort / "subject_002", cohort / "mine")
     assert run(["synth", "--out", str(cohort), "--cohort", "2", "--seed", "9",
@@ -1074,6 +1080,38 @@ def test_synth_over_a_cohort_keeps_no_file_of_the_earlier_run(tmp_path, capsys):
     capsys.readouterr()
     assert run(["radar", "--cohort", str(cohort)]) == 0
     assert "subject_001" not in capsys.readouterr().out
+
+
+@JOBS
+def test_a_radar_rerun_keeps_no_transform_built_on_the_old_trace(tmp_path, capsys, jobs):
+    # the transform's per-frame delays were estimated against the trace the
+    # rerun replaces, so the rerun removes it and evaluate scores nothing
+    cohort = tmp_path / "cohort"
+    for argv in (["synth", "--out", str(cohort), "--cohort", "3", "--seed", "1",
+                  "--duration", "1.0"],
+                 ["radar", "--cohort", str(cohort)],
+                 ["transform", "--cohort", str(cohort), "--tau-mode", "per-frame"],
+                 ["radar", "--cohort", str(cohort), "--snr", "0", "--seed", "3"]):
+        assert run([*argv, "--jobs", jobs]) == 0
+    subjects = _subject_dirs(cohort)
+    assert len(subjects) == 3
+    assert not any((d / name).exists() for d in subjects
+                   for name in (*TRANSFORM_FILES.values(), TRANSFORM_META))
+    lines = error_lines(capsys, ["evaluate", str(cohort), "--jobs", jobs], 2)
+    assert len(lines) == 3
+    assert all(str(d / "e_hat.csv") in line for d, line in zip(subjects, lines))
+
+
+@pytest.mark.parametrize("argv", [["transform", "--subject", "{cohort}/subject_000"],
+                                  ["evaluate", "{cohort}"]], ids=["transform", "evaluate"])
+def test_an_unmeasured_subject_is_a_data_error_naming_its_radar_trace(tmp_path, capsys, argv):
+    # transform and evaluate read the radar trace alone, never neck_true.csv
+    cohort = tmp_path / "cohort"
+    assert run(["synth", "--out", str(cohort), "--cohort", "1", "--seed", "1",
+                "--duration", "0.3"]) == 0
+    [line] = error_lines(capsys, [arg.format(cohort=cohort) for arg in argv], 2)
+    assert str(cohort / "subject_000" / "neck_radar.csv") in line
+    assert not (cohort / "subject_000" / TRANSFORM_META).exists()
 
 
 # Runs the phonoradar CLI on argv[3:] with the worker named argv[1] replaced
@@ -1120,6 +1158,7 @@ def test_a_pool_worker_that_dies_fails_only_the_subjects_without_a_result(tmp_pa
     for cohort in (clean, broken):
         assert run(["synth", "--out", str(cohort), "--cohort", "3", "--seed", "1",
                     "--duration", "0.3"]) == 0
+        assert run(["radar", "--cohort", str(cohort)]) == 0
     assert run(["transform", "--cohort", str(clean)]) == 0
     proc = run_killing_worker("_transform_one", "transform.json",
                               ["transform", "--cohort", str(broken)])
@@ -1140,6 +1179,7 @@ def test_a_transform_worker_that_dies_keeps_no_earlier_outputs(tmp_path):
     cohort = tmp_path / "cohort"
     assert run(["synth", "--out", str(cohort), "--cohort", "3", "--seed", "1",
                 "--duration", "0.3"]) == 0
+    assert run(["radar", "--cohort", str(cohort)]) == 0
     assert run(["transform", "--cohort", str(cohort)]) == 0
     proc = run_killing_worker("_transform_one", "transform.json",
                               ["transform", "--cohort", str(cohort)])
@@ -1152,8 +1192,8 @@ def test_a_transform_worker_that_dies_keeps_no_earlier_outputs(tmp_path):
 
 
 def test_a_radar_subject_whose_worker_died_is_not_scored_on_its_true_trace(tmp_path, capsys):
-    # radar.json says the subject was not measured, so the later stages read
-    # its missing neck_radar.csv and skip it, not fall back to neck_true.csv
+    # a lost subject keeps neither neck_radar.csv nor radar.json, and the
+    # later stages skip it on one line naming its missing neck_radar.csv
     cohort = tmp_path / "cohort"
     assert run(["synth", "--out", str(cohort), "--cohort", "3", "--seed", "1",
                 "--duration", "0.3"]) == 0
@@ -1163,7 +1203,7 @@ def test_a_radar_subject_whose_worker_died_is_not_scored_on_its_true_trace(tmp_p
     assert proc.stderr.splitlines() == [f"error: {d}: worker process ended abruptly"
                                         for d in lost]
     for d in lost:
-        assert json.loads((d / "radar.json").read_text()) == {"error": f"{d}: not measured"}
+        assert not (d / "radar.json").exists() and not (d / "neck_radar.csv").exists()
     for argv in (["transform", "--cohort"], ["evaluate"]):
         lines = error_lines(capsys, [*argv, str(cohort)], 0)
         assert len(lines) == 2
@@ -1196,6 +1236,7 @@ def test_a_worker_out_of_memory_fails_only_its_subject(tmp_path, capsys, monkeyp
     cohort = tmp_path / "cohort"
     assert run(["synth", "--out", str(cohort), "--cohort", "3", "--seed", "1",
                 "--duration", "0.3"]) == 0
+    assert run(["radar", "--cohort", str(cohort)]) == 0
     monkeypatch.setattr("phonoradar.cli._transform_one", transform_out_of_memory_on_subject_001)
     capsys.readouterr()
     assert run(["transform", "--cohort", str(cohort), "--jobs", jobs]) == 0
@@ -1233,12 +1274,17 @@ sys.exit(cli.main(sys.argv[1:]))
 
 
 @JOBS
-def test_an_interrupt_ends_the_stage_at_once_on_one_line(tmp_path, jobs):
+def test_an_interrupt_ends_the_stage_at_once_on_one_line(tmp_path, capsys, jobs):
     clean, cohort = tmp_path / "clean", tmp_path / "cohort"
     for c in (clean, cohort):
         assert run(["synth", "--out", str(c), "--cohort", "3", "--seed", "1",
                     "--duration", "0.3"]) == 0
+        assert run(["radar", "--cohort", str(c)]) == 0
+    capsys.readouterr()
     assert run(["transform", "--cohort", str(clean)]) == 0
+    # each subject's line of the clean run, as the interrupted run prints it
+    clean_lines = {Path(line.split(":")[0]).name: line.replace(str(clean), str(cohort))
+                   for line in capsys.readouterr().out.splitlines()}
     src = str(Path(phonoradar.__file__).resolve().parents[1])
     # A session of its own: the signal reaches the stage and its workers, not pytest.
     proc = subprocess.Popen([sys.executable, "-c", INTERRUPTING_WORKER, "transform", "--cohort",
@@ -1247,7 +1293,7 @@ def test_an_interrupt_ends_the_stage_at_once_on_one_line(tmp_path, jobs):
                             start_new_session=True)
     start = time.monotonic()
     try:
-        _, err = proc.communicate(timeout=60)
+        out, err = proc.communicate(timeout=60)
         seconds = time.monotonic() - start
         with pytest.raises(ProcessLookupError):   # no process of the stage outlived it
             os.killpg(proc.pid, 0)
@@ -1259,6 +1305,17 @@ def test_an_interrupt_ends_the_stage_at_once_on_one_line(tmp_path, jobs):
     assert err.splitlines() == ["interrupted"]
     assert seconds < 20
     assert tree_digest(cohort / "subject_000") == tree_digest(clean / "subject_000")
+    # The subjects that finished before the interrupt have their lines, in
+    # subject order: at --jobs 1 subject_000 alone, through a pool any whose
+    # result reached the stage.
+    lines = out.splitlines()
+    if jobs == "1":
+        assert lines == [clean_lines["subject_000"]]
+    names = [Path(line.split(":")[0]).name for line in lines]
+    assert names == sorted(names)
+    for name, line in zip(names, lines):
+        assert line == clean_lines[name]
+        assert tree_digest(cohort / name) == tree_digest(clean / name)
     # A pool's subjects in flight finish; every other subject keeps no outputs.
     outputs = {*TRANSFORM_FILES.values(), TRANSFORM_META}
     for subject in ("subject_001", "subject_002"):
