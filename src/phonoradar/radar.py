@@ -177,20 +177,20 @@ def _select_bin(mags: np.ndarray) -> tuple[int, float, float]:
     return bin_index, float(peak), float(floor)
 
 
-def _phase_displacement(column: np.ndarray, cfg: ChirpConfig,
+def _phase_displacement(phase: np.ndarray, cfg: ChirpConfig,
                         choice: tuple) -> tuple[SampledSignal, dict]:
-    """(displacement, bin decision) from the slow-time phase of one range
-    bin's column; choice is _select_bin's (bin, magnitude, floor) for it,
-    which radar.json records as selected_bin, bin_magnitude and noise_floor."""
+    """(displacement, bin decision) from one range bin's slow-time phase,
+    the angle of its column, wrapped to (-pi, pi]; choice is _select_bin's
+    (bin, magnitude, floor) for it, which radar.json records as
+    selected_bin, bin_magnitude and noise_floor."""
     bin_index, magnitude, floor = choice
-    phase = np.unwrap(np.angle(column))
-    disp = cfg.wavelength_m * phase / (4.0 * np.pi)
+    disp = cfg.wavelength_m * np.unwrap(phase) / (4.0 * np.pi)
     # The beat tone's frequency also moves with displacement; through the
     # window group delay (N-1)/(2*fs) that adds a deterministic gain term.
     group_delay_s = (cfg.adc_samples_per_chirp - 1) / (2.0 * cfg.adc_rate_hz)
     gain = 1.0 + cfg.slope_hz_per_s * cfg.wavelength_m * group_delay_s / C_LIGHT
-    disp = disp / gain
-    disp = disp - disp.mean()
+    disp /= gain
+    disp -= disp.mean()
     return SampledSignal(disp, cfg.prf_hz), {"selected_bin": bin_index,
                                              "bin_magnitude": magnitude, "noise_floor": floor}
 
@@ -254,8 +254,9 @@ def _hann_taps(q: np.ndarray, n: int, u: np.ndarray, v: np.ndarray) -> None:
 def _stream_bins(scene: TargetScene, cfg: ChirpConfig, rng: np.random.Generator | None,
                  lo: int, hi: int) -> tuple:
     """One pass of the chain over blocks of _block_chirps chirps: the per-bin
-    mean magnitudes of the noisy positive-range spectrum, and its columns
-    lo .. hi-1.
+    mean magnitudes of the noisy positive-range spectrum, and the slow-time
+    phase of its columns lo .. hi-1, their angle (np.angle's arctan2) in
+    (-pi, pi], chirps x (hi - lo).
 
     The spectrum is the closed form of the Hann-tapered DFT of the unit beat
     tone exp(j*(phi_m + 2*pi*b_m*i/n)), i = 0 .. n-1, at bin b_m = R_m / bin
@@ -269,7 +270,8 @@ def _stream_bins(scene: TargetScene, cfg: ChirpConfig, rng: np.random.Generator 
     j0*spacing) + d_m) / spacing, so the offset carries no rounding of the
     whole range. Noiseless magnitudes need only 1/2 * |u + j*v|; a
     noisy block is formed in full and takes its noise in place
-    (add_range_noise).
+    (add_range_noise), and its magnitudes go into the kernel's buffer,
+    which the block no longer reads.
     """
     n = cfg.adc_samples_per_chirp
     half = n // 2
@@ -290,7 +292,7 @@ def _stream_bins(scene: TargetScene, cfg: ChirpConfig, rng: np.random.Generator 
         u, v = np.empty((size, half)), np.empty((size, half))
     bin_phase = 0.5 * np.exp(1j * np.pi / n * np.arange(half))
     sums = np.zeros(half)
-    kept = np.empty((chirps, hi - lo), dtype=np.complex128)
+    phases = np.empty((chirps, hi - lo))
     for start in range(0, chirps, size):
         stop = min(start + size, chirps)
         rows = stop - start
@@ -306,18 +308,19 @@ def _stream_bins(scene: TargetScene, cfg: ChirpConfig, rng: np.random.Generator 
             x *= bin_phase
             x *= phase[:, None]
             add_range_noise(x, scene, cfg, rng, scratch)
-            kept[start:stop] = x[:, lo:hi]
-            sums += np.abs(x).sum(axis=0)
+            band = x[:, lo:hi]
+            sums += np.abs(x, out=block_q[:, :half]).sum(axis=0)
         else:
-            kept[start:stop] = ((block_u[:, lo:hi] + 1j * block_v[:, lo:hi])
-                                * bin_phase[lo:hi] * phase[:, None])
+            band = ((block_u[:, lo:hi] + 1j * block_v[:, lo:hi])
+                    * bin_phase[lo:hi] * phase[:, None])
             block_u *= block_u
             block_v *= block_v
             block_u += block_v
             sums += np.sqrt(block_u, out=block_u).sum(axis=0)
+        np.arctan2(band.imag, band.real, out=phases[start:stop])
     if not noisy:
         sums *= 0.5
-    return sums / chirps, kept
+    return sums / chirps, phases
 
 
 def measure_displacement(scene: TargetScene, cfg: ChirpConfig,
@@ -335,11 +338,11 @@ def measure_displacement(scene: TargetScene, cfg: ChirpConfig,
     generator state, but with the spectrum in closed form (_stream_bins):
     no beat samples and no FFT. It streams over blocks of chirps in working
     memory that does not grow with chirps x bins: only the per-bin
-    magnitude sums and the columns extraction may read are kept, the
-    nominal range's bin +- _BAND_BINS. A selected bin outside that band is
-    no return of the target, whose peak lies within one bin of the nominal
-    range's: it raises NoCoherentTargetError. A noisy scene needs rng; a
-    noiseless one draws nothing and takes None.
+    magnitude sums and the phase of the columns extraction may read are
+    kept, the nominal range's bin +- _BAND_BINS. A selected bin outside
+    that band is no return of the target, whose peak lies within one bin
+    of the nominal range's: it raises NoCoherentTargetError. A noisy scene
+    needs rng; a noiseless one draws nothing and takes None.
     """
     _check_scene(scene, cfg)
     half = cfg.adc_samples_per_chirp // 2
@@ -347,10 +350,10 @@ def measure_displacement(scene: TargetScene, cfg: ChirpConfig,
         raise ValueError("a noisy scene draws from rng: pass a seeded generator")
     centre = cfg.bin_of_range(scene.nominal_range_m)
     lo, hi = max(centre - _BAND_BINS, 0), min(centre + _BAND_BINS + 1, half)
-    mags, kept = _stream_bins(scene, cfg, rng, lo, hi)
+    mags, phases = _stream_bins(scene, cfg, rng, lo, hi)
     choice = _select_bin(mags)
     if not lo <= choice[0] < hi:
         raise NoCoherentTargetError(
             f"selected bin {choice[0]} lies more than {_BAND_BINS} bins from the "
             f"nominal range's bin {centre}")
-    return _phase_displacement(kept[:, choice[0] - lo], cfg, choice)
+    return _phase_displacement(phases[:, choice[0] - lo], cfg, choice)

@@ -83,7 +83,7 @@ def extract_displacement(rangefft, cfg):
     spectrum, returning the (trace, bin decision) pair measure_displacement
     returns."""
     choice = _select_bin(np.abs(rangefft).mean(axis=0))
-    return _phase_displacement(rangefft[:, choice[0]], cfg, choice)
+    return _phase_displacement(np.angle(rangefft[:, choice[0]]), cfg, choice)
 
 
 def explicit_spectrum(scene, cfg, rng=None):
@@ -145,6 +145,24 @@ def means_bound(scene, cfg, spectrum):
     chirps = len(spectrum)
     return (spectrum_bound(scene, cfg, spectrum)
             + (chirps + 3) * EPS * float(np.max(np.abs(spectrum), initial=0.0)))
+
+
+def phase_difference(got, want):
+    """got - want wrapped to [-pi, pi]: phases a whole turn apart agree."""
+    return np.angle(np.exp(1j * (got - want)))
+
+
+def phase_bound(bound, spectrum):
+    """Bound on |phase_difference| of the closed form's and the oracle's phase
+    in each bin of spectrum, the oracle's, from bound, one on their complex
+    difference: an error E on X moves its phase by at most arcsin(E/|X|)
+    <= pi/2 * E/|X| while E < |X|, and by up to pi beyond. The phases and
+    their wrapped difference add 10 eps: arctan2 on each side, 1 ulp of a
+    phase of at most pi, 2 eps each; the difference, half an ulp of at most
+    2 pi, 2 eps; the complex exponential and its angle, 2 eps each."""
+    with np.errstate(divide="ignore"):
+        spread = np.pi / 2 * bound / np.abs(spectrum)
+    return np.minimum(spread, np.pi) + 10 * EPS
 
 
 def displacement_bound(scene, cfg, spectrum, bin_index):

@@ -1,15 +1,19 @@
 """Loess, the glottal pulse train and the decimation filter work in blocks of
 fixed size; each must give the bytes of the one-pass version it replaced,
 kept here as the reference, at every block size, in working memory that
-grows with the input's length, not its square or a dozen copies of it."""
+grows with the input's length, not its square or a dozen copies of it. The
+radar's range spectrum works in blocks of chirps too: its trace is the same
+bytes at every block size, but its per-bin mean magnitudes are summed block
+by block, so the bin decision's floats agree only to rounding."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from phonoradar import metrics, signals, synth
+from phonoradar import metrics, radar, signals, synth
 from phonoradar.metrics import loess_smooth
+from phonoradar.radar import ChirpConfig, TargetScene, measure_displacement
 from phonoradar.signals import SampledSignal, design_lowpass, resample_decimate
 from phonoradar.synth import (GlottalConfig, NeckChannel, make_subject, random_vocal_tract,
                               synth_vocal_fold_displacement)
@@ -170,3 +174,31 @@ def test_subject_60s_holds_at_most_two_oversampled_trains():
     peak = peak_bytes(lambda: make_subject(glottal, NeckChannel(), tract, 60.0, 2000.0,
                                            noise_snr_db=30.0, seed=3))
     assert peak < 2 * 960000 * 8 + 4 * MB
+
+
+# --- radar range spectrum -------------------------------------------------
+
+@pytest.mark.parametrize("snr_db", [None, 20.0], ids=["noiseless", "noisy"])
+def test_radar_blocks_give_the_same_trace_and_bin(monkeypatch, rng, snr_db):
+    # 4100 chirps in blocks of 7, 63 (128 KiB) and all of them. The noise is
+    # drawn chirp by chirp, so the trace does not depend on the blocks; the
+    # per-bin sums do in their last bits: cohort66 seed 42's subject_000
+    # records noise_floor 3.3887979068152695e-06 at the default 512 KiB and
+    # 3.3887979068152687e-06 at 128 KiB.
+    cfg = ChirpConfig()
+    scene = TargetScene(displacement=SampledSignal(rng.uniform(-1e-4, 1e-4, 4100), 2000.0),
+                        noise_snr_db=snr_db)
+    runs = []
+    for budget, chirps in ((16 * 130 * 7, 7), (1 << 17, 63), (1 << 24, 4100)):
+        monkeypatch.setattr(radar, "_BLOCK_BYTES", budget)
+        assert min(radar._block_chirps(cfg.adc_samples_per_chirp), 4100) == chirps
+        draws = np.random.default_rng(7)
+        trace, record = measure_displacement(scene, cfg, draws)
+        runs.append((trace.samples.tobytes(), record, draws.bit_generator.state))
+    (want, want_record, want_state), *others = runs
+    for got, record, state in others:
+        assert got == want
+        assert record["selected_bin"] == want_record["selected_bin"]
+        for key in ("bin_magnitude", "noise_floor"):
+            assert record[key] == pytest.approx(want_record[key], rel=1e-12, abs=0)
+        assert state == want_state

@@ -17,7 +17,8 @@ from phonoradar.signals import SampledSignal, hann_window
 from phonoradar.synth import GlottalConfig, synth_vocal_fold_displacement
 from radar_oracle import (DIRICHLET_ULPS, EPS, displacement_bound, explicit_chain,
                           explicit_spectrum, extract_displacement, means_bound,
-                          simulate_beat_signal, spectrum_bound)
+                          phase_bound, phase_difference, simulate_beat_signal,
+                          spectrum_bound)
 
 PRF = 2000.0
 
@@ -222,11 +223,13 @@ def test_streamed_bin_means_match_explicit(rng, chirps, n, snr_db):
     scene = grid_scene(rng, chirps, n, snr_db)
     spectrum = explicit_spectrum(scene, cfg, np.random.default_rng(7))
     half = n // 2
+    bound = phase_bound(spectrum_bound(scene, cfg, spectrum), spectrum)
     for lo, hi in ((0, half), (max(half - 5, 0), half), (half // 2, half // 2 + 1)):
-        means, kept = _stream_bins(scene, cfg, np.random.default_rng(7), lo, hi)
+        means, phases = _stream_bins(scene, cfg, np.random.default_rng(7), lo, hi)
         assert np.max(np.abs(means - np.abs(spectrum).mean(axis=0))) <= means_bound(
             scene, cfg, spectrum)
-        assert np.max(np.abs(kept - spectrum[:, lo:hi])) <= spectrum_bound(scene, cfg, spectrum)
+        want = np.angle(spectrum[:, lo:hi])
+        assert np.all(np.abs(phase_difference(phases, want)) <= bound[:, lo:hi])
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-12, 0.5, -0.5])
@@ -251,9 +254,10 @@ def test_tone_at_and_between_bin_centres(chirps, n, offset, excursion_m):
     scene = TargetScene(displacement=SampledSignal(d, PRF),
                         nominal_range_m=(centre + offset) * spacing)
     spectrum = explicit_spectrum(scene, cfg)
-    means, kept = _stream_bins(scene, cfg, None, 0, n // 2)
-    assert np.all(np.isfinite(kept))
-    assert np.max(np.abs(kept - spectrum)) <= spectrum_bound(scene, cfg, spectrum)
+    means, phases = _stream_bins(scene, cfg, None, 0, n // 2)
+    assert np.all(np.isfinite(phases))
+    bound = phase_bound(spectrum_bound(scene, cfg, spectrum), spectrum)
+    assert np.all(np.abs(phase_difference(phases, np.angle(spectrum))) <= bound)
     assert np.max(np.abs(means - np.abs(spectrum).mean(axis=0))) <= means_bound(
         scene, cfg, spectrum)
 
@@ -320,14 +324,8 @@ def test_streamed_chain_raises_as_explicit(scene, error):
     assert got == want and got[0] is error
 
 
-@pytest.mark.parametrize("chirps, snr_db, bound", [
-    (4100, None, 0.25), (4100, 20.0, 0.25), (16400, 20.0, 0.1),
-], ids=["4100-noiseless", "4100-noisy", "16400-noisy"])
-def test_streamed_chain_peak_memory(chirps, snr_db, bound):
-    # the streamed chain holds one block of the kernel, its spectrum and noise
-    # draws, the kept band and the output, about 1.3 MB at 4100 chirps
-    # noiseless, 1.9 MB noisy and 2.9 MB at 16400; the explicit chain holds
-    # about 2 beat matrices
+def streamed_peak_bytes(chirps, snr_db):
+    """measure_displacement's tracemalloc peak on a vibrating scene."""
     cfg = ChirpConfig()
     scene = TargetScene(displacement=vibrating(np.random.default_rng(3), chirps),
                         noise_snr_db=snr_db)
@@ -335,10 +333,29 @@ def test_streamed_chain_peak_memory(chirps, snr_db, bound):
     tracemalloc.start()
     try:
         measure_displacement(scene, cfg, rng)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bound * chirps * cfg.adc_samples_per_chirp * 16
+
+
+@pytest.mark.parametrize("chirps, snr_db, bound", [
+    (4100, None, 0.25), (4100, 20.0, 0.25), (16400, 20.0, 0.1),
+], ids=["4100-noiseless", "4100-noisy", "16400-noisy"])
+def test_streamed_chain_peak_memory(chirps, snr_db, bound):
+    # the streamed chain holds one block of the kernel, its spectrum and noise
+    # draws, the band's phases and the output, about 1.1 MB at 4100 chirps
+    # noiseless, 1.6 MB noisy and 2.1 MB at 16400; the explicit chain holds
+    # about 2 beat matrices
+    peak = streamed_peak_bytes(chirps, snr_db)
+    assert peak <= bound * chirps * ChirpConfig().adc_samples_per_chirp * 16
+
+
+def test_noisy_chain_keeps_its_band_as_phase():
+    # 16400 noisy chirps peak at about 2.1 MB, of which the band's five
+    # phases per chirp take 0.66 MB; the band as five complex bins per chirp
+    # takes the peak to about 2.8 MB. Each block's magnitudes going into the
+    # kernel's buffer, not a fresh temporary, saves another 0.12 MB.
+    assert streamed_peak_bytes(16400, 20.0) < 2.3e6
 
 
 # --- glottal pulse train --------------------------------------------------
