@@ -10,6 +10,10 @@ it finishes, in subject order. A subject whose worker raises a data error or
 runs out of memory is skipped, on one `error:` line; the others run. So is
 each subject that a pool worker's death left without a result.
 
+Importing this module loads io and signals alone; each stage imports its
+own layer of the package when it runs, so that a stage process holds no
+other stage's modules.
+
 Exit codes: 0 success, 1 usage error, 2 data/precondition error (in a cohort
 stage: of every subject), 130 interrupted (SIGINT, as by Ctrl-C), on one
 `interrupted` line. At most the subjects in flight finish; the others keep
@@ -21,23 +25,47 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import importlib
 import json
 import math
 import re
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import io as pio
-from .radar import ChirpConfig, TargetScene, measure_displacement
-from .report import (build_cohort_report, evaluate_signals, write_report_csv,
-                     write_report_json, write_window_csv)
+from .io import SUBJECT_FILES, SUBJECT_MANIFEST
 from .signals import FramePlan, resample_decimate
-from .synth import (F0_MAX_HZ, F0_MIN_HZ, GlottalConfig, NeckChannel, SUBJECT_FILES,
-                    SUBJECT_MANIFEST, make_subject, random_vocal_tract, save_subject)
-from .transform import TransformConfig, transform_speech
+
+if TYPE_CHECKING:
+    from .radar import ChirpConfig, TargetScene
+    from .synth import GlottalConfig
+    from .transform import TransformConfig
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for `name` of the package module `module` that imports the
+    module on its first call, so that a stage process loads only its own
+    layer. The stages call each kernel through its name here, the name a
+    tracer wraps."""
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(module, __package__), name)(*args, **kwargs)
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+make_subject = _deferred(".synth", "make_subject")
+save_subject = _deferred(".synth", "save_subject")
+measure_displacement = _deferred(".radar", "measure_displacement")
+transform_speech = _deferred(".transform", "transform_speech")
+evaluate_signals = _deferred(".report", "evaluate_signals")
+write_window_csv = _deferred(".report", "write_window_csv")
+build_cohort_report = _deferred(".report", "build_cohort_report")
+write_report_json = _deferred(".report", "write_report_json")
+write_report_csv = _deferred(".report", "write_report_csv")
 
 TAU_CHOICES_SAMPLES = (0, 1, 2, 4)
 # Defaults of the synth flags that one mode alone reads. Each flag parses to
@@ -190,6 +218,7 @@ def _from_flags(config, **values):
 def _draw_cohort_params(args, index: int, seed: int) -> tuple:
     """(f0 in Hz, open quotient, neck channel, tract seed, subject seed) of
     cohort subject `index`."""
+    from .synth import NeckChannel
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
     lo, hi = args.f0_range
     f0_hz = float(rng.uniform(lo, hi))
@@ -219,6 +248,7 @@ def _synth_one(glottal: GlottalConfig, duration_s: float, rate_hz: float,
                noise_snr_db: float | None, lead_in_s: float, task: tuple) -> None:
     """Worker: build and save one subject. task is (directory, f0 in Hz,
     open quotient, neck channel, tract seed, subject seed)."""
+    from .synth import random_vocal_tract
     directory, f0_hz, open_quotient, neck, tract_seed, seed = task
     subject = make_subject(replace(glottal, f0_hz=f0_hz, open_quotient=open_quotient), neck,
                            random_vocal_tract(np.random.default_rng(tract_seed), rate_hz),
@@ -228,6 +258,7 @@ def _synth_one(glottal: GlottalConfig, duration_s: float, rate_hz: float,
 
 
 def cmd_synth(args) -> int:
+    from .synth import F0_MAX_HZ, F0_MIN_HZ, GlottalConfig, NeckChannel
     for dest, default in {**SINGLE_SUBJECT_DEFAULTS, **COHORT_DEFAULTS}.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
@@ -308,6 +339,7 @@ def _radar_one(chirp: ChirpConfig, scene: TargetScene, seed: int, task: tuple) -
 
 
 def cmd_radar(args) -> int:
+    from .radar import ChirpConfig, TargetScene
     if bool(args.subject) == bool(args.cohort):
         raise UsageError("provide exactly one of --subject or --cohort")
     # The worker fills in the PRF (the subject's rate) and the displacement.
@@ -352,6 +384,7 @@ def _transform_one(cfg: TransformConfig, task: tuple) -> str:
 
 
 def cmd_transform(args) -> int:
+    from .transform import TransformConfig
     if sum(bool(v) for v in (args.subject, args.cohort, args.speech)) != 1:
         raise UsageError("provide exactly one of --subject, --cohort, or --speech/--displacement")
     # Every TransformConfig field is a flag of the same name.

@@ -19,7 +19,19 @@ __all__ = [
     "read_csv_signal", "write_csv_signal",
     "read_npy_signal", "write_npy_signal",
     "naming",
+    "SUBJECT_MANIFEST", "SUBJECT_FILES",
 ]
+
+# A subject directory: its record, and the file of each trace synth writes.
+# The ground truth no stage reads (fold displacement, excitation) is binary;
+# its rate is subject.json's rate_hz.
+SUBJECT_MANIFEST = "subject.json"
+SUBJECT_FILES = {
+    "speech": "speech.wav",
+    "vocal_fold": "vocal_fold.npy",
+    "excitation": "excitation.npy",
+    "neck_true": "neck_true.csv",
+}
 
 _PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
 # Shared tail of the WAVE_FORMAT_EXTENSIBLE subformat GUIDs

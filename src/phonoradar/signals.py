@@ -219,8 +219,8 @@ def design_lowpass(cutoff_frac: float, taps: int) -> np.ndarray:
 
 
 # Bytes per block of the decimation filter, 16 per input sample (the block's
-# copy and its output): 1 MiB is 65536 samples, about 4 s at 16 kHz.
-_DECIMATE_BLOCK_BYTES = 1 << 20
+# copy and its output): 128 KiB is 8192 samples, about 0.5 s at 16 kHz.
+_DECIMATE_BLOCK_BYTES = 1 << 17
 
 
 def resample_decimate(sig: SampledSignal, target_rate_hz: float) -> SampledSignal:

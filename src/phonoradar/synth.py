@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as pio
+from .io import SUBJECT_FILES, SUBJECT_MANIFEST
 from .signals import SampledSignal, differentiate, iir_filter, resample_decimate
 
 __all__ = [
@@ -27,11 +28,7 @@ __all__ = [
     "make_subject",
     "save_subject",
     "load_subject",
-    "SUBJECT_MANIFEST",
-    "SUBJECT_FILES",
 ]
-
-SUBJECT_MANIFEST = "subject.json"
 
 F0_MIN_HZ = 90.0
 F0_MAX_HZ = 1000.0
@@ -308,16 +305,6 @@ def make_subject(glottal: GlottalConfig, neck: NeckChannel, tract: VocalTractMod
     d = neck_displacement(x, neck)
     return SyntheticSubject(x=x, e=e, s=s, d=d, glottal=glottal, neck=neck,
                             tract=tract, noise_snr_db=noise_snr_db, seed=seed)
-
-
-# The ground truth no stage reads (fold displacement, excitation) is binary;
-# its rate is subject.json's rate_hz.
-SUBJECT_FILES = {
-    "speech": "speech.wav",
-    "vocal_fold": "vocal_fold.npy",
-    "excitation": "excitation.npy",
-    "neck_true": "neck_true.csv",
-}
 
 
 def save_subject(subject: SyntheticSubject, directory: str | Path) -> Path:

@@ -22,13 +22,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import phonoradar as pr
 from phonoradar.cli import TAU_CHOICES_SAMPLES, main
 from phonoradar.lpc import autocorrelation, levinson_durbin
 from phonoradar.metrics import PowerSpectrum, log_spectral_distance, lsd_over_windows
+from phonoradar.radar import ChirpConfig, TargetScene, measure_displacement
 from phonoradar.report import build_cohort_report, evaluate_signals
 from phonoradar.signals import FramePlan, SampledSignal
 from phonoradar.stats import descriptive_stats, paired_t_test, student_t_two_sided_p
+from phonoradar.synth import GlottalConfig, NeckChannel, make_subject, random_vocal_tract
 from phonoradar.transform import transform_speech
 from conftest import voiced_flags
 from radar_oracle import range_fft, simulate_beat_signal
@@ -55,14 +56,14 @@ def _draw_subject_params(index, seed=COHORT_SEED):
 
 
 def _build_subject(params, duration=2.0):
-    glottal = pr.GlottalConfig(f0_hz=params["f0_hz"],
-                               open_quotient=params["open_quotient"])
-    neck = pr.NeckChannel(k_d=params["k_d"], tau_d_s=params["tau_samples"] / RATE)
-    tract = pr.random_vocal_tract(np.random.default_rng(params["tract_seed"]), RATE)
-    subject = pr.make_subject(glottal, neck, tract, duration, RATE,
-                              seed=params["subject_seed"], lead_in_s=0.05)
-    d_meas, _ = pr.measure_displacement(pr.TargetScene(displacement=subject.d),
-                                        pr.ChirpConfig())
+    glottal = GlottalConfig(f0_hz=params["f0_hz"],
+                            open_quotient=params["open_quotient"])
+    neck = NeckChannel(k_d=params["k_d"], tau_d_s=params["tau_samples"] / RATE)
+    tract = random_vocal_tract(np.random.default_rng(params["tract_seed"]), RATE)
+    subject = make_subject(glottal, neck, tract, duration, RATE,
+                           seed=params["subject_seed"], lead_in_s=0.05)
+    d_meas, _ = measure_displacement(TargetScene(displacement=subject.d),
+                                     ChirpConfig())
     return subject, d_meas
 
 
@@ -142,13 +143,13 @@ class TestCriterion1SyntheticCohortOrdering:
 
 class TestCriterion2ExactnessCase:
     def test_bypass_reconstruction(self):
-        glottal = pr.GlottalConfig(f0_hz=185.0, open_quotient=0.65)
-        neck = pr.NeckChannel(k_d=0.8, tau_d_s=2 / RATE)
-        tract = pr.random_vocal_tract(np.random.default_rng(11), RATE)
-        subject = pr.make_subject(glottal, neck, tract, 2.5, RATE, seed=11,
-                                  lead_in_s=0.05)
-        d_meas, _ = pr.measure_displacement(pr.TargetScene(displacement=subject.d),
-                                            pr.ChirpConfig())
+        glottal = GlottalConfig(f0_hz=185.0, open_quotient=0.65)
+        neck = NeckChannel(k_d=0.8, tau_d_s=2 / RATE)
+        tract = random_vocal_tract(np.random.default_rng(11), RATE)
+        subject = make_subject(glottal, neck, tract, 2.5, RATE, seed=11,
+                               lead_in_s=0.05)
+        d_meas, _ = measure_displacement(TargetScene(displacement=subject.d),
+                                         ChirpConfig())
         traces, record = transform_speech(subject.s, d_meas, known_tract=subject.tract)
         mask = voiced_flags(record)
         plan = FramePlan.for_rate(RATE)
@@ -179,16 +180,16 @@ class TestCriterion2ExactnessCase:
 
 class TestCriterion3RadarRoundTrip:
     def test_sine_roundtrip_and_beat_frequency(self):
-        cfg = pr.ChirpConfig()
+        cfg = ChirpConfig()
         t = np.arange(2000) / RATE
         d_true = SampledSignal(50e-6 * np.sin(2 * np.pi * 100.0 * t), RATE)
-        recovered, _ = pr.measure_displacement(pr.TargetScene(displacement=d_true), cfg)
+        recovered, _ = measure_displacement(TargetScene(displacement=d_true), cfg)
         truth = d_true.samples - d_true.samples.mean()
         rms_err = np.sqrt(np.mean((recovered.samples - truth) ** 2))
         rel = rms_err / np.sqrt(np.mean(truth**2))
 
         static = simulate_beat_signal(
-            pr.TargetScene(displacement=SampledSignal(np.zeros(32), RATE)), cfg)
+            TargetScene(displacement=SampledSignal(np.zeros(32), RATE)), cfg)
         power = np.abs(range_fft(static)[0]) ** 2
         bin_hz = cfg.adc_rate_hz / cfg.adc_samples_per_chirp
         beat_hz = np.argmax(power) * bin_hz

@@ -164,6 +164,14 @@ def test_decimation_blocks_match_one_pass(monkeypatch, rng, n, k):
         assert got.tobytes() == want.tobytes()
 
 
+def test_decimating_a_long_subject_holds_one_small_block():
+    # a 3.5 s subject's fold train, 56 000 samples at 16 kHz: its block's
+    # copy and full-rate output, 0.26 MB above entry in blocks of 128 KiB,
+    # where one block of 1 MiB held the whole train twice, 0.96 MB
+    sig = SampledSignal(np.random.default_rng(1).standard_normal(56000), 16000.0)
+    assert peak_bytes(lambda: resample_decimate(sig, 2000.0)) < 0.4 * MB
+
+
 def test_subject_60s_holds_at_most_two_oversampled_trains():
     # the fold train at 8 x 2 kHz is 960000 samples, 7.7 MB: the train and
     # its faded copy, then the faded signal and one filter block; a third

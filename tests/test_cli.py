@@ -23,14 +23,7 @@ from phonoradar.io import read_csv_signal, read_wav, write_csv_signal, write_wav
 from phonoradar.radar import ChirpConfig, TargetScene, measure_displacement
 from phonoradar.signals import SampledSignal
 from phonoradar.transform import TransformConfig, frame_voicing, transform_speech
-
-
-def tree_digest(root: Path) -> dict:
-    out = {}
-    for path in sorted(root.rglob("*")):
-        if path.is_file():
-            out[str(path.relative_to(root))] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return out
+from conftest import tree_digest
 
 
 def run(argv):
@@ -372,14 +365,13 @@ class TestEvaluate:
             assert scored == voiced
 
     def test_does_not_run_voicing(self, small_cohort, monkeypatch):
-        import phonoradar.transform
         calls = []
 
         def spy(*args, **kwargs):
             calls.append(args)
             return frame_voicing(*args, **kwargs)
 
-        monkeypatch.setattr(phonoradar.transform, "frame_voicing", spy)
+        monkeypatch.setattr("phonoradar.transform.frame_voicing", spy)
         assert run(["evaluate", str(small_cohort)]) == 0
         assert calls == []
         # the spy sees the transform's voicing pass

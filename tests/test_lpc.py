@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy.signal import freqz, lfilter
 
-import phonoradar as pr
 from phonoradar.lpc import (MAX_POLE_RADIUS, LevinsonError, autocorrelation, fit_envelopes,
                             lag_window, levinson_durbin)
 from phonoradar.metrics import normalized_power_spectra
 from phonoradar.signals import SampledSignal, hann_window
+from phonoradar.synth import GlottalConfig, NeckChannel, make_subject, random_vocal_tract
 from phonoradar.transform import TransformConfig, transform_speech
 
 
@@ -138,9 +138,9 @@ class TestLpcAnalyze:
         # LPC envelope tracks the true one over the excited band. Pulse
         # excitation biases the fit, so only median closeness is claimed.
         rng = np.random.default_rng(7)
-        tract = pr.random_vocal_tract(rng)
-        subj = pr.make_subject(pr.GlottalConfig(f0_hz=210.0), pr.NeckChannel(),
-                               tract, 1.0, 2000.0, seed=7)
+        tract = random_vocal_tract(rng)
+        subj = make_subject(GlottalConfig(f0_hz=210.0), NeckChannel(),
+                            tract, 1.0, 2000.0, seed=7)
         taps = error_filter(subj.s.samples[1000:1050], 6)
         w = np.linspace(np.pi * 150 / 1000, np.pi * 850 / 1000, 150)
         _, h_true = freqz([1.0], tract.error_filter(), worN=w)
@@ -218,9 +218,9 @@ class TestInverseFilter:
         assert np.max(np.abs(back[6:] - frame[6:])) < 1e-9
 
     def test_residual_is_spectrally_flatter(self, rng):
-        tract = pr.random_vocal_tract(np.random.default_rng(5))
-        subj = pr.make_subject(pr.GlottalConfig(f0_hz=130.0), pr.NeckChannel(),
-                               tract, 1.0, 2000.0, seed=5)
+        tract = random_vocal_tract(np.random.default_rng(5))
+        subj = make_subject(GlottalConfig(f0_hz=130.0), NeckChannel(),
+                            tract, 1.0, 2000.0, seed=5)
         frame = subj.s.samples[800:850]
         residual = inverse_filter(frame, error_filter(frame, 6))
         assert spectral_flatness(residual) > spectral_flatness(frame)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import phonoradar as pr
 from phonoradar.signals import FramePlan, SampledSignal
 from phonoradar.transform import (NoVoicedFramesError, TransformConfig, frame_delays,
                                   frame_voicing, integrate_excitation, transform_speech)
