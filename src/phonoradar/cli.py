@@ -67,7 +67,6 @@ build_cohort_report = _deferred(".report", "build_cohort_report")
 write_report_json = _deferred(".report", "write_report_json")
 write_report_csv = _deferred(".report", "write_report_csv")
 
-TAU_CHOICES_SAMPLES = (0, 1, 2, 4)
 # Defaults of the synth flags that one mode alone reads. Each flag parses to
 # None, so that cmd_synth can refuse it in a run of the other mode.
 SINGLE_SUBJECT_DEFAULTS = {"f0": 120.0, "open_quotient": 0.6, "k_d": 1.0, "tau_ms": 1.0}
@@ -215,20 +214,6 @@ def _from_flags(config, **values):
         raise UsageError(str(exc)) from None
 
 
-def _draw_cohort_params(args, index: int, seed: int) -> tuple:
-    """(f0 in Hz, open quotient, neck channel, tract seed, subject seed) of
-    cohort subject `index`."""
-    from .synth import NeckChannel
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    lo, hi = args.f0_range
-    f0_hz = float(rng.uniform(lo, hi))
-    open_quotient = float(rng.uniform(0.5, 0.8))
-    k_d = float(rng.uniform(0.5, 1.2))
-    tau_samples = int(TAU_CHOICES_SAMPLES[int(rng.integers(len(TAU_CHOICES_SAMPLES)))])
-    return (f0_hz, open_quotient, NeckChannel(k_d=k_d, tau_d_s=tau_samples / args.rate),
-            int(rng.integers(2**31 - 1)), int(rng.integers(2**31 - 1)))
-
-
 def _remove(directory: Path, names) -> None:
     """Remove the named files an earlier run left in directory, in order; a
     directory in a file's place is left for a write to name."""
@@ -258,7 +243,7 @@ def _synth_one(glottal: GlottalConfig, duration_s: float, rate_hz: float,
 
 
 def cmd_synth(args) -> int:
-    from .synth import F0_MAX_HZ, F0_MIN_HZ, GlottalConfig, NeckChannel
+    from .synth import F0_MAX_HZ, F0_MIN_HZ, GlottalConfig, NeckChannel, cohort_draw
     for dest, default in {**SINGLE_SUBJECT_DEFAULTS, **COHORT_DEFAULTS}.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
@@ -276,7 +261,7 @@ def cmd_synth(args) -> int:
         lo, hi = args.f0_range
         if not (F0_MIN_HZ <= lo <= hi <= F0_MAX_HZ):
             raise UsageError(f"--f0-range must lie within [{F0_MIN_HZ:g}, {F0_MAX_HZ:g}] Hz")
-        tasks = [(out / f"subject_{i:03d}", *_draw_cohort_params(args, i, args.seed))
+        tasks = [(out / f"subject_{i:03d}", *cohort_draw(args.seed, i, args.f0_range, args.rate))
                  for i in range(args.cohort)]
     out.mkdir(parents=True, exist_ok=True)
     if args.cohort:   # a smaller rerun lists none of the earlier run's extra subjects

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import FramePlan, SampledSignal, constant_rows, frame_signal, hann_window
+from .signals import FramePlan, SampledSignal, constant_rows, frame_view, hann_window
 
 __all__ = [
     "SPECTRAL_FLOOR",
@@ -122,8 +122,11 @@ def lsd_over_windows(reference: SampledSignal, candidates: dict[str, SampledSign
     taper. The reference is framed and its spectra computed once; one
     candidate's spectra are held at a time.
     """
-    fr = frame_signal(reference, plan)
+    fr = frame_view(reference.samples, plan.window_len, plan.hop)
     n = len(fr)
+    if n == 0:
+        raise ValueError(f"signal of {len(reference)} samples is shorter than one window "
+                         f"({plan.window_len})")
     if voiced_mask is None:
         voiced_mask = np.ones(n, dtype=bool)
     voiced_mask = np.asarray(voiced_mask, dtype=bool)
@@ -136,7 +139,8 @@ def lsd_over_windows(reference: SampledSignal, candidates: dict[str, SampledSign
         reference.require_same_rate(signal)
         if len(signal) != len(reference):
             raise ValueError("signals must have equal length")
-        p, silent_here = normalized_power_spectra(frame_signal(signal, plan)[rows])
+        p, silent_here = normalized_power_spectra(
+            frame_view(signal.samples, plan.window_len, plan.hop)[rows])
         silent |= silent_here
         distances[name] = log_spectral_distances(p, p_ref)   # silent rows dropped below
         del p   # before the next candidate's spectra are computed

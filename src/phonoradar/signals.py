@@ -11,7 +11,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 __all__ = [
     "SampledSignal",
     "FramePlan",
-    "frame_signal",
     "frame_view",
     "constant_rows",
     "hann_window",
@@ -87,19 +86,6 @@ class FramePlan:
 def hann_window(n: int) -> np.ndarray:
     """Periodic hann window; sums to a constant when overlap-added at hop n/2."""
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
-
-
-def frame_signal(sig: SampledSignal, plan: FramePlan) -> np.ndarray:
-    """Slice a signal into overlapping frames (rows).
-
-    Frame i covers samples [i*hop, i*hop + window_len).
-    """
-    x = sig.samples
-    if plan.n_frames(len(x)) == 0:
-        raise ValueError(
-            f"signal of {len(x)} samples is shorter than one window ({plan.window_len})"
-        )
-    return frame_view(x, plan.window_len, plan.hop)
 
 
 def frame_view(x: np.ndarray, window_len: int, hop: int) -> np.ndarray:

@@ -25,6 +25,7 @@ __all__ = [
     "excitation_from_displacement",
     "synthesize_speech",
     "random_vocal_tract",
+    "cohort_draw",
     "make_subject",
     "save_subject",
     "load_subject",
@@ -34,6 +35,7 @@ F0_MIN_HZ = 90.0
 F0_MAX_HZ = 1000.0
 OVERSAMPLE = 8       # fold displacement is generated at this multiple of the rate
 FADE_OUT_S = 0.02
+TAU_CHOICES_SAMPLES = (0, 1, 2, 4)   # a cohort subject's tissue delays, in samples
 # Bytes of open-phase temporaries per block of the pulse train: 512 KiB is
 # about 5500 samples, a few dozen cycles at OVERSAMPLE times 2 kHz.
 _PULSE_BLOCK_BYTES = 1 << 19
@@ -266,6 +268,21 @@ def random_vocal_tract(rng: np.random.Generator, rate_hz: float = 2000.0) -> Voc
                       for radius, freq in pairs])
     coeffs = np.poly(np.concatenate([poles, poles.conj()])).real
     return VocalTractModel(coefficients=coeffs[1:], gain=1.0)
+
+
+def cohort_draw(seed: int, index: int, f0_range: tuple[float, float],
+                rate_hz: float) -> tuple:
+    """(f0 in Hz, open quotient, neck channel, tract seed, subject seed) of
+    subject `index` of the cohort drawn at `seed`, in that order, from the
+    subject's own stream SeedSequence(seed, spawn_key=(index,)); f0 is
+    uniform over f0_range, (lo, hi) in Hz."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    f0_hz = float(rng.uniform(*f0_range))
+    open_quotient = float(rng.uniform(0.5, 0.8))
+    k_d = float(rng.uniform(0.5, 1.2))
+    tau_samples = TAU_CHOICES_SAMPLES[int(rng.integers(len(TAU_CHOICES_SAMPLES)))]
+    return (f0_hz, open_quotient, NeckChannel(k_d=k_d, tau_d_s=tau_samples / rate_hz),
+            int(rng.integers(2**31 - 1)), int(rng.integers(2**31 - 1)))
 
 
 def _fade_out(samples: np.ndarray, n_fade: int) -> np.ndarray:

@@ -161,16 +161,15 @@ def frame_delays(x_hat_frames: np.ndarray, d_frames: np.ndarray,
     return best, peak, defined
 
 
-def integrate_excitation(e_hat: SampledSignal, pole: float) -> SampledSignal:
-    """Leaky running sum x[n] = pole * x[n-1] + e[n] / rate.
+def integrate_excitation(x: np.ndarray, rate_hz: float, pole: float) -> np.ndarray:
+    """Leaky running sum y[n] = pole * y[n-1] + x[n] / rate_hz.
 
     Bounded for bounded input; drift/baseline handling (mean removal,
     high-pass) is the caller's concern.
     """
     if not (0.0 < pole < 1.0):
         raise ValueError("pole must be in (0, 1)")
-    y = iir_filter([1.0 / e_hat.rate_hz], [1.0, -pole], e_hat.samples)
-    return e_hat.with_samples(y)
+    return iir_filter([1.0 / rate_hz], [1.0, -pole], x)
 
 
 def transform_speech(s: SampledSignal, d: SampledSignal,
@@ -258,7 +257,7 @@ def transform_speech(s: SampledSignal, d: SampledSignal,
     if cfg.integration == "spectral":
         x_hat = integrate_spectral(e_hat, rate)
     else:
-        x_hat = integrate_excitation(SampledSignal(e_hat, rate), INTEGRATOR_POLE).samples
+        x_hat = integrate_excitation(e_hat, rate, INTEGRATOR_POLE)
         x_hat = x_hat - x_hat[active].mean()
     x_hat[~active] = 0.0
 

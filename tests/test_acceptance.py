@@ -15,23 +15,26 @@ that supplementary check runs alongside.
 """
 
 import hashlib
+import json
 import math
 import time
-from pathlib import Path
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from phonoradar.cli import TAU_CHOICES_SAMPLES, main
+from phonoradar.cli import main
+from phonoradar.io import read_wav
 from phonoradar.lpc import autocorrelation, levinson_durbin
 from phonoradar.metrics import PowerSpectrum, log_spectral_distance, lsd_over_windows
 from phonoradar.radar import ChirpConfig, TargetScene, measure_displacement
 from phonoradar.report import build_cohort_report, evaluate_signals
 from phonoradar.signals import FramePlan, SampledSignal
 from phonoradar.stats import descriptive_stats, paired_t_test, student_t_two_sided_p
-from phonoradar.synth import GlottalConfig, NeckChannel, make_subject, random_vocal_tract
+from phonoradar.synth import (GlottalConfig, NeckChannel, cohort_draw, make_subject,
+                              random_vocal_tract)
 from phonoradar.transform import transform_speech
-from conftest import voiced_flags
+from conftest import tree_digest, voiced_flags
 from radar_oracle import range_fft, simulate_beat_signal
 
 COHORT_SEED = 42
@@ -43,25 +46,14 @@ def _report(criterion, ok, detail):
     print(f"\nACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def _draw_subject_params(index, seed=COHORT_SEED):
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(index + 1)[-1])
-    return {
-        "f0_hz": float(rng.uniform(90.0, 500.0)),
-        "open_quotient": float(rng.uniform(0.5, 0.8)),
-        "k_d": float(rng.uniform(0.5, 1.2)),
-        "tau_samples": int(TAU_CHOICES_SAMPLES[int(rng.integers(len(TAU_CHOICES_SAMPLES)))]),
-        "tract_seed": int(rng.integers(2**31 - 1)),
-        "subject_seed": int(rng.integers(2**31 - 1)),
-    }
-
-
-def _build_subject(params, duration=2.0):
-    glottal = GlottalConfig(f0_hz=params["f0_hz"],
-                            open_quotient=params["open_quotient"])
-    neck = NeckChannel(k_d=params["k_d"], tau_d_s=params["tau_samples"] / RATE)
-    tract = random_vocal_tract(np.random.default_rng(params["tract_seed"]), RATE)
-    subject = make_subject(glottal, neck, tract, duration, RATE,
-                           seed=params["subject_seed"], lead_in_s=0.05)
+def _build_subject(index):
+    """Subject `index` of the seed-42 cohort as `synth --cohort 66 --seed 42
+    --duration 2.0` builds it, and its noiseless radar trace."""
+    f0_hz, open_quotient, neck, tract_seed, seed = cohort_draw(COHORT_SEED, index,
+                                                               (90.0, 500.0), RATE)
+    subject = make_subject(GlottalConfig(f0_hz=f0_hz, open_quotient=open_quotient), neck,
+                           random_vocal_tract(np.random.default_rng(tract_seed), RATE),
+                           2.0, RATE, seed=seed, lead_in_s=0.05)
     d_meas, _ = measure_displacement(TargetScene(displacement=subject.d),
                                      ChirpConfig())
     return subject, d_meas
@@ -73,15 +65,32 @@ def cohort():
     t0 = time.time()
     rows = []
     for i in range(COHORT_SIZE):
-        params = _draw_subject_params(i)
-        subject, d_meas = _build_subject(params)
+        subject, d_meas = _build_subject(i)
         traces, record = transform_speech(subject.s, d_meas)
         ev, _ = evaluate_signals(f"subject_{i:03d}", subject.s, traces["e_hat"],
                                  traces["d_hat"], d_meas, voiced_flags(record))
-        rows.append({"params": params, "subject": subject, "d_meas": d_meas,
+        rows.append({"subject": subject, "d_meas": d_meas,
                      "transform": record, "evaluation": ev})
     elapsed = time.time() - t0
     return {"rows": rows, "elapsed_s": elapsed}
+
+
+class TestCohortFixture:
+    def test_subjects_are_synth_cohorts(self, cohort, tmp_path):
+        # The fixture scores the cohort `synth --cohort` writes: the same
+        # parameters, and the same speech once stored as float32 WAV.
+        assert main(["synth", "--out", str(tmp_path), "--cohort", "3",
+                     "--seed", str(COHORT_SEED), "--duration", "2.0"]) == 0
+        for i, row in enumerate(cohort["rows"][:3]):
+            subject, directory = row["subject"], tmp_path / f"subject_{i:03d}"
+            manifest = json.loads((directory / "subject.json").read_text())
+            assert manifest["glottal"] == asdict(subject.glottal)
+            assert manifest["neck"] == asdict(subject.neck)
+            assert manifest["tract"] == {"coefficients": subject.tract.coefficients.tolist(),
+                                         "gain": subject.tract.gain}
+            assert manifest["seed"] == subject.seed
+            speech = read_wav(directory / "speech.wav").samples
+            assert np.array_equal(speech, subject.s.samples.astype(np.float32))
 
 
 class TestCriterion1SyntheticCohortOrdering:
@@ -128,7 +137,7 @@ class TestCriterion1SyntheticCohortOrdering:
     def test_supplementary_ordering_in_phonation_band(self, cohort):
         # Supplementary evidence (not an acceptance clause): within the 90-300
         # Hz band of the sustained-phonation protocol the ordering is robust.
-        rows = [row for row in cohort["rows"] if row["params"]["f0_hz"] <= 300.0]
+        rows = [row for row in cohort["rows"] if row["subject"].glottal.f0_hz <= 300.0]
         wins = sum(1 for row in rows
                    if row["evaluation"]["lsd_model_filtered"]
                    < row["evaluation"]["lsd_raw_speech"]
@@ -247,7 +256,7 @@ class TestCriterion5DelayEstimation:
         for row in cohort["rows"]:
             subject = row["subject"]
             _, record = transform_speech(subject.s, row["d_meas"], known_tract=subject.tract)
-            exact += record["global_tau_samples"] == row["params"]["tau_samples"]
+            exact += record["global_tau_samples"] == round(subject.neck.tau_d_s * RATE)
         ok = exact >= math.ceil(0.95 * COHORT_SIZE)
         _report("5 (exact recovery)", ok,
                 f"global-median delay exact for {exact}/{COHORT_SIZE} subjects "
@@ -256,7 +265,7 @@ class TestCriterion5DelayEstimation:
 
     def test_lpc_mode_median_within_one_sample(self, cohort):
         errors = [abs(row["transform"]["global_tau_samples"]
-                      - row["params"]["tau_samples"])
+                      - round(row["subject"].neck.tau_d_s * RATE))
                   for row in cohort["rows"]]
         med = float(np.median(errors))
         ok = med <= 1.0
@@ -356,19 +365,11 @@ class TestCriterion7StatisticsOracle:
 
 class TestCriterion8Determinism:
     def test_seeded_synth_is_byte_identical(self, tmp_path):
-        def digest(root: Path):
-            out = {}
-            for p in sorted(root.rglob("*")):
-                if p.is_file():
-                    out[str(p.relative_to(root))] = hashlib.sha256(
-                        p.read_bytes()).hexdigest()
-            return out
-
         a, b = tmp_path / "a", tmp_path / "b"
         for out_dir in (a, b):
             assert main(["synth", "--out", str(out_dir), "--cohort", "3",
                          "--seed", "17", "--duration", "0.8"]) == 0
-        ok = digest(a) == digest(b)
+        ok = tree_digest(a) == tree_digest(b)
         _report("8 (synth)", ok, "two seeded cohort syntheses are byte-identical")
         assert ok
 

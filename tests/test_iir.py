@@ -115,7 +115,8 @@ def test_call_sites_match_lfilter():
     rng = np.random.default_rng(3)
     sig = SampledSignal(rng.standard_normal(500), 2000.0)
     b, a = [1.0 / 2000.0], [1.0, -0.99]
-    assert (np.max(np.abs(integrate_excitation(sig, 0.99).samples - lfilter(b, a, sig.samples)))
+    assert (np.max(np.abs(integrate_excitation(sig.samples, 2000.0, 0.99)
+                          - lfilter(b, a, sig.samples)))
             <= lfilter_bound(b, a, sig.samples))
     tract = VocalTractModel(stable_a(rng, 6)[1:], gain=0.7)
     b, a = [0.7], tract.error_filter()

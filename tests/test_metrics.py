@@ -151,6 +151,12 @@ class TestLsdOverWindows:
         with pytest.raises(ValueError):
             self.pair(self.a, self.a, np.zeros(39, bool))
 
+    def test_reference_shorter_than_one_window(self):
+        short = SampledSignal(self.a.samples[:49], 2000.0)
+        for mask in (None, np.ones(1, bool)):
+            with pytest.raises(ValueError, match="shorter than one window"):
+                self.pair(short, short, mask)
+
     def test_candidate_length_and_rate_checked(self):
         with pytest.raises(ValueError, match="equal length"):
             self.pair(SampledSignal(self.a.samples[:900], 2000.0), self.a)
