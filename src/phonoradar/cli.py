@@ -231,14 +231,19 @@ def _clear(stage: str, task) -> None:
 
 def _synth_one(glottal: GlottalConfig, duration_s: float, rate_hz: float,
                noise_snr_db: float | None, lead_in_s: float, task: tuple) -> None:
-    """Worker: build and save one subject. task is (directory, f0 in Hz,
-    open quotient, neck channel, tract seed, subject seed)."""
+    """Worker: build and save one subject. task is (directory, draw), and
+    draw() gives the subject's (f0 in Hz, open quotient, neck channel, tract
+    seed, subject seed): a cohort subject's is its cohort_draw, so that a
+    drawn delay the neck channel refuses is this subject's data error."""
     from .synth import random_vocal_tract
-    directory, f0_hz, open_quotient, neck, tract_seed, seed = task
-    subject = make_subject(replace(glottal, f0_hz=f0_hz, open_quotient=open_quotient), neck,
-                           random_vocal_tract(np.random.default_rng(tract_seed), rate_hz),
-                           duration_s, rate_hz, noise_snr_db=noise_snr_db, seed=seed,
-                           lead_in_s=lead_in_s)
+    directory, draw = task
+    with pio.naming(directory):
+        f0_hz, open_quotient, neck, tract_seed, seed = draw()
+        subject = make_subject(replace(glottal, f0_hz=f0_hz, open_quotient=open_quotient),
+                               neck, random_vocal_tract(np.random.default_rng(tract_seed),
+                                                        rate_hz),
+                               duration_s, rate_hz, noise_snr_db=noise_snr_db, seed=seed,
+                               lead_in_s=lead_in_s)
     save_subject(subject, directory)
 
 
@@ -256,12 +261,15 @@ def cmd_synth(args) -> int:
     if not args.cohort:
         tau_samples = int(round(args.tau_ms * 1e-3 * args.rate))
         neck = _from_flags(NeckChannel, k_d=args.k_d, tau_d_s=tau_samples / args.rate)
-        tasks = [(out, args.f0, args.open_quotient, neck, args.seed, args.seed)]
+        # the draw of the flags' values
+        tasks = [(out, functools.partial(tuple, (args.f0, args.open_quotient, neck,
+                                                 args.seed, args.seed)))]
     else:
         lo, hi = args.f0_range
         if not (F0_MIN_HZ <= lo <= hi <= F0_MAX_HZ):
             raise UsageError(f"--f0-range must lie within [{F0_MIN_HZ:g}, {F0_MAX_HZ:g}] Hz")
-        tasks = [(out / f"subject_{i:03d}", *cohort_draw(args.seed, i, args.f0_range, args.rate))
+        tasks = [(out / f"subject_{i:03d}",
+                  functools.partial(cohort_draw, args.seed, i, args.f0_range, args.rate))
                  for i in range(args.cohort)]
     out.mkdir(parents=True, exist_ok=True)
     if args.cohort:   # a smaller rerun lists none of the earlier run's extra subjects

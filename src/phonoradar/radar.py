@@ -22,7 +22,7 @@ __all__ = [
 ]
 
 C_LIGHT = 299792458.0
-_BLOCK_BYTES = 1 << 19
+_BLOCK_BYTES = 1 << 18
 # Range bins the streamed chain keeps either side of the nominal range's
 # bin: _check_scene keeps the excursion under half a range resolution, so
 # the peak sits within one bin of it.
@@ -110,12 +110,15 @@ class TargetScene:
 
 def _check_scene(scene: TargetScene, cfg: ChirpConfig) -> None:
     """A ValueError unless the nominal range lies in a positive-range bin and
-    the displacement is sampled at the PRF and stays inside the range bin."""
+    the displacement has samples, is sampled at the PRF and stays inside the
+    range bin."""
     cfg.check_range(scene.nominal_range_m)
     d = scene.displacement
     if abs(d.rate_hz - cfg.prf_hz) > 1e-6 * cfg.prf_hz:
         raise ValueError("displacement must be sampled at the PRF")
-    max_excursion = float(np.max(np.abs(d.samples))) if len(d) else 0.0
+    if not len(d):
+        raise ValueError("displacement has no samples: nothing to measure")
+    max_excursion = float(np.max(np.abs(d.samples)))
     if max_excursion >= 0.5 * cfg.range_resolution_m:
         raise ValueError(
             f"displacement {max_excursion:.3g} m leaves the range bin "
@@ -177,6 +180,23 @@ def _select_bin(mags: np.ndarray) -> tuple[int, float, float]:
     return bin_index, float(peak), float(floor)
 
 
+def _unwrap(phase: np.ndarray) -> np.ndarray:
+    """np.unwrap(phase), the same bytes, in three chirp-length arrays where
+    np.unwrap holds about five: its steps in its order (diff, mod, the
+    boundary and zeroing copyto, cumsum, one add), each in place."""
+    up = np.array(phase)
+    dd = np.diff(phase)
+    correct = np.subtract(dd, -np.pi)
+    np.mod(correct, 2.0 * np.pi, out=correct)
+    correct += -np.pi
+    np.copyto(correct, np.pi, where=(correct == -np.pi) & (dd > 0))
+    correct -= dd
+    np.copyto(correct, 0, where=np.abs(dd, out=dd) < np.pi)
+    np.cumsum(correct, out=correct)
+    up[1:] += correct
+    return up
+
+
 def _phase_displacement(phase: np.ndarray, cfg: ChirpConfig,
                         choice: tuple) -> tuple[SampledSignal, dict]:
     """(displacement, bin decision) from one range bin's slow-time phase,
@@ -184,7 +204,9 @@ def _phase_displacement(phase: np.ndarray, cfg: ChirpConfig,
     (bin, magnitude, floor) for it, which radar.json records as
     selected_bin, bin_magnitude and noise_floor."""
     bin_index, magnitude, floor = choice
-    disp = cfg.wavelength_m * np.unwrap(phase) / (4.0 * np.pi)
+    disp = _unwrap(phase)
+    disp *= cfg.wavelength_m
+    disp /= 4.0 * np.pi
     # The beat tone's frequency also moves with displacement; through the
     # window group delay (N-1)/(2*fs) that adds a deterministic gain term.
     group_delay_s = (cfg.adc_samples_per_chirp - 1) / (2.0 * cfg.adc_rate_hz)
@@ -196,7 +218,7 @@ def _phase_displacement(phase: np.ndarray, cfg: ChirpConfig,
 
 
 def _block_chirps(adc_samples: int) -> int:
-    """Chirps per streamed block: about 512 KiB of complex positive-range bins."""
+    """Chirps per streamed block: about 256 KiB of complex positive-range bins."""
     return max(1, _BLOCK_BYTES // (16 * (adc_samples // 2 + 2)))
 
 
@@ -271,33 +293,37 @@ def _stream_bins(scene: TargetScene, cfg: ChirpConfig, rng: np.random.Generator 
     whole range. Noiseless magnitudes need only 1/2 * |u + j*v|; a
     noisy block is formed in full and takes its noise in place
     (add_range_noise), and its magnitudes go into the kernel's buffer,
-    which the block no longer reads.
+    which the block no longer reads. Each block's magnitudes sit below a
+    row 0 that carries the running per-bin sum into the block's reduction
+    over chirps, so the sums add chirp after chirp, at any block size.
     """
     n = cfg.adc_samples_per_chirp
     half = n // 2
     d = scene.displacement.samples
     chirps = len(d)
-    size = max(min(_block_chirps(n), chirps), 1)
+    size = min(_block_chirps(n), chirps)
     spacing = cfg.range_bin_spacing_m()
     j0 = round(scene.nominal_range_m / spacing)
     base = scene.nominal_range_m - j0 * spacing
-    q = np.empty((size, half + 2))   # bins -1 .. n/2
+    q = np.empty((size + 1, half + 2))   # bins -1 .. n/2, a block's chirps from row 1
     noisy = scene.noise_snr_db is not None
     if noisy:   # u and v interleaved, the spectrum's real and imaginary parts
         spectrum = np.empty((size, half), dtype=np.complex128)
         parts = spectrum.view(np.float64).reshape(size, half, 2)
         u, v = parts[..., 0], parts[..., 1]
         scratch = np.empty(2 * size * (half + 2))
+        mags = q[:, :half]
     else:       # contiguous, for the magnitudes sqrt(u^2 + v^2)
-        u, v = np.empty((size, half)), np.empty((size, half))
+        mags = np.empty((size + 1, half))
+        u, v = mags[1:], np.empty((size, half))
+    mags[0] = 0.0   # the running per-bin sum of the magnitudes
     bin_phase = 0.5 * np.exp(1j * np.pi / n * np.arange(half))
-    sums = np.zeros(half)
     phases = np.empty((chirps, hi - lo))
     for start in range(0, chirps, size):
         stop = min(start + size, chirps)
         rows = stop - start
         offset = (base + d[start:stop]) / spacing
-        block_q = q[:rows]
+        block_q = q[1:rows + 1]
         _dirichlet_rows(offset, j0, n, block_q)
         block_u, block_v = u[:rows], v[:rows]
         _hann_taps(block_q, n, block_u, block_v)
@@ -309,17 +335,17 @@ def _stream_bins(scene: TargetScene, cfg: ChirpConfig, rng: np.random.Generator 
             x *= phase[:, None]
             add_range_noise(x, scene, cfg, rng, scratch)
             band = x[:, lo:hi]
-            sums += np.abs(x, out=block_q[:, :half]).sum(axis=0)
+            np.abs(x, out=block_q[:, :half])
         else:
             band = ((block_u[:, lo:hi] + 1j * block_v[:, lo:hi])
                     * bin_phase[lo:hi] * phase[:, None])
             block_u *= block_u
             block_v *= block_v
             block_u += block_v
-            sums += np.sqrt(block_u, out=block_u).sum(axis=0)
+            np.sqrt(block_u, out=block_u)
+        mags[0] = mags[:rows + 1].sum(axis=0)
         np.arctan2(band.imag, band.real, out=phases[start:stop])
-    if not noisy:
-        sums *= 0.5
+    sums = mags[0] if noisy else 0.5 * mags[0]
     return sums / chirps, phases
 
 

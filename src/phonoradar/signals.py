@@ -50,6 +50,10 @@ class SampledSignal:
     def __len__(self) -> int:
         return len(self.samples)
 
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """Samples lo .. hi-1, a read-only view."""
+        return self.samples[lo:hi]
+
     def with_samples(self, samples: np.ndarray) -> "SampledSignal":
         return SampledSignal(samples, self.rate_hz)
 
@@ -209,16 +213,19 @@ def design_lowpass(cutoff_frac: float, taps: int) -> np.ndarray:
 _DECIMATE_BLOCK_BYTES = 1 << 17
 
 
-def resample_decimate(sig: SampledSignal, target_rate_hz: float) -> SampledSignal:
+def resample_decimate(sig, target_rate_hz: float) -> SampledSignal:
     """Anti-alias low-pass (windowed sinc, cutoff 0.45 * target rate) then
     keep every k-th sample. The source rate must be an integer multiple of
     the target rate.
 
-    The filter runs over blocks of about _DECIMATE_BLOCK_BYTES of input, as
-    np.convolve copies a read-only input whole. Filtered sample i is output
-    i + half of the full convolution of a block that holds samples i - half
-    to i + half or ends where the signal does: the same dot product as in
-    one pass, so the bytes do not depend on the blocks.
+    sig is a SampledSignal, or any signal read by range, as synth's
+    PulseTrain is: len(sig), sig.rate_hz, and sig.block(lo, hi), its samples
+    lo .. hi-1. The filter reads it over blocks of about
+    _DECIMATE_BLOCK_BYTES of input, so the input need never be held whole,
+    and np.convolve copies a read-only input whole. Filtered sample i is
+    output i + half of the full convolution of a block that holds samples
+    i - half to i + half or ends where the signal does: the same dot
+    product as in one pass, so the bytes do not depend on the blocks.
     """
     ratio = sig.rate_hz / target_rate_hz
     k = int(round(ratio))
@@ -229,7 +236,7 @@ def resample_decimate(sig: SampledSignal, target_rate_hz: float) -> SampledSigna
     if k == 1:
         return SampledSignal(sig.samples, target_rate_hz)
     h = design_lowpass(0.45 / k, 16 * k + 1)
-    x, n, half = sig.samples, len(sig), 8 * k
+    n, half = len(sig), 8 * k
     step = k * max(1, _DECIMATE_BLOCK_BYTES // (16 * k))   # a block's copy and its output
     y = np.empty((n + k - 1) // k)
     for start in range(0, n, step):
@@ -237,7 +244,7 @@ def resample_decimate(sig: SampledSignal, target_rate_hz: float) -> SampledSigna
         # a block of at least len(h) samples, or np.convolve swaps its operands
         lo = max(0, min(start - half, n - len(h)))
         hi = min(n, max(stop + half, lo + len(h)))
-        full = np.convolve(x[lo:hi], h)
+        full = np.convolve(sig.block(lo, hi), h)
         y[start // k:(stop + k - 1) // k] = full[start + half - lo:stop + half - lo:k]
     return SampledSignal(y, target_rate_hz)
 

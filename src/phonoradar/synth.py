@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ __all__ = [
     "NeckChannel",
     "VocalTractModel",
     "SyntheticSubject",
+    "PulseTrain",
     "synth_vocal_fold_displacement",
     "neck_displacement",
     "excitation_from_displacement",
@@ -36,9 +37,6 @@ F0_MAX_HZ = 1000.0
 OVERSAMPLE = 8       # fold displacement is generated at this multiple of the rate
 FADE_OUT_S = 0.02
 TAU_CHOICES_SAMPLES = (0, 1, 2, 4)   # a cohort subject's tissue delays, in samples
-# Bytes of open-phase temporaries per block of the pulse train: 512 KiB is
-# about 5500 samples, a few dozen cycles at OVERSAMPLE times 2 kHz.
-_PULSE_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -144,11 +142,69 @@ class SyntheticSubject:
         return self.x.rate_hz
 
 
+@dataclass(frozen=True)
+class PulseTrain:
+    """A glottal pulse train of n samples at rate_hz, kept as its cycles and
+    evaluated by range (block): cycle c is open over samples i0[c] ..
+    i1[c]-1, from t0[c] seconds for t_open[c] seconds, and peaks at
+    amplitude. When 0 < n_fade <= n, a raised-cosine ramp fades out its
+    last n_fade samples."""
+
+    amplitude: float
+    rate_hz: float
+    n: int
+    i0: np.ndarray
+    i1: np.ndarray
+    t0: np.ndarray
+    t_open: np.ndarray
+    n_fade: int
+
+    def __len__(self) -> int:
+        return self.n
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The whole train, evaluated in one pass, read-only."""
+        x = self.block(0, self.n)
+        x.setflags(write=False)
+        return x
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """Samples lo .. hi-1 (0 <= lo < hi <= n) as a new array. Every
+        sample takes the same elementwise arithmetic in any range, so a
+        train read block by block has the bytes of one read whole."""
+        # the cycles open somewhere in lo .. hi-1; open phases never overlap
+        first = np.searchsorted(self.i1, lo, side="right")
+        last = np.searchsorted(self.i0, hi)
+        start = np.maximum(self.i0[first:last], lo)
+        counts = np.maximum(np.minimum(self.i1[first:last], hi) - start, 0)
+        idx = np.repeat(start - np.cumsum(counts) + counts, counts)
+        idx += np.arange(len(idx))
+        # (idx / rate - t0) / t_open, the open phase's progress 0 .. 1, in place
+        phase = idx / self.rate_hz
+        phase -= np.repeat(self.t0[first:last], counts)
+        phase /= np.repeat(self.t_open[first:last], counts)
+        rise_frac = 2.0 / 3.0  # fixed speed quotient 2:1 within the open phase
+        rise = phase < rise_frac
+        u = phase[rise] / rise_frac
+        v = (phase[~rise] - rise_frac) / (1.0 - rise_frac)
+        phase[rise] = 3.0 * u**2 - 2.0 * u**3
+        phase[~rise] = 1.0 - v**2
+        x = np.zeros(hi - lo)
+        idx -= lo
+        x[idx] = self.amplitude * np.clip(phase, 0.0, None)
+        fade_from = self.n - self.n_fade if 0 < self.n_fade <= self.n else self.n
+        if hi > fade_from:
+            ramp = np.arange(max(lo, fade_from) - fade_from, hi - fade_from)
+            x[len(x) - len(ramp):] *= 0.5 * (1.0 + np.cos(np.pi * ramp / self.n_fade))
+        return x
+
+
 def synth_vocal_fold_displacement(cfg: GlottalConfig, duration_s: float,
                                   rate_hz: float,
                                   rng: np.random.Generator | None = None,
-                                  lead_in_s: float = 0.0) -> SampledSignal:
-    """Rosenberg-style polynomial glottal pulse train.
+                                  lead_in_s: float = 0.0) -> PulseTrain:
+    """Rosenberg-style polynomial glottal pulse train, unfaded.
 
     Each cycle opens for open_quotient of the period: a cubic rise over the
     first two thirds of the open phase (zero slope at both ends) and a
@@ -158,9 +214,7 @@ def synth_vocal_fold_displacement(cfg: GlottalConfig, duration_s: float,
     silent lead-in precedes the first pulse.
 
     A scalar loop walks the cycle onsets (one jitter draw per cycle); the
-    open-phase samples are then evaluated in blocks of cycles, about
-    _PULSE_BLOCK_BYTES of temporaries each, every sample by the same
-    elementwise arithmetic in any block.
+    samples are evaluated only when the train is read (PulseTrain.block).
     """
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
@@ -185,33 +239,10 @@ def synth_vocal_fold_displacement(cfg: GlottalConfig, duration_s: float,
         t0 += period
     t0 = np.array(onsets)
     t_open = np.array(open_times)
-    # open phase of cycle c: samples [i0[c], i1[c]); phases never overlap
+    # open phase of cycle c: samples [i0[c], i1[c]), empty when i1[c] <= i0[c]
     i0 = np.ceil(t0 * rate_hz).astype(np.int64)
     i1 = np.minimum(np.ceil((t0 + t_open) * rate_hz).astype(np.int64), n)
-    counts = np.maximum(i1 - i0, 0)
-    x = np.zeros(n)
-    # cycles per block: a dozen 8-byte temporaries per open-phase sample
-    step = max(1, _PULSE_BLOCK_BYTES // (96 * max(1, int(counts.max()))))
-    for c in range(0, len(counts), step):
-        block = slice(c, c + step)
-        idx, pulse = _open_phases(i0[block], counts[block], t0[block], t_open[block],
-                                  rate_hz)
-        x[idx] = cfg.amplitude * np.clip(pulse, 0.0, None)
-    return SampledSignal(x, rate_hz)
-
-
-def _open_phases(i0: np.ndarray, counts: np.ndarray, t0: np.ndarray, t_open: np.ndarray,
-                 rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sample indices and pulse shape of the open phases of some cycles:
-    counts[c] samples from i0[c], the cycle opening at t0[c] for t_open[c]."""
-    cycle = np.repeat(np.arange(len(counts)), counts)
-    first = np.cumsum(counts) - counts   # position of each cycle's first sample in idx
-    idx = i0[cycle] + np.arange(len(cycle)) - first[cycle]
-    phase = (idx / rate_hz - t0[cycle]) / t_open[cycle]
-    rise_frac = 2.0 / 3.0  # fixed speed quotient 2:1 within the open phase
-    u = phase / rise_frac
-    v = (phase - rise_frac) / (1.0 - rise_frac)
-    return idx, np.where(phase < rise_frac, 3.0 * u**2 - 2.0 * u**3, 1.0 - v**2)
+    return PulseTrain(cfg.amplitude, rate_hz, n, i0, i1, t0, t_open, n_fade=0)
 
 
 def neck_displacement(x: SampledSignal, ch: NeckChannel) -> SampledSignal:
@@ -285,15 +316,6 @@ def cohort_draw(seed: int, index: int, f0_range: tuple[float, float],
             int(rng.integers(2**31 - 1)), int(rng.integers(2**31 - 1)))
 
 
-def _fade_out(samples: np.ndarray, n_fade: int) -> np.ndarray:
-    if n_fade <= 0 or n_fade > len(samples):
-        return samples
-    out = samples.copy()
-    ramp = 0.5 * (1.0 + np.cos(np.pi * np.arange(n_fade) / n_fade))
-    out[-n_fade:] *= ramp
-    return out
-
-
 def make_subject(glottal: GlottalConfig, neck: NeckChannel, tract: VocalTractModel,
                  duration_s: float, rate_hz: float,
                  noise_snr_db: float | None = None,
@@ -309,14 +331,10 @@ def make_subject(glottal: GlottalConfig, neck: NeckChannel, tract: VocalTractMod
     """
     rng = None if seed is None else np.random.default_rng(seed)
     hi_rate = rate_hz * OVERSAMPLE
-    # At most two copies of the oversampled train live at once: the train
-    # goes once faded holds its copy, and faded once the signal holds its own.
-    faded = _fade_out(synth_vocal_fold_displacement(glottal, duration_s, hi_rate, rng,
-                                                    lead_in_s).samples,
-                      int(FADE_OUT_S * hi_rate))
-    hi = SampledSignal(faded, hi_rate)
-    del faded
-    x = resample_decimate(hi, rate_hz)
+    # The oversampled train is never held whole: the decimation filter reads
+    # it block by block, faded where a block reaches the end.
+    train = synth_vocal_fold_displacement(glottal, duration_s, hi_rate, rng, lead_in_s)
+    x = resample_decimate(replace(train, n_fade=int(FADE_OUT_S * hi_rate)), rate_hz)
     e = excitation_from_displacement(x, glottal.flow_gain_k)
     s = synthesize_speech(e, tract, noise_snr_db, rng)
     d = neck_displacement(x, neck)

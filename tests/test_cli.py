@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -19,9 +20,11 @@ import phonoradar
 from phonoradar.cli import (RADAR_NOISE_KEY, TRANSFORM_FILES, TRANSFORM_META, _build_parser,
                             _run_subjects, _subject_dirs, _transform_one, main,
                             radar_noise_seed)
-from phonoradar.io import read_csv_signal, read_wav, write_csv_signal, write_wav
+from phonoradar.io import (SUBJECT_FILES, SUBJECT_MANIFEST, read_csv_signal, read_wav,
+                           write_csv_signal, write_wav)
 from phonoradar.radar import ChirpConfig, TargetScene, measure_displacement
 from phonoradar.signals import SampledSignal
+from phonoradar.synth import cohort_draw
 from phonoradar.transform import TransformConfig, frame_voicing, transform_speech
 from conftest import tree_digest
 
@@ -93,6 +96,30 @@ class TestSynth:
         assert str(out / "subject_001") in line
         assert [p.parent.name for p in sorted(out.glob("*/subject.json"))] == ["subject_000",
                                                                              "subject_002"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_refused_cohort_draw_skips_only_its_subject(self, tmp_path, capsys, jobs):
+        # at 600 Hz a drawn delay of 4 samples is 6.7 ms, which the neck
+        # channel refuses: each such subject fails on its own line, in order,
+        # and every other subject is written in full
+        refused = []
+        for i in range(40):
+            try:
+                cohort_draw(42, i, (90.0, 500.0), 600.0)
+            except ValueError:
+                refused.append(f"subject_{i:03d}")
+        assert 0 < len(refused) < 40
+        out = tmp_path / "c"
+        lines = error_lines(capsys, ["synth", "--out", str(out), "--cohort", "40", "--rate",
+                                     "600", "--seed", "42", "--duration", "0.3",
+                                     "--jobs", jobs], 0)
+        assert lines == [f"error: {out / name}: tau_d_s must be in [0, 5 ms)"
+                         for name in refused]
+        written = sorted(p.name for p in out.iterdir())
+        assert written == [f"subject_{i:03d}" for i in range(40)
+                           if f"subject_{i:03d}" not in refused]
+        files = {SUBJECT_MANIFEST, *SUBJECT_FILES.values()}
+        assert all({p.name for p in (out / name).iterdir()} == files for name in written)
 
     def test_low_f0_rejected_as_usage_error(self, tmp_path):
         assert run(["synth", "--out", str(tmp_path / "x"), "--f0", "50"]) == 1
@@ -859,6 +886,22 @@ def test_failed_radar_subject_is_skipped_not_scored_on_its_true_trace(pair_cohor
         [line] = error_lines(capsys, [*argv, str(pair_cohort), "--jobs", jobs], 0)
         assert str(subject / "neck_radar.csv") in line
     assert_skipped(pair_cohort, "subject_001")
+
+
+@JOBS
+def test_displacement_without_samples_is_one_error_line(pair_cohort, capsys, jobs):
+    # subject_001's neck_true.csv holds only its header: one line naming
+    # it, no numpy warning, and subject_000 is measured
+    trace = pair_cohort / "subject_001" / "neck_true.csv"
+    trace.write_text(trace.read_text().splitlines(keepends=True)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [line] = error_lines(capsys, ["radar", "--cohort", str(pair_cohort), "--jobs", jobs],
+                             0)
+    assert line == (f"error: {pair_cohort / 'subject_001'}: displacement has no samples: "
+                    "nothing to measure")
+    assert (pair_cohort / "subject_000" / "neck_radar.csv").exists()
+    assert not (pair_cohort / "subject_001" / "neck_radar.csv").exists()
 
 
 @JOBS

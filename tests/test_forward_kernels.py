@@ -12,7 +12,7 @@ import pytest
 
 from phonoradar.radar import (_BAND_BINS, C_LIGHT, ChirpConfig, NoCoherentTargetError,
                               TargetScene, _block_chirps, _dirichlet_rows, _stream_bins,
-                              add_range_noise, measure_displacement)
+                              _unwrap, add_range_noise, measure_displacement)
 from phonoradar.signals import SampledSignal, hann_window
 from phonoradar.synth import GlottalConfig, synth_vocal_fold_displacement
 from radar_oracle import (DIRICHLET_ULPS, EPS, displacement_bound, explicit_chain,
@@ -356,6 +356,27 @@ def test_noisy_chain_keeps_its_band_as_phase():
     # takes the peak to about 2.8 MB. Each block's magnitudes going into the
     # kernel's buffer, not a fresh temporary, saves another 0.12 MB.
     assert streamed_peak_bytes(16400, 20.0) < 2.3e6
+
+
+def test_noisy_chain_unwraps_in_place():
+    # 120 000 noisy chirps, a 60 s subject, peak at about 8.0 MB while the
+    # phase is unwrapped: the band's five phases per chirp, 4.8 MB, and three
+    # chirp-length arrays; np.unwrap's temporaries took it to 9.6 MB
+    assert streamed_peak_bytes(120000, 20.0) < 8.5e6
+
+
+def test_unwrap_is_numpys_bytes(rng):
+    # a column of a chirps x bins array, as the chain unwraps it, with steps
+    # of exactly -pi, +pi and +-2 pi among random ones: np.unwrap keeps a
+    # step of +pi, and turns one of -pi into +pi
+    phases = rng.uniform(-np.pi, np.pi, (4000, 5))
+    column = phases[:, 2]
+    column[100:102] = (0.0, np.pi)
+    column[200:202] = (np.pi, 0.0)
+    column[300:302] = (-np.pi, np.pi)
+    column[400:402] = (np.pi, -np.pi)
+    assert _unwrap(column).tobytes() == np.unwrap(column).tobytes()
+    assert _unwrap(column[:1]).tobytes() == np.unwrap(column[:1]).tobytes()
 
 
 # --- glottal pulse train --------------------------------------------------
