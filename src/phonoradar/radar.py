@@ -27,6 +27,12 @@ _BLOCK_BYTES = 1 << 18
 # bin: _check_scene keeps the excursion under half a range resolution, so
 # the peak sits within one bin of it.
 _BAND_BINS = 2
+# The noise floor is an ordered-statistic CFAR (Rohling, IEEE Trans. AES
+# 19(4), 1983): the median of the reference bins, those more than a guard of
+# _GUARD_BINS, the Hann main lobe, from the peak. The chain forms the band
+# widened each side by the guard and _REFERENCE_BINS more, and no other bin.
+_GUARD_BINS = 2
+_REFERENCE_BINS = 10
 
 
 class NoCoherentTargetError(ValueError):
@@ -53,9 +59,10 @@ class ChirpConfig:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
         # A tone between bins puts its peak and up to 3 other bins in the
-        # Hann main lobe. _select_bin's floor, the median of the other
-        # n/2 - 1 positive bins, is a sidelobe bin only when those 3 are
-        # fewer than half of them: 3 < (n/2 - 1)/2, so n >= 16.
+        # Hann main lobe, all within _GUARD_BINS of the peak. _select_bin's
+        # floor is the median of the formed bins past that guard, sidelobe
+        # or noise bins each; at least 3 remain of n/2 positive bins when
+        # n/2 - (2 * _GUARD_BINS + 1) >= 3, so n >= 16.
         if self.adc_samples_per_chirp < 16:
             raise ValueError("adc_samples_per_chirp must be at least 16")
         if self.adc_samples_per_chirp / self.adc_rate_hz > self.chirp_duration_s * (1 + 1e-9):
@@ -134,50 +141,73 @@ def _noise_sigma(scene: TargetScene) -> float:
 
 def add_range_noise(spectrum: np.ndarray, scene: TargetScene, cfg: ChirpConfig,
                     rng: np.random.Generator, scratch: np.ndarray | None = None) -> None:
-    """Add the scene's receiver noise, in place, to a positive-range spectrum
-    (chirps x n//2, as range_fft in tests/radar_oracle.py returns it); a
-    noiseless scene adds nothing.
+    """Add the scene's receiver noise, in place, to a span of positive-range
+    bins, a .. b-1 of each chirp (chirps x (b - a), columns of range_fft in
+    tests/radar_oracle.py); a noiseless scene adds nothing.
 
     The noise is white complex Gaussian in the beat, sigma per component at
     the scene's SNR per ADC sample, seen through the Hann-tapered FFT. Its
     DFT N is white with per-component variance n*sigma^2, and the periodic
     Hann window has three DFT taps, so bin k receives exactly
-    N_k/2 - N_{k-1}/4 - N_{k+1}/4. Only N over bins -1 .. n/2 (modulo n) is
-    drawn: real/imaginary pairs, bin by bin, chirp by chirp, so the stream
-    does not depend on how the chirps are split into calls. scratch, a
-    float64 buffer of at least 2 * chirps * (n//2 + 2) elements, holds the
-    draws; without it they are allocated. rng is read only for a noisy
-    scene.
+    N_k/2 - N_{k-1}/4 - N_{k+1}/4. Only N over bins a-1 .. b (modulo n,
+    distinct for b - a <= n/2) is drawn: real/imaginary pairs, bin by bin,
+    chirp by chirp, so the stream does not depend on how the chirps are
+    split into calls. N is alike at every bin, so the draws do not depend on
+    a either. scratch, a float64 buffer of at least 2 * chirps * (b - a + 2)
+    elements, holds the draws; without it they are allocated. rng is read
+    only for a noisy scene.
     """
     if scene.noise_snr_db is None:
         return
     n = cfg.adc_samples_per_chirp
-    rows, half = spectrum.shape
-    size = 2 * rows * (half + 2)
+    rows, width = spectrum.shape
+    size = 2 * rows * (width + 2)
     raw = np.empty(size) if scratch is None else scratch[:size]
-    raw = rng.standard_normal(out=raw.reshape(rows, half + 2, 2))
+    raw = rng.standard_normal(out=raw.reshape(rows, width + 2, 2))
     raw *= 0.25 * np.sqrt(n) * _noise_sigma(scene)
     quarter = raw.view(np.complex128)[..., 0]   # N_{k-1} / 4 in column k
     # (2 N_k - N_{k-1} - N_{k+1}) / 4 in four in-place passes, no temporary
-    centre = quarter[:, 1:half + 1]
+    centre = quarter[:, 1:width + 1]
     spectrum += centre
     spectrum += centre
-    spectrum -= quarter[:, :half]
+    spectrum -= quarter[:, :width]
     spectrum -= quarter[:, 2:]
 
 
-def _select_bin(mags: np.ndarray) -> tuple[int, float, float]:
-    """(bin, its mean magnitude, median of the other bins' means) for the max
-    mean-magnitude bin, which extraction reads. Raises NoCoherentTargetError
-    unless the bin clears five times that median floor."""
-    bin_index = int(np.argmax(mags))
-    peak = mags[bin_index]
-    floor = median(np.delete(mags, bin_index))
+def _bins(cfg: ChirpConfig, range_m: float) -> tuple[int, range, range]:
+    """(centre, band, span) for a target at range_m: its bin; the bins
+    extraction may read, centre +- _BAND_BINS; and the bins the chain forms,
+    the band widened each side by _GUARD_BINS + _REFERENCE_BINS. Both are
+    clipped to the positive range bins 0 .. n//2 - 1."""
+    half = cfg.adc_samples_per_chirp // 2
+    centre = cfg.bin_of_range(range_m)
+    band = range(max(centre - _BAND_BINS, 0), min(centre + _BAND_BINS + 1, half))
+    reach = _GUARD_BINS + _REFERENCE_BINS
+    return centre, band, range(max(band.start - reach, 0), min(band.stop + reach, half))
+
+
+def _select_bin(mags: np.ndarray, span: range, centre: int) -> dict:
+    """The bin decision radar.json records, from mags, the span's per-bin
+    mean magnitudes: selected_bin, the span's max, which extraction reads;
+    bin_magnitude, its mean; floor_bins, the span's bins more than
+    _GUARD_BINS from it; and noise_floor, the median of their means. Raises
+    NoCoherentTargetError unless the bin clears five times that floor and
+    lies within _BAND_BINS of centre, the nominal range's bin: a peak
+    farther out is no return of the target, whose peak lies within one bin
+    of it."""
+    at = int(np.argmax(mags))
+    reference = [*range(at - _GUARD_BINS), *range(at + _GUARD_BINS + 1, len(mags))]
+    bin_index, peak, floor = span[at], float(mags[at]), float(median(mags[reference]))
     if peak <= 0 or peak < 5.0 * floor:
         raise NoCoherentTargetError(
             f"bin {bin_index} magnitude {peak:.3g} is below the noise floor"
         )
-    return bin_index, float(peak), float(floor)
+    if abs(bin_index - centre) > _BAND_BINS:
+        raise NoCoherentTargetError(
+            f"selected bin {bin_index} lies more than {_BAND_BINS} bins from the "
+            f"nominal range's bin {centre}")
+    return {"selected_bin": bin_index, "bin_magnitude": peak, "noise_floor": floor,
+            "floor_bins": [span[i] for i in reference]}
 
 
 def _unwrap(phase: np.ndarray) -> np.ndarray:
@@ -197,13 +227,9 @@ def _unwrap(phase: np.ndarray) -> np.ndarray:
     return up
 
 
-def _phase_displacement(phase: np.ndarray, cfg: ChirpConfig,
-                        choice: tuple) -> tuple[SampledSignal, dict]:
-    """(displacement, bin decision) from one range bin's slow-time phase,
-    the angle of its column, wrapped to (-pi, pi]; choice is _select_bin's
-    (bin, magnitude, floor) for it, which radar.json records as
-    selected_bin, bin_magnitude and noise_floor."""
-    bin_index, magnitude, floor = choice
+def _phase_displacement(phase: np.ndarray, cfg: ChirpConfig) -> SampledSignal:
+    """The displacement from one range bin's slow-time phase, the angle of
+    its column, wrapped to (-pi, pi]."""
     disp = _unwrap(phase)
     disp *= cfg.wavelength_m
     disp /= 4.0 * np.pi
@@ -213,18 +239,18 @@ def _phase_displacement(phase: np.ndarray, cfg: ChirpConfig,
     gain = 1.0 + cfg.slope_hz_per_s * cfg.wavelength_m * group_delay_s / C_LIGHT
     disp /= gain
     disp -= disp.mean()
-    return SampledSignal(disp, cfg.prf_hz), {"selected_bin": bin_index,
-                                             "bin_magnitude": magnitude, "noise_floor": floor}
+    return SampledSignal(disp, cfg.prf_hz)
 
 
-def _block_chirps(adc_samples: int) -> int:
-    """Chirps per streamed block: about 256 KiB of complex positive-range bins."""
-    return max(1, _BLOCK_BYTES // (16 * (adc_samples // 2 + 2)))
+def _block_chirps(width: int) -> int:
+    """Chirps per streamed block of a span of width bins: about 256 KiB of
+    its complex bins and the one either side."""
+    return max(1, _BLOCK_BYTES // (16 * (width + 2)))
 
 
-def _dirichlet_rows(offset: np.ndarray, j0: int, n: int, out: np.ndarray) -> None:
+def _dirichlet_rows(offset: np.ndarray, j0: int, first: int, n: int, out: np.ndarray) -> None:
     """Fill out[m, c] with sin(pi*b_m) / sin(pi*(b_m - j)/n), the Dirichlet
-    kernel of a tone at bin b_m = j0 + offset_m seen from bin j = c - 1.
+    kernel of a tone at bin b_m = j0 + offset_m seen from bin j = first + c - 1.
 
     j0, a positive-range bin, is a bin near the tone and offset_m lies in
     (-1, 1). With C_j = pi*(j0 - j)/n and tau_m = pi*offset_m/n, the
@@ -235,11 +261,14 @@ def _dirichlet_rows(offset: np.ndarray, j0: int, n: int, out: np.ndarray) -> Non
     cancellation; that column is set apart. With the tone's nearest bin
     k_m = j0 + s_m and t_m = offset_m - s_m in [-1/2, 1/2], every column
     shares the numerator sin(pi*b_m) = (-1)^k_m sin(pi*t_m), and column
-    k_m + 1 is (-1)^k_m * n * sinc(t_m) / sinc(t_m/n): the same ratio
-    without the cancellation, with the limit n at t_m = 0.
+    k_m + 1 - first, where out has it, is (-1)^k_m * n * sinc(t_m) /
+    sinc(t_m/n): the same ratio without the cancellation, with the limit n
+    at t_m = 0. Each element is formed from its own chirp's offset and its
+    own bin alone, so a bin's column does not depend on first or on the
+    width of out.
     """
     rows, cols = out.shape
-    angle = np.pi / n * (j0 - np.arange(-1, cols - 1))
+    angle = np.pi / n * (j0 - np.arange(first - 1, first + cols - 1))
     tau = np.pi / n * offset
     np.multiply.outer(np.tan(tau), np.cos(angle), out=out)
     out += np.sin(angle)
@@ -247,25 +276,28 @@ def _dirichlet_rows(offset: np.ndarray, j0: int, n: int, out: np.ndarray) -> Non
     t = offset - whole
     k = j0 + whole
     sign = 1.0 - 2.0 * (k % 2)
-    index = np.arange(rows), (k + 1.0).astype(np.intp)   # the nearest bin's column
+    column = (k + 1.0 - first).astype(np.intp)   # the nearest bin's
+    row = np.flatnonzero((column >= 0) & (column < cols))
+    index = row, column[row]
     out[index] = 1.0
     np.divide((sign * np.sin(np.pi * t) / np.cos(tau))[:, None], out, out=out)
-    out[index] = sign * n * np.sinc(t) / np.sinc(t / n)
+    out[index] = (sign * n * np.sinc(t) / np.sinc(t / n))[row]
 
 
 def _hann_taps(q: np.ndarray, n: int, u: np.ndarray, v: np.ndarray) -> None:
-    """Twice the Hann-windowed tone's positive-range spectrum over its phase
-    factor, u + j*v, written into u and v (rows x n//2):
+    """Twice the Hann-windowed tone's spectrum over its phase factor, u + j*v,
+    at a span of positive-range bins, written into u and v (rows x width):
 
         u = q_k - cos(pi/n)/2 * (q_{k-1} + q_{k+1}),
         v = sin(pi/n)/2 * (q_{k-1} - q_{k+1}),
 
-    q[:, c] the Dirichlet kernel at bin c - 1 (_dirichlet_rows); the three
-    terms are the periodic Hann window's DFT taps 1/2, -1/4, -1/4 with the
-    bins' relative phases exp(-+j*pi/n).
+    q[:, c] the Dirichlet kernel at the bin before the span's column c
+    (_dirichlet_rows from the span's first bin), width + 2 columns; the
+    three terms are the periodic Hann window's DFT taps 1/2, -1/4, -1/4
+    with the bins' relative phases exp(-+j*pi/n).
     """
-    half = u.shape[-1]
-    left, centre, right = q[:, :half], q[:, 1:half + 1], q[:, 2:half + 2]
+    width = u.shape[-1]
+    left, centre, right = q[:, :width], q[:, 1:width + 1], q[:, 2:width + 2]
     np.add(left, right, out=u)
     u *= -0.5 * np.cos(np.pi / n)
     u += centre
@@ -274,11 +306,11 @@ def _hann_taps(q: np.ndarray, n: int, u: np.ndarray, v: np.ndarray) -> None:
 
 
 def _stream_bins(scene: TargetScene, cfg: ChirpConfig, rng: np.random.Generator | None,
-                 lo: int, hi: int) -> tuple:
-    """One pass of the chain over blocks of _block_chirps chirps: the per-bin
-    mean magnitudes of the noisy positive-range spectrum, and the slow-time
-    phase of its columns lo .. hi-1, their angle (np.angle's arctan2) in
-    (-pi, pi], chirps x (hi - lo).
+                 span: range, band: range) -> tuple:
+    """One pass of the chain over blocks of _block_chirps chirps that forms
+    the positive-range bins of span and no other: their mean magnitudes
+    over the chirps, and the slow-time phase of band's bins, a range within
+    span, their angle (np.angle's arctan2) in (-pi, pi], chirps x len(band).
 
     The spectrum is the closed form of the Hann-tapered DFT of the unit beat
     tone exp(j*(phi_m + 2*pi*b_m*i/n)), i = 0 .. n-1, at bin b_m = R_m / bin
@@ -291,40 +323,44 @@ def _stream_bins(scene: TargetScene, cfg: ChirpConfig, rng: np.random.Generator 
     (_check_scene), as b_m = j0 + offset_m with offset_m = ((R0 -
     j0*spacing) + d_m) / spacing, so the offset carries no rounding of the
     whole range. Noiseless magnitudes need only 1/2 * |u + j*v|; a
-    noisy block is formed in full and takes its noise in place
-    (add_range_noise), and its magnitudes go into the kernel's buffer,
-    which the block no longer reads. Each block's magnitudes sit below a
-    row 0 that carries the running per-bin sum into the block's reduction
-    over chirps, so the sums add chirp after chirp, at any block size.
+    noisy block is formed in full over the span and takes its noise in
+    place (add_range_noise, which draws for the span's bins and the one
+    either side), and its magnitudes go into the kernel's buffer, which the
+    block no longer reads. Each block's magnitudes sit below a row 0 that
+    carries the running per-bin sum into the block's reduction over chirps,
+    so the sums add chirp after chirp, at any block size. Every step is
+    elementwise over bins, so a noiseless bin's phase and mean are the same
+    bytes in any span that holds it.
     """
     n = cfg.adc_samples_per_chirp
-    half = n // 2
+    width = len(span)
     d = scene.displacement.samples
     chirps = len(d)
-    size = min(_block_chirps(n), chirps)
+    size = min(_block_chirps(width), chirps)
     spacing = cfg.range_bin_spacing_m()
     j0 = round(scene.nominal_range_m / spacing)
     base = scene.nominal_range_m - j0 * spacing
-    q = np.empty((size + 1, half + 2))   # bins -1 .. n/2, a block's chirps from row 1
+    q = np.empty((size + 1, width + 2))   # bins a-1 .. b, a block's chirps from row 1
     noisy = scene.noise_snr_db is not None
     if noisy:   # u and v interleaved, the spectrum's real and imaginary parts
-        spectrum = np.empty((size, half), dtype=np.complex128)
-        parts = spectrum.view(np.float64).reshape(size, half, 2)
+        spectrum = np.empty((size, width), dtype=np.complex128)
+        parts = spectrum.view(np.float64).reshape(size, width, 2)
         u, v = parts[..., 0], parts[..., 1]
-        scratch = np.empty(2 * size * (half + 2))
-        mags = q[:, :half]
+        scratch = np.empty(2 * size * (width + 2))
+        mags = q[:, :width]
     else:       # contiguous, for the magnitudes sqrt(u^2 + v^2)
-        mags = np.empty((size + 1, half))
-        u, v = mags[1:], np.empty((size, half))
+        mags = np.empty((size + 1, width))
+        u, v = mags[1:], np.empty((size, width))
     mags[0] = 0.0   # the running per-bin sum of the magnitudes
-    bin_phase = 0.5 * np.exp(1j * np.pi / n * np.arange(half))
-    phases = np.empty((chirps, hi - lo))
+    bin_phase = 0.5 * np.exp(1j * np.pi / n * np.arange(span.start, span.stop))
+    cut = slice(band.start - span.start, band.stop - span.start)
+    phases = np.empty((chirps, len(band)))
     for start in range(0, chirps, size):
         stop = min(start + size, chirps)
         rows = stop - start
         offset = (base + d[start:stop]) / spacing
         block_q = q[1:rows + 1]
-        _dirichlet_rows(offset, j0, n, block_q)
+        _dirichlet_rows(offset, j0, span.start, n, block_q)
         block_u, block_v = u[:rows], v[:rows]
         _hann_taps(block_q, n, block_u, block_v)
         phase = np.exp(1j * (4.0 * np.pi * (scene.nominal_range_m + d[start:stop])
@@ -334,17 +370,17 @@ def _stream_bins(scene: TargetScene, cfg: ChirpConfig, rng: np.random.Generator 
             x *= bin_phase
             x *= phase[:, None]
             add_range_noise(x, scene, cfg, rng, scratch)
-            band = x[:, lo:hi]
-            np.abs(x, out=block_q[:, :half])
+            columns = x[:, cut]
+            np.abs(x, out=block_q[:, :width])
         else:
-            band = ((block_u[:, lo:hi] + 1j * block_v[:, lo:hi])
-                    * bin_phase[lo:hi] * phase[:, None])
+            columns = ((block_u[:, cut] + 1j * block_v[:, cut])
+                       * bin_phase[cut] * phase[:, None])
             block_u *= block_u
             block_v *= block_v
             block_u += block_v
             np.sqrt(block_u, out=block_u)
         mags[0] = mags[:rows + 1].sum(axis=0)
-        np.arctan2(band.imag, band.real, out=phases[start:stop])
+        np.arctan2(columns.imag, columns.real, out=phases[start:stop])
     sums = mags[0] if noisy else 0.5 * mags[0]
     return sums / chirps, phases
 
@@ -352,34 +388,29 @@ def _stream_bins(scene: TargetScene, cfg: ChirpConfig, rng: np.random.Generator 
 def measure_displacement(scene: TargetScene, cfg: ChirpConfig,
                          rng: np.random.Generator | None = None) -> tuple[SampledSignal, dict]:
     """Full chain: range spectrum, receiver noise, phase extraction. Returns
-    the displacement trace and the bin decision (_phase_displacement).
+    the displacement trace and the bin decision (_select_bin).
 
     The numbers of the FFT oracle in tests/radar_oracle.py
 
         spectrum = range_fft(simulate_beat_signal(scene, cfg))
-        add_range_noise(spectrum, scene, cfg, rng)
-        extract_displacement(spectrum, cfg)
+        add_range_noise(<the span's columns of spectrum>, scene, cfg, rng)
+        extract_displacement(spectrum, scene, cfg)
 
     to rounding, with the same draws from rng, the same bin and the same
     generator state, but with the spectrum in closed form (_stream_bins):
-    no beat samples and no FFT. It streams over blocks of chirps in working
-    memory that does not grow with chirps x bins: only the per-bin
-    magnitude sums and the phase of the columns extraction may read are
-    kept, the nominal range's bin +- _BAND_BINS. A selected bin outside
-    that band is no return of the target, whose peak lies within one bin
-    of the nominal range's: it raises NoCoherentTargetError. A noisy scene
+    no beat samples and no FFT, and only the bins the decision or the trace
+    reads (_bins). It streams over blocks of chirps in working memory that
+    does not grow with chirps x bins: only the span's per-bin magnitude
+    sums and the phase of the band, the nominal range's bin +- _BAND_BINS,
+    are kept, and only the chosen bin's column is unwrapped. A noisy scene
     needs rng; a noiseless one draws nothing and takes None.
     """
     _check_scene(scene, cfg)
-    half = cfg.adc_samples_per_chirp // 2
     if rng is None and scene.noise_snr_db is not None:
         raise ValueError("a noisy scene draws from rng: pass a seeded generator")
-    centre = cfg.bin_of_range(scene.nominal_range_m)
-    lo, hi = max(centre - _BAND_BINS, 0), min(centre + _BAND_BINS + 1, half)
-    mags, phases = _stream_bins(scene, cfg, rng, lo, hi)
-    choice = _select_bin(mags)
-    if not lo <= choice[0] < hi:
-        raise NoCoherentTargetError(
-            f"selected bin {choice[0]} lies more than {_BAND_BINS} bins from the "
-            f"nominal range's bin {centre}")
-    return _phase_displacement(phases[:, choice[0] - lo], cfg, choice)
+    centre, band, span = _bins(cfg, scene.nominal_range_m)
+    mags, phases = _stream_bins(scene, cfg, rng, span, band)
+    decision = _select_bin(mags, span, centre)
+    phase = phases[:, decision["selected_bin"] - band.start].copy()
+    del phases   # the band is not held while its chosen column is unwrapped
+    return _phase_displacement(phase, cfg), decision

@@ -1,10 +1,12 @@
 """The FFT oracle of the radar chain and the error bounds the closed-form
 chain is held to against it.
 
-measure_displacement forms the positive-range spectrum in closed form;
-range_fft(simulate_beat_signal(...)) computes the same spectrum by phasor
-recurrence, Hann taper and FFT, and extract_displacement reads the
-displacement from it as measure_displacement does. The two round
+measure_displacement forms the positive-range spectrum in closed form, over
+the span of bins its decision and trace read; range_fft(simulate_beat_signal(
+...)) computes the whole spectrum by phasor recurrence, Hann taper and FFT,
+explicit_spectrum adds the same noise draws to the same span, and
+extract_displacement reads the displacement from it as measure_displacement
+does. The two round
 differently, so they are compared within bounds derived here from the
 rounding of each step, with eps the double-precision machine epsilon,
 twice the unit roundoff u. They are upper bounds: every constant is a
@@ -15,8 +17,8 @@ only the closed form makes with it.
 
 import numpy as np
 
-from phonoradar.radar import (C_LIGHT, _check_scene, _phase_displacement, _select_bin,
-                              add_range_noise)
+from phonoradar.radar import (C_LIGHT, _bins, _check_scene, _phase_displacement,
+                              _select_bin, add_range_noise)
 from phonoradar.signals import hann_window
 
 EPS = np.finfo(np.float64).eps
@@ -77,24 +79,30 @@ def range_fft(beat):
     return np.fft.fft(beat * hann_window(n), axis=1)[:, :n // 2]
 
 
-def extract_displacement(rangefft, cfg):
+def extract_displacement(rangefft, scene, cfg):
     """Slow-time phase vibrometry at the max mean-magnitude bin: the
-    package's bin choice and phase-to-displacement steps on the whole
-    spectrum, returning the (trace, bin decision) pair measure_displacement
-    returns."""
-    choice = _select_bin(np.abs(rangefft).mean(axis=0))
-    return _phase_displacement(np.angle(rangefft[:, choice[0]]), cfg, choice)
+    package's bin decision, over the span of bins measure_displacement forms
+    for the scene, from the whole spectrum's mean magnitudes, and its
+    phase-to-displacement steps, returning the (trace, bin decision) pair
+    measure_displacement returns."""
+    centre, _, span = _bins(cfg, scene.nominal_range_m)
+    profile = np.abs(rangefft).mean(axis=0)
+    decision = _select_bin(profile[span.start:span.stop], span, centre)
+    return _phase_displacement(np.angle(rangefft[:, decision["selected_bin"]]), cfg), decision
 
 
-def explicit_spectrum(scene, cfg, rng=None):
-    """The oracle: the noisy positive-range spectrum from the FFT chain."""
+def explicit_spectrum(scene, cfg, rng=None, span=None):
+    """The oracle: the positive-range spectrum from the FFT chain, with the
+    receiver noise added to the bins of span, by default the span
+    measure_displacement forms for the scene (radar._bins)."""
     spectrum = range_fft(simulate_beat_signal(scene, cfg))
-    add_range_noise(spectrum, scene, cfg, rng)
+    span = span or _bins(cfg, scene.nominal_range_m)[2]
+    add_range_noise(spectrum[:, span.start:span.stop], scene, cfg, rng)
     return spectrum
 
 
 def explicit_chain(scene, cfg, rng=None):
-    return extract_displacement(explicit_spectrum(scene, cfg, rng), cfg)
+    return extract_displacement(explicit_spectrum(scene, cfg, rng), scene, cfg)
 
 
 def spectrum_bound(scene, cfg, spectrum):

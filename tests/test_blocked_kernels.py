@@ -243,17 +243,20 @@ def test_subject_bytes_do_not_depend_on_the_decimation_blocks(monkeypatch, jitte
 
 @pytest.mark.parametrize("snr_db", [None, 20.0], ids=["noiseless", "noisy"])
 def test_radar_blocks_give_the_same_trace_and_bin(monkeypatch, rng, snr_db):
-    # 4100 chirps in blocks of 7, 63 (128 KiB) and all of them. The noise is
-    # drawn chirp by chirp, so the trace does not depend on the blocks, and
-    # the per-bin sums add chirp after chirp, each block's reduction
-    # starting from the running sum, so neither does the bin decision.
+    # 4100 chirps in blocks of 7, 356 (128 KiB) and all of them, of the 21
+    # bins the chain forms at 0.25 m, 0 .. 20. The noise is drawn chirp by
+    # chirp, so the trace does not depend on the blocks, and the per-bin
+    # sums add chirp after chirp, each block's reduction starting from the
+    # running sum, so neither does the bin decision.
     cfg = ChirpConfig()
     scene = TargetScene(displacement=SampledSignal(rng.uniform(-1e-4, 1e-4, 4100), 2000.0),
                         noise_snr_db=snr_db)
+    width = len(radar._bins(cfg, scene.nominal_range_m)[2])
+    assert width == 21
     runs = []
-    for budget, chirps in ((16 * 130 * 7, 7), (1 << 17, 63), (1 << 24, 4100)):
+    for budget, chirps in ((16 * (width + 2) * 7, 7), (1 << 17, 356), (1 << 24, 4100)):
         monkeypatch.setattr(radar, "_BLOCK_BYTES", budget)
-        assert min(radar._block_chirps(cfg.adc_samples_per_chirp), 4100) == chirps
+        assert min(radar._block_chirps(width), 4100) == chirps
         draws = np.random.default_rng(7)
         trace, record = measure_displacement(scene, cfg, draws)
         runs.append((trace.samples.tobytes(), record, draws.bit_generator.state))

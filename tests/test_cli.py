@@ -190,13 +190,19 @@ class TestRadar:
         cfg = ChirpConfig(prf_hz=d_true.rate_hz)
         spectrum = explicit_spectrum(scene, cfg, np.random.default_rng(radar_noise_seed(0, 0)))
         profile = np.abs(spectrum).mean(axis=0)
-        peak = int(np.argmax(profile))
+        # 0.4 m is bin 10: the chain forms bins 0 .. 24, its band 8 .. 12
+        # widened by a guard of 2 and a reference window of 10, and the
+        # peak is the profile's over them
+        peak = int(np.argmax(profile[:25]))
         assert meta["selected_bin"] == peak
-        # the bin decision: its mean magnitude and the median of the other
-        # bins' it was checked against
+        # the bin decision: its mean magnitude and the median of the
+        # reference bins', every bin formed more than 2 from the peak, it
+        # was checked against
+        reference = [k for k in range(25) if abs(k - peak) > 2]
+        assert meta["floor_bins"] == reference
         bound = means_bound(scene, cfg, spectrum)
         assert abs(meta["bin_magnitude"] - profile[peak]) <= bound
-        assert abs(meta["noise_floor"] - np.median(np.delete(profile, peak))) <= bound
+        assert abs(meta["noise_floor"] - np.median(profile[reference])) <= bound
 
 
 class TestTransform:
@@ -596,7 +602,8 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     ["radar", "--subject", "{tmp}", "--adc-samples", "1"],
     ["radar", "--subject", "{tmp}", "--adc-samples", "2"],
     ["radar", "--subject", "{tmp}", "--adc-samples", "3"],
-    # below 16 the Hann main lobe can be the median of the noise-floor bins
+    # below 16 fewer than three bins past the peak's main lobe remain for
+    # the noise floor's median
     ["radar", "--subject", "{tmp}", "--adc-samples", "15"],
     # past the last positive range bin, 127, which ends at 5.309 m
     ["radar", "--subject", "{tmp}", "--range", "5.31"],

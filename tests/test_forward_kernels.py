@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from phonoradar.radar import (_BAND_BINS, C_LIGHT, ChirpConfig, NoCoherentTargetError,
-                              TargetScene, _block_chirps, _dirichlet_rows, _stream_bins,
-                              _unwrap, add_range_noise, measure_displacement)
+                              TargetScene, _bins, _block_chirps, _dirichlet_rows,
+                              _stream_bins, _unwrap, add_range_noise, measure_displacement)
 from phonoradar.signals import SampledSignal, hann_window
 from phonoradar.synth import GlottalConfig, synth_vocal_fold_displacement
 from radar_oracle import (DIRICHLET_ULPS, EPS, displacement_bound, explicit_chain,
@@ -134,6 +134,8 @@ def noise_moments(noise, n, sigma):
 
 @pytest.mark.parametrize("n", [2, 4, 5, 16, 17, 63, 64, 256])
 def test_range_noise_matches_time_domain_noise_in_distribution(n):
+    # over every positive bin, and over spans of at most 7 that start at bin
+    # 0 and that end at n/2, as the chain draws for the bins it forms
     if refused(n):
         return
     chirps = 8000
@@ -142,20 +144,23 @@ def test_range_noise_matches_time_domain_noise_in_distribution(n):
     snr_db = 3.0
     scene = TargetScene(displacement=still, noise_snr_db=snr_db)
     sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)   # against the unit tone
-    added = np.zeros((chirps, n // 2), dtype=np.complex128)
-    add_range_noise(added, scene, cfg, np.random.default_rng(5))
+    half = n // 2
     noise = ref_beat(scene, cfg, np.random.default_rng(6), tone=False)
-    oracle = np.fft.fft(hann_window(n) * noise, axis=1)[:, :n // 2]
+    oracle = np.fft.fft(hann_window(n) * noise, axis=1)[:, :half]
     want = hann_noise_covariance(n)
-    lags = [want[k, k + lag] for lag in range(3) for k in range(n // 2 - lag)]
-    assert set(lags) == set([3 / 8, -1 / 4, 1 / 16][:n // 2])
-    far = np.abs(np.subtract.outer(range(n // 2), range(n // 2))) >= 3
+    lags = [want[k, k + lag] for lag in range(3) for k in range(half - lag)]
+    assert set(lags) == set([3 / 8, -1 / 4, 1 / 16][:half])
+    far = np.abs(np.subtract.outer(range(half), range(half))) >= 3
     assert not want[far].any()
-    # each moment has a standard error of at most 3/8 / sqrt(chirps), about 0.004
-    for noise in (added, oracle):
-        cov, pseudo = noise_moments(noise, n, sigma)
-        assert np.max(np.abs(cov - want)) < 0.025
-        assert np.max(np.abs(pseudo)) < 0.025
+    for span in (slice(0, half), slice(0, min(7, half)), slice(max(half - 7, 0), half)):
+        added = np.zeros((chirps, span.stop - span.start), dtype=np.complex128)
+        add_range_noise(added, scene, cfg, np.random.default_rng(5))
+        # each moment has a standard error of at most 3/8 / sqrt(chirps),
+        # about 0.004
+        for got in (added, oracle[:, span]):
+            cov, pseudo = noise_moments(got, n, sigma)
+            assert np.max(np.abs(cov - want[span, span])) < 0.025
+            assert np.max(np.abs(pseudo)) < 0.025
 
 
 # --- streamed radar chain -------------------------------------------------
@@ -172,7 +177,8 @@ def stream_grid(test):
 
 
 def grid_scene(rng, chirps, n, snr_db):
-    block = _block_chirps(n)
+    # B, the chirps of one block of the span the chain forms at 0.25 m
+    block = _block_chirps(len(_bins(chirp_config(n), 0.25)[2]))
     count = {"1": 1, "B-1": block - 1, "B": block, "B+1": block + 1, "4100": 4100}[chirps]
     return TargetScene(displacement=vibrating(rng, count), noise_snr_db=snr_db)
 
@@ -184,8 +190,9 @@ def assert_matches_oracle(scene, cfg):
     got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
     got, got_bin = measure_displacement(scene, cfg, got_rng)
     spectrum = explicit_spectrum(scene, cfg, want_rng)
-    want, want_bin = extract_displacement(spectrum, cfg)
+    want, want_bin = extract_displacement(spectrum, scene, cfg)
     assert got_bin["selected_bin"] == want_bin["selected_bin"]
+    assert got_bin["floor_bins"] == want_bin["floor_bins"]
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     means = means_bound(scene, cfg, spectrum)
     assert abs(got_bin["bin_magnitude"] - want_bin["bin_magnitude"]) <= means
@@ -203,14 +210,18 @@ def test_streamed_chain_matches_explicit(monkeypatch, rng, chirps, n, snr_db, ba
     scene = grid_scene(rng, chirps, n, snr_db)
     if band_off_peak:
         # centre the kept band on the positive bin farthest from the peak,
-        # as if the nominal range lay there: a peak that far from it is no
-        # return of the target
+        # as if the nominal range lay there: the span's largest bin is the
+        # peak, out of the band, or, where the span does not reach the peak,
+        # a sidelobe or noise bin under five times its floor or out of the
+        # band; both chains raise the same error
         peak = explicit_chain(scene, cfg, np.random.default_rng(7))[1]["selected_bin"]
         far = 0 if 2 * peak >= n // 2 else n // 2 - 1
         assert abs(far - peak) > _BAND_BINS
         monkeypatch.setattr(ChirpConfig, "bin_of_range", lambda self, range_m: far)
-        with pytest.raises(NoCoherentTargetError, match=f"bin {peak} .* bin {far}$"):
-            measure_displacement(scene, cfg, np.random.default_rng(7))
+        got = raised(lambda: measure_displacement(scene, cfg, np.random.default_rng(7)))
+        want = raised(lambda: explicit_chain(scene, cfg, np.random.default_rng(7)))
+        assert got == want and got[0] is NoCoherentTargetError
+        assert got[1].endswith(("is below the noise floor", f"bin {far}"))
         return
     assert_matches_oracle(scene, cfg)
 
@@ -219,17 +230,46 @@ def test_streamed_chain_matches_explicit(monkeypatch, rng, chirps, n, snr_db, ba
 def test_streamed_bin_means_match_explicit(rng, chirps, n, snr_db):
     if refused(n):
         return
+    # spans of every positive bin, of the last five (off the tone, whose
+    # nearest bin then has no column), of one middle bin and of the chain's
+    # own, each with a band within it; the oracle draws over the same span
     cfg = chirp_config(n)
     scene = grid_scene(rng, chirps, n, snr_db)
-    spectrum = explicit_spectrum(scene, cfg, np.random.default_rng(7))
     half = n // 2
-    bound = phase_bound(spectrum_bound(scene, cfg, spectrum), spectrum)
-    for lo, hi in ((0, half), (max(half - 5, 0), half), (half // 2, half // 2 + 1)):
-        means, phases = _stream_bins(scene, cfg, np.random.default_rng(7), lo, hi)
-        assert np.max(np.abs(means - np.abs(spectrum).mean(axis=0))) <= means_bound(
-            scene, cfg, spectrum)
-        want = np.angle(spectrum[:, lo:hi])
-        assert np.all(np.abs(phase_difference(phases, want)) <= bound[:, lo:hi])
+    _, own_band, own_span = _bins(cfg, scene.nominal_range_m)
+    last, middle = range(max(half - 5, 0), half), range(half // 2, half // 2 + 1)
+    for span, band in ((range(half), range(half)), (last, last[-2:]), (middle, middle),
+                       (own_span, own_band)):
+        spectrum = explicit_spectrum(scene, cfg, np.random.default_rng(7), span)
+        bound = phase_bound(spectrum_bound(scene, cfg, spectrum), spectrum)
+        means, phases = _stream_bins(scene, cfg, np.random.default_rng(7), span, band)
+        want_means = np.abs(spectrum[:, span.start:span.stop]).mean(axis=0)
+        assert np.max(np.abs(means - want_means)) <= means_bound(scene, cfg, spectrum)
+        cut = slice(band.start, band.stop)
+        want = np.angle(spectrum[:, cut])
+        assert np.all(np.abs(phase_difference(phases, want)) <= bound[:, cut])
+
+
+@pytest.mark.parametrize("n", [16, 17, 64, 256])
+def test_noiseless_band_does_not_depend_on_the_bins_formed(rng, n):
+    # the band's phase and mean magnitudes formed over the band alone, over
+    # the chain's span and over every positive bin are the same bytes: each
+    # bin is formed from its own bin index alone, so a noiseless trace and
+    # bin_magnitude do not depend on which other bins are formed (nor on
+    # the block size, which follows the bins formed)
+    cfg = chirp_config(n)
+    spacing = cfg.range_bin_spacing_m()
+    half = n // 2
+    for centre in (0.3, 3.5, half / 2 + 0.2, half - 1.2):
+        scene = TargetScene(displacement=vibrating(rng, 4100),
+                            nominal_range_m=centre * spacing)
+        _, band, span = _bins(cfg, scene.nominal_range_m)
+        runs = set()
+        for formed in (band, span, range(half)):
+            means, phases = _stream_bins(scene, cfg, None, formed, band)
+            cut = slice(band.start - formed.start, band.stop - formed.start)
+            runs.add((means[cut].tobytes(), phases.tobytes()))
+        assert len(runs) == 1
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-12, 0.5, -0.5])
@@ -249,12 +289,13 @@ def test_tone_at_and_between_bin_centres(chirps, n, offset, excursion_m):
     cfg = chirp_config(n)
     spacing = cfg.range_bin_spacing_m()
     centre = 6
-    count = _block_chirps(n) + (1 if chirps == "B+1" else -1)
+    count = _block_chirps(n // 2) + (1 if chirps == "B+1" else -1)
     d = excursion_m * np.sin(np.arange(count) * 0.7)
     scene = TargetScene(displacement=SampledSignal(d, PRF),
                         nominal_range_m=(centre + offset) * spacing)
     spectrum = explicit_spectrum(scene, cfg)
-    means, phases = _stream_bins(scene, cfg, None, 0, n // 2)
+    every = range(n // 2)
+    means, phases = _stream_bins(scene, cfg, None, every, every)
     assert np.all(np.isfinite(phases))
     bound = phase_bound(spectrum_bound(scene, cfg, spectrum), spectrum)
     assert np.all(np.abs(phase_difference(phases, np.angle(spectrum))) <= bound)
@@ -262,21 +303,21 @@ def test_tone_at_and_between_bin_centres(chirps, n, offset, excursion_m):
         scene, cfg, spectrum)
 
 
-def exact_dirichlet(offset, j0, n, cols):
+def exact_dirichlet(offset, j0, first, n, cols):
     """The Dirichlet kernel _dirichlet_rows forms, sin(pi*b)/sin(pi*(b - j)/n)
-    at b = j0 + offset and j = -1 .. cols-2, in extended precision from the
-    same offsets, with the limit (-1)^j * n where b = j."""
+    at b = j0 + offset and j = first - 1 .. first + cols - 2, in extended
+    precision from the same offsets, with the limit (-1)^j * n where b = j."""
     pi = np.longdouble("3.14159265358979323846264338327950288")
     off = offset.astype(np.longdouble)
     k = j0 + np.rint(off)   # the nearest bin
     t = off - (k - j0)
     sign = 1 - 2 * (k % 2)
     # b - j as (k - j) + t, exact at the nearest bin
-    distance = (k[:, None] - np.arange(-1, cols - 1)) + t[:, None]
+    distance = (k[:, None] - np.arange(first - 1, first + cols - 1)) + t[:, None]
     with np.errstate(invalid="ignore"):
         q = (sign * np.sin(pi * t))[:, None] / np.sin(pi * distance / n)
-    at_bin = t == 0
-    q[at_bin, (k[at_bin] + 1).astype(np.intp)] = n * sign[at_bin]
+    at_bin = (t == 0) & (k >= first - 1) & (k < first + cols - 1)
+    q[at_bin, (k[at_bin] + 1 - first).astype(np.intp)] = n * sign[at_bin]
     return q
 
 
@@ -285,17 +326,20 @@ def test_dirichlet_columns_within_their_bound(rng, n):
     # each column to DIRICHLET_ULPS eps relative, the allowance spectrum_bound
     # takes for the kernel, at every positive bin class: the first two, the
     # middle and the last two, with offsets at, near and half a bin off a
-    # centre and across (-1, 1)
+    # centre and across (-1, 1); over bins -1 .. n/2, and over spans from
+    # the bin before j0's, from j0's and from the last one's
     if np.finfo(np.longdouble).eps > 1e-18:
         pytest.skip("the reference needs an extended-precision long double")
     half = n // 2
     offset = np.concatenate([[0.0, 1e-12, -1e-12, 0.5, -0.5, 0.999, -0.999],
                              rng.uniform(-1.0, 1.0, 300)])
     for j0 in (0, 1, half // 2, half - 2, half - 1):
-        got = np.empty((len(offset), half + 2))
-        _dirichlet_rows(offset, j0, n, got)
-        want = exact_dirichlet(offset, j0, n, half + 2)
-        assert np.all(np.abs(got - want) <= DIRICHLET_ULPS * EPS * np.abs(want))
+        for first in sorted({0, max(j0 - 1, 0), j0, half - 1}):
+            cols = half + 2 - first
+            got = np.empty((len(offset), cols))
+            _dirichlet_rows(offset, j0, first, n, got)
+            want = exact_dirichlet(offset, j0, first, n, cols)
+            assert np.all(np.abs(got - want) <= DIRICHLET_ULPS * EPS * np.abs(want))
 
 
 def test_bin_centre_range_measures_like_the_oracle(rng):
@@ -343,8 +387,8 @@ def streamed_peak_bytes(chirps, snr_db):
 ], ids=["4100-noiseless", "4100-noisy", "16400-noisy"])
 def test_streamed_chain_peak_memory(chirps, snr_db, bound):
     # the streamed chain holds one block of the kernel, its spectrum and noise
-    # draws, the band's phases and the output, about 1.1 MB at 4100 chirps
-    # noiseless, 1.6 MB noisy and 2.1 MB at 16400; the explicit chain holds
+    # draws, the band's phases and the output, about 0.8 MB at 4100 chirps
+    # noiseless, 1.0 MB noisy and 1.5 MB at 16400; the explicit chain holds
     # about 2 beat matrices
     peak = streamed_peak_bytes(chirps, snr_db)
     assert peak <= bound * chirps * ChirpConfig().adc_samples_per_chirp * 16
@@ -359,10 +403,13 @@ def test_noisy_chain_keeps_its_band_as_phase():
 
 
 def test_noisy_chain_unwraps_in_place():
-    # 120 000 noisy chirps, a 60 s subject, peak at about 8.0 MB while the
-    # phase is unwrapped: the band's five phases per chirp, 4.8 MB, and three
-    # chirp-length arrays; np.unwrap's temporaries took it to 9.6 MB
-    assert streamed_peak_bytes(120000, 20.0) < 8.5e6
+    # 120 000 noisy chirps, a 60 s subject, peak at about 5.76 MB as the
+    # chosen column, 0.96 MB, is copied out of the band's five phases per
+    # chirp, 4.8 MB; the band is dropped before the unwrap, which holds the
+    # column and three chirp-length arrays, 3.84 MB. Unwrapping a view of
+    # the band held both, 8.0 MB, and np.unwrap's temporaries 9.6 MB. The
+    # bound leaves 0.44 MB for the libraries' own allocations.
+    assert streamed_peak_bytes(120000, 20.0) < 6.2e6
 
 
 def test_unwrap_is_numpys_bytes(rng):

@@ -140,8 +140,8 @@ class TestExtractDisplacement:
     def test_every_in_band_target_measured_at_16_samples(self, bins):
         # the fewest ADC samples ChirpConfig takes: a noiseless target at any
         # fraction of any positive bin, vibrating at 120 Hz by `bins` range
-        # bins, clears the five-times floor; the worst peak is 18 times its
-        # floor
+        # bins, clears the five-times floor; the worst peak is 89 times its
+        # floor, the median of 3 to 5 bins past the main lobe
         cfg = ChirpConfig(adc_samples_per_chirp=16)
         spacing = cfg.range_bin_spacing_m()
         t = np.arange(200) / 2000.0
